@@ -1,7 +1,8 @@
 //! E14 — catalog serving: N documents × M shared query texts.
 //!
 //! Measures the multi-document `Catalog` against the pre-catalog shape
-//! (one engine + one private plan cache per document) on the same corpus
+//! (one one-document catalog, with a private plan cache, per document) on
+//! the same corpus
 //! and workload, and the shared cache's cross-document hit rate. The
 //! machine-readable snapshot goes to `BENCH_catalog.json` at the
 //! workspace root.
@@ -15,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mhx_corpus::{generate, GeneratorConfig};
 use mhx_goddag::Goddag;
-use multihier_xquery::prelude::{Catalog, Engine};
+use multihier_xquery::prelude::Catalog;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -78,16 +79,29 @@ fn run_shared(catalog: &Catalog) -> usize {
     outputs
 }
 
-/// The pre-catalog serving shape: one engine (own plan cache) per doc.
-fn run_per_doc(engines: &[Engine]) -> usize {
+/// Document id inside each one-document catalog.
+const SOLO: &str = "doc";
+
+/// The pre-catalog serving shape: one catalog (own plan cache) per doc.
+fn per_doc_catalogs(docs: &[Goddag]) -> Vec<Catalog> {
+    docs.iter()
+        .map(|g| {
+            let catalog = Catalog::new();
+            catalog.insert(SOLO, g.clone());
+            catalog
+        })
+        .collect()
+}
+
+fn run_per_doc(catalogs: &[Catalog]) -> usize {
     let mut outputs = 0;
     for _ in 0..ROUNDS {
-        for e in engines {
+        for c in catalogs {
             for q in XPATH_QUERIES {
-                outputs += e.xpath(q).unwrap().serialize().len();
+                outputs += c.xpath(SOLO, q).unwrap().serialize().len();
             }
             for q in XQUERY_QUERIES {
-                outputs += e.xquery(q).unwrap().serialize().len();
+                outputs += c.xquery(SOLO, q).unwrap().serialize().len();
             }
         }
     }
@@ -106,11 +120,8 @@ fn catalog_vs_per_doc(c: &mut Criterion) {
             black_box(run_shared(&catalog))
         })
     });
-    grp.bench_function("per_doc_engines_cold", |b| {
-        b.iter(|| {
-            let engines: Vec<Engine> = docs.iter().map(|g| Engine::new(g.clone())).collect();
-            black_box(run_per_doc(&engines))
-        })
+    grp.bench_function("per_doc_catalogs_cold", |b| {
+        b.iter(|| black_box(run_per_doc(&per_doc_catalogs(&docs))))
     });
     let warm = shared_catalog(&docs);
     run_shared(&warm);
@@ -141,10 +152,9 @@ fn emit_snapshot(_c: &mut Criterion) {
         let catalog = shared_catalog(&docs);
         black_box(run_shared(&catalog));
     });
-    // Per-document engines, including construction.
+    // Per-document catalogs, including construction.
     let per_doc_cold = median_ns(&mut || {
-        let engines: Vec<Engine> = docs.iter().map(|g| Engine::new(g.clone())).collect();
-        black_box(run_per_doc(&engines));
+        black_box(run_per_doc(&per_doc_catalogs(&docs)));
     });
 
     // Steady state: caches warm, pure evaluation.
@@ -158,10 +168,10 @@ fn emit_snapshot(_c: &mut Criterion) {
     let fresh = shared_catalog(&docs);
     run_shared(&fresh);
     let shared_stats = fresh.cache_stats();
-    let engines: Vec<Engine> = docs.iter().map(|g| Engine::new(g.clone())).collect();
-    run_per_doc(&engines);
-    let per_doc_misses: u64 = engines.iter().map(|e| e.cache_stats().misses).sum();
-    let per_doc_hits: u64 = engines.iter().map(|e| e.cache_stats().hits).sum();
+    let catalogs = per_doc_catalogs(&docs);
+    run_per_doc(&catalogs);
+    let per_doc_misses: u64 = catalogs.iter().map(|c| c.cache_stats().misses).sum();
+    let per_doc_hits: u64 = catalogs.iter().map(|c| c.cache_stats().hits).sum();
 
     let json = format!(
         "{{\n  \"bench\": \"catalog_shared_plan_cache\",\n  \

@@ -1,10 +1,11 @@
 //! E16 — the plan-level optimizer, A/B on the same compiled queries.
 //!
-//! Every query is compiled once; `CompiledXPath` carries both the plan as
-//! written and the optimizer's rewrite, and the `optimize` knob selects
-//! one at evaluation time — so the two timings differ *only* by the
-//! rewrites (predicate reordering, `//x` fusion, set-at-a-time routing of
-//! position-free predicated steps). Queries are predicate-heavy shapes on
+//! Every query is an XPath text compiled once onto the XQuery plan
+//! (`CompiledXQuery::compile_xpath`), which carries both the plan as
+//! written and the optimizer's rewrite; the `optimize` knob selects one at
+//! evaluation time — so the two timings differ *only* by the rewrites
+//! (predicate reordering, `//x` fusion, set-at-a-time routing of
+//! position-free predicated steps, and the round-2 rewrites). Queries are predicate-heavy shapes on
 //! a ≥10k-node corpus: extended-axis predicates over wide contexts (where
 //! the per-node path re-evaluates the predicate per context × candidate
 //! pair), `//`-abbreviated paths (where fusion turns four tree walks into
@@ -17,9 +18,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mhx_corpus::{generate, GeneratorConfig};
-use mhx_goddag::{Goddag, NodeId, StructIndex};
-use mhx_xpath::plan::EvalCounters;
-use mhx_xpath::{CompiledXPath, Context, Value};
+use mhx_goddag::{Goddag, StructIndex};
+use mhx_xpath::Value;
+use mhx_xquery::{xpath_value, CompiledXQuery, EvalOptions};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -75,9 +76,9 @@ fn queries() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-fn eval(g: &Goddag, idx: &StructIndex, q: &CompiledXPath, optimize: bool) -> Value {
-    q.evaluate_with(g, idx, &Context::new(NodeId::Root), optimize, &EvalCounters::default())
-        .expect("bench queries evaluate")
+fn eval(g: &Goddag, idx: &StructIndex, q: &CompiledXQuery, optimize: bool) -> Value {
+    let opts = EvalOptions { optimize, ..Default::default() };
+    q.evaluate(g, Some(idx), &opts, |_, seq| xpath_value(&seq)).expect("bench queries evaluate").0
 }
 
 /// E16 through criterion (snapshot below carries the tracked numbers).
@@ -87,7 +88,7 @@ fn optimized_vs_as_written(c: &mut Criterion) {
     let mut grp = c.benchmark_group("e16_plan_optimizer");
     grp.sample_size(10).measurement_time(Duration::from_millis(600));
     for (label, src) in queries() {
-        let q = CompiledXPath::compile(src).unwrap();
+        let q = CompiledXQuery::compile_xpath(src).unwrap();
         grp.bench_function(format!("as_written_{label}"), |b| {
             b.iter(|| black_box(eval(&g, &idx, &q, false)))
         });
@@ -120,7 +121,7 @@ fn emit_snapshot(_c: &mut Criterion) {
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
     for (label, src) in queries() {
-        let q = CompiledXPath::compile(src).unwrap();
+        let q = CompiledXQuery::compile_xpath(src).unwrap();
         // Differential safety net: the snapshot never reports a speedup
         // for results that disagree.
         assert_eq!(

@@ -1,4 +1,4 @@
-//! XPath evaluation over a KyGODDAG.
+//! XPath evaluation over a KyGODDAG: the naive reference interpreter.
 
 use crate::ast::{BinOp, Expr, NodeTest, PathExpr, PathStart, Step};
 use crate::error::{Result, XPathError};
@@ -26,20 +26,10 @@ impl Context {
     }
 }
 
-/// Evaluate an XPath expression string with the KyGODDAG root as context.
-///
-/// Goes through the compiled pipeline (parse → compile → index-backed
-/// evaluation), building a throwaway [`mhx_goddag::StructIndex`]; callers
-/// issuing many queries against one document should use the engine facade
-/// in the root crate, which caches both the index and the compiled plans.
-pub fn evaluate_xpath(g: &Goddag, src: &str) -> Result<Value> {
-    let compiled = crate::plan::CompiledXPath::compile(src)?;
-    let idx = mhx_goddag::index::StructIndex::build(g);
-    compiled.evaluate(g, &idx, &Context::new(NodeId::Root))
-}
-
-/// [`evaluate_xpath`] through the naive interpreter (`all_nodes()` scans) —
-/// the reference oracle for differential tests.
+/// Evaluate an XPath expression string with the KyGODDAG root as context,
+/// through the naive interpreter (`all_nodes()` scans) — the reference
+/// oracle for differential tests. The index-backed compiled pipeline is
+/// `mhx_xquery::evaluate_xpath`.
 pub fn evaluate_xpath_naive(g: &Goddag, src: &str) -> Result<Value> {
     let expr = crate::parser::parse(src)?;
     evaluate_expr(g, &expr, &Context::new(NodeId::Root))
@@ -151,7 +141,7 @@ fn eval_step(g: &Goddag, input: &[NodeId], step: &Step, outer: &Context) -> Resu
 
 /// Apply one predicate to a candidate list. `reverse` flips `position()`
 /// numbering (XPath reverse-axis rule).
-pub fn apply_predicate(
+fn apply_predicate(
     g: &Goddag,
     candidates: &[NodeId],
     pred: &Expr,
@@ -231,7 +221,7 @@ mod tests {
     }
 
     fn nodes(g: &Goddag, src: &str) -> Vec<NodeId> {
-        match evaluate_xpath(g, src).unwrap() {
+        match evaluate_xpath_naive(g, src).unwrap() {
             Value::Nodes(ns) => ns,
             other => panic!("expected node-set, got {other:?}"),
         }
@@ -338,18 +328,18 @@ mod tests {
     #[test]
     fn unbound_variable_errors() {
         let g = figure1();
-        assert!(evaluate_xpath(&g, "$nope").is_err());
+        assert!(evaluate_xpath_naive(&g, "$nope").is_err());
     }
 
     #[test]
     fn arithmetic_and_logic() {
         let g = figure1();
-        assert_eq!(evaluate_xpath(&g, "1 + 2 * 3").unwrap(), Value::Num(7.0));
-        assert_eq!(evaluate_xpath(&g, "10 mod 3").unwrap(), Value::Num(1.0));
-        assert_eq!(evaluate_xpath(&g, "10 div 4").unwrap(), Value::Num(2.5));
-        assert_eq!(evaluate_xpath(&g, "-(3)").unwrap(), Value::Num(-3.0));
-        assert_eq!(evaluate_xpath(&g, "1 < 2 and 2 < 3").unwrap(), Value::Bool(true));
-        assert_eq!(evaluate_xpath(&g, "1 = 2 or 3 > 4").unwrap(), Value::Bool(false));
+        assert_eq!(evaluate_xpath_naive(&g, "1 + 2 * 3").unwrap(), Value::Num(7.0));
+        assert_eq!(evaluate_xpath_naive(&g, "10 mod 3").unwrap(), Value::Num(1.0));
+        assert_eq!(evaluate_xpath_naive(&g, "10 div 4").unwrap(), Value::Num(2.5));
+        assert_eq!(evaluate_xpath_naive(&g, "-(3)").unwrap(), Value::Num(-3.0));
+        assert_eq!(evaluate_xpath_naive(&g, "1 < 2 and 2 < 3").unwrap(), Value::Bool(true));
+        assert_eq!(evaluate_xpath_naive(&g, "1 = 2 or 3 > 4").unwrap(), Value::Bool(false));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! # mhx-xpath — the extended XPath of WebDB'05 / SIGMOD'06
 //!
-//! A standalone engine for the paper's path language: XPath 1.0 semantics
+//! The paper's path language: its lexer, parser and a naive reference
+//! interpreter with XPath 1.0 semantics
 //! (node-sets, predicates with `position()`/`last()`, the core function
 //! library) extended with
 //!
@@ -14,9 +15,15 @@
 //!   `mhx-regex`;
 //! * KyGODDAG helper functions `leaves()`, `hierarchy()`, `leaf-count()`.
 //!
+//! The crate also holds the index-backed step resolvers ([`plan`]) that
+//! compiled path steps run through. Compiled evaluation itself lives in
+//! `mhx-xquery`: an XPath expression is lowered into an XQuery plan and
+//! shares that crate's optimizer and evaluator, with the interpreter here
+//! as the oracle it is tested against.
+//!
 //! ```
 //! use mhx_goddag::GoddagBuilder;
-//! use mhx_xpath::evaluate_xpath;
+//! use mhx_xpath::evaluate_xpath_naive;
 //!
 //! let g = GoddagBuilder::new()
 //!     .hierarchy("lines", "<r><line>gesceaftum unawendendne sin</line>\
@@ -26,7 +33,7 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! let v = evaluate_xpath(
+//! let v = evaluate_xpath_naive(
 //!     &g,
 //!     "/descendant::line[overlapping::w[string(.) = 'singallice']]",
 //! )
@@ -39,20 +46,15 @@ pub mod error;
 pub mod eval;
 pub mod functions;
 pub mod lexer;
-pub mod opt;
 pub mod parser;
 pub mod plan;
 pub mod value;
 
 pub use ast::{BinOp, Expr, NodeTest, PathExpr, PathStart, Step};
 pub use error::{Result, XPathError};
-pub use eval::{evaluate_expr, evaluate_xpath, node_test_matches, Context};
-pub use opt::{classify_predicate, OptimizerReport, PredicateClass};
+pub use eval::{evaluate_expr, evaluate_xpath_naive, node_test_matches, Context};
 pub use parser::parse;
-pub use plan::{
-    choose_strategy, resolve_step, resolve_step_batch, resolve_step_unsorted, walk_step,
-    CompiledXPath, EvalCounters, StepStrategy,
-};
+pub use plan::{choose_strategy, resolve_step, resolve_step_batch, walk_step, StepStrategy};
 pub use value::Value;
 
 #[cfg(test)]
@@ -108,7 +110,7 @@ mod proptests {
                 )
                 .build()
                 .unwrap();
-            let v = evaluate_xpath(&g, &path).unwrap();
+            let v = evaluate_xpath_naive(&g, &path).unwrap();
             let Value::Nodes(ns) = v else { return Err(TestCaseError::fail("non-nodeset")); };
             for w in ns.windows(2) {
                 prop_assert_eq!(g.cmp_order(w[0], w[1]), std::cmp::Ordering::Less);

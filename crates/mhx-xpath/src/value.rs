@@ -92,13 +92,16 @@ pub fn parse_number(s: &str) -> f64 {
 /// including the existential node-set rules.
 pub fn compare(g: &Goddag, op: crate::ast::BinOp, a: &Value, b: &Value) -> bool {
     use crate::ast::BinOp::*;
+    let string_value = |n: NodeId| Value::Str(g.string_value(n).to_string());
     match (a, b) {
-        (Value::Nodes(xs), Value::Nodes(ys)) => xs.iter().any(|&x| {
-            let sx = g.string_value(x);
-            ys.iter().any(|&y| cmp_strings(op, sx, g.string_value(y)))
-        }),
-        (Value::Nodes(xs), other) => xs.iter().any(|&x| cmp_node_scalar(g, op, x, other, false)),
-        (other, Value::Nodes(ys)) => ys.iter().any(|&y| cmp_node_scalar(g, op, y, other, true)),
+        // §3.4: a node-set compared with a boolean compares as
+        // `boolean(node-set)`, not node by node.
+        (Value::Nodes(_), Value::Bool(_)) | (Value::Bool(_), Value::Nodes(_)) => {
+            compare(g, op, &Value::Bool(a.to_bool()), &Value::Bool(b.to_bool()))
+        }
+        // Otherwise a node-set holds when some node's string value does.
+        (Value::Nodes(xs), _) => xs.iter().any(|&x| compare(g, op, &string_value(x), b)),
+        (_, Value::Nodes(ys)) => ys.iter().any(|&y| compare(g, op, a, &string_value(y))),
         _ => match op {
             Eq | Ne => {
                 let eq = match (a, b) {
@@ -110,48 +113,6 @@ pub fn compare(g: &Goddag, op: crate::ast::BinOp, a: &Value, b: &Value) -> bool 
             }
             _ => cmp_numbers(op, a.to_num(g), b.to_num(g)),
         },
-    }
-}
-
-fn cmp_node_scalar(g: &Goddag, op: crate::ast::BinOp, n: NodeId, v: &Value, flipped: bool) -> bool {
-    use crate::ast::BinOp::*;
-    let node_str = g.string_value(n);
-    let (lhs_num, rhs_num);
-    let (lhs_str, rhs_str);
-    if flipped {
-        lhs_num = v.to_num(g);
-        rhs_num = parse_number(node_str);
-        lhs_str = v.to_str(g);
-        rhs_str = node_str.to_string();
-    } else {
-        lhs_num = parse_number(node_str);
-        rhs_num = v.to_num(g);
-        lhs_str = node_str.to_string();
-        rhs_str = v.to_str(g);
-    }
-    match (op, v) {
-        (Eq | Ne, Value::Bool(_)) => {
-            let eq = g.string_value(n).is_empty() != v.to_bool();
-            (op == Eq) == eq
-        }
-        (Eq | Ne, Value::Num(_)) => {
-            let eq = lhs_num == rhs_num;
-            (op == Eq) == eq
-        }
-        (Eq | Ne, _) => {
-            let eq = lhs_str == rhs_str;
-            (op == Eq) == eq
-        }
-        _ => cmp_numbers(op, lhs_num, rhs_num),
-    }
-}
-
-fn cmp_strings(op: crate::ast::BinOp, a: &str, b: &str) -> bool {
-    use crate::ast::BinOp::*;
-    match op {
-        Eq => a == b,
-        Ne => a != b,
-        _ => cmp_numbers(op, parse_number(a), parse_number(b)),
     }
 }
 
@@ -233,6 +194,35 @@ mod tests {
         // Numeric comparison: node "5" < 6.
         assert!(compare(&g, BinOp::Lt, &v, &Value::Num(6.0)));
         assert!(compare(&g, BinOp::Gt, &Value::Num(6.0), &v));
+    }
+
+    /// XPath 1.0 §3.4, hand-computed: `boolean(node-set)` meets the
+    /// boolean; ordering compares the two as numbers (false 0, true 1).
+    #[test]
+    fn nodeset_against_boolean_compares_its_boolean() {
+        let g = g();
+        let empty = Value::Nodes(vec![]);
+        let words =
+            Value::Nodes(g.all_nodes().into_iter().filter(|&n| g.name(n) == Some("w")).collect());
+        let (t, f) = (Value::Bool(true), Value::Bool(false));
+        for (set, op, b, expected) in [
+            (&empty, BinOp::Eq, &t, false),
+            (&empty, BinOp::Eq, &f, true),
+            (&empty, BinOp::Ne, &t, true),
+            (&empty, BinOp::Lt, &t, true),
+            (&words, BinOp::Eq, &t, true),
+            (&words, BinOp::Eq, &f, false),
+            (&words, BinOp::Ne, &t, false),
+            (&words, BinOp::Lt, &t, false),
+        ] {
+            assert_eq!(compare(&g, op, set, b), expected, "{set:?} {op:?} {b:?}");
+            // The boolean on the left flips ordering operators only.
+            let flipped = match op {
+                BinOp::Lt => BinOp::Gt,
+                other => other,
+            };
+            assert_eq!(compare(&g, flipped, b, set), expected, "{b:?} {flipped:?} {set:?}");
+        }
     }
 
     #[test]

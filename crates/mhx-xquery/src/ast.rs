@@ -210,75 +210,82 @@ impl QExpr {
     }
 
     /// Preorder walk over all sub-expressions.
-    pub fn walk(&self, f: &mut impl FnMut(&QExpr)) {
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a QExpr)) {
+        self.visit(true, f);
+    }
+
+    /// Preorder walk over the sub-expressions evaluated under this
+    /// expression's focus: step and filter predicates, which get a fresh
+    /// focus per candidate, are skipped.
+    pub(crate) fn walk_focus<'a>(&'a self, f: &mut impl FnMut(&'a QExpr)) {
+        self.visit(false, f);
+    }
+
+    fn visit<'a>(&'a self, predicates: bool, f: &mut impl FnMut(&'a QExpr)) {
         f(self);
+        let mut go = |e: &'a QExpr| e.visit(predicates, f);
         match self {
-            QExpr::Sequence(es) => es.iter().for_each(|e| e.walk(f)),
+            QExpr::Sequence(es) => es.iter().for_each(go),
             QExpr::Flwor { clauses, ret } => {
                 for c in clauses {
                     match c {
-                        Clause::For { seq, .. } => seq.walk(f),
-                        Clause::Let { expr, .. } => expr.walk(f),
-                        Clause::Where(e) => e.walk(f),
-                        Clause::OrderBy { keys } => keys.iter().for_each(|k| k.key.walk(f)),
+                        Clause::For { seq, .. } => go(seq),
+                        Clause::Let { expr, .. } => go(expr),
+                        Clause::Where(e) => go(e),
+                        Clause::OrderBy { keys } => keys.iter().for_each(|k| go(&k.key)),
                     }
                 }
-                ret.walk(f);
+                go(ret);
             }
-            QExpr::If { cond, then, els } => {
-                cond.walk(f);
-                then.walk(f);
-                els.walk(f);
-            }
+            QExpr::If { cond, then, els } => [cond, then, els].into_iter().for_each(|e| go(e)),
             QExpr::Quantified { binds, satisfies, .. } => {
-                binds.iter().for_each(|(_, e)| e.walk(f));
-                satisfies.walk(f);
+                binds.iter().for_each(|(_, e)| go(e));
+                go(satisfies);
             }
-            QExpr::Or(a, b) | QExpr::And(a, b) | QExpr::Union(a, b) => {
-                a.walk(f);
-                b.walk(f);
+            QExpr::Or(a, b)
+            | QExpr::And(a, b)
+            | QExpr::Union(a, b)
+            | QExpr::Compare { lhs: a, rhs: b, .. }
+            | QExpr::Arith { lhs: a, rhs: b, .. }
+            | QExpr::Range { lo: a, hi: b } => {
+                go(a);
+                go(b);
             }
-            QExpr::Compare { lhs, rhs, .. } | QExpr::Arith { lhs, rhs, .. } => {
-                lhs.walk(f);
-                rhs.walk(f);
-            }
-            QExpr::Range { lo, hi } => {
-                lo.walk(f);
-                hi.walk(f);
-            }
-            QExpr::Neg(e) => e.walk(f),
-            QExpr::Call { args, .. } => args.iter().for_each(|e| e.walk(f)),
+            QExpr::Neg(e) => go(e),
+            QExpr::Call { args, .. } => args.iter().for_each(go),
             QExpr::Path { start, steps } => {
                 if let QPathStart::Expr(e) = start {
-                    e.walk(f);
+                    go(e);
                 }
-                for s in steps {
-                    s.predicates.iter().for_each(|p| p.walk(f));
+                if predicates {
+                    steps.iter().flat_map(|s| &s.predicates).for_each(go);
                 }
             }
-            QExpr::Filter { base, predicates } => {
-                base.walk(f);
-                predicates.iter().for_each(|p| p.walk(f));
+            QExpr::Filter { base, predicates: preds } => {
+                go(base);
+                if predicates {
+                    preds.iter().for_each(go);
+                }
             }
-            QExpr::DirElem(d) => walk_dir(d, f),
+            QExpr::DirElem(d) => visit_dir(d, &mut go),
             QExpr::Literal(_) | QExpr::Number(_) | QExpr::Var(_) | QExpr::ContextItem => {}
         }
     }
 }
 
-fn walk_dir(d: &DirElem, f: &mut impl FnMut(&QExpr)) {
+fn visit_dir<'a>(d: &'a DirElem, go: &mut impl FnMut(&'a QExpr)) {
     for (_, pieces) in &d.attrs {
         for p in pieces {
             if let AttrPiece::Expr(e) = p {
-                e.walk(f);
+                go(e);
             }
         }
     }
     for c in &d.content {
         match c {
             Content::Text(_) => {}
-            Content::Expr(e) => e.walk(f),
-            Content::Elem(inner) => walk_dir(inner, f),
+            Content::Expr(e) => go(e),
+            Content::Elem(inner) => visit_dir(inner, go),
         }
     }
 }

@@ -1,11 +1,13 @@
 //! XQuery errors.
 //!
 //! Every error carries a [`XQueryErrorKind`] recording the pipeline stage
-//! that produced it — the parser marks its errors [`Parse`], everything the
-//! evaluator raises is [`Eval`] — so facade layers (the root crate's
-//! `Catalog`) can map failures onto typed variants without string-sniffing.
+//! that produced it — the parser marks its errors [`Parse`], the XPath
+//! lowering's static checks [`Compile`], everything the evaluator raises
+//! is [`Eval`] — so facade layers (the root crate's `Catalog`) can map
+//! failures onto typed variants without string-sniffing.
 //!
 //! [`Parse`]: XQueryErrorKind::Parse
+//! [`Compile`]: XQueryErrorKind::Compile
 //! [`Eval`]: XQueryErrorKind::Eval
 
 use std::fmt;
@@ -16,6 +18,9 @@ pub enum XQueryErrorKind {
     /// The query text failed to lex/parse (includes embedded XPath-level
     /// syntax errors and malformed XML fragment patterns).
     Parse,
+    /// The query parsed but is statically invalid (an XPath call outside
+    /// XPath's function library, `count()` of a non-node argument, …).
+    Compile,
     /// The parsed query failed during evaluation.
     Eval,
 }

@@ -27,9 +27,9 @@ pub struct EvalOptions {
     /// serializing the result sequence (standard XQuery serialization).
     /// Off by default: the paper's printed outputs concatenate directly.
     pub space_separator: bool,
-    /// Run queries through the plan-level optimizer ([`crate::opt`] /
-    /// `mhx_xpath::opt`): predicate reordering, `//x` fusion, and
-    /// set-at-a-time routing of position-free predicated steps. **On by
+    /// Run queries through the plan-level optimizer ([`crate::opt`]):
+    /// predicate reordering, `//x` fusion, set-at-a-time routing of
+    /// position-free predicated steps, and the round-2 rewrites. **On by
     /// default**; flip off per connection to A/B the same cached plan.
     pub optimize: bool,
 }
@@ -40,16 +40,19 @@ impl Default for EvalOptions {
     }
 }
 
-/// Per-evaluation step counters (the XQuery twin of
-/// `mhx_xpath::plan::EvalCounters`), surfaced through the engine stats.
+/// Step counters of one evaluation (both query languages), summed by the
+/// engine into per-catalog and per-session totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Steps resolved set-at-a-time — predicate-free steps over pure node
-    /// sets and optimizer-routed position-free predicated steps.
+    /// Steps resolved set-at-a-time (one index pass for the whole context
+    /// set) — predicate-free steps over pure node sets and
+    /// optimizer-routed position-free predicated steps.
     pub batched_steps: u64,
-    /// Steps evaluated from a plan the optimizer rewrote.
+    /// Steps evaluated from a plan the optimizer rewrote (fused,
+    /// reordered, or batch-routed). Grows only while the `optimize` knob
+    /// is on.
     pub rewritten_steps: u64,
-    /// Rewrites the optimizer applied to this query's plan (0 when the
+    /// Rewrites the optimizer applied to the executed plans (0 when the
     /// `optimize` knob is off or the plan was already optimal).
     pub plan_rewrites: u64,
     /// Steps that answered at least one boolean axis predicate through a
@@ -61,6 +64,18 @@ pub struct EvalStats {
     /// `descendant::a/descendant::b` pairs answered as one containment-
     /// chain merge join.
     pub chain_joins: u64,
+}
+
+impl EvalStats {
+    /// Fold another snapshot's counters into this one.
+    pub fn absorb(&mut self, other: &EvalStats) {
+        self.batched_steps += other.batched_steps;
+        self.rewritten_steps += other.rewritten_steps;
+        self.plan_rewrites += other.plan_rewrites;
+        self.early_exit_steps += other.early_exit_steps;
+        self.hoisted_preds += other.hoisted_preds;
+        self.chain_joins += other.chain_joins;
+    }
 }
 
 /// Variable bindings + focus (context item, position, size).
@@ -125,14 +140,11 @@ impl<'g> Evaluator<'g> {
     /// (the engine facade's). The evaluator falls back to its own rebuild
     /// the moment the copy-on-write goddag diverges.
     pub fn with_index(g: &'g Goddag, idx: &'g StructIndex, opts: EvalOptions) -> Evaluator<'g> {
-        let index = if idx.is_current(g) { IndexState::Borrowed(idx) } else { IndexState::None };
-        Evaluator {
-            g: Cow::Borrowed(g),
-            out: Document::new(),
-            opts,
-            stats: EvalStats::default(),
-            index,
+        let mut ev = Evaluator::new(g, opts);
+        if idx.is_current(g) {
+            ev.index = IndexState::Borrowed(idx);
         }
+        ev
     }
 
     /// Step counters accumulated since construction.
@@ -159,15 +171,8 @@ impl<'g> Evaluator<'g> {
             return plan::walk_step(self.g.as_ref(), step.axis, &step.test, n);
         }
         self.ensure_index();
-        let g = self.g.as_ref();
         let idx = self.index.get().expect("ensure_index populated the slot");
-        if step.predicates.is_empty() {
-            // No predicates → no per-candidate positions; the per-step
-            // sort-dedup downstream makes the per-node sort redundant.
-            plan::resolve_step_unsorted(g, idx, step.strategy, step.axis, &step.test, n)
-        } else {
-            plan::resolve_step(g, idx, step.strategy, step.axis, &step.test, n)
-        }
+        plan::resolve_step(self.g.as_ref(), idx, step.strategy, step.axis, &step.test, n)
     }
 
     /// Set-at-a-time form of [`Evaluator::step_candidates`]: one index pass
@@ -604,7 +609,24 @@ impl<'g> Evaluator<'g> {
         Ok(current)
     }
 
-    fn eval_step(&mut self, input: &[Item], step: &QStep, env: &Env) -> Result<Sequence> {
+    pub(crate) fn eval_step(
+        &mut self,
+        input: &[Item],
+        step: &QStep,
+        env: &Env,
+    ) -> Result<Sequence> {
+        // `.` — a predicate-free `self::node()` step from one node — is that
+        // node: the hot case of per-candidate predicates such as
+        // `[contains(string(.), 'x')]`, answered without a step pass.
+        if let [item] = input {
+            if item.is_node()
+                && step.axis == Axis::SelfAxis
+                && step.test == (NodeTest::AnyNode { hierarchies: None })
+                && step.predicates.is_empty()
+            {
+                return Ok(vec![item.clone()]);
+            }
+        }
         // Containment-chain join: this step absorbed a predicate-free
         // `descendant::<outer>` step. Over pure KyGODDAG input the pair
         // resolves as one merge join over the laminar containment chains;
@@ -721,8 +743,7 @@ impl<'g> Evaluator<'g> {
     }
 
     /// Apply an all-free (position-free, pure) predicate list to a batched
-    /// candidate set, honouring the optimizer's annotations — the XQuery
-    /// twin of `mhx_xpath::plan`'s free-predicate path:
+    /// candidate set, honouring the optimizer's annotations:
     ///
     /// * predicates run in [`crate::opt::stats_order`] (per-document name
     ///   frequencies, not the fixed weight table);

@@ -5,7 +5,6 @@ use crate::error::{Result, XQueryError};
 use crate::eval::{Env, Evaluator};
 use crate::item::{Item, Sequence};
 use mhx_regex::Regex;
-use mhx_xpath::value::format_number;
 
 pub fn call(ev: &mut Evaluator<'_>, name: &str, args: &[QExpr], env: &Env) -> Result<Sequence> {
     // analyze-string mutates the KyGODDAG: handled before generic dispatch.
@@ -416,9 +415,4 @@ fn dispatch(ev: &mut Evaluator<'_>, name: &str, vals: &[Sequence], env: &Env) ->
 
 fn compile(pattern: &str) -> Result<Regex> {
     Regex::new(pattern).map_err(|e| XQueryError::new(format!("bad regular expression: {e}")))
-}
-
-#[allow(dead_code)]
-fn fmt(n: f64) -> String {
-    format_number(n)
 }

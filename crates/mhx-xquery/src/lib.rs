@@ -7,6 +7,10 @@
 //! overlap existing markup can be related to the document structure with
 //! `xancestor`/`overlapping`/… axes.
 //!
+//! The crate is also the compiled pipeline for the extended XPath: an
+//! XPath expression is lowered onto the XQuery AST ([`xpath`]) and runs
+//! through the same optimizer and evaluator.
+//!
 //! ```
 //! use mhx_goddag::GoddagBuilder;
 //! use mhx_xquery::run_query;
@@ -38,6 +42,7 @@ pub mod item;
 pub mod opt;
 pub mod parser;
 pub mod serialize;
+pub mod xpath;
 
 pub use analyze::AnalyzeMode;
 pub use ast::QExpr;
@@ -45,8 +50,9 @@ pub use error::{Result, XQueryError, XQueryErrorKind};
 pub use eval::{Env, EvalOptions, EvalStats, Evaluator};
 pub use item::{Item, Sequence};
 pub use parser::parse_query;
+pub use xpath::{evaluate_xpath, xpath_value};
 
-use mhx_goddag::Goddag;
+use mhx_goddag::{Goddag, NodeId, StructIndex};
 
 /// Run a query against a KyGODDAG and serialize the result (paper-style:
 /// items concatenated without separators).
@@ -57,87 +63,35 @@ pub fn run_query(g: &Goddag, src: &str) -> Result<String> {
     run_query_with(g, src, &EvalOptions::default())
 }
 
-/// [`run_query`] with options.
+/// [`run_query`] with options. Compiles per call; repeat executions of one
+/// query should keep the [`CompiledXQuery`] — that is what the engine
+/// facade in the root crate caches.
 pub fn run_query_with(g: &Goddag, src: &str, opts: &EvalOptions) -> Result<String> {
-    let ast = parse_query(src)?;
-    run_parsed_with(g, &ast, opts)
-}
-
-/// Run an already-parsed query, skipping the re-parse but optimizing per
-/// call. Repeat executions of one query should go through
-/// [`CompiledXQuery`] instead, which runs the optimizer once and carries
-/// both plan forms — that is what the engine facade in the root crate
-/// caches.
-pub fn run_parsed_with(g: &Goddag, ast: &QExpr, opts: &EvalOptions) -> Result<String> {
-    run_parsed_collecting(g, None, ast, opts).map(|(out, _)| out)
-}
-
-/// [`run_parsed_with`] sharing a pre-built structural index for `g`, so
-/// repeated queries against one document skip the per-query index build.
-pub fn run_parsed_with_index(
-    g: &Goddag,
-    idx: &mhx_goddag::StructIndex,
-    ast: &QExpr,
-    opts: &EvalOptions,
-) -> Result<String> {
-    run_parsed_collecting(g, Some(idx), ast, opts).map(|(out, _)| out)
-}
-
-/// Evaluate `ast` on an existing evaluator, applying the plan-level
-/// optimizer when `opts.optimize` is on — the single optimize-or-not
-/// branch every ad-hoc entry point shares. (Cached plans skip the
-/// per-call rewrite: see [`CompiledXQuery`].)
-fn eval_with_options(ev: &mut Evaluator<'_>, ast: &QExpr, opts: &EvalOptions) -> Result<Sequence> {
-    if opts.optimize {
-        let (optimized, report) = opt::optimize(ast);
-        ev.stats.plan_rewrites = report.total() as u64;
-        ev.eval(&optimized, &Env::default())
-    } else {
-        ev.eval(ast, &Env::default())
-    }
-}
-
-/// Run a parsed query (optionally with a shared pre-built index),
-/// applying the plan-level optimizer when `opts.optimize` is on, and
-/// return the serialized result together with the evaluation's step
-/// counters. Optimizes per call; repeat executions should go through
-/// [`CompiledXQuery`], which caches the rewrite.
-pub fn run_parsed_collecting(
-    g: &Goddag,
-    idx: Option<&mhx_goddag::StructIndex>,
-    ast: &QExpr,
-    opts: &EvalOptions,
-) -> Result<(String, EvalStats)> {
-    let mut ev = match idx {
-        Some(idx) => Evaluator::with_index(g, idx, opts.clone()),
-        None => Evaluator::new(g, opts.clone()),
-    };
-    let seq = eval_with_options(&mut ev, ast, opts)?;
-    let out = serialize::serialize_sequence(&ev, &seq);
-    Ok((out, *ev.stats()))
+    CompiledXQuery::compile(src)?.run_with_index(g, None, opts).map(|(out, _)| out)
 }
 
 /// Run a query and return one serialized string per top-level result item
 /// (the paper's "sequence of strings" output form).
 pub fn run_query_sequence(g: &Goddag, src: &str, opts: &EvalOptions) -> Result<Vec<String>> {
-    let ast = parse_query(src)?;
-    let mut ev = Evaluator::new(g, opts.clone());
-    let seq = eval_with_options(&mut ev, &ast, opts)?;
-    Ok(serialize::serialize_items(&ev, &seq))
+    let plan = CompiledXQuery::compile(src)?;
+    plan.evaluate(g, None, opts, |ev, seq| serialize::serialize_items(ev, &seq)).map(|(out, _)| out)
 }
 
-/// A parse-and-optimize bundle mirroring `mhx_xpath::CompiledXPath`: holds
-/// **both** the query as parsed and the optimizer's rewrite of it
-/// (computed once, up front), so the engine facade's cached plans serve
-/// connections with the `optimize` knob on *and* off without re-running
-/// the rewrite per execution — the knob selects an AST at evaluation
-/// time, it never forks the cache key.
+/// A compiled query — from an XQuery text, or from an XPath text through
+/// [`CompiledXQuery::compile_xpath`]. Holds **both** the query as written
+/// and the optimizer's rewrite of it (computed once, up front), so the
+/// engine facade's cached plans serve connections with the `optimize`
+/// knob on *and* off without re-running the rewrite per execution — the
+/// knob selects an AST at evaluation time, it never forks the cache key.
 #[derive(Debug, Clone)]
 pub struct CompiledXQuery {
     src: String,
     ast: QExpr,
     optimized: QExpr,
     report: opt::OptimizerReport,
+    /// Lowered XPath starts with the document root as its focus (position
+    /// 1 of size 1); XQuery starts with no focus.
+    root_focus: bool,
 }
 
 impl CompiledXQuery {
@@ -149,8 +103,19 @@ impl CompiledXQuery {
     /// Wrap an already-parsed query (e.g. after static checks), running
     /// the optimizer once.
     pub fn from_ast(src: String, ast: QExpr) -> CompiledXQuery {
+        CompiledXQuery::build(src, ast, false)
+    }
+
+    fn build(src: String, ast: QExpr, root_focus: bool) -> CompiledXQuery {
         let (optimized, report) = opt::optimize(&ast);
-        CompiledXQuery { src, ast, optimized, report }
+        CompiledXQuery { src, ast, optimized, report, root_focus }
+    }
+
+    /// The top-level environment: no variables, and the root focus for
+    /// lowered XPath.
+    fn env(&self) -> Env {
+        let focus = self.root_focus.then_some((Item::Node(NodeId::Root), 1, 1));
+        Env { vars: Default::default(), focus }
     }
 
     /// The original query text (the cache key).
@@ -173,22 +138,27 @@ impl CompiledXQuery {
         &self.report
     }
 
-    /// Render the optimized plan: chosen rewrites, per-step strategies
-    /// and annotations, and cardinality estimates from `stats` (pass a
-    /// document's [`mhx_goddag::IndexStats`] for real numbers).
-    pub fn explain(&self, stats: Option<&mhx_goddag::IndexStats>) -> String {
-        opt::explain(&self.optimized, &self.report, &self.src, stats)
+    /// Render the optimized plan against one document: chosen rewrites,
+    /// per-step strategies and annotations, and estimated (from the
+    /// index's [`mhx_goddag::IndexStats`]) vs. **actual** cardinalities —
+    /// each path is evaluated step by step to measure them.
+    pub fn explain(&self, g: &Goddag, idx: &StructIndex) -> String {
+        let mut ev = Evaluator::with_index(g, idx, EvalOptions::default());
+        opt::explain(&mut ev, &self.env(), &self.optimized, &self.report, &self.src, idx.stats())
     }
 
     /// Run against a goddag (optionally sharing a pre-built index),
-    /// selecting the plan by `opts.optimize`, and return the serialized
-    /// result with the evaluation's step counters.
-    pub fn run_with_index(
+    /// selecting the plan by `opts.optimize`. `finish` turns the result
+    /// sequence into the caller's form while the evaluator — whose output
+    /// arena holds any constructed nodes — is still alive; the step
+    /// counters come back alongside.
+    pub fn evaluate<T>(
         &self,
         g: &Goddag,
-        idx: Option<&mhx_goddag::StructIndex>,
+        idx: Option<&StructIndex>,
         opts: &EvalOptions,
-    ) -> Result<(String, EvalStats)> {
+        finish: impl FnOnce(&Evaluator<'_>, Sequence) -> T,
+    ) -> Result<(T, EvalStats)> {
         let mut ev = match idx {
             Some(idx) => Evaluator::with_index(g, idx, opts.clone()),
             None => Evaluator::new(g, opts.clone()),
@@ -199,9 +169,18 @@ impl CompiledXQuery {
         } else {
             &self.ast
         };
-        let seq = ev.eval(ast, &Env::default())?;
-        let out = serialize::serialize_sequence(&ev, &seq);
-        Ok((out, *ev.stats()))
+        let seq = ev.eval(ast, &self.env())?;
+        Ok((finish(&ev, seq), *ev.stats()))
+    }
+
+    /// [`CompiledXQuery::evaluate`] to the serialized result.
+    pub fn run_with_index(
+        &self,
+        g: &Goddag,
+        idx: Option<&StructIndex>,
+        opts: &EvalOptions,
+    ) -> Result<(String, EvalStats)> {
+        self.evaluate(g, idx, opts, |ev, seq| serialize::serialize_sequence(ev, &seq))
     }
 }
 

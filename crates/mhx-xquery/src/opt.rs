@@ -1,30 +1,130 @@
-//! Plan-level optimizer for the XQuery AST — the XQuery twin of
-//! `mhx_xpath::opt`, applied to [`QExpr`] path expressions.
+//! Plan-level optimizer: AST-to-AST rewrites over [`QExpr`] path
+//! expressions. XPath queries are lowered into the same AST
+//! ([`crate::xpath`]), so every rewrite here serves both languages.
 //!
-//! Same three rewrites, same legality argument (see the `mhx-xpath`
-//! module docs for the full rule): predicate **classification**
-//! (position-free vs positional), cheapest-first **reordering** within
-//! position-free runs, set-at-a-time **batch routing** for steps whose
-//! predicates are all position-free, and `//x` chain **fusion** into
-//! indexed `descendant::x` scans.
+//! As written, a predicated step resolves per context node, because
+//! `position()`/`last()` are assigned within each context node's candidate
+//! list. On the extended axes that is expensive in a new way: an
+//! `xfollowing::*[xancestor::page]` step pays span-index lookups *per
+//! context node per candidate*, so predicate order and batchability
+//! dominate query cost. The rewrites recover the set-at-a-time path for
+//! the (very common) predicates that cannot observe the focus position:
 //!
-//! One extra requirement on top of the XPath rules: XQuery predicates can
-//! mutate the copy-on-write KyGODDAG through `analyze-string()` (temporary
-//! hierarchies installed mid-query), and the per-node path makes that
-//! mutation visible to *subsequent context nodes* of the same step. Batch
-//! routing and fusion therefore also require the predicates to be **pure**
-//! ([`QExpr::uses_analyze_string`] is false) — an impure predicate pins
-//! the step to the per-node path so the mutation interleaving stays
-//! exactly as written.
+//! 1. **Classification** ([`classify_predicate`]): a predicate is
+//!    *position-free* when it references neither `position()` nor `last()`
+//!    in the current focus (nested predicates get a fresh focus and do not
+//!    count) **and** its statically-known type can never be numeric (a
+//!    numeric predicate value is the `[2]` position shorthand). Anything
+//!    of unknown type — variables, FLWORs — is conservatively
+//!    *positional*.
+//! 2. **Reordering**: within each maximal run of consecutive position-free
+//!    predicates, predicates are stable-sorted cheapest-first — name,
+//!    attribute and string tests before extended-axis subqueries.
+//!    Position-free filters commute, so this never crosses a positional
+//!    predicate. At evaluation time [`stats_order`] refines the order with
+//!    the document's real name frequencies.
+//! 3. **Batch routing**: a step whose predicates are *all* position-free is
+//!    flagged for the evaluator to resolve through `resolve_step_batch`
+//!    (one index pass for the whole context set) and filter the
+//!    deduplicated union once — filtering commutes with union.
+//! 4. **Step fusion**: the parsers desugar `//x` to
+//!    `descendant-or-self::node()/child::x` — two index-free axis walks.
+//!    When the following step's predicates are all position-free, the pair
+//!    fuses to `descendant::x[preds]`, a single indexed scan.
+//! 5. **Chain joins, existential probes, hoisting**: `descendant::a/
+//!    descendant::b` becomes one containment-chain merge join; a boolean
+//!    single-step extended-axis predicate answers from the first witness
+//!    (`StructIndex::axis_exists`); a context-independent predicate is
+//!    evaluated once per step.
+//!
+//! XQuery predicates can also mutate the copy-on-write KyGODDAG through
+//! `analyze-string()` (temporary hierarchies installed mid-query), and the
+//! per-node path makes that mutation visible to *subsequent context nodes*
+//! of the same step. Every rewrite therefore also requires the predicates
+//! to be **pure** ([`QExpr::uses_analyze_string`] is false) — an impure
+//! predicate pins the step to the per-node path so the mutation
+//! interleaving stays exactly as written.
+//!
+//! Every rewrite is proved invisible by the differential suite
+//! (`tests/plan_optimizer_differential.rs`): optimized == as-written
+//! results on random GODDAGs and random predicate mixes. The `optimize`
+//! knob on [`crate::EvalOptions`] (default **on**) selects either form of
+//! the same compiled plan.
 
 use crate::ast::{AttrPiece, Clause, Comp, Content, DirElem, QExpr, QPathStart, QStep};
-use mhx_goddag::{Axis, IndexStats};
-use mhx_xpath::opt::step_cost;
-use mhx_xpath::{NodeTest, PredicateClass, StepStrategy};
+use crate::eval::{Env, Evaluator};
+use crate::item::{Item, Sequence};
+use mhx_goddag::{Axis, IndexStats, NodeId};
+use mhx_xpath::{NodeTest, StepStrategy};
 
-pub use mhx_xpath::OptimizerReport;
+/// The optimizer's verdict on one predicate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PredicateClass {
+    /// Cannot observe `position()`/`last()` and can never evaluate to a
+    /// number: safe to reorder among its position-free neighbours and to
+    /// apply set-at-a-time over a batched candidate union.
+    PositionFree,
+    /// Everything else (including conservatively-unknown expressions).
+    Positional,
+}
 
-/// Classify one XQuery predicate (see module docs).
+/// Counts of rewrites applied to one compiled query. Surfaced through
+/// [`crate::CompiledXQuery::report`] and the engine stats.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OptimizerReport {
+    /// `descendant-or-self::node()/child::x` pairs collapsed into a single
+    /// indexed `descendant::x` scan.
+    pub fused_steps: u32,
+    /// Predicate runs whose order changed (cheapest-first).
+    pub reordered_predicate_runs: u32,
+    /// Predicated steps routed through the set-at-a-time batch path.
+    pub batch_routed_steps: u32,
+    /// Boolean single-step extended-axis predicates annotated to answer
+    /// through a first-witness `axis_exists` probe instead of
+    /// materializing the axis.
+    pub existential_probes: u32,
+    /// Context-independent predicates annotated for once-per-step
+    /// hoisting out of the per-candidate loop.
+    pub hoisted_predicates: u32,
+    /// `descendant::a/descendant::b` pairs fused into one containment-
+    /// chain merge join.
+    pub chain_join_steps: u32,
+}
+
+impl OptimizerReport {
+    /// Total rewrites applied (0 = the plan was already optimal).
+    pub fn total(&self) -> u32 {
+        self.fused_steps
+            + self.reordered_predicate_runs
+            + self.batch_routed_steps
+            + self.existential_probes
+            + self.hoisted_predicates
+            + self.chain_join_steps
+    }
+}
+
+/// Relative cost of resolving one step — dimensionless weights used only
+/// to order position-free predicates cheapest-first.
+pub fn step_cost(strategy: StepStrategy, axis: Axis) -> u64 {
+    match strategy {
+        // Span-index interval lookups — the expensive extended axes.
+        StepStrategy::IndexedExtended => 64,
+        // One name-run / leaf-run intersection.
+        StepStrategy::NameIndex | StepStrategy::LeafRange => 24,
+        StepStrategy::AxisWalk => match axis {
+            Axis::SelfAxis | Axis::Attribute | Axis::Parent => 2,
+            Axis::Child
+            | Axis::FollowingSibling
+            | Axis::PrecedingSibling
+            | Axis::Ancestor
+            | Axis::AncestorOrSelf => 6,
+            // Whole-subtree / whole-document walks.
+            _ => 48,
+        },
+    }
+}
+
+/// Classify one predicate (see module docs).
 pub fn classify_predicate(pred: &QExpr) -> PredicateClass {
     if !uses_focus(pred) && !matches!(static_type(pred), Ty::Num | Ty::Unknown) {
         PredicateClass::PositionFree
@@ -44,52 +144,19 @@ fn is_free(pred: &QExpr) -> bool {
 /// everything else — FLWOR clause sources, function arguments, filter
 /// bases, path-start expressions — evaluates under the current focus.
 fn uses_focus(e: &QExpr) -> bool {
-    match e {
-        QExpr::Literal(_) | QExpr::Number(_) | QExpr::Var(_) | QExpr::ContextItem => false,
-        QExpr::Sequence(es) => es.iter().any(uses_focus),
-        QExpr::Flwor { clauses, ret } => {
-            clauses.iter().any(|c| match c {
-                Clause::For { seq, .. } => uses_focus(seq),
-                Clause::Let { expr, .. } => uses_focus(expr),
-                Clause::Where(e) => uses_focus(e),
-                Clause::OrderBy { keys } => keys.iter().any(|k| uses_focus(&k.key)),
-            }) || uses_focus(ret)
-        }
-        QExpr::If { cond, then, els } => uses_focus(cond) || uses_focus(then) || uses_focus(els),
-        QExpr::Quantified { binds, satisfies, .. } => {
-            binds.iter().any(|(_, e)| uses_focus(e)) || uses_focus(satisfies)
-        }
-        QExpr::Or(a, b) | QExpr::And(a, b) | QExpr::Union(a, b) => uses_focus(a) || uses_focus(b),
-        QExpr::Compare { lhs, rhs, .. } | QExpr::Arith { lhs, rhs, .. } => {
-            uses_focus(lhs) || uses_focus(rhs)
-        }
-        QExpr::Range { lo, hi } => uses_focus(lo) || uses_focus(hi),
-        QExpr::Neg(inner) => uses_focus(inner),
-        QExpr::Call { name, args } => {
-            matches!(name.as_str(), "position" | "last") || args.iter().any(uses_focus)
-        }
-        QExpr::Path { start, .. } => match start {
-            QPathStart::Expr(e) => uses_focus(e),
-            QPathStart::Root | QPathStart::Context => false,
-        },
-        QExpr::Filter { base, .. } => uses_focus(base),
-        QExpr::DirElem(d) => dir_uses_focus(d),
-    }
+    let mut found = false;
+    e.walk_focus(&mut |x| found |= is_focus_call(x));
+    found
 }
 
-fn dir_uses_focus(d: &DirElem) -> bool {
-    d.attrs
-        .iter()
-        .any(|(_, pieces)| pieces.iter().any(|p| matches!(p, AttrPiece::Expr(e) if uses_focus(e))))
-        || d.content.iter().any(|c| match c {
-            Content::Text(_) => false,
-            Content::Expr(e) => uses_focus(e),
-            Content::Elem(inner) => dir_uses_focus(inner),
-        })
+fn is_focus_call(e: &QExpr) -> bool {
+    matches!(e, QExpr::Call { name, .. } if matches!(name.as_str(), "position" | "last"))
 }
 
+/// Coarse static type lattice — what classification and the XPath
+/// lowering's coercions need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ty {
+pub(crate) enum Ty {
     Bool,
     Str,
     Num,
@@ -97,7 +164,7 @@ enum Ty {
     Unknown,
 }
 
-fn static_type(e: &QExpr) -> Ty {
+pub(crate) fn static_type(e: &QExpr) -> Ty {
     match e {
         QExpr::Literal(_) => Ty::Str,
         QExpr::Number(_) => Ty::Num,
@@ -146,57 +213,71 @@ fn static_type(e: &QExpr) -> Ty {
     }
 }
 
-/// Relative cost weights for ordering position-free predicates — the same
-/// scale as `mhx_xpath::opt::predicate_cost`.
-fn cost(e: &QExpr) -> u64 {
+/// Relative cost of a predicate — dimensionless weights used only to order
+/// position-free predicates cheapest-first. Extended-axis subqueries
+/// dominate; attribute/self/name tests are near-free. With a document's
+/// `stats`, a named scan costs what the name actually occurs there, so a
+/// filter on a rare name runs before a filter on a ubiquitous one even
+/// though the fixed weights price them identically.
+fn cost(e: &QExpr, stats: Option<&IndexStats>) -> u64 {
+    let c = |x: &QExpr| cost(x, stats);
     match e {
         QExpr::Literal(_) | QExpr::Number(_) | QExpr::Var(_) | QExpr::ContextItem => 1,
-        QExpr::Sequence(es) => 1 + es.iter().map(cost).sum::<u64>(),
+        QExpr::Sequence(es) => 1 + es.iter().map(c).sum::<u64>(),
         QExpr::Flwor { clauses, ret } => {
             4 + clauses
                 .iter()
-                .map(|c| match c {
-                    Clause::For { seq, .. } => cost(seq),
-                    Clause::Let { expr, .. } => cost(expr),
-                    Clause::Where(e) => cost(e),
-                    Clause::OrderBy { keys } => keys.iter().map(|k| cost(&k.key)).sum(),
+                .map(|cl| match cl {
+                    Clause::For { seq, .. } => c(seq),
+                    Clause::Let { expr, .. } => c(expr),
+                    Clause::Where(e) => c(e),
+                    Clause::OrderBy { keys } => keys.iter().map(|k| c(&k.key)).sum(),
                 })
                 .sum::<u64>()
-                + cost(ret)
+                + c(ret)
         }
-        QExpr::If { cond, then, els } => 1 + cost(cond) + cost(then).max(cost(els)),
+        QExpr::If { cond, then, els } => 1 + c(cond) + c(then).max(c(els)),
         QExpr::Quantified { binds, satisfies, .. } => {
-            2 + binds.iter().map(|(_, e)| cost(e)).sum::<u64>() + cost(satisfies)
+            2 + binds.iter().map(|(_, e)| c(e)).sum::<u64>() + c(satisfies)
         }
-        QExpr::Or(a, b) | QExpr::And(a, b) | QExpr::Union(a, b) => 1 + cost(a) + cost(b),
-        QExpr::Compare { lhs, rhs, .. } | QExpr::Arith { lhs, rhs, .. } => {
-            1 + cost(lhs) + cost(rhs)
-        }
-        QExpr::Range { lo, hi } => 1 + cost(lo) + cost(hi),
-        QExpr::Neg(inner) => 1 + cost(inner),
+        QExpr::Or(a, b)
+        | QExpr::And(a, b)
+        | QExpr::Union(a, b)
+        | QExpr::Compare { lhs: a, rhs: b, .. }
+        | QExpr::Arith { lhs: a, rhs: b, .. }
+        | QExpr::Range { lo: a, hi: b } => 1 + c(a) + c(b),
+        QExpr::Neg(inner) => 1 + c(inner),
         QExpr::Call { name, args } => {
             let base = match name.as_str() {
+                // Regex compilation per call.
                 "matches" | "replace" | "tokenize" | "analyze-string" => 16,
                 _ => 2,
             };
-            base + args.iter().map(cost).sum::<u64>()
+            base + args.iter().map(c).sum::<u64>()
         }
         QExpr::Path { start, steps } => {
             let start_cost = match start {
-                QPathStart::Expr(e) => cost(e),
+                QPathStart::Expr(e) => c(e),
                 QPathStart::Root | QPathStart::Context => 0,
             };
             start_cost
                 + steps
                     .iter()
                     .map(|s| {
-                        step_cost(s.strategy, s.axis) + s.predicates.iter().map(cost).sum::<u64>()
+                        let fixed = step_cost(s.strategy, s.axis);
+                        // Near-free local walks keep their fixed weight: their
+                        // cost does not scale with the name's frequency.
+                        let step = match (&s.test, stats) {
+                            (NodeTest::Name { name, .. }, Some(stats)) if fixed > 8 => {
+                                2 + stats.name_count(name)
+                            }
+                            _ => fixed,
+                        };
+                        step + s.predicates.iter().map(c).sum::<u64>()
                     })
                     .sum::<u64>()
         }
-        QExpr::Filter { base, predicates } => {
-            1 + cost(base) + predicates.iter().map(cost).sum::<u64>()
-        }
+        QExpr::Filter { base, predicates } => 1 + c(base) + predicates.iter().map(c).sum::<u64>(),
         QExpr::DirElem(_) => 8,
     }
 }
@@ -351,10 +432,10 @@ fn opt_path(start: &QPathStart, steps: &[QStep], r: &mut OptimizerReport) -> QEx
     }
     steps = fused;
 
-    // Pass 1b — containment-chain join, mirroring `mhx_xpath::opt`: a
-    // predicate-free `descendant::a` followed by `descendant::b` (plain
-    // name tests) collapses into one merge join over the laminar
-    // containment chains. The inner step's predicates must all be free
+    // Pass 1b — containment-chain join: a predicate-free `descendant::a`
+    // followed by `descendant::b` (plain name tests — the shape `//a//b`
+    // fusion emits) collapses into one merge join over the laminar
+    // containment chains (`StructIndex::descendant_chain_batch`). The inner step's predicates must all be free
     // (position-free *and* pure) — the join hands the evaluator the
     // deduplicated union.
     let mut chained: Vec<QStep> = Vec::with_capacity(steps.len());
@@ -423,8 +504,9 @@ fn is_dos_any_node(s: &QStep) -> bool {
         && s.predicates.is_empty()
 }
 
-/// Plain `descendant::name` — the chain-join shape (same rule as the
-/// XPath optimizer).
+/// Plain `descendant::name` — `Descendant` axis, bare name test with no
+/// hierarchy filter: the exact shape `descendant_chain_batch` joins
+/// (`descendant-or-self` would also admit the context node itself).
 fn is_plain_descendant_name(s: &QStep) -> bool {
     s.axis == Axis::Descendant
         && matches!(&s.test, NodeTest::Name { hierarchies: None, .. })
@@ -432,7 +514,11 @@ fn is_plain_descendant_name(s: &QStep) -> bool {
 }
 
 /// The existential-probe shape: a relative single-step extended-axis path
-/// with no predicates of its own. Same rule as `mhx_xpath::opt::probe_of`.
+/// with no predicates of its own — `[xfollowing::e1]`, `[overlapping::p]`.
+/// Its effective boolean value is "does the axis hold a matching node",
+/// which `StructIndex::axis_exists` answers from the first witness. Only
+/// the seven extended (span-indexed) axes are probed: the tree-walk axes
+/// are already output-local, and materializing them is cheap.
 fn probe_of(pred: &QExpr) -> Option<(Axis, NodeTest)> {
     let QExpr::Path { start: QPathStart::Context, steps } = pred else { return None };
     let [step] = steps.as_slice() else { return None };
@@ -443,117 +529,42 @@ fn probe_of(pred: &QExpr) -> Option<(Axis, NodeTest)> {
 }
 
 /// Can the expression's value depend on the focus (context item, position,
-/// size)? `false` ⇒ safe to evaluate once per step. Mirrors
-/// `mhx_xpath::opt::is_context_independent`, extended over the XQuery
-/// forms; direct constructors conservatively stay per-candidate.
+/// size)? `false` ⇒ safe to evaluate once per step: literals, variables
+/// (bound outside the predicate) and absolute paths qualify; anything
+/// touching the focus — `position()`/`last()`, relative paths,
+/// zero-argument context functions like `string()` — does not, and direct
+/// constructors conservatively stay per-candidate.
 pub fn is_context_independent(e: &QExpr) -> bool {
-    match e {
-        QExpr::Literal(_) | QExpr::Number(_) | QExpr::Var(_) => true,
-        QExpr::ContextItem | QExpr::DirElem(_) => false,
-        QExpr::Sequence(es) => es.iter().all(is_context_independent),
-        QExpr::Flwor { clauses, ret } => {
-            clauses.iter().all(|c| match c {
-                Clause::For { seq, .. } => is_context_independent(seq),
-                Clause::Let { expr, .. } => is_context_independent(expr),
-                Clause::Where(e) => is_context_independent(e),
-                Clause::OrderBy { keys } => keys.iter().all(|k| is_context_independent(&k.key)),
-            }) && is_context_independent(ret)
-        }
-        QExpr::If { cond, then, els } => {
-            is_context_independent(cond)
-                && is_context_independent(then)
-                && is_context_independent(els)
-        }
-        QExpr::Quantified { binds, satisfies, .. } => {
-            binds.iter().all(|(_, e)| is_context_independent(e))
-                && is_context_independent(satisfies)
-        }
-        QExpr::Or(a, b) | QExpr::And(a, b) | QExpr::Union(a, b) => {
-            is_context_independent(a) && is_context_independent(b)
-        }
-        QExpr::Compare { lhs, rhs, .. } | QExpr::Arith { lhs, rhs, .. } => {
-            is_context_independent(lhs) && is_context_independent(rhs)
-        }
-        QExpr::Range { lo, hi } => is_context_independent(lo) && is_context_independent(hi),
-        QExpr::Neg(inner) => is_context_independent(inner),
-        QExpr::Call { name, args } => {
-            if matches!(name.as_str(), "position" | "last") {
-                return false;
+    let mut dependent = false;
+    e.walk_focus(&mut |x| {
+        dependent |= is_focus_call(x)
+            || match x {
+                QExpr::ContextItem | QExpr::DirElem(_) => true,
+                QExpr::Path { start: QPathStart::Context, .. } => true,
+                // Zero-argument functions default to the context item.
+                QExpr::Call { name, args } => {
+                    args.is_empty() && !matches!(name.as_str(), "true" | "false")
+                }
+                _ => false,
             }
-            // Zero-argument functions default to the context item.
-            if args.is_empty() && !matches!(name.as_str(), "true" | "false") {
-                return false;
-            }
-            args.iter().all(is_context_independent)
-        }
-        QExpr::Path { start, .. } => match start {
-            QPathStart::Root => true,
-            QPathStart::Expr(e) => is_context_independent(e),
-            QPathStart::Context => false,
-        },
-        QExpr::Filter { base, .. } => is_context_independent(base),
-    }
+    });
+    !dependent
 }
 
-/// Evaluation order for an all-free predicate list, decided per document
-/// from the index statistics — the XQuery twin of
-/// `mhx_xpath::opt::stats_order`.
+/// Evaluation order for an all-free predicate list, decided at
+/// **evaluation** time from the current document's [`IndexStats`]: a
+/// stable sort of the written indices, cheapest first. Compiled plans are
+/// document-independent and cached across documents, so the
+/// statistics-guided decision cannot be baked into the plan — the
+/// evaluator asks per document instead.
 pub fn stats_order(preds: &[QExpr], stats: &IndexStats) -> Vec<usize> {
     if preds.len() < 2 {
         return (0..preds.len()).collect();
     }
     let mut order: Vec<usize> = (0..preds.len()).collect();
-    let costs: Vec<u64> = preds.iter().map(|p| stats_cost(p, stats)).collect();
+    let costs: Vec<u64> = preds.iter().map(|p| cost(p, Some(stats))).collect();
     order.sort_by_key(|&i| costs[i]);
     order
-}
-
-/// [`cost`] with named-scan steps priced at the document's actual name
-/// frequency.
-fn stats_cost(e: &QExpr, stats: &IndexStats) -> u64 {
-    match e {
-        QExpr::Path { start, steps } => {
-            let start_cost = match start {
-                QPathStart::Expr(e) => stats_cost(e, stats),
-                QPathStart::Root | QPathStart::Context => 0,
-            };
-            start_cost
-                + steps
-                    .iter()
-                    .map(|s| {
-                        let fixed = step_cost(s.strategy, s.axis);
-                        let step = match &s.test {
-                            NodeTest::Name { name, .. } if fixed > 8 => 2 + stats.name_count(name),
-                            _ => fixed,
-                        };
-                        step + s.predicates.iter().map(|q| stats_cost(q, stats)).sum::<u64>()
-                    })
-                    .sum::<u64>()
-        }
-        QExpr::Sequence(es) => 1 + es.iter().map(|x| stats_cost(x, stats)).sum::<u64>(),
-        QExpr::Or(a, b) | QExpr::And(a, b) | QExpr::Union(a, b) => {
-            1 + stats_cost(a, stats) + stats_cost(b, stats)
-        }
-        QExpr::Compare { lhs, rhs, .. } | QExpr::Arith { lhs, rhs, .. } => {
-            1 + stats_cost(lhs, stats) + stats_cost(rhs, stats)
-        }
-        QExpr::Range { lo, hi } => 1 + stats_cost(lo, stats) + stats_cost(hi, stats),
-        QExpr::Neg(inner) => 1 + stats_cost(inner, stats),
-        QExpr::Call { name, args } => {
-            let base = match name.as_str() {
-                "matches" | "replace" | "tokenize" | "analyze-string" => 16,
-                _ => 2,
-            };
-            base + args.iter().map(|a| stats_cost(a, stats)).sum::<u64>()
-        }
-        QExpr::Filter { base, predicates } => {
-            1 + stats_cost(base, stats)
-                + predicates.iter().map(|q| stats_cost(q, stats)).sum::<u64>()
-        }
-        // The remaining forms have no name-frequency component; reuse the
-        // fixed weights.
-        _ => cost(e),
-    }
 }
 
 /// A one-line human summary of a query sub-expression, for `--explain`
@@ -621,16 +632,20 @@ pub fn qexpr_summary(e: &QExpr) -> String {
     }
 }
 
-/// Render the optimizer's plan for a query: the rewrite summary, then
-/// every path in the optimized AST with per-step strategies, annotations
-/// and cardinality estimates from the document's [`IndexStats`]. XQuery
-/// plans are not pre-evaluated (predicates may bind variables or mutate
-/// the goddag), so unlike the XPath explain this reports estimates only.
-pub fn explain(
+/// Render the optimized plan: the rewrite summary, then every path in the
+/// optimized AST with per-step strategies, annotations, cardinality
+/// estimates from the document's [`IndexStats`], and **actual**
+/// cardinalities — each path is evaluated step by step on `ev` in the
+/// query's top-level environment to measure them. A path whose start
+/// cannot be evaluated there (it reads a FLWOR variable, say) reports
+/// `actual ?`.
+pub(crate) fn explain(
+    ev: &mut Evaluator<'_>,
+    env: &Env,
     optimized: &QExpr,
     report: &OptimizerReport,
     src: &str,
-    stats: Option<&IndexStats>,
+    stats: &IndexStats,
 ) -> String {
     let mut out = format!(
         "query: {}\nrewrites: {} fused, {} predicate runs reordered, {} batch-routed, \
@@ -643,23 +658,38 @@ pub fn explain(
         report.hoisted_predicates,
         report.chain_join_steps,
     );
+    // Every path outside step and filter predicates — predicates render
+    // inline under their step.
     let mut paths: Vec<(&QPathStart, &[QStep])> = Vec::new();
-    collect_paths(optimized, &mut paths);
+    optimized.walk_focus(&mut |e| {
+        if let QExpr::Path { start, steps } = e {
+            paths.push((start, steps));
+        }
+    });
     if paths.is_empty() {
         out.push_str("plan: no path expressions (per-step cardinalities not applicable)\n");
         return out;
     }
+    let actual = |seq: &Option<Sequence>| seq.as_ref().map_or("?".into(), |s| s.len().to_string());
     for (pi, (start, steps)) in paths.iter().enumerate() {
-        let start_desc = match start {
-            QPathStart::Root => "/".to_string(),
-            QPathStart::Context => "context".to_string(),
-            QPathStart::Expr(e) => format!("({})", qexpr_summary(e)),
+        let (start_desc, mut current) = match start {
+            QPathStart::Root => ("/".to_string(), Some(vec![Item::Node(NodeId::Root)])),
+            QPathStart::Context => {
+                ("context".to_string(), env.focus.as_ref().map(|(item, _, _)| vec![item.clone()]))
+            }
+            QPathStart::Expr(e) => (format!("({})", qexpr_summary(e)), ev.eval(e, env).ok()),
         };
-        out.push_str(&format!("path {}: start {}\n", pi + 1, start_desc));
+        out.push_str(&format!(
+            "path {}: start {} actual {}\n",
+            pi + 1,
+            start_desc,
+            actual(&current)
+        ));
         for (i, step) in steps.iter().enumerate() {
-            let estimate = match (&step.test, stats) {
-                (NodeTest::Name { name, .. }, Some(s)) => format!("{}", s.name_count(name)),
-                (NodeTest::AnyElement { .. }, Some(s)) => format!("{}", s.element_count()),
+            current = current.and_then(|input| ev.eval_step(&input, step, env).ok());
+            let estimate = match &step.test {
+                NodeTest::Name { name, .. } => format!("{}", stats.name_count(name)),
+                NodeTest::AnyElement { .. } => format!("{}", stats.element_count()),
                 _ => "?".into(),
             };
             let chain = match &step.chain_outer {
@@ -667,7 +697,7 @@ pub fn explain(
                 None => String::new(),
             };
             out.push_str(&format!(
-                "  step {}: {}::{}{} [{:?}{}] est {}\n",
+                "  step {}: {}::{}{} [{:?}{}] est {} actual {}\n",
                 i + 1,
                 step.axis.name(),
                 step.test,
@@ -675,6 +705,7 @@ pub fn explain(
                 step.strategy,
                 if step.preds_position_free { ", batch" } else { "" },
                 estimate,
+                actual(&current),
             ));
             for (qi, pred) in step.predicates.iter().enumerate() {
                 let how = if step.pred_probes.get(qi).is_some_and(Option::is_some) {
@@ -698,62 +729,6 @@ pub fn explain(
     out
 }
 
-/// Collect every path expression in the tree except those nested inside
-/// step or filter predicates — predicates render inline under their step.
-fn collect_paths<'a>(e: &'a QExpr, out: &mut Vec<(&'a QPathStart, &'a [QStep])>) {
-    match e {
-        QExpr::Path { start, steps } => {
-            if let QPathStart::Expr(inner) = start {
-                collect_paths(inner, out);
-            }
-            out.push((start, steps));
-        }
-        QExpr::Sequence(es) => es.iter().for_each(|x| collect_paths(x, out)),
-        QExpr::Flwor { clauses, ret } => {
-            for c in clauses {
-                match c {
-                    Clause::For { seq, .. } => collect_paths(seq, out),
-                    Clause::Let { expr, .. } => collect_paths(expr, out),
-                    Clause::Where(w) => collect_paths(w, out),
-                    Clause::OrderBy { keys } => {
-                        keys.iter().for_each(|k| collect_paths(&k.key, out))
-                    }
-                }
-            }
-            collect_paths(ret, out);
-        }
-        QExpr::If { cond, then, els } => {
-            collect_paths(cond, out);
-            collect_paths(then, out);
-            collect_paths(els, out);
-        }
-        QExpr::Quantified { binds, satisfies, .. } => {
-            binds.iter().for_each(|(_, b)| collect_paths(b, out));
-            collect_paths(satisfies, out);
-        }
-        QExpr::Or(a, b) | QExpr::And(a, b) | QExpr::Union(a, b) => {
-            collect_paths(a, out);
-            collect_paths(b, out);
-        }
-        QExpr::Compare { lhs, rhs, .. } | QExpr::Arith { lhs, rhs, .. } => {
-            collect_paths(lhs, out);
-            collect_paths(rhs, out);
-        }
-        QExpr::Range { lo, hi } => {
-            collect_paths(lo, out);
-            collect_paths(hi, out);
-        }
-        QExpr::Neg(inner) => collect_paths(inner, out),
-        QExpr::Call { args, .. } => args.iter().for_each(|a| collect_paths(a, out)),
-        QExpr::Filter { base, .. } => collect_paths(base, out),
-        QExpr::DirElem(_)
-        | QExpr::Literal(_)
-        | QExpr::Number(_)
-        | QExpr::Var(_)
-        | QExpr::ContextItem => {}
-    }
-}
-
 fn reorder_free_runs(preds: &mut [QExpr]) -> u32 {
     let mut changed = 0;
     let mut i = 0;
@@ -768,7 +743,7 @@ fn reorder_free_runs(preds: &mut [QExpr]) -> u32 {
         }
         let run = &mut preds[start..i];
         if run.len() > 1 {
-            let costs: Vec<u64> = run.iter().map(cost).collect();
+            let costs: Vec<u64> = run.iter().map(|p| cost(p, None)).collect();
             if costs.windows(2).any(|w| w[0] > w[1]) {
                 let mut keyed: Vec<(u64, QExpr)> =
                     costs.into_iter().zip(run.iter().cloned()).collect();
@@ -796,15 +771,29 @@ mod tests {
         }
     }
 
+    fn optimize_src(src: &str) -> (QExpr, OptimizerReport) {
+        optimize(&parse_query(src).unwrap())
+    }
+
     #[test]
-    fn classification_mirrors_xpath_rules() {
+    fn classification_table() {
         for (src, expected) in [
             ("/descendant::w[xancestor::p]", PredicateClass::PositionFree),
+            ("/descendant::w[@n]", PredicateClass::PositionFree),
             ("/descendant::w[string(.) = 'a']", PredicateClass::PositionFree),
+            ("/descendant::w[contains(string(.), 'a')]", PredicateClass::PositionFree),
+            ("/descendant::w[child::a or xdescendant::b]", PredicateClass::PositionFree),
+            // Nested positional predicates get a fresh focus: still free.
+            ("/descendant::w[xancestor::p[1]]", PredicateClass::PositionFree),
             ("/descendant::w[2]", PredicateClass::Positional),
             ("/descendant::w[position() = 2]", PredicateClass::Positional),
             ("/descendant::w[last()]", PredicateClass::Positional),
+            ("/descendant::w[position() < last()]", PredicateClass::Positional),
             ("/descendant::w[count(child::a)]", PredicateClass::Positional),
+            ("/descendant::w[$v]", PredicateClass::Positional),
+            ("/descendant::w[string-length(string(.)) - 2]", PredicateClass::Positional),
+            // position() inside a function argument still reads the focus.
+            ("/descendant::w[string(position()) = '1']", PredicateClass::Positional),
             // position() read through a FLWOR clause still pins the step.
             (
                 "/descendant::w[some $x in (position()) satisfies $x = 1]",
@@ -815,6 +804,119 @@ mod tests {
             let pred = &path_steps(&ast)[0].predicates[0];
             assert_eq!(classify_predicate(pred), expected, "classifying predicate of `{src}`");
         }
+    }
+
+    #[test]
+    fn reorder_is_cheapest_first_and_stops_at_positional() {
+        let (opt, report) = optimize_src("/descendant::w[xancestor::p][@n][2][xfollowing::q][@m]");
+        let step = &path_steps(&opt)[0];
+        // Run 1 (before the positional [2]): @n now precedes xancestor::p.
+        // Run 2 (after it): @m precedes xfollowing::q.
+        let shown: Vec<String> = step.predicates.iter().map(|p| format!("{p:?}")).collect();
+        assert!(shown[0].contains("Attribute"), "cheap attribute test first: {shown:?}");
+        assert!(shown[1].contains("XAncestor"), "extended axis second: {shown:?}");
+        assert!(shown[2].contains("Number"), "positional barrier untouched: {shown:?}");
+        assert!(shown[3].contains("Attribute"), "cheap test first in run 2: {shown:?}");
+        assert!(shown[4].contains("XFollowing"), "extended axis last: {shown:?}");
+        assert_eq!(report.reordered_predicate_runs, 2);
+        // A positional predicate anywhere keeps the step off the batch path.
+        assert!(!step.preds_position_free);
+    }
+
+    #[test]
+    fn fusion_blocked_by_positional_predicate_and_optimal_plans_report_zero() {
+        // `//w[2]` means "second w child of each node" — not fusable.
+        let (opt, report) = optimize_src("//w[2]");
+        let steps = path_steps(&opt);
+        assert_eq!(steps.len(), 2);
+        assert_eq!(report.fused_steps, 0);
+        assert_eq!(steps[1].axis, Axis::Child);
+        assert_eq!(optimize_src("/descendant::w[1]/child::a").1.total(), 0);
+    }
+
+    #[test]
+    fn chain_join_fuses_descendant_pairs_only() {
+        let (opt, r) = optimize_src("/descendant::a/descendant::b");
+        assert_eq!(path_steps(&opt).len(), 1);
+        assert_eq!(path_steps(&opt)[0].chain_outer.as_deref(), Some("a"));
+        assert_eq!(r.chain_join_steps, 1);
+        // Blocked: a predicate on the outer step (the join has nowhere to
+        // apply it), a positional predicate on the inner step, or a
+        // hierarchy-filtered test.
+        for src in [
+            "/descendant::a[@n]/descendant::b",
+            "/descendant::a/descendant::b[2]",
+            "/descendant::a(\"h\")/descendant::b",
+        ] {
+            let (opt, r) = optimize_src(src);
+            assert_eq!(path_steps(&opt).len(), 2, "`{src}` must not chain-join");
+            assert_eq!(r.chain_join_steps, 0, "`{src}` must not chain-join");
+        }
+    }
+
+    #[test]
+    fn probe_and_hoist_near_misses() {
+        // After the cheapest-first reorder the extended-axis predicate sits
+        // second; only it probes.
+        let (opt, report) = optimize_src("/descendant::w[xfollowing::e1][child::a]");
+        let probes: Vec<bool> =
+            path_steps(&opt)[0].pred_probes.iter().map(Option::is_some).collect();
+        assert_eq!(probes, vec![false, true]);
+        assert_eq!(report.existential_probes, 1);
+        // A numeric-typed predicate is the position shorthand — never
+        // probed; a nested predicate blocks the probe but not the batch
+        // route.
+        let (opt, r) = optimize_src("/descendant::w[count(xfollowing::e1)]");
+        assert!(path_steps(&opt)[0].pred_probes.is_empty());
+        assert_eq!(r.existential_probes, 0);
+        let (opt, r) = optimize_src("/descendant::w[xfollowing::e1[1]]");
+        assert!(path_steps(&opt)[0].preds_position_free);
+        assert!(path_steps(&opt)[0].pred_probes.iter().all(Option::is_none));
+        assert_eq!(r.existential_probes, 0);
+        // Context-dependent lookalikes never hoist: relative paths,
+        // zero-argument context functions, focus readers.
+        for src in [
+            "/descendant::w[contains(string(.), 'a')]",
+            "/descendant::w[string-length() > 1]",
+            "/descendant::w[child::a]",
+        ] {
+            let (opt, r) = optimize_src(src);
+            assert_eq!(r.hoisted_predicates, 0, "`{src}` must not hoist");
+            assert!(path_steps(&opt)[0].pred_hoistable.iter().all(|&h| !h), "`{src}`");
+        }
+    }
+
+    /// The fixed weight table prices every extended-axis subquery alike
+    /// (and above a string test), so it cannot know which name is rare;
+    /// `stats_order` asks the document.
+    #[test]
+    fn stats_order_picks_the_rarer_name_first() {
+        use mhx_goddag::{GoddagBuilder, StructIndex};
+        let words = "<r><w>a</w><w>b</w><w>c</w><w>d</w><w>e</w><w>f</w><w>g</w><w>h</w></r>";
+        // `w` covers every character; `rare` occurs once.
+        let g = GoddagBuilder::new()
+            .hierarchy("words", words)
+            .hierarchy("marks", "<r><rare>a</rare>bcdefgh</r>")
+            .build()
+            .unwrap();
+        let idx = StructIndex::build(&g);
+        let (opt, _) = optimize_src("/descendant::r[xdescendant::w][xdescendant::rare]");
+        let preds = &path_steps(&opt)[0].predicates;
+        assert!(format!("{:?}", preds[0]).contains("\"w\""), "static order kept");
+        assert_eq!(stats_order(preds, idx.stats()), vec![1, 0]);
+        // A probe on a once-per-document name beats materializing every
+        // candidate's string value, though the fixed table says otherwise.
+        let (opt, _) = optimize_src("/descendant::r[contains(string(.), 'zz')][xdescendant::rare]");
+        let preds2 = &path_steps(&opt)[0].predicates;
+        assert!(matches!(&preds2[0], QExpr::Call { name, .. } if name == "contains"));
+        assert_eq!(stats_order(preds2, idx.stats()), vec![1, 0]);
+        // When the frequencies flip, so does the verdict.
+        let g2 = GoddagBuilder::new()
+            .hierarchy("words", "<r><w>a</w>bcdefgh</r>")
+            .hierarchy("marks", words.replace('w', "rare"))
+            .build()
+            .unwrap();
+        assert_eq!(stats_order(preds, StructIndex::build(&g2).stats()), vec![0, 1]);
     }
 
     #[test]
@@ -831,8 +933,7 @@ mod tests {
         let ast = parse_query("//vline//w[xancestor::dmg]").unwrap();
         let (opt, report) = optimize(&ast);
         let steps = path_steps(&opt);
-        // Fused to two indexed scans, then chain-joined into one step —
-        // the same cascade as the XPath optimizer.
+        // Fused to two indexed scans, then chain-joined into one step.
         assert_eq!(steps.len(), 1);
         assert_eq!(steps[0].strategy, StepStrategy::NameIndex);
         assert_eq!(steps[0].chain_outer.as_deref(), Some("vline"));

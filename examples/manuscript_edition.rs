@@ -21,12 +21,13 @@ fn main() {
     );
 
     // 2. Build the KyGODDAG and show the Figure-2 structure.
-    let engine = Engine::new(figure1::goddag());
-    engine.with_goddag(|g| println!("{}", dot::to_text(g)));
+    let catalog = Catalog::new();
+    catalog.insert("figure1", figure1::goddag());
+    catalog.with_document("figure1", |g| println!("{}", dot::to_text(g))).unwrap();
 
     // 3. Run every paper query through the serving facade.
     for (id, query, expected) in figure1::PAPER_QUERIES {
-        let out = engine.xquery(query).expect("paper query evaluates");
+        let out = catalog.xquery("figure1", query).expect("paper query evaluates");
         let status = if out.serialize() == expected { "OK " } else { "DIFF" };
         println!("[{status}] query {id}");
         println!("       {out}");
@@ -37,6 +38,6 @@ fn main() {
 
     // 4. Graphviz output for the curious (pipe to `dot -Tsvg`).
     if std::env::args().any(|a| a == "--dot") {
-        engine.with_goddag(|g| println!("\n{}", dot::to_dot(g)));
+        catalog.with_document("figure1", |g| println!("\n{}", dot::to_dot(g))).unwrap();
     }
 }

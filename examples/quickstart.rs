@@ -28,21 +28,22 @@ fn main() {
 
     // The serving facade: owns the document, keeps the structural index
     // current, caches compiled plans. Queries take &self.
-    let engine = Engine::new(goddag);
+    let catalog = Catalog::new();
+    catalog.insert("ms", goddag);
 
     // 1. Which lines contain the word "singallice"? The xdescendant axis
     //    finds contained words; the overlapping axis catches the split one.
     let q1 = "for $l in /descendant::line[xdescendant::w[string(.) = 'singallice'] or \
               overlapping::w[string(.) = 'singallice']] return (string($l), '|')";
-    println!("Q1 lines containing 'singallice':\n  {}\n", engine.xquery(q1).unwrap());
+    println!("Q1 lines containing 'singallice':\n  {}\n", catalog.xquery("ms", q1).unwrap());
 
     // 2. Extended XPath through the same facade, same QueryOutcome result
     //    type: which words straddle a line break?
     let q2 = "/descendant::w[overlapping::line]";
-    let out = engine.xpath(q2).unwrap();
+    let out = catalog.xpath("ms", q2).unwrap();
     println!("Q2 words overlapping a line break:");
     for &n in out.nodes().unwrap_or(&[]) {
-        engine.with_goddag(|g| println!("  {:?}", g.string_value(n)));
+        catalog.with_document("ms", |g| println!("  {:?}", g.string_value(n))).unwrap();
     }
     println!();
 
@@ -52,10 +53,10 @@ fn main() {
     let q3 = "let $res := analyze-string(root(), 'sin.?gall') \
               return (serialize($res/child::m), ' overlaps ', \
               count($res/child::m/overlapping::line), ' lines')";
-    println!("Q3 analyze-string over the whole text:\n  {}\n", engine.xquery(q3).unwrap());
+    println!("Q3 analyze-string over the whole text:\n  {}\n", catalog.xquery("ms", q3).unwrap());
 
     // Every plan compiled once; repeats are cache hits.
-    engine.xquery(q1).unwrap();
-    let stats = engine.cache_stats();
+    catalog.xquery("ms", q1).unwrap();
+    let stats = catalog.cache_stats();
     println!("plan cache: {} misses, {} hits, {} entries", stats.misses, stats.hits, stats.entries);
 }

@@ -7,24 +7,29 @@
 //! cache is keyed by `(language, query text)` — the same source text is a
 //! valid query in both languages and compiles to different plans, so the
 //! two never collide. Interior mutability (a [`Mutex`] around the map and
-//! counters) lets lookups run from `&self` query paths.
+//! counters) lets lookups run from `&self` query paths, and compilation is
+//! single-flight per key: concurrent first requests for one text wait for
+//! one compile instead of racing, so `misses` counts compilations.
 
 use crate::engine::error::QueryLang;
-use mhx_xpath::CompiledXPath;
 use mhx_xquery::CompiledXQuery;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// A cached, compiled query plan. `Arc` so cache hits hand out a handle
-/// without cloning the plan and eviction never invalidates a running
-/// query. Both variants carry the as-written *and* the optimized plan, so
-/// one entry serves every `optimize` knob setting (the knob is evaluation
-/// state, never part of the cache key).
+/// A cached, compiled query plan: XPath texts lower onto the same plan
+/// type as XQuery, so the language only decides how a result is typed.
+/// `Arc` so cache hits hand out a handle without cloning the plan and
+/// eviction never invalidates a running query. The plan carries the
+/// as-written *and* the optimized form, so one entry serves every
+/// `optimize` knob setting (the knob is evaluation state, never part of
+/// the cache key).
 #[derive(Debug, Clone)]
-pub(crate) enum CachedPlan {
-    XPath(Arc<CompiledXPath>),
-    XQuery(Arc<CompiledXQuery>),
+pub(crate) struct CachedPlan {
+    pub(crate) lang: QueryLang,
+    pub(crate) plan: Arc<CompiledXQuery>,
 }
+
+type Key = (QueryLang, String);
 
 /// Plan-cache counters, cumulative since construction. Resizing the cache
 /// preserves them (and the surviving entries).
@@ -52,7 +57,10 @@ struct Entry {
 struct Inner {
     capacity: usize,
     stamp: u64,
-    map: HashMap<(QueryLang, String), Entry>,
+    map: HashMap<Key, Entry>,
+    /// One gate per key being compiled right now: a racing request for the
+    /// same text waits on it instead of compiling again.
+    compiling: HashMap<Key, Arc<Mutex<()>>>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -89,6 +97,7 @@ impl SharedPlanCache {
                 capacity: capacity.max(1),
                 stamp: 0,
                 map: HashMap::new(),
+                compiling: HashMap::new(),
                 hits: 0,
                 misses: 0,
                 evictions: 0,
@@ -103,8 +112,9 @@ impl SharedPlanCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Look up a plan, attributing the hit to `doc` for the cross-document
-    /// counter.
+    /// Look up a plan, attributing a hit to `doc` for the cross-document
+    /// counter. A miss is not counted here: [`SharedPlanCache::get_or_compile`]
+    /// counts one per compilation.
     pub(crate) fn get(&self, lang: QueryLang, src: &str, doc: Option<&str>) -> Option<CachedPlan> {
         let mut inner = self.lock();
         inner.stamp += 1;
@@ -112,37 +122,60 @@ impl SharedPlanCache {
         // Tuple keys have no borrowed-key lookup; a short-lived owned key
         // is fine next to a parse.
         let key = (lang, src.to_string());
-        match inner.map.get_mut(&key) {
-            Some(entry) => {
-                entry.stamp = stamp;
-                let cross = match (&entry.origin_doc, doc) {
-                    (Some(origin), Some(d)) => origin != d,
-                    _ => false,
-                };
-                let plan = entry.plan.clone();
-                inner.hits += 1;
-                if cross {
-                    inner.cross_doc_hits += 1;
-                }
-                Some(plan)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
+        let entry = inner.map.get_mut(&key)?;
+        entry.stamp = stamp;
+        let cross = match (&entry.origin_doc, doc) {
+            (Some(origin), Some(d)) => origin != d,
+            _ => false,
+        };
+        let plan = entry.plan.clone();
+        inner.hits += 1;
+        if cross {
+            inner.cross_doc_hits += 1;
         }
+        Some(plan)
     }
 
-    /// Insert a freshly compiled plan, recording which document compiled it.
-    pub(crate) fn insert(&self, lang: QueryLang, src: &str, doc: Option<&str>, plan: CachedPlan) {
+    /// The cached plan for `(lang, src)`, compiling it with `compile` on a
+    /// miss. Single-flight per key: a request that misses while another
+    /// compiles the same text waits and reuses that plan; different texts
+    /// compile in parallel. A failed compile caches nothing. Every
+    /// `compile` call counts one miss, recording `doc` as the plan's
+    /// origin on success.
+    pub(crate) fn get_or_compile<E>(
+        &self,
+        lang: QueryLang,
+        src: &str,
+        doc: Option<&str>,
+        compile: impl FnOnce() -> Result<CachedPlan, E>,
+    ) -> Result<CachedPlan, E> {
+        if let Some(plan) = self.get(lang, src, doc) {
+            return Ok(plan);
+        }
+        let key = (lang, src.to_string());
+        let gate = Arc::clone(self.lock().compiling.entry(key.clone()).or_default());
+        let _turn = gate.lock().unwrap_or_else(PoisonError::into_inner);
+        // A racing request may have compiled this text while we waited.
+        if let Some(plan) = self.get(lang, src, doc) {
+            return Ok(plan);
+        }
+        let compiled = compile();
         let mut inner = self.lock();
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        inner.map.insert(
-            (lang, src.to_string()),
-            Entry { stamp, origin_doc: doc.map(str::to_string), plan },
-        );
-        inner.shrink_to_capacity();
+        inner.misses += 1;
+        if let Ok(plan) = &compiled {
+            inner.stamp += 1;
+            let entry = Entry {
+                stamp: inner.stamp,
+                origin_doc: doc.map(str::to_string),
+                plan: plan.clone(),
+            };
+            inner.map.insert(key.clone(), entry);
+            inner.shrink_to_capacity();
+        }
+        if inner.compiling.get(&key).is_some_and(|g| Arc::ptr_eq(g, &gate)) {
+            inner.compiling.remove(&key);
+        }
+        compiled
     }
 
     /// Change the capacity, keeping the most recent entries up to the new
@@ -175,7 +208,12 @@ mod tests {
     use super::*;
 
     fn plan() -> CachedPlan {
-        CachedPlan::XPath(Arc::new(CompiledXPath::compile("/descendant::w").unwrap()))
+        let plan = Arc::new(CompiledXQuery::compile_xpath("/descendant::w").unwrap());
+        CachedPlan { lang: QueryLang::XPath, plan }
+    }
+
+    fn insert(c: &SharedPlanCache, lang: QueryLang, src: &str, doc: Option<&str>) {
+        c.get_or_compile(lang, src, doc, || Ok::<_, ()>(plan())).unwrap();
     }
 
     #[test]
@@ -184,7 +222,7 @@ mod tests {
         for i in 0..4 {
             let src = format!("/descendant::w[{i}]");
             assert!(c.get(QueryLang::XPath, &src, Some("a")).is_none());
-            c.insert(QueryLang::XPath, &src, Some("a"), plan());
+            insert(&c, QueryLang::XPath, &src, Some("a"));
         }
         assert_eq!(c.stats().entries, 4);
         assert_eq!(c.stats().misses, 4);
@@ -207,7 +245,7 @@ mod tests {
     #[test]
     fn cross_document_hits_are_attributed() {
         let c = SharedPlanCache::new(4);
-        c.insert(QueryLang::XPath, "/descendant::w", Some("ms-a"), plan());
+        insert(&c, QueryLang::XPath, "/descendant::w", Some("ms-a"));
         assert!(c.get(QueryLang::XPath, "/descendant::w", Some("ms-a")).is_some());
         assert_eq!(c.stats().cross_doc_hits, 0);
         assert!(c.get(QueryLang::XPath, "/descendant::w", Some("ms-b")).is_some());
@@ -221,7 +259,7 @@ mod tests {
     #[test]
     fn languages_do_not_collide() {
         let c = SharedPlanCache::new(4);
-        c.insert(QueryLang::XPath, "count(/descendant::w)", None, plan());
+        insert(&c, QueryLang::XPath, "count(/descendant::w)", None);
         assert!(c.get(QueryLang::XQuery, "count(/descendant::w)", None).is_none());
         assert!(c.get(QueryLang::XPath, "count(/descendant::w)", None).is_some());
     }

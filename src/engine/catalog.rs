@@ -16,95 +16,31 @@
 //! write lock when a mutation invalidated it.
 
 use crate::engine::cache::{CacheStats, CachedPlan, SharedPlanCache};
-use crate::engine::error::{
-    xpath_eval_error, xpath_parse_error, xquery_error, EngineError, QueryLang,
-};
+use crate::engine::error::{query_error, EngineError, QueryLang};
 use crate::engine::result::QueryOutcome;
 use crate::engine::session::{Prepared, Session};
-use mhx_goddag::{Goddag, NodeId, StructIndex};
-use mhx_xpath::plan::EvalCounters;
-use mhx_xpath::{CompiledXPath, Context};
+use mhx_goddag::{Goddag, StructIndex};
 use mhx_xquery::ast::Clause;
-use mhx_xquery::{parse_query, CompiledXQuery, EvalOptions, QExpr};
+use mhx_xquery::{parse_query, CompiledXQuery, EvalOptions, EvalStats, QExpr};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-/// Cumulative per-catalog evaluation counters (both query languages), the
-/// runtime complement of the compile-time [`CacheStats`]. Snapshot via
-/// [`Catalog::eval_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvalStats {
-    /// Path steps resolved set-at-a-time (one index pass for the whole
-    /// context set): predicate-free steps and optimizer-routed
-    /// position-free predicated steps.
-    pub batched_steps: u64,
-    /// Path steps evaluated from a plan the optimizer rewrote (fused,
-    /// reordered, or batch-routed). Grows only while the executing
-    /// connection's `optimize` knob is on.
-    pub rewritten_steps: u64,
-    /// Optimizer rewrites in the plans executed (compile-time counts,
-    /// summed per execution). 0-increments mean the plans were already
-    /// optimal or the knob was off.
-    pub plan_rewrites: u64,
-    /// Predicated steps where at least one predicate resolved through an
-    /// existential first-witness probe (`StructIndex::axis_exists`)
-    /// instead of materializing the axis.
-    pub early_exit_steps: u64,
-    /// Context-independent predicates the evaluator hoisted: computed
-    /// once per step instead of once per candidate.
-    pub hoisted_preds: u64,
-    /// `descendant::a/descendant::b` pairs evaluated as one containment
-    /// -chain merge join over the structural index.
-    pub chain_joins: u64,
-}
-
-impl EvalStats {
-    /// Fold another snapshot's counters into this one — how a connection
-    /// accumulates totals across its short-lived per-request sessions.
-    pub fn absorb(&mut self, other: &EvalStats) {
-        self.batched_steps += other.batched_steps;
-        self.rewritten_steps += other.rewritten_steps;
-        self.plan_rewrites += other.plan_rewrites;
-        self.early_exit_steps += other.early_exit_steps;
-        self.hoisted_preds += other.hoisted_preds;
-        self.chain_joins += other.chain_joins;
-    }
-}
-
-/// Atomic accumulator behind [`EvalStats`] snapshots. The catalog owns one
-/// for its totals; every [`Session`] owns another, so per-connection
-/// counters come for free on the same evaluation path.
+/// Accumulator behind [`EvalStats`] snapshots. The catalog owns one for
+/// its totals; every [`Session`] owns another, so per-connection counters
+/// come for free on the same evaluation path.
 #[derive(Default)]
-pub(crate) struct EvalTotals {
-    batched_steps: AtomicU64,
-    rewritten_steps: AtomicU64,
-    plan_rewrites: AtomicU64,
-    early_exit_steps: AtomicU64,
-    hoisted_preds: AtomicU64,
-    chain_joins: AtomicU64,
-}
+pub(crate) struct EvalTotals(Mutex<EvalStats>);
 
 impl EvalTotals {
+    // Counters are plain sums: a panic mid-update leaves them valid.
     fn add(&self, delta: EvalStats) {
-        self.batched_steps.fetch_add(delta.batched_steps, Ordering::Relaxed);
-        self.rewritten_steps.fetch_add(delta.rewritten_steps, Ordering::Relaxed);
-        self.plan_rewrites.fetch_add(delta.plan_rewrites, Ordering::Relaxed);
-        self.early_exit_steps.fetch_add(delta.early_exit_steps, Ordering::Relaxed);
-        self.hoisted_preds.fetch_add(delta.hoisted_preds, Ordering::Relaxed);
-        self.chain_joins.fetch_add(delta.chain_joins, Ordering::Relaxed);
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).absorb(&delta);
     }
 
     pub(crate) fn snapshot(&self) -> EvalStats {
-        EvalStats {
-            batched_steps: self.batched_steps.load(Ordering::Relaxed),
-            rewritten_steps: self.rewritten_steps.load(Ordering::Relaxed),
-            plan_rewrites: self.plan_rewrites.load(Ordering::Relaxed),
-            early_exit_steps: self.early_exit_steps.load(Ordering::Relaxed),
-            hoisted_preds: self.hoisted_preds.load(Ordering::Relaxed),
-            chain_joins: self.chain_joins.load(Ordering::Relaxed),
-        }
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -774,49 +710,38 @@ impl Catalog {
 
     /// Evaluate an XPath expression from the root of document `id`.
     pub fn xpath(&self, id: &str, src: &str) -> Result<QueryOutcome, EngineError> {
-        // Refuse before compiling: a draining catalog must not pay for
-        // (or cache) new plans. Then resolve the document, so an unknown
-        // id also fails without compiling anything.
-        self.check_open()?;
-        let entry = self.entry(id)?;
-        let plan = self.plan_for(QueryLang::XPath, src, Some(id))?;
-        self.eval_entry(id, &entry, &plan, &self.opts, None)
+        self.query(id, QueryLang::XPath, src)
     }
 
     /// Run an XQuery query against document `id` with the catalog's
     /// default options.
     pub fn xquery(&self, id: &str, src: &str) -> Result<QueryOutcome, EngineError> {
-        self.check_open()?;
-        let entry = self.entry(id)?;
-        let plan = self.plan_for(QueryLang::XQuery, src, Some(id))?;
-        self.eval_entry(id, &entry, &plan, &self.opts, None)
+        self.query(id, QueryLang::XQuery, src)
     }
 
     /// Language-dispatched entry point (what a network front end calls).
     pub fn query(&self, id: &str, lang: QueryLang, src: &str) -> Result<QueryOutcome, EngineError> {
-        match lang {
-            QueryLang::XPath => self.xpath(id, src),
-            QueryLang::XQuery => self.xquery(id, src),
-        }
-    }
-
-    /// Render the optimized plan for `src` against document `id`: chosen
-    /// rewrites, per-step strategies and annotations, and estimated
-    /// cardinalities from the document's index statistics (XPath plans
-    /// also report actual per-step cardinalities — the plan is evaluated
-    /// incrementally to measure them). Compiles through the shared cache,
-    /// so explaining a query warms the same plan later queries reuse.
-    pub fn explain(&self, id: &str, lang: QueryLang, src: &str) -> Result<String, EngineError> {
+        // Refuse before compiling: a draining catalog must not pay for
+        // (or cache) new plans. Then resolve the document, so an unknown
+        // id also fails without compiling anything.
         self.check_open()?;
         let entry = self.entry(id)?;
         let plan = self.plan_for(lang, src, Some(id))?;
+        self.eval_entry(id, &entry, &plan, &self.opts, None)
+    }
+
+    /// Render the optimized plan for `src` against document `id`: chosen
+    /// rewrites, per-step strategies and annotations, and estimated vs.
+    /// actual per-step cardinalities (each path is evaluated incrementally
+    /// to measure them). Compiles through the shared cache, so explaining
+    /// a query warms the same plan later queries reuse.
+    pub fn explain(&self, id: &str, lang: QueryLang, src: &str) -> Result<String, EngineError> {
+        self.check_open()?;
+        let entry = self.entry(id)?;
+        let cached = self.plan_for(lang, src, Some(id))?;
         let guard = self.resident_body(id, &entry)?;
         let body = guard.as_ref().expect("resident_body returns Some");
-        let idx = body.current_index();
-        match &plan {
-            CachedPlan::XPath(p) => p.explain(&body.g, &idx).map_err(xpath_eval_error),
-            CachedPlan::XQuery(q) => Ok(q.explain(Some(idx.stats()))),
-        }
+        Ok(cached.plan.explain(&body.g, &body.current_index()))
     }
 
     /// Compile a query once (through the shared cache) into a reusable
@@ -836,13 +761,13 @@ impl Catalog {
     pub fn prepare(&self, lang: QueryLang, src: &str) -> Result<Prepared, EngineError> {
         self.check_open()?;
         let plan = self.plan_for(lang, src, None)?;
-        Ok(Prepared::new(lang, src.to_string(), plan))
+        Ok(Prepared::new(src.to_string(), plan))
     }
 
     /// Execute a prepared query against document `id` with the catalog's
     /// default options.
     pub fn execute(&self, id: &str, prepared: &Prepared) -> Result<QueryOutcome, EngineError> {
-        self.eval_plan(id, prepared.plan(), &self.opts, None)
+        self.execute_with(id, prepared.plan(), &self.opts, None)
     }
 
     /// Execute a prepared query with explicit options (sessions route
@@ -854,7 +779,8 @@ impl Catalog {
         opts: &EvalOptions,
         session_totals: Option<&EvalTotals>,
     ) -> Result<QueryOutcome, EngineError> {
-        self.eval_plan(id, plan, opts, session_totals)
+        let entry = self.entry(id)?;
+        self.eval_entry(id, &entry, plan, opts, session_totals)
     }
 
     /// Open a per-connection handle pinned to document `id`, carrying its
@@ -871,43 +797,30 @@ impl Catalog {
     // Plan pipeline
     // ------------------------------------------------------------------
 
-    /// Parse + compile `src` through the shared cache. `doc` attributes
-    /// the lookup for the cross-document hit counter.
+    /// Parse + compile `src` through the shared cache (single-flight per
+    /// text). `doc` attributes the lookup for the cross-document hit
+    /// counter. Both languages compile to a [`CompiledXQuery`], optimized
+    /// once: the cached plan carries both forms and repeat executions skip
+    /// the rewrite.
     pub(crate) fn plan_for(
         &self,
         lang: QueryLang,
         src: &str,
         doc: Option<&str>,
     ) -> Result<CachedPlan, EngineError> {
-        if let Some(plan) = self.cache.get(lang, src, doc) {
-            return Ok(plan);
-        }
-        let plan = match lang {
-            QueryLang::XPath => {
-                let p = CompiledXPath::compile(src).map_err(xpath_parse_error)?;
-                CachedPlan::XPath(Arc::new(p))
-            }
-            QueryLang::XQuery => {
-                let ast = parse_query(src).map_err(xquery_error)?;
-                check_static(&ast)?;
-                // Optimize once at compile time: the cached plan carries
-                // both forms and repeat executions skip the rewrite.
-                CachedPlan::XQuery(Arc::new(CompiledXQuery::from_ast(src.to_string(), ast)))
-            }
-        };
-        self.cache.insert(lang, src, doc, plan.clone());
-        Ok(plan)
-    }
-
-    fn eval_plan(
-        &self,
-        id: &str,
-        plan: &CachedPlan,
-        opts: &EvalOptions,
-        session_totals: Option<&EvalTotals>,
-    ) -> Result<QueryOutcome, EngineError> {
-        let entry = self.entry(id)?;
-        self.eval_entry(id, &entry, plan, opts, session_totals)
+        self.cache.get_or_compile(lang, src, doc, || {
+            let plan = match lang {
+                QueryLang::XPath => {
+                    CompiledXQuery::compile_xpath(src).map_err(|e| query_error(lang, e))?
+                }
+                QueryLang::XQuery => {
+                    let ast = parse_query(src).map_err(|e| query_error(lang, e))?;
+                    check_static(&ast)?;
+                    CompiledXQuery::from_ast(src.to_string(), ast)
+                }
+            };
+            Ok(CachedPlan { lang, plan: Arc::new(plan) })
+        })
     }
 
     fn eval_entry(
@@ -926,45 +839,16 @@ impl Catalog {
         self.check_open()?;
         let guard = self.resident_body(id, entry)?;
         let body = guard.as_ref().expect("resident_body returns Some");
-        let g = &body.g;
         let idx = body.current_index();
-        let record = |delta: EvalStats| {
-            self.eval_totals.add(delta);
-            if let Some(totals) = session_totals {
-                totals.add(delta);
-            }
-        };
-        match plan {
-            CachedPlan::XPath(p) => {
-                let ctx = Context::new(NodeId::Root);
-                let counters = EvalCounters::default();
-                let v = p
-                    .evaluate_with(g, &idx, &ctx, opts.optimize, &counters)
-                    .map_err(xpath_eval_error)?;
-                let rewrites = if opts.optimize { p.report().total() as u64 } else { 0 };
-                record(EvalStats {
-                    batched_steps: counters.batched_steps.get(),
-                    rewritten_steps: counters.rewritten_steps.get(),
-                    plan_rewrites: rewrites,
-                    early_exit_steps: counters.early_exit_steps.get(),
-                    hoisted_preds: counters.hoisted_preds.get(),
-                    chain_joins: counters.chain_joins.get(),
-                });
-                Ok(QueryOutcome::from_xpath_value(v, g, &idx, opts))
-            }
-            CachedPlan::XQuery(q) => {
-                let (out, stats) = q.run_with_index(g, Some(&idx), opts).map_err(xquery_error)?;
-                record(EvalStats {
-                    batched_steps: stats.batched_steps,
-                    rewritten_steps: stats.rewritten_steps,
-                    plan_rewrites: stats.plan_rewrites,
-                    early_exit_steps: stats.early_exit_steps,
-                    hoisted_preds: stats.hoisted_preds,
-                    chain_joins: stats.chain_joins,
-                });
-                Ok(QueryOutcome::from_markup(out))
-            }
+        let (outcome, stats) = plan
+            .plan
+            .evaluate(&body.g, Some(&idx), opts, |ev, seq| QueryOutcome::new(plan.lang, ev, &seq))
+            .map_err(|e| query_error(plan.lang, e))?;
+        self.eval_totals.add(stats);
+        if let Some(totals) = session_totals {
+            totals.add(stats);
         }
+        Ok(outcome)
     }
 }
 
@@ -1130,6 +1014,32 @@ mod tests {
         // And the rebuilt snapshot is current: one more query, no rebuild
         // artifacts, same answer.
         assert_eq!(c.xpath("ms", "/descendant::res").unwrap().nodes().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn racing_first_requests_compile_once() {
+        let c = Catalog::new();
+        c.insert("ms", two_hierarchies());
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    barrier.wait();
+                    let n = c.xpath("ms", "count(//w[overlapping::line])").unwrap();
+                    assert_eq!(n.num(), Some(1.0));
+                });
+            }
+        });
+        let stats = c.cache_stats();
+        assert_eq!(stats.misses, 1, "one compilation served all eight requests: {stats:?}");
+        assert_eq!(stats.hits, 7);
+        // A failed compile caches nothing: the text compiles (and fails)
+        // again on the next request.
+        for _ in 0..2 {
+            assert!(matches!(c.xpath("ms", "/descendant::"), Err(EngineError::Parse { .. })));
+        }
+        assert_eq!(c.cache_stats().misses, 3);
+        assert_eq!(c.cache_stats().entries, 1);
     }
 
     #[test]

@@ -147,26 +147,12 @@ impl From<mhx_xml::XmlError> for EngineError {
     }
 }
 
-/// Map an XPath error to the right stage variant. The compiled-plan layer
-/// only fails at parse/compile time; evaluation failures are tagged by the
-/// caller via [`EngineError::Eval`].
-pub(crate) fn xpath_parse_error(e: mhx_xpath::XPathError) -> EngineError {
-    EngineError::Parse { lang: QueryLang::XPath, message: e.msg, at: e.at }
-}
-
-pub(crate) fn xpath_eval_error(e: mhx_xpath::XPathError) -> EngineError {
-    EngineError::Eval { lang: QueryLang::XPath, message: e.msg }
-}
-
-/// Map an XQuery error through its crate-level stage tag.
-pub(crate) fn xquery_error(e: mhx_xquery::XQueryError) -> EngineError {
+/// Map a compiled-pipeline error (either language) through its stage tag.
+pub(crate) fn query_error(lang: QueryLang, e: mhx_xquery::XQueryError) -> EngineError {
     match e.kind {
-        mhx_xquery::XQueryErrorKind::Parse => {
-            EngineError::Parse { lang: QueryLang::XQuery, message: e.msg, at: e.at }
-        }
-        mhx_xquery::XQueryErrorKind::Eval => {
-            EngineError::Eval { lang: QueryLang::XQuery, message: e.msg }
-        }
+        mhx_xquery::XQueryErrorKind::Parse => EngineError::Parse { lang, message: e.msg, at: e.at },
+        mhx_xquery::XQueryErrorKind::Compile => EngineError::Compile { lang, message: e.msg },
+        mhx_xquery::XQueryErrorKind::Eval => EngineError::Eval { lang, message: e.msg },
     }
 }
 
@@ -194,12 +180,18 @@ mod tests {
     #[test]
     fn source_kinds_survive_the_mapping() {
         let parse = mhx_xquery::XQueryError::at("bad", 3);
-        match xquery_error(parse) {
+        match query_error(QueryLang::XQuery, parse) {
             EngineError::Parse { lang: QueryLang::XQuery, at: Some(3), .. } => {}
             other => panic!("expected Parse, got {other:?}"),
         }
+        let compile = mhx_xquery::XQueryError::new("unknown function exists()")
+            .with_kind(mhx_xquery::XQueryErrorKind::Compile);
+        match query_error(QueryLang::XPath, compile) {
+            EngineError::Compile { lang: QueryLang::XPath, .. } => {}
+            other => panic!("expected Compile, got {other:?}"),
+        }
         let eval = mhx_xquery::XQueryError::new("idiv by zero");
-        match xquery_error(eval) {
+        match query_error(QueryLang::XQuery, eval) {
             EngineError::Eval { lang: QueryLang::XQuery, .. } => {}
             other => panic!("expected Eval, got {other:?}"),
         }

@@ -15,7 +15,7 @@
 //!   `count(/descendant::w)` compiles once and serves every manuscript
 //!   (see [`CacheStats::cross_doc_hits`]).
 //! * [`Session`] pins a document id and carries per-connection
-//!   [`EvalOptions`]; [`Prepared`] handles from
+//!   [`EvalOptions`](mhx_xquery::EvalOptions); [`Prepared`] handles from
 //!   [`Catalog::prepare`] skip even the cache lookup.
 //! * Both languages return [`QueryOutcome`]; failures are typed
 //!   [`EngineError`]s that keep the source stage (parse / compile / eval /
@@ -25,8 +25,6 @@
 //!   per predicate-free step), so wide results — the common shape for
 //!   corpus-level extended-axis queries — cost one sort-dedup per step,
 //!   not one per context node (see `BENCH_batch.json`).
-//!
-//! [`Engine`] remains as the one-document convenience wrapper.
 
 pub mod cache;
 pub mod catalog;
@@ -35,130 +33,18 @@ pub mod result;
 pub mod session;
 
 pub use cache::CacheStats;
-pub use catalog::{Catalog, EvalStats, Residency, StoreStats, DEFAULT_PLAN_CACHE_CAPACITY};
+pub use catalog::{Catalog, Residency, StoreStats, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use error::{EngineError, QueryLang};
+pub use mhx_xquery::EvalStats;
 pub use result::{QueryOutcome, QueryValue};
 pub use session::{Prepared, Session};
-
-use mhx_goddag::Goddag;
-use mhx_xquery::EvalOptions;
-
-/// Document id used by the one-document [`Engine`] wrapper.
-const ENGINE_DOC: &str = "main";
-
-/// One-document convenience wrapper over a [`Catalog`].
-///
-/// Everything an `Engine` does, a catalog with a single registered
-/// document does; the wrapper just pins the document id. Queries take
-/// `&self` — an `Engine` is `Send + Sync` and can serve threads directly.
-///
-/// ```
-/// use multihier_xquery::prelude::*;
-///
-/// let goddag = GoddagBuilder::new()
-///     .hierarchy("lines", "<r><line>gesceaftum unawendendne sin</line>\
-///                          <line>gallice sibbe gecynde þa</line></r>")
-///     .hierarchy("words", "<r><w>gesceaftum</w> <w>unawendendne</w> \
-///                          <w>singallice</w> <w>sibbe</w> <w>gecynde</w> <w>þa</w></r>")
-///     .build()
-///     .unwrap();
-/// let engine = Engine::new(goddag);
-///
-/// let q = "for $l in /descendant::line[overlapping::w] return string($l)";
-/// let out = engine.xquery(q).unwrap();
-/// assert_eq!(out.serialize(), "gesceaftum unawendendne singallice sibbe gecynde þa");
-///
-/// // Same result type from the XPath side; repeats hit the plan cache.
-/// assert_eq!(engine.xpath("count(/descendant::w)").unwrap().num(), Some(6.0));
-/// engine.xquery(q).unwrap();
-/// assert_eq!(engine.cache_stats().hits, 1);
-/// ```
-pub struct Engine {
-    catalog: Catalog,
-}
-
-impl Engine {
-    /// Wrap a document; builds the structural index eagerly.
-    pub fn new(g: Goddag) -> Engine {
-        Engine::with_options(g, EvalOptions::default())
-    }
-
-    /// [`Engine::new`] with XQuery evaluation options.
-    pub fn with_options(g: Goddag, opts: EvalOptions) -> Engine {
-        let catalog = Catalog::with_options(opts);
-        catalog.insert(ENGINE_DOC, g);
-        Engine { catalog }
-    }
-
-    /// Override the plan-cache capacity (min 1). Preserves already-cached
-    /// plans up to the new capacity and keeps cumulative stats.
-    pub fn with_plan_cache_capacity(self, capacity: usize) -> Engine {
-        self.catalog.set_plan_cache_capacity(capacity);
-        self
-    }
-
-    /// The backing catalog (e.g. to register more documents later).
-    ///
-    /// The engine's own document is registered under the id `"main"`;
-    /// removing or replacing that entry through the catalog pulls the
-    /// document out from under the wrapper (see the panic notes on
-    /// [`Engine::with_goddag`] and [`Engine::session`]).
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// Read the wrapped document under its lock.
-    ///
-    /// # Panics
-    ///
-    /// If the engine's `"main"` document was removed via
-    /// [`Engine::catalog`].
-    pub fn with_goddag<T>(&self, f: impl FnOnce(&Goddag) -> T) -> T {
-        self.catalog.with_document(ENGINE_DOC, f).expect("engine document is registered")
-    }
-
-    pub fn cache_stats(&self) -> CacheStats {
-        self.catalog.cache_stats()
-    }
-
-    /// Cumulative evaluation counters (batched / rewritten steps).
-    pub fn eval_stats(&self) -> EvalStats {
-        self.catalog.eval_stats()
-    }
-
-    /// A session over the wrapped document.
-    ///
-    /// # Panics
-    ///
-    /// If the engine's `"main"` document was removed via
-    /// [`Engine::catalog`].
-    pub fn session(&self) -> Session<'_> {
-        self.catalog.session(ENGINE_DOC).expect("engine document is registered")
-    }
-
-    /// Add a base hierarchy to the document; the index rebuilds lazily.
-    /// Compiled plans stay valid (they are document-independent).
-    pub fn add_hierarchy(&self, name: &str, xml: &str) -> Result<(), EngineError> {
-        self.catalog.add_hierarchy(ENGINE_DOC, name, xml)
-    }
-
-    /// Evaluate an XPath expression from the root, through the cached
-    /// compiled plan and the structural index.
-    pub fn xpath(&self, src: &str) -> Result<QueryOutcome, EngineError> {
-        self.catalog.xpath(ENGINE_DOC, src)
-    }
-
-    /// Run an XQuery query through the cached parse and the structural
-    /// index.
-    pub fn xquery(&self, src: &str) -> Result<QueryOutcome, EngineError> {
-        self.catalog.xquery(ENGINE_DOC, src)
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mhx_goddag::GoddagBuilder;
+    use mhx_goddag::{Goddag, GoddagBuilder};
+
+    const DOC: &str = "ms";
 
     fn two_hierarchies() -> Goddag {
         GoddagBuilder::new()
@@ -175,15 +61,23 @@ mod tests {
             .unwrap()
     }
 
+    /// A one-document catalog — what the facade looks like for a single
+    /// manuscript.
+    fn catalog() -> Catalog {
+        let c = Catalog::new();
+        c.insert(DOC, two_hierarchies());
+        c
+    }
+
     #[test]
     fn repeated_query_hits_plan_cache() {
-        let e = Engine::new(two_hierarchies());
+        let e = catalog();
         let q = "for $l in /descendant::line[overlapping::w] return string($l)";
-        let first = e.xquery(q).unwrap();
+        let first = e.xquery(DOC, q).unwrap();
         assert_eq!(e.cache_stats().misses, 1);
         assert_eq!(e.cache_stats().hits, 0);
         for _ in 0..5 {
-            assert_eq!(e.xquery(q).unwrap(), first);
+            assert_eq!(e.xquery(DOC, q).unwrap(), first);
         }
         let stats = e.cache_stats();
         assert_eq!(stats.misses, 1, "no re-parse after the first evaluation");
@@ -193,12 +87,12 @@ mod tests {
 
     #[test]
     fn xpath_and_xquery_share_the_cache() {
-        let e = Engine::new(two_hierarchies());
-        let v = e.xpath("/descendant::w[3]").unwrap();
+        let e = catalog();
+        let v = e.xpath(DOC, "/descendant::w[3]").unwrap();
         assert_eq!(v.nodes().unwrap().len(), 1);
         assert_eq!(v.serialize(), "<w>singallice</w>");
-        e.xpath("/descendant::w[3]").unwrap();
-        e.xquery("count(/descendant::w)").unwrap();
+        e.xpath(DOC, "/descendant::w[3]").unwrap();
+        e.xquery(DOC, "count(/descendant::w)").unwrap();
         let stats = e.cache_stats();
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.hits, 1);
@@ -207,13 +101,13 @@ mod tests {
 
     #[test]
     fn same_text_in_both_languages_does_not_collide() {
-        let e = Engine::new(two_hierarchies());
+        let e = catalog();
         // Valid in both languages; the plans differ.
         let q = "count(/descendant::w)";
-        assert_eq!(e.xquery(q).unwrap().serialize(), "6");
-        assert_eq!(e.xpath(q).unwrap().num(), Some(6.0));
-        assert_eq!(e.xquery(q).unwrap().serialize(), "6");
-        assert_eq!(e.xpath(q).unwrap().num(), Some(6.0));
+        assert_eq!(e.xquery(DOC, q).unwrap().serialize(), "6");
+        assert_eq!(e.xpath(DOC, q).unwrap().num(), Some(6.0));
+        assert_eq!(e.xquery(DOC, q).unwrap().serialize(), "6");
+        assert_eq!(e.xpath(DOC, q).unwrap().num(), Some(6.0));
         let stats = e.cache_stats();
         assert_eq!(stats.entries, 2, "one entry per language");
         assert_eq!(stats.misses, 2);
@@ -222,30 +116,29 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest() {
-        let e = Engine::new(two_hierarchies()).with_plan_cache_capacity(2);
-        e.xpath("/descendant::w[1]").unwrap();
-        e.xpath("/descendant::w[2]").unwrap();
+        let e = catalog().with_plan_cache_capacity(2);
+        e.xpath(DOC, "/descendant::w[1]").unwrap();
+        e.xpath(DOC, "/descendant::w[2]").unwrap();
         // Touch the first so the second is now least recent.
-        e.xpath("/descendant::w[1]").unwrap();
-        e.xpath("/descendant::w[3]").unwrap();
+        e.xpath(DOC, "/descendant::w[1]").unwrap();
+        e.xpath(DOC, "/descendant::w[3]").unwrap();
         let stats = e.cache_stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 2);
         // The touched plan survived; the untouched one was evicted.
-        e.xpath("/descendant::w[1]").unwrap();
+        e.xpath(DOC, "/descendant::w[1]").unwrap();
         assert_eq!(e.cache_stats().hits, 2);
-        e.xpath("/descendant::w[2]").unwrap();
+        e.xpath(DOC, "/descendant::w[2]").unwrap();
         assert_eq!(e.cache_stats().misses, 4, "evicted plan re-compiles");
     }
 
     #[test]
     fn resizing_a_warm_cache_keeps_plans_and_stats() {
-        // The old facade silently discarded every cached plan (and the
-        // counters) on resize; the catalog equivalent must not.
-        let e = Engine::new(two_hierarchies());
-        e.xpath("/descendant::w[1]").unwrap();
-        e.xpath("/descendant::w[2]").unwrap();
-        e.xpath("/descendant::w[1]").unwrap();
+        // Resizing must not silently discard cached plans or counters.
+        let e = catalog();
+        e.xpath(DOC, "/descendant::w[1]").unwrap();
+        e.xpath(DOC, "/descendant::w[2]").unwrap();
+        e.xpath(DOC, "/descendant::w[1]").unwrap();
         assert_eq!(e.cache_stats().hits, 1);
 
         let e = e.with_plan_cache_capacity(1);
@@ -256,59 +149,60 @@ mod tests {
         assert_eq!(stats.evictions, 1, "the trimmed entry is an eviction");
 
         // The most recently used plan is the survivor.
-        e.xpath("/descendant::w[1]").unwrap();
+        e.xpath(DOC, "/descendant::w[1]").unwrap();
         assert_eq!(e.cache_stats().hits, 2);
         assert_eq!(e.cache_stats().misses, 2);
     }
 
     #[test]
     fn analyze_string_queries_leave_engine_consistent() {
-        let e = Engine::new(two_hierarchies());
+        let e = catalog();
         let q = "for $m in analyze-string(/, 'gallice') return string($m)";
-        let out = e.xquery(q).unwrap();
+        let out = e.xquery(DOC, q).unwrap();
         assert!(out.serialize().contains("gallice"), "match materialized: {out}");
-        // Temporary hierarchies died with the evaluator: the engine's own
+        // Temporary hierarchies died with the evaluator: the catalog's own
         // goddag is untouched.
-        assert_eq!(e.with_goddag(|g| g.hierarchy_count()), 2);
-        assert_eq!(e.xquery(q).unwrap(), out);
+        assert_eq!(e.with_document(DOC, |g| g.hierarchy_count()).unwrap(), 2);
+        assert_eq!(e.xquery(DOC, q).unwrap(), out);
     }
 
     #[test]
     fn add_hierarchy_keeps_plans_and_refreshes_index() {
-        let e = Engine::new(two_hierarchies());
+        let e = catalog();
         let q = "/descendant::res";
-        assert!(e.xpath(q).unwrap().nodes().unwrap().is_empty());
+        assert!(e.xpath(DOC, q).unwrap().nodes().unwrap().is_empty());
         e.add_hierarchy(
+            DOC,
             "restorations",
             "<r><res>gesceaftum una</res>wendendne s<res>in</res><res>gallice sibbe gecyn</res>de þa</r>",
         )
         .unwrap();
-        assert_eq!(e.xpath(q).unwrap().nodes().unwrap().len(), 3);
+        assert_eq!(e.xpath(DOC, q).unwrap().nodes().unwrap().len(), 3);
         let stats = e.cache_stats();
         assert_eq!(stats.hits, 1, "compiled plan survived the hierarchy mutation");
     }
 
     #[test]
     fn bad_queries_surface_typed_errors() {
-        let e = Engine::new(two_hierarchies());
+        let e = catalog();
         assert!(matches!(
-            e.xpath("/descendant::"),
+            e.xpath(DOC, "/descendant::"),
             Err(EngineError::Parse { lang: QueryLang::XPath, .. })
         ));
         assert!(matches!(
-            e.xquery("for $x in"),
+            e.xquery(DOC, "for $x in"),
             Err(EngineError::Parse { lang: QueryLang::XQuery, .. })
         ));
         assert!(matches!(
-            e.xquery("$undefined"),
+            e.xquery(DOC, "$undefined"),
             Err(EngineError::Compile { lang: QueryLang::XQuery, .. })
         ));
         assert!(matches!(
-            e.xquery("1 idiv 0"),
+            e.xquery(DOC, "1 idiv 0"),
             Err(EngineError::Eval { lang: QueryLang::XQuery, .. })
         ));
         assert!(matches!(
-            e.add_hierarchy("words", "<r>nope</r>"),
+            e.add_hierarchy(DOC, "words", "<r>nope</r>"),
             Err(EngineError::Document { .. })
         ));
     }

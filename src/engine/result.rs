@@ -12,13 +12,13 @@
 //! ship across threads) at the cost of rendering markup the caller may
 //! never read. Node-set queries pay per result-subtree — for bulk node
 //! *enumeration* on large documents (`/descendant::*`), prefer the
-//! unserialized one-shot layers ([`mhx_xpath::evaluate_xpath`]) over the
+//! unserialized one-shot layer ([`mhx_xquery::evaluate_xpath`]) over the
 //! catalog facade.
 
 use crate::engine::error::QueryLang;
-use mhx_goddag::{Goddag, NodeId, StructIndex};
+use mhx_goddag::NodeId;
 use mhx_xpath::Value;
-use mhx_xquery::{serialize, EvalOptions, Evaluator, Item};
+use mhx_xquery::{serialize, xpath_value, Evaluator, Item};
 
 /// The value inside a [`QueryOutcome`].
 #[derive(Debug, Clone, PartialEq)]
@@ -69,38 +69,21 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// Wrap an XPath [`Value`], serializing it through the XQuery
-    /// serializer so both languages print identically.
-    pub(crate) fn from_xpath_value(
-        v: Value,
-        g: &Goddag,
-        idx: &StructIndex,
-        opts: &EvalOptions,
-    ) -> QueryOutcome {
-        let items: Vec<Item> = match &v {
-            Value::Nodes(ns) => ns.iter().map(|&n| Item::Node(n)).collect(),
-            Value::Str(s) => vec![Item::Str(s.clone())],
-            Value::Num(n) => vec![Item::Num(*n)],
-            Value::Bool(b) => vec![Item::Bool(*b)],
+    /// Wrap an evaluation's result sequence: XPath keeps its typed value,
+    /// XQuery its serialized markup; both serialize through the XQuery
+    /// serializer so the languages print identically.
+    pub(crate) fn new(lang: QueryLang, ev: &Evaluator<'_>, seq: &[Item]) -> QueryOutcome {
+        let serialized = serialize::serialize_sequence(ev, seq);
+        let value = match lang {
+            QueryLang::XPath => match xpath_value(seq) {
+                Value::Nodes(ns) => QueryValue::Nodes(ns),
+                Value::Str(s) => QueryValue::Str(s),
+                Value::Num(n) => QueryValue::Num(n),
+                Value::Bool(b) => QueryValue::Bool(b),
+            },
+            QueryLang::XQuery => QueryValue::Markup(serialized.clone()),
         };
-        let ev = Evaluator::with_index(g, idx, opts.clone());
-        let serialized = serialize::serialize_sequence(&ev, &items);
-        let value = match v {
-            Value::Nodes(ns) => QueryValue::Nodes(ns),
-            Value::Str(s) => QueryValue::Str(s),
-            Value::Num(n) => QueryValue::Num(n),
-            Value::Bool(b) => QueryValue::Bool(b),
-        };
-        QueryOutcome { lang: QueryLang::XPath, value, serialized }
-    }
-
-    /// Wrap an already-serialized XQuery result.
-    pub(crate) fn from_markup(serialized: String) -> QueryOutcome {
-        QueryOutcome {
-            lang: QueryLang::XQuery,
-            value: QueryValue::Markup(serialized.clone()),
-            serialized,
-        }
+        QueryOutcome { lang, value, serialized }
     }
 
     /// Which language produced this outcome.

@@ -5,28 +5,27 @@
 //! statements shared through the catalog's plan cache.
 
 use crate::engine::cache::CachedPlan;
-use crate::engine::catalog::{Catalog, EvalStats, EvalTotals};
+use crate::engine::catalog::{Catalog, EvalTotals};
 use crate::engine::error::{EngineError, QueryLang};
 use crate::engine::result::QueryOutcome;
-use mhx_xquery::EvalOptions;
+use mhx_xquery::{EvalOptions, EvalStats};
 
 /// A compiled query handle from [`Catalog::prepare`]. Holds its plan
 /// directly (an `Arc` into the shared cache's entry), so executing a
 /// prepared query never re-parses — even if the cache entry is evicted.
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    lang: QueryLang,
     src: String,
     plan: CachedPlan,
 }
 
 impl Prepared {
-    pub(crate) fn new(lang: QueryLang, src: String, plan: CachedPlan) -> Prepared {
-        Prepared { lang, src, plan }
+    pub(crate) fn new(src: String, plan: CachedPlan) -> Prepared {
+        Prepared { src, plan }
     }
 
     pub fn lang(&self) -> QueryLang {
-        self.lang
+        self.plan.lang
     }
 
     /// The original query text.
@@ -114,23 +113,19 @@ impl<'c> Session<'c> {
 
     /// Evaluate an XPath expression against the pinned document.
     pub fn xpath(&self, src: &str) -> Result<QueryOutcome, EngineError> {
-        let plan = self.catalog.plan_for(QueryLang::XPath, src, Some(&self.doc))?;
-        self.catalog.execute_with(&self.doc, &plan, &self.opts, Some(&self.totals))
+        self.query(QueryLang::XPath, src)
     }
 
     /// Run an XQuery query against the pinned document with this session's
     /// options.
     pub fn xquery(&self, src: &str) -> Result<QueryOutcome, EngineError> {
-        let plan = self.catalog.plan_for(QueryLang::XQuery, src, Some(&self.doc))?;
-        self.catalog.execute_with(&self.doc, &plan, &self.opts, Some(&self.totals))
+        self.query(QueryLang::XQuery, src)
     }
 
     /// Language-dispatched entry point.
     pub fn query(&self, lang: QueryLang, src: &str) -> Result<QueryOutcome, EngineError> {
-        match lang {
-            QueryLang::XPath => self.xpath(src),
-            QueryLang::XQuery => self.xquery(src),
-        }
+        let plan = self.catalog.plan_for(lang, src, Some(&self.doc))?;
+        self.catalog.execute_with(&self.doc, &plan, &self.opts, Some(&self.totals))
     }
 
     /// Execute a prepared query against the pinned document with this

@@ -11,8 +11,10 @@
 //! * [`xml`] — XML parser / DOM / DTD substrate;
 //! * [`regex`] — regex engine with capture groups;
 //! * [`goddag`] — the KyGODDAG data structure, extended axes, node order;
-//! * [`xpath`] — the extended XPath of the paper's Definition 1/2;
-//! * [`xquery`] — the extended XQuery with `analyze-string()`;
+//! * [`xpath`] — the extended XPath of the paper's Definition 1/2: parser,
+//!   reference interpreter, index-backed step resolvers;
+//! * [`xquery`] — the extended XQuery with `analyze-string()`, and the
+//!   compiled pipeline both languages run on;
 //! * [`corpus`] — the paper's Figure-1 manuscript corpus and synthetic
 //!   workload generators;
 //! * [`baseline`] — single-document milestone/fragmentation baselines;
@@ -59,18 +61,17 @@ pub mod engine;
 pub mod server;
 
 pub use engine::{
-    CacheStats, Catalog, Engine, EngineError, EvalStats, Prepared, QueryLang, QueryOutcome,
-    QueryValue, Residency, Session, StoreStats,
+    CacheStats, Catalog, EngineError, EvalStats, Prepared, QueryLang, QueryOutcome, QueryValue,
+    Residency, Session, StoreStats,
 };
 
 /// The most common imports in one place.
 pub mod prelude {
     pub use crate::engine::{
-        CacheStats, Catalog, Engine, EngineError, EvalStats, Prepared, QueryLang, QueryOutcome,
-        QueryValue, Residency, Session, StoreStats,
+        CacheStats, Catalog, EngineError, EvalStats, Prepared, QueryLang, QueryOutcome, QueryValue,
+        Residency, Session, StoreStats,
     };
     pub use mhx_goddag::{Goddag, GoddagBuilder, NodeId, StructIndex};
     pub use mhx_xml::Document;
-    pub use mhx_xpath::evaluate_xpath;
-    pub use mhx_xquery::{run_query, run_query_with, EvalOptions};
+    pub use mhx_xquery::{evaluate_xpath, run_query, run_query_with, EvalOptions};
 }

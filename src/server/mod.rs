@@ -121,12 +121,7 @@ pub(crate) struct ConnStats {
     pub(crate) peer: String,
     pub(crate) requests: AtomicU64,
     doc: Mutex<String>,
-    batched_steps: AtomicU64,
-    rewritten_steps: AtomicU64,
-    plan_rewrites: AtomicU64,
-    early_exit_steps: AtomicU64,
-    hoisted_preds: AtomicU64,
-    chain_joins: AtomicU64,
+    eval: Mutex<EvalStats>,
 }
 
 impl ConnStats {
@@ -136,12 +131,7 @@ impl ConnStats {
 
     /// Publish the connection's current cumulative eval counters.
     pub(crate) fn record_eval(&self, stats: EvalStats) {
-        self.batched_steps.store(stats.batched_steps, Ordering::Relaxed);
-        self.rewritten_steps.store(stats.rewritten_steps, Ordering::Relaxed);
-        self.plan_rewrites.store(stats.plan_rewrites, Ordering::Relaxed);
-        self.early_exit_steps.store(stats.early_exit_steps, Ordering::Relaxed);
-        self.hoisted_preds.store(stats.hoisted_preds, Ordering::Relaxed);
-        self.chain_joins.store(stats.chain_joins, Ordering::Relaxed);
+        *self.eval.lock().unwrap_or_else(PoisonError::into_inner) = stats;
     }
 }
 
@@ -180,12 +170,7 @@ impl Shared {
             peer,
             requests: AtomicU64::new(0),
             doc: Mutex::new(String::new()),
-            batched_steps: AtomicU64::new(0),
-            rewritten_steps: AtomicU64::new(0),
-            plan_rewrites: AtomicU64::new(0),
-            early_exit_steps: AtomicU64::new(0),
-            hoisted_preds: AtomicU64::new(0),
-            chain_joins: AtomicU64::new(0),
+            eval: Mutex::default(),
         });
         self.conns.lock().unwrap_or_else(PoisonError::into_inner).insert(id, Arc::clone(&conn));
         conn
@@ -205,14 +190,7 @@ impl Shared {
                 peer: c.peer.clone(),
                 doc: c.doc.lock().unwrap_or_else(PoisonError::into_inner).clone(),
                 requests: c.requests.load(Ordering::Relaxed),
-                eval: EvalStats {
-                    batched_steps: c.batched_steps.load(Ordering::Relaxed),
-                    rewritten_steps: c.rewritten_steps.load(Ordering::Relaxed),
-                    plan_rewrites: c.plan_rewrites.load(Ordering::Relaxed),
-                    early_exit_steps: c.early_exit_steps.load(Ordering::Relaxed),
-                    hoisted_preds: c.hoisted_preds.load(Ordering::Relaxed),
-                    chain_joins: c.chain_joins.load(Ordering::Relaxed),
-                },
+                eval: *c.eval.lock().unwrap_or_else(PoisonError::into_inner),
             })
             .collect()
     }

@@ -57,7 +57,7 @@ use crate::server::pool::BackendPool;
 use crate::server::wire;
 use mhx_json::Json;
 use mhx_xquery::EvalOptions;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -414,9 +414,9 @@ impl RouterCore {
                 (400, wire::protocol_error_body("bad_request", "`doc` must be a string"))
             });
         }
-        let union = self.documents_union()?;
-        if union.len() == 1 {
-            return Ok(union.into_iter().next().expect("len checked"));
+        let listing = self.document_listing()?;
+        if listing.len() == 1 {
+            return Ok(listing.into_keys().next().expect("len checked"));
         }
         Err((
             400,
@@ -686,26 +686,25 @@ impl RouterCore {
         )
     }
 
-    /// Scatter `GET /documents` to every backend and union the ids.
-    /// Succeeds while at least one shard answers (a dead shard's
-    /// documents are on their replicas anyway when `--replicas` > 1).
-    fn documents_union(&self) -> Result<BTreeSet<String>, (u16, Json)> {
-        let mut union = BTreeSet::new();
+    /// Scatter `GET /documents` to every backend and merge the listings:
+    /// one entry per id, the object of the first shard (in index order)
+    /// that lists it. Succeeds while at least one shard answers (a dead
+    /// shard's documents are on their replicas anyway when `--replicas`
+    /// > 1).
+    fn document_listing(&self) -> Result<BTreeMap<String, Json>, (u16, Json)> {
+        let mut merged = BTreeMap::new();
         let mut any_ok = false;
         let mut errors = Vec::new();
         for i in 0..self.pool.len() {
             match self.attempt(i, "GET", "/documents", None) {
                 Attempt::Done(status, json) if (200..300).contains(&status) => {
                     match json.get("documents").and_then(Json::as_arr) {
-                        Some(ids) => {
-                            // Shards report objects with residency metadata;
-                            // accept bare-string ids from older backends too.
-                            union.extend(ids.iter().filter_map(|v| {
-                                v.get("id")
-                                    .and_then(Json::as_str)
-                                    .or_else(|| v.as_str())
-                                    .map(str::to_string)
-                            }));
+                        Some(entries) => {
+                            for entry in entries {
+                                if let Some(id) = entry.get("id").and_then(Json::as_str) {
+                                    merged.entry(id.to_string()).or_insert_with(|| entry.clone());
+                                }
+                            }
                             any_ok = true;
                         }
                         None => errors.push(format!("{}: malformed /documents", self.pool.addr(i))),
@@ -718,7 +717,7 @@ impl RouterCore {
             }
         }
         if any_ok {
-            Ok(union)
+            Ok(merged)
         } else {
             let body = wire::bad_gateway_body(&format!(
                 "no shard answered /documents ({})",
@@ -729,12 +728,12 @@ impl RouterCore {
     }
 
     pub(crate) fn documents(&self) -> (u16, Json) {
-        match self.documents_union() {
-            Ok(union) => (
+        match self.document_listing() {
+            Ok(merged) => (
                 200,
                 Json::Obj(vec![
                     ("ok".into(), Json::Bool(true)),
-                    ("documents".into(), Json::Arr(union.into_iter().map(Json::Str).collect())),
+                    ("documents".into(), Json::Arr(merged.into_values().collect())),
                 ]),
             ),
             Err(err) => err,
@@ -1112,8 +1111,13 @@ mod tests {
         }
         let (status, json) = core.documents();
         assert_eq!(status, 200);
-        let ids = json.get("documents").and_then(Json::as_arr).unwrap();
-        assert_eq!(ids.len(), 1, "replicas merge to one id: {json}");
+        let entries = json.get("documents").and_then(Json::as_arr).unwrap();
+        assert_eq!(entries.len(), 1, "replicas merge to one entry: {json}");
+        // The entry is the first shard's own object, residency included.
+        let (_, own, _) = shards[0].catalog().document_status().remove(0);
+        assert_eq!(entries[0].get("id").and_then(Json::as_str), Some("novel"));
+        assert_eq!(entries[0].get("residency").and_then(Json::as_str), Some(own.name()));
+        assert_eq!(entries[0].get("snapshot_bytes").and_then(Json::as_u64), Some(0));
 
         let (status, json) = core.query(&mut conn, &query_body("novel"));
         assert_eq!(status, 200, "{json}");

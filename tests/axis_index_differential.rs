@@ -1,19 +1,18 @@
 //! Differential property suite for the structural index: on random
 //! multihierarchical documents (including virtual hierarchies, both
 //! spec-built and `analyze-string()`-built), index-backed axis evaluation
-//! must equal the naive `all_nodes()` scan for every axis, the compiled
-//! XPath pipeline must equal the naive interpreter on random extended
-//! paths, and batched step resolution must equal the per-node union on
-//! random context sets for every axis × node-test pair. The naive side is
-//! the reference oracle the tentpole refactor promised to keep.
+//! must equal the naive `all_nodes()` scan for every axis, XPath compiled
+//! onto the XQuery pipeline must equal the naive interpreter on random
+//! extended paths, and batched step resolution must equal the per-node
+//! union on random context sets for every axis × node-test pair. The naive
+//! side is the reference oracle.
 
 use multihier_xquery::corpus::{generate, GeneratorConfig};
 use multihier_xquery::goddag::axes::{axis_nodes, setsem, Axis};
 use multihier_xquery::goddag::{FragmentSpec, Goddag, NodeId, StructIndex};
 use multihier_xquery::xpath::eval::evaluate_xpath_naive;
-use multihier_xquery::xpath::{
-    choose_strategy, evaluate_xpath, resolve_step, resolve_step_batch, NodeTest, Value,
-};
+use multihier_xquery::xpath::{choose_strategy, resolve_step, resolve_step_batch, NodeTest, Value};
+use multihier_xquery::xquery::evaluate_xpath;
 use proptest::prelude::*;
 
 const ALL_AXES: [Axis; 19] = [
@@ -177,8 +176,9 @@ proptest! {
         }
     }
 
-    /// The compiled pipeline and the naive interpreter agree on random
-    /// extended paths.
+    /// XPath on the compiled pipeline (lowered onto the XQuery plan,
+    /// optimizer on) and the naive interpreter agree on random extended
+    /// paths.
     #[test]
     fn compiled_xpath_equals_naive(cfg in arb_config(), steps in arb_path()) {
         let g = generate(&cfg).build_goddag();

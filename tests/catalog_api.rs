@@ -38,7 +38,6 @@ fn corpus(n: usize) -> Catalog {
 fn catalog_is_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Catalog>();
-    assert_send_sync::<Engine>();
     assert_send_sync::<QueryOutcome>();
     assert_send_sync::<EngineError>();
     assert_send_sync::<Prepared>();
@@ -273,20 +272,18 @@ fn per_document_mutation_does_not_disturb_neighbours() {
 }
 
 #[test]
-fn engine_wrapper_is_a_one_document_catalog() {
-    let engine = Engine::new(manuscript(2));
-    let out = engine.xquery("string((/descendant::w[overlapping::line])[1])").unwrap();
-    assert_eq!(out.serialize(), "singallice");
+fn a_one_document_catalog_grows_into_a_corpus() {
+    let catalog = Catalog::new();
+    catalog.insert("main", manuscript(2));
+    let q = "string((/descendant::w[overlapping::line])[1])";
+    assert_eq!(catalog.xquery("main", q).unwrap().serialize(), "singallice");
 
-    // The wrapper exposes its catalog: more documents can join later.
-    engine.catalog().insert("extra", manuscript(0));
-    assert_eq!(engine.catalog().len(), 2);
-    let out = engine.catalog().xquery("extra", "string((/descendant::w[overlapping::line])[1])");
-    assert_eq!(out.unwrap().serialize(), "gesceaftum");
-    assert_eq!(engine.cache_stats().cross_doc_hits, 1);
-
-    let session = engine.session();
-    assert_eq!(session.doc_id(), "main");
+    // More documents join later and reuse the compiled plan.
+    catalog.insert("extra", manuscript(0));
+    assert_eq!(catalog.len(), 2);
+    assert_eq!(catalog.xquery("extra", q).unwrap().serialize(), "gesceaftum");
+    assert_eq!(catalog.cache_stats().cross_doc_hits, 1);
+    assert_eq!(catalog.session("main").unwrap().doc_id(), "main");
 }
 
 #[test]

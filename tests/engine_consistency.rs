@@ -1,11 +1,12 @@
-//! Integration: the standalone XPath engine and the XQuery engine agree on
-//! the path sub-language, on random documents.
+//! Integration: XPath texts and XQuery texts agree on the path
+//! sub-language, on random documents.
 
 use multihier_xquery::corpus::{generate, GeneratorConfig};
 use multihier_xquery::prelude::*;
 use multihier_xquery::xpath::Value;
 
-/// Evaluate a path in both engines and compare result node string-values.
+/// Evaluate a path as XPath and as XQuery and compare result node
+/// string-values.
 fn compare(g: &mhx_goddag::Goddag, path: &str) {
     let xp = match evaluate_xpath(g, path).unwrap() {
         Value::Nodes(ns) => ns
@@ -128,5 +129,43 @@ fn xpath_functions_match_xquery_functions() {
         let a = evaluate_xpath(&g, xp).unwrap().to_str(&g);
         let b = run_query(&g, xq).unwrap();
         assert_eq!(a, b, "{xp} vs {xq}");
+    }
+}
+
+/// One explain printer serves both languages: the same path prints the
+/// same plan — strategies, batch routing, chain joins, estimates, actuals,
+/// and how each predicate runs — as an XPath and as an XQuery text.
+#[test]
+fn explain_prints_one_plan_for_both_languages() {
+    let catalog = Catalog::new();
+    catalog.insert("figure1", multihier_xquery::corpus::figure1::goddag());
+    let doc = generate(&GeneratorConfig {
+        text_len: 700,
+        hierarchies: 3,
+        boundary_jitter: 0.8,
+        nested: true,
+        ..Default::default()
+    });
+    catalog.insert("doc", doc.build_goddag());
+    // The paper's figure, then every `benches/plan.rs` query.
+    let queries = [
+        ("figure1", "//w[xfollowing::line]"),
+        ("figure1", "//vline//w"),
+        ("doc", "//e0"),
+        ("doc", "//s0[xancestor::e0]"),
+        ("doc", "/descendant::e0/descendant::s0[contains(string(.), 'sin')]"),
+        ("doc", "//s0[overlapping::e1]"),
+        ("doc", "/descendant::s0[xpreceding::e1][contains(string(.), 'sin')]"),
+        ("doc", "//e0[xfollowing::e1]"),
+        ("doc", "/descendant::e0/descendant::s0"),
+        ("doc", "/descendant::e0[count(/descendant::e1) > 0]"),
+        ("doc", "/descendant::s0[xdescendant::e1][xpreceding::e0]"),
+        ("doc", "/descendant::e0[position() = 2]/xfollowing::*"),
+        ("doc", "/descendant::e0[last()]"),
+    ];
+    for (doc, q) in queries {
+        let xpath = catalog.explain(doc, QueryLang::XPath, q).unwrap();
+        assert!(xpath.contains(" actual ") && xpath.contains(" est "), "{xpath}");
+        assert_eq!(xpath, catalog.explain(doc, QueryLang::XQuery, q).unwrap(), "`{q}`");
     }
 }

@@ -49,7 +49,7 @@ fn e3_to_e7_all_paper_queries() {
 
 #[test]
 fn query_i1_via_plain_xpath_engine_too() {
-    // The path-only part of I.1 works in the standalone XPath engine.
+    // The path-only part of I.1 also runs as an XPath text.
     let g = figure1::goddag();
     let v = evaluate_xpath(
         &g,

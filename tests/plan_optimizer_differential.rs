@@ -1,22 +1,24 @@
-//! Differential property suite for the plan-level optimizer: on random
+//! Differential property suite for the compiled pipeline: on random
 //! GODDAGs, random paths with mixed positional / position-free predicates
 //! must produce **identical node sets (document order included)** with the
-//! optimizer on and off, through both the XPath and the XQuery entry
-//! points. The as-written plan is the reference oracle; every rewrite
-//! (predicate reordering, `//x` fusion, set-at-a-time batch routing) has
-//! to be invisible in the results.
+//! optimizer on and off, as XPath texts (lowered onto the XQuery plan) and
+//! as XQuery texts. The as-written plan is the optimizer's oracle, and the
+//! naive `mhx-xpath` interpreter is the lowering's: every XPath answer —
+//! typed value and serialized form — must equal the interpreter's, with
+//! the optimizer on and off, including the XPath 1.0 conversion shapes the
+//! lowering writes out as XQuery.
 //!
-//! The second half pins positional semantics with hand-computed answers:
-//! the optimizer must never reorder across a positional predicate, and a
-//! positional predicate applied *before* a structural one is a different
-//! query than the reverse order.
+//! The second half pins semantics with hand-computed answers: the
+//! optimizer must never reorder across a positional predicate, and the
+//! XPath probes whose text means something else as XQuery keep their
+//! XPath meaning.
 
-use multihier_xquery::corpus::{generate, GeneratorConfig};
+use multihier_xquery::corpus::{figure1, generate, GeneratorConfig};
 use multihier_xquery::goddag::{Goddag, NodeId, StructIndex};
 use multihier_xquery::prelude::*;
-use multihier_xquery::xpath::plan::EvalCounters;
-use multihier_xquery::xpath::{CompiledXPath, Context, Value};
-use multihier_xquery::xquery::{parse_query, run_parsed_with};
+use multihier_xquery::xpath::eval::evaluate_xpath_naive;
+use multihier_xquery::xpath::Value;
+use multihier_xquery::xquery::{serialize, xpath_value, CompiledXQuery, Evaluator, Item};
 use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = GeneratorConfig> {
@@ -95,7 +97,7 @@ fn arb_step() -> impl Strategy<Value = String> {
 }
 
 /// Paths mixing explicit steps with `//` abbreviations (the fusion
-/// target); always absolute so both engines start from the root.
+/// target); always absolute so both languages start from the root.
 fn arb_path() -> impl Strategy<Value = String> {
     let joiner = prop_oneof![Just("/"), Just("//")];
     (proptest::collection::vec(arb_step(), 1..4), proptest::collection::vec(joiner, 0..3)).prop_map(
@@ -142,38 +144,165 @@ fn arb_chain_path() -> impl Strategy<Value = String> {
     )
 }
 
+/// Conversion shapes the XPath lowering writes out as XQuery: node-set
+/// arguments of string and number functions, arithmetic on node-sets,
+/// node-sets against booleans, `tokenize`, zero-argument context
+/// functions, and predicates reading them. `P`/`Q` stand for paths.
+const COERCION_SHAPES: [&str; 48] = [
+    "string(P)",
+    "contains(P, 'e')",
+    "starts-with(P, 'e')",
+    "ends-with(P, 'e')",
+    "substring-before(P, 'e')",
+    "substring-after(P, 'e')",
+    "upper-case(P)",
+    "lower-case(concat(P, 'X'))",
+    "replace(P, 'e', 'E')",
+    "ceiling(P)",
+    "round(P div 3)",
+    "not(P) or local-name(P) = leaf-count()",
+    "substring(P, 2, 3)",
+    "string-length(P)",
+    "concat(P, '|', Q)",
+    "normalize-space(P)",
+    "matches(P, 'e.')",
+    "translate(P, 'e', 'E')",
+    "P + 1",
+    "-(P)",
+    "floor(P)",
+    "number(P) * 2",
+    "sum(P)",
+    "count(P) mod 3",
+    "P = true()",
+    "P != false()",
+    "P < true()",
+    "false() >= P",
+    "true() < count(P)",
+    "false() > '0.5'",
+    "P = 'x'",
+    "P > 3",
+    "P = Q",
+    "P | Q",
+    "tokenize(string(P), ' ')",
+    "boolean(P)",
+    "name(P)",
+    "hierarchy(P)",
+    "leaves(P)",
+    "leaves()",
+    "hierarchy()",
+    "position() + last()",
+    "string()",
+    "name()",
+    "P[string() != '']",
+    "P[. = true()]",
+    "P[hierarchy() = 'h0']",
+    "(P)[last()]",
+];
+
+/// Paths to fill the shapes with — empty, single and multi-node sets.
+fn arb_operand() -> impl Strategy<Value = &'static str> {
+    prop_oneof![
+        Just("/descendant::e0"),
+        Just("//s0"),
+        Just("/descendant::e1[2]"),
+        Just("/descendant::nope"),
+        Just("/descendant::leaf()"),
+        Just("/descendant::e0/xfollowing::e1"),
+        Just("/descendant::*[overlapping::e0]"),
+        Just("child::node()"),
+        Just("."),
+        Just("/"),
+    ]
+}
+
+/// One XPath run on the compiled pipeline: typed value, serialized form,
+/// step counters.
+fn run_xpath(
+    g: &Goddag,
+    idx: &StructIndex,
+    plan: &CompiledXQuery,
+    optimize: bool,
+) -> Result<(Value, String, EvalStats), String> {
+    let opts = EvalOptions { optimize, ..Default::default() };
+    plan.evaluate(g, Some(idx), &opts, |ev, seq| {
+        (xpath_value(&seq), serialize::serialize_sequence(ev, &seq))
+    })
+    .map(|((value, out), stats)| (value, out, stats))
+    .map_err(|e| e.to_string())
+}
+
 fn xpath_nodes(
     g: &Goddag,
     idx: &StructIndex,
-    compiled: &CompiledXPath,
+    plan: &CompiledXQuery,
     optimize: bool,
 ) -> Vec<NodeId> {
-    let v = compiled
-        .evaluate_with(g, idx, &Context::new(NodeId::Root), optimize, &EvalCounters::default())
-        .unwrap();
-    match v {
+    match run_xpath(g, idx, plan, optimize).unwrap().0 {
         Value::Nodes(ns) => ns,
         other => panic!("path should yield a node-set, got {other:?}"),
     }
 }
 
+/// The naive interpreter's answer in the same two forms.
+fn naive(g: &Goddag, src: &str) -> Result<(Value, String), String> {
+    let v = evaluate_xpath_naive(g, src).map_err(|e| e.to_string())?;
+    let items: Vec<Item> = match &v {
+        Value::Nodes(ns) => ns.iter().map(|&n| Item::Node(n)).collect(),
+        Value::Str(s) => vec![Item::Str(s.clone())],
+        Value::Num(n) => vec![Item::Num(*n)],
+        Value::Bool(b) => vec![Item::Bool(*b)],
+    };
+    let out = serialize::serialize_sequence(&Evaluator::new(g, EvalOptions::default()), &items);
+    Ok((v, out))
+}
+
+/// Typed equality with `NaN` equal to itself.
+fn same_value(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Num(x), Value::Num(y)) => x == y || (x.is_nan() && y.is_nan()),
+        _ => a == b,
+    }
+}
+
+/// The compiled XPath answer equals the naive interpreter's — typed value
+/// and serialized form, optimizer on and off — or both reject the text.
+fn assert_matches_naive(g: &Goddag, src: &str) {
+    let idx = StructIndex::build(g);
+    let oracle = naive(g, src);
+    let plan = CompiledXQuery::compile_xpath(src).map_err(|e| e.to_string());
+    for optimize in [false, true] {
+        let got =
+            plan.as_ref().map_err(String::clone).and_then(|p| run_xpath(g, &idx, p, optimize));
+        match (&oracle, &got) {
+            (Ok((v, out)), Ok((w, wout, _))) => {
+                assert!(
+                    same_value(v, w),
+                    "`{src}` optimize={optimize}: naive {v:?}, compiled {w:?}"
+                );
+                assert_eq!(out, wout, "`{src}` optimize={optimize}: serialized forms differ");
+            }
+            (Err(_), Err(_)) => {}
+            _ => panic!("`{src}` optimize={optimize}: naive {oracle:?}, compiled {got:?}"),
+        }
+    }
+}
+
 fn xquery_trace(g: &Goddag, path: &str, optimize: bool) -> String {
     let q = format!("for $n in {path} return concat(name($n), ':', string($n), '\u{1}')");
-    let ast = parse_query(&q).unwrap();
     let opts = EvalOptions { optimize, ..Default::default() };
-    run_parsed_with(g, &ast, &opts).unwrap()
+    run_query_with(g, &q, &opts).unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Optimized == unoptimized node sets (order included) for random
-    /// predicate-heavy paths, through both engines.
+    /// predicate-heavy paths, as XPath and as XQuery texts.
     #[test]
     fn optimizer_is_invisible_in_results(cfg in arb_config(), path in arb_path()) {
         let g = generate(&cfg).build_goddag();
         let idx = StructIndex::build(&g);
-        let compiled = CompiledXPath::compile(&path).unwrap();
+        let compiled = CompiledXQuery::compile_xpath(&path).unwrap();
 
         let base = xpath_nodes(&g, &idx, &compiled, false);
         let opt = xpath_nodes(&g, &idx, &compiled, true);
@@ -186,16 +315,15 @@ proptest! {
         let q_base = xquery_trace(&g, &path, false);
         let q_opt = xquery_trace(&g, &path, true);
         prop_assert_eq!(&q_base, &q_opt, "xquery optimized vs as-written on `{}`", path);
+        assert_matches_naive(&g, &path);
     }
 
-    /// The two engines also agree with each other under the optimizer —
-    /// the rewrite layers never diverge between the XPath and XQuery
-    /// wirings.
+    /// XPath and XQuery texts of one path agree under the optimizer.
     #[test]
     fn engines_agree_under_optimizer(cfg in arb_config(), path in arb_path()) {
         let g = generate(&cfg).build_goddag();
         let idx = StructIndex::build(&g);
-        let compiled = CompiledXPath::compile(&path).unwrap();
+        let compiled = CompiledXQuery::compile_xpath(&path).unwrap();
         let xp: Vec<String> = xpath_nodes(&g, &idx, &compiled, true)
             .iter()
             .map(|&n| format!("{}:{}", g.name(n).unwrap_or(""), g.string_value(n)))
@@ -216,7 +344,7 @@ proptest! {
     fn chain_joins_and_probes_are_invisible(cfg in arb_config(), path in arb_chain_path()) {
         let g = generate(&cfg).build_goddag();
         let idx = StructIndex::build(&g);
-        let compiled = CompiledXPath::compile(&path).unwrap();
+        let compiled = CompiledXQuery::compile_xpath(&path).unwrap();
 
         let base = xpath_nodes(&g, &idx, &compiled, false);
         let opt = xpath_nodes(&g, &idx, &compiled, true);
@@ -228,6 +356,83 @@ proptest! {
         let q_base = xquery_trace(&g, &path, false);
         let q_opt = xquery_trace(&g, &path, true);
         prop_assert_eq!(&q_base, &q_opt, "xquery optimized vs as-written on `{}`", path);
+        assert_matches_naive(&g, &path);
+    }
+
+    /// The lowering's XPath 1.0 conversions equal the naive interpreter's
+    /// on random documents, optimizer on and off: every shape, filled with
+    /// random paths.
+    #[test]
+    fn lowered_conversions_equal_naive(
+        cfg in arb_config(),
+        p in arb_operand(),
+        q in arb_operand(),
+    ) {
+        let g = generate(&cfg).build_goddag();
+        for shape in COERCION_SHAPES {
+            assert_matches_naive(&g, &shape.replace('P', p).replace('Q', q));
+        }
+    }
+}
+
+/// XPath texts that mean something else — or nothing — as XQuery, with
+/// their hand-computed XPath answers on Figure 1 (words `gesceaftum …
+/// þa`, lines split inside `singallice`). Each gives a different answer at
+/// the XQuery reading of the same text; the compiled XPath must give the
+/// XPath one, equal to the naive interpreter's. `None` is a compile error.
+#[test]
+fn xpath_probes_keep_their_xpath_meaning() {
+    let g = figure1::goddag();
+    let text = g.text().to_string();
+    let table: &[(&str, Option<&str>)] = &[
+        // first-node conversion of node-set arguments
+        ("string(/descendant::w)", Some("gesceaftum")),
+        ("contains(/descendant::w,'una')", Some("false")),
+        ("substring(/descendant::w,2,3)", Some("esc")),
+        ("matches(/descendant::w,'una')", Some("false")),
+        // …and of arithmetic operands: the first node is not a number
+        ("/descendant::w + 1", Some("NaN")),
+        ("-(/descendant::line)", Some("NaN")),
+        ("floor(/descendant::w)", Some("NaN")),
+        // ordering a boolean against a number compares numbers: 1 < 2
+        ("true() < 2", Some("true")),
+        // a node-set against a boolean compares as boolean(node-set)
+        ("/descendant::nope = true()", Some("false")),
+        ("/descendant::nope = false()", Some("true")),
+        ("/descendant::nope != true()", Some("true")),
+        ("/descendant::nope < true()", Some("true")),
+        ("/descendant::w = true()", Some("true")),
+        ("/descendant::w = false()", Some("false")),
+        ("/descendant::w != true()", Some("false")),
+        ("/descendant::w < true()", Some("false")),
+        // no sequences in XPath 1.0
+        ("tokenize('a b c',' ')", Some("a b c")),
+        // the root is the top-level focus, position 1 of size 1
+        ("leaves()", Some(text.as_str())),
+        ("hierarchy()", Some("")),
+        ("child::r", Some("")),
+        ("position()", Some("1")),
+        ("last()", Some("1")),
+        ("string()", Some(text.as_str())),
+        ("name()", Some("r")),
+        // XPath's own function set
+        ("exists(/descendant::w)", None),
+        ("count('a')", None),
+    ];
+    let idx = StructIndex::build(&g);
+    for (src, expected) in table {
+        assert_matches_naive(&g, src);
+        let plan = CompiledXQuery::compile_xpath(src);
+        match expected {
+            Some(want) => {
+                let plan = plan.unwrap_or_else(|e| panic!("`{src}` should compile: {e}"));
+                for optimize in [false, true] {
+                    let (_, out, _) = run_xpath(&g, &idx, &plan, optimize).unwrap();
+                    assert_eq!(out, *want, "`{src}` optimize={optimize}");
+                }
+            }
+            None => assert!(plan.is_err(), "`{src}` must be a compile error"),
+        }
     }
 }
 
@@ -273,7 +478,8 @@ fn positional_semantics_pinned() {
         ("(/descendant::w[xancestor::p])[last()]", &["ccc"]),
     ];
     for (src, expected) in table {
-        let compiled = CompiledXPath::compile(src).unwrap();
+        assert_matches_naive(&g, src);
+        let compiled = CompiledXQuery::compile_xpath(src).unwrap();
         for optimize in [false, true] {
             let got: Vec<String> = xpath_nodes(&g, &idx, &compiled, optimize)
                 .iter()
@@ -285,7 +491,7 @@ fn positional_semantics_pinned() {
                 "`{src}` with optimize={optimize}"
             );
         }
-        // And through the XQuery evaluator, both knob settings.
+        // And as an XQuery text, both knob settings.
         for optimize in [false, true] {
             let got = xquery_trace(&g, src, optimize);
             let words: Vec<&str> = got
@@ -305,22 +511,20 @@ fn positional_semantics_pinned() {
 fn fusion_equivalence_and_counters() {
     let g = paged();
     let idx = StructIndex::build(&g);
-    let compiled = CompiledXPath::compile("//w[xancestor::p]").unwrap();
+    let compiled = CompiledXQuery::compile_xpath("//w[xancestor::p]").unwrap();
     assert!(compiled.report().fused_steps >= 1);
     assert!(compiled.report().batch_routed_steps >= 1);
 
-    let k = EvalCounters::default();
-    let v = compiled.evaluate_with(&g, &idx, &Context::new(NodeId::Root), true, &k).unwrap();
+    let (v, _, k) = run_xpath(&g, &idx, &compiled, true).unwrap();
     let Value::Nodes(ns) = v else { panic!() };
     assert_eq!(ns.len(), 2);
-    assert!(k.batched_steps.get() >= 1, "fused step took the batch path");
-    assert!(k.rewritten_steps.get() >= 1);
+    assert!(k.batched_steps >= 1, "fused step took the batch path");
+    assert!(k.rewritten_steps >= 1);
 
     // As-written plan: same result, nothing rewritten.
-    let k0 = EvalCounters::default();
-    let v0 = compiled.evaluate_with(&g, &idx, &Context::new(NodeId::Root), false, &k0).unwrap();
+    let (v0, _, k0) = run_xpath(&g, &idx, &compiled, false).unwrap();
     assert_eq!(v0, Value::Nodes(ns));
-    assert_eq!(k0.rewritten_steps.get(), 0);
+    assert_eq!(k0.rewritten_steps, 0);
 }
 
 /// A single-hierarchy corpus where `p` really contains `w` in the tree —
@@ -347,26 +551,23 @@ fn early_exit_fires_only_on_boolean_axis_predicates() {
         // positional context: the probe annotation must not cross [2].
         "/descendant::w[2][xancestor::p]",
     ] {
-        let compiled = CompiledXPath::compile(src).unwrap();
+        let compiled = CompiledXQuery::compile_xpath(src).unwrap();
         assert_eq!(compiled.report().existential_probes, 0, "`{src}` must not be annotated");
-        let k = EvalCounters::default();
-        compiled.evaluate_with(&g, &idx, &Context::new(NodeId::Root), true, &k).unwrap();
-        assert_eq!(k.early_exit_steps.get(), 0, "`{src}` must not probe");
+        let (_, _, k) = run_xpath(&g, &idx, &compiled, true).unwrap();
+        assert_eq!(k.early_exit_steps, 0, "`{src}` must not probe");
     }
 
-    let compiled = CompiledXPath::compile("/descendant::w[xancestor::p]").unwrap();
+    let compiled = CompiledXQuery::compile_xpath("/descendant::w[xancestor::p]").unwrap();
     assert!(compiled.report().existential_probes >= 1);
-    let k = EvalCounters::default();
-    let v = compiled.evaluate_with(&g, &idx, &Context::new(NodeId::Root), true, &k).unwrap();
+    let (v, _, k) = run_xpath(&g, &idx, &compiled, true).unwrap();
     let Value::Nodes(ns) = v else { panic!() };
     assert_eq!(ns.len(), 2);
-    assert!(k.early_exit_steps.get() >= 1, "the boolean-axis control must probe");
+    assert!(k.early_exit_steps >= 1, "the boolean-axis control must probe");
 
     // Knob off: same nodes, no probes counted.
-    let k0 = EvalCounters::default();
-    let v0 = compiled.evaluate_with(&g, &idx, &Context::new(NodeId::Root), false, &k0).unwrap();
+    let (v0, _, k0) = run_xpath(&g, &idx, &compiled, false).unwrap();
     assert_eq!(v0, Value::Nodes(ns));
-    assert_eq!(k0.early_exit_steps.get(), 0);
+    assert_eq!(k0.early_exit_steps, 0);
 }
 
 /// The chain-join and hoist rewrites fire on corpora built for them, stay
@@ -376,31 +577,27 @@ fn chain_join_and_hoist_counters() {
     let g = nested();
     let idx = StructIndex::build(&g);
 
-    let chain = CompiledXPath::compile("//p//w").unwrap();
+    let chain = CompiledXQuery::compile_xpath("//p//w").unwrap();
     assert_eq!(chain.report().chain_join_steps, 1);
-    let k = EvalCounters::default();
-    let v = chain.evaluate_with(&g, &idx, &Context::new(NodeId::Root), true, &k).unwrap();
+    let (v, _, k) = run_xpath(&g, &idx, &chain, true).unwrap();
     let Value::Nodes(ns) = v else { panic!() };
     assert_eq!(ns.len(), 2, "aaa and bbb sit under p; ccc does not");
-    assert!(k.chain_joins.get() >= 1);
-    let k0 = EvalCounters::default();
-    let v0 = chain.evaluate_with(&g, &idx, &Context::new(NodeId::Root), false, &k0).unwrap();
+    assert!(k.chain_joins >= 1);
+    let (v0, _, k0) = run_xpath(&g, &idx, &chain, false).unwrap();
     assert_eq!(v0, Value::Nodes(ns));
-    assert_eq!(k0.chain_joins.get(), 0);
+    assert_eq!(k0.chain_joins, 0);
 
-    let hoist = CompiledXPath::compile("/descendant::w[count(/descendant::p) > 0]").unwrap();
+    let hoist = CompiledXQuery::compile_xpath("/descendant::w[count(/descendant::p) > 0]").unwrap();
     assert!(hoist.report().hoisted_predicates >= 1);
-    let k = EvalCounters::default();
-    let v = hoist.evaluate_with(&g, &idx, &Context::new(NodeId::Root), true, &k).unwrap();
+    let (v, _, k) = run_xpath(&g, &idx, &hoist, true).unwrap();
     let Value::Nodes(ns) = v else { panic!() };
     assert_eq!(ns.len(), 3, "the hoisted predicate is true for every w");
-    assert!(k.hoisted_preds.get() >= 1);
-    let k0 = EvalCounters::default();
-    let v0 = hoist.evaluate_with(&g, &idx, &Context::new(NodeId::Root), false, &k0).unwrap();
+    assert!(k.hoisted_preds >= 1);
+    let (v0, _, k0) = run_xpath(&g, &idx, &hoist, false).unwrap();
     assert_eq!(v0, Value::Nodes(ns));
-    assert_eq!(k0.hoisted_preds.get(), 0);
+    assert_eq!(k0.hoisted_preds, 0);
 
-    // Same queries through the XQuery engine, both knob settings.
+    // Same queries as XQuery texts, both knob settings.
     for src in ["//p//w", "/descendant::w[count(/descendant::p) > 0]"] {
         assert_eq!(xquery_trace(&g, src, true), xquery_trace(&g, src, false), "`{src}`");
     }

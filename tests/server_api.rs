@@ -159,6 +159,18 @@ fn engine_errors_map_to_typed_statuses() {
     assert_eq!(status, 422);
     assert_eq!(error_kind(&json), "eval");
 
+    // XPath calls outside XPath's function library fail to compile → 400,
+    // while an unbound XPath variable fails at evaluation → 422.
+    let (status, json) = client
+        .request("POST", "/query", Some(&query_body("xpath", "exists(/descendant::w)")))
+        .unwrap();
+    assert_eq!(status, 400);
+    assert_eq!(error_kind(&json), "compile");
+    let (status, json) =
+        client.request("POST", "/query", Some(&query_body("xpath", "$undefined"))).unwrap();
+    assert_eq!(status, 422);
+    assert_eq!(error_kind(&json), "eval");
+
     // Unknown document → 404.
     let (status, json) = client
         .request(

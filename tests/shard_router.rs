@@ -159,6 +159,14 @@ fn routing_is_deterministic_and_scatter_gather_merges() {
     assert_eq!(union, uploaded);
     let merged: BTreeSet<String> = client.documents().unwrap().into_iter().collect();
     assert_eq!(merged, uploaded, "router /documents merges the shard listings");
+    // Each merged entry is the owning shard's own object: residency and
+    // snapshot size travel through the router unchanged.
+    let direct: Vec<(String, String, u64)> =
+        [&s0, &s1].iter().flat_map(|s| connect(&s.addr).document_status().unwrap()).collect();
+    for entry in client.document_status().unwrap() {
+        assert_eq!(entry.1, "resident", "{entry:?}");
+        assert!(direct.contains(&entry), "{entry:?} is a shard's own entry");
+    }
 
     // Every document is queryable through the router, with its own
     // content (each answer embeds its id).
