@@ -16,7 +16,7 @@
 //! | GET    | `/stats`           | cache/eval/server/store + per-session counters |
 //! | POST   | `/shutdown`        | request graceful drain                    |
 
-use crate::engine::{Catalog, EngineError, EvalStats, QueryLang, Session};
+use crate::engine::{Catalog, EngineError, EvalStats, Prepared, QueryLang, Session};
 use crate::server::http::Request;
 use crate::server::wire;
 use crate::server::{ConnStats, Shared};
@@ -27,8 +27,9 @@ use std::sync::atomic::Ordering;
 
 /// Cap on prepared statements per connection: compiled plans held outside
 /// the LRU cache must stay bounded, mirroring the cache's own capacity.
-/// The router enforces the same cap on its own handle table.
-pub(crate) const MAX_PREPARED_PER_CONN: usize = 256;
+/// [`prepare_into`] enforces it on the node's and the router's handle
+/// tables alike.
+const MAX_PREPARED_PER_CONN: usize = 256;
 
 /// Mutable per-connection state. Owned (`'static`) so it can live in the
 /// event loop's connection table and move into workers: instead of
@@ -39,7 +40,7 @@ pub(crate) const MAX_PREPARED_PER_CONN: usize = 256;
 pub(crate) struct ConnState {
     /// The pinned document requests default to when they carry no `doc`.
     doc: Option<String>,
-    prepared: Vec<crate::engine::Prepared>,
+    prepared: Vec<Prepared>,
     /// The connection's evaluation options (survive document re-pins).
     opts: EvalOptions,
     /// Evaluation counters accumulated across this connection's requests.
@@ -81,7 +82,10 @@ pub(crate) fn route(
             _ => wrong_method(),
         },
         "/prepare" => match method {
-            "POST" => prepare_endpoint(catalog, state, req),
+            "POST" => match body_object(req) {
+                Ok(body) => prepare_into(catalog, &mut state.prepared, &body),
+                Err(err) => err,
+            },
             _ => wrong_method(),
         },
         "/execute" => match method {
@@ -158,25 +162,30 @@ fn engine_failure(e: &EngineError) -> (u16, Json) {
 }
 
 /// Resolve the request's target document: explicit `doc` field, else the
-/// connection's pinned document, else the catalog's only document.
-fn target_doc(catalog: &Catalog, state: &ConnState, body: &Json) -> Result<String, (u16, Json)> {
+/// connection's pinned document, else the only document `ids` lists (the
+/// node lists its catalog, the router its fleet).
+pub(crate) fn target_doc(
+    body: &Json,
+    pinned: Option<&str>,
+    ids: impl FnOnce() -> Result<Vec<String>, (u16, Json)>,
+) -> Result<String, (u16, Json)> {
     if let Some(doc) = body.get("doc") {
         return doc.as_str().map(str::to_string).ok_or_else(|| {
             (400, wire::protocol_error_body("bad_request", "`doc` must be a string"))
         });
     }
-    if let Some(doc) = &state.doc {
-        return Ok(doc.clone());
+    if let Some(doc) = pinned {
+        return Ok(doc.to_string());
     }
-    let ids = catalog.document_ids();
+    let mut ids = ids()?;
     if ids.len() == 1 {
-        return Ok(ids.into_iter().next().expect("len checked"));
+        return Ok(ids.pop().expect("len checked"));
     }
     Err((
         400,
         wire::protocol_error_body(
             "no_document",
-            "no `doc` given, none pinned, and the catalog has several documents",
+            "no `doc` given, none pinned, and not exactly one document to default to",
         ),
     ))
 }
@@ -208,10 +217,10 @@ fn with_session(
     body: &Json,
     f: impl FnOnce(&Session<'_>, &ConnState) -> Result<crate::engine::QueryOutcome, EngineError>,
 ) -> (u16, Json) {
-    if let Err(err) = apply_request_options(state, body) {
+    if let Err(err) = apply_request_options(&mut state.opts, body) {
         return err;
     }
-    let doc = match target_doc(catalog, state, body) {
+    let doc = match target_doc(body, state.doc.as_deref(), || Ok(catalog.document_ids())) {
         Ok(doc) => doc,
         Err(err) => return err,
     };
@@ -227,11 +236,14 @@ fn with_session(
     }
 }
 
-/// Apply a request's `"options"` patch onto the connection; the next
-/// [`pin_session`] picks it up.
-fn apply_request_options(state: &mut ConnState, body: &Json) -> Result<(), (u16, Json)> {
+/// Apply a request's `"options"` patch onto the connection's options; the
+/// node's next [`pin_session`] picks them up, the router forwards them.
+pub(crate) fn apply_request_options(
+    opts: &mut EvalOptions,
+    body: &Json,
+) -> Result<(), (u16, Json)> {
     if let Some(options) = body.get("options") {
-        if let Err(message) = wire::apply_options(&mut state.opts, options) {
+        if let Err(message) = wire::apply_options(opts, options) {
             return Err((400, wire::protocol_error_body("bad_options", &message)));
         }
     }
@@ -248,69 +260,74 @@ fn query_endpoint(
         Ok(b) => b,
         Err(err) => return err,
     };
-    let Some(src) = body.get("query").and_then(Json::as_str).map(str::to_string) else {
-        return (400, wire::protocol_error_body("bad_request", "missing string field `query`"));
-    };
-    let lang = match parse_lang_field(&body) {
-        Ok(lang) => lang,
+    let (src, lang, explain) = match query_fields(&body) {
+        Ok(fields) => fields,
         Err(err) => return err,
-    };
-    let explain = match body.get("explain") {
-        None => false,
-        Some(v) => match v.as_bool() {
-            Some(b) => b,
-            None => {
-                return (
-                    400,
-                    wire::protocol_error_body("bad_request", "`explain` must be a boolean"),
-                );
-            }
-        },
     };
     if explain {
         // Same resolution flow as a real query (options patch, doc
         // defaulting, document pin) so explain-then-query behaves
         // identically — but the plan is rendered, not evaluated.
-        if let Err(err) = apply_request_options(state, &body) {
+        if let Err(err) = apply_request_options(&mut state.opts, &body) {
             return err;
         }
-        let doc = match target_doc(catalog, state, &body) {
+        let doc = match target_doc(&body, state.doc.as_deref(), || Ok(catalog.document_ids())) {
             Ok(doc) => doc,
             Err(err) => return err,
         };
         if let Err(err) = pin_session(catalog, conn, state, &doc) {
             return err;
         }
-        return match catalog.explain(&doc, lang, &src) {
+        return match catalog.explain(&doc, lang, src) {
             Ok(text) => (200, wire::explain_body(lang, &text)),
             Err(e) => engine_failure(&e),
         };
     }
-    with_session(catalog, conn, state, &body, |session, _| session.query(lang, &src))
+    with_session(catalog, conn, state, &body, |session, _| session.query(lang, src))
 }
 
-fn parse_lang_field(body: &Json) -> Result<QueryLang, (u16, Json)> {
-    match body.get("lang") {
-        None => Ok(QueryLang::XQuery),
+/// Check a `/query` body's fields: the text, its language, and whether to
+/// explain instead of run. The router checks them too before it resolves
+/// a document, so a malformed body fails there exactly as on a node.
+pub(crate) fn query_fields(body: &Json) -> Result<(&str, QueryLang, bool), (u16, Json)> {
+    let (src, lang) = query_and_lang(body)?;
+    let explain = match body.get("explain") {
+        None => false,
+        Some(v) => v.as_bool().ok_or_else(|| {
+            (400, wire::protocol_error_body("bad_request", "`explain` must be a boolean"))
+        })?,
+    };
+    Ok((src, lang, explain))
+}
+
+/// The `query` text and `lang` of a `/query` or `/prepare` body.
+fn query_and_lang(body: &Json) -> Result<(&str, QueryLang), (u16, Json)> {
+    let src = body.get("query").and_then(Json::as_str).ok_or_else(|| {
+        (400, wire::protocol_error_body("bad_request", "missing string field `query`"))
+    })?;
+    let lang = match body.get("lang") {
+        None => QueryLang::XQuery,
         Some(v) => v.as_str().and_then(wire::parse_lang).ok_or_else(|| {
             (400, wire::protocol_error_body("bad_request", "`lang` must be `xpath` or `xquery`"))
-        }),
-    }
+        })?,
+    };
+    Ok((src, lang))
 }
 
-fn prepare_endpoint(catalog: &Catalog, state: &mut ConnState, req: &Request) -> (u16, Json) {
-    let body = match body_object(req) {
-        Ok(b) => b,
+/// Validate a `/prepare` body `{lang?, query}` and compile it into a
+/// connection's handle table. The node and the router both answer
+/// `/prepare` with this, so a handle is checked and numbered identically
+/// on either.
+pub(crate) fn prepare_into(
+    catalog: &Catalog,
+    prepared: &mut Vec<Prepared>,
+    body: &Json,
+) -> (u16, Json) {
+    let (src, lang) = match query_and_lang(body) {
+        Ok(fields) => fields,
         Err(err) => return err,
     };
-    let Some(src) = body.get("query").and_then(Json::as_str) else {
-        return (400, wire::protocol_error_body("bad_request", "missing string field `query`"));
-    };
-    let lang = match parse_lang_field(&body) {
-        Ok(lang) => lang,
-        Err(err) => return err,
-    };
-    if state.prepared.len() >= MAX_PREPARED_PER_CONN {
+    if prepared.len() >= MAX_PREPARED_PER_CONN {
         return (
             400,
             wire::protocol_error_body(
@@ -320,9 +337,9 @@ fn prepare_endpoint(catalog: &Catalog, state: &mut ConnState, req: &Request) -> 
         );
     }
     match catalog.prepare(lang, src) {
-        Ok(prepared) => {
-            state.prepared.push(prepared);
-            let handle = state.prepared.len() - 1;
+        Ok(statement) => {
+            prepared.push(statement);
+            let handle = prepared.len() - 1;
             (
                 200,
                 Json::Obj(vec![
@@ -336,6 +353,27 @@ fn prepare_endpoint(catalog: &Catalog, state: &mut ConnState, req: &Request) -> 
     }
 }
 
+/// Look up an `/execute` body's `handle` in a connection's handle table
+/// (shared by the node and the router, like [`prepare_into`]).
+pub(crate) fn prepared_handle(prepared: &[Prepared], body: &Json) -> Result<usize, (u16, Json)> {
+    let Some(handle) = body.get("handle").and_then(Json::as_u64) else {
+        return Err((
+            400,
+            wire::protocol_error_body("bad_request", "missing integer field `handle`"),
+        ));
+    };
+    match usize::try_from(handle) {
+        Ok(h) if h < prepared.len() => Ok(h),
+        _ => Err((
+            404,
+            wire::protocol_error_body(
+                "unknown_handle",
+                &format!("no prepared query with handle {handle} on this connection"),
+            ),
+        )),
+    }
+}
+
 fn execute_endpoint(
     catalog: &Catalog,
     conn: &ConnStats,
@@ -346,21 +384,11 @@ fn execute_endpoint(
         Ok(b) => b,
         Err(err) => return err,
     };
-    let Some(handle) = body.get("handle").and_then(Json::as_u64) else {
-        return (400, wire::protocol_error_body("bad_request", "missing integer field `handle`"));
+    let handle = match prepared_handle(&state.prepared, &body) {
+        Ok(handle) => handle,
+        Err(err) => return err,
     };
-    if handle as usize >= state.prepared.len() {
-        return (
-            404,
-            wire::protocol_error_body(
-                "unknown_handle",
-                &format!("no prepared query with handle {handle} on this connection"),
-            ),
-        );
-    }
-    with_session(catalog, conn, state, &body, |session, state| {
-        session.run(&state.prepared[handle as usize])
-    })
+    with_session(catalog, conn, state, &body, |session, state| session.run(&state.prepared[handle]))
 }
 
 fn upload_endpoint(catalog: &Catalog, id: &str, req: &Request) -> (u16, Json) {

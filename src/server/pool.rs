@@ -185,17 +185,6 @@ impl BackendPool {
         order
     }
 
-    /// The order to try backends for a request with no document affinity
-    /// (`/prepare` validation): round-robin over the whole pool, healthy
-    /// backends first.
-    pub fn any_order(&self) -> Vec<usize> {
-        let n = self.backends.len();
-        let rot = self.cursor.fetch_add(1, Ordering::Relaxed) % n;
-        let mut order: Vec<usize> = (0..n).map(|k| (rot + k) % n).collect();
-        order.sort_by_key(|&i| !self.usable(i));
-        order
-    }
-
     /// Healthy, or failed long enough ago that it is worth probing again.
     fn usable(&self, backend: usize) -> bool {
         let b = &self.backends[backend];

@@ -14,11 +14,13 @@
 //! ```
 //!
 //! * **Routing** — `/query` and `/execute` resolve their target document
-//!   and go to its replica set ([`BackendPool::read_order`], round-robin
-//!   across replicas). `PUT /documents/{id}` walks the ring and uploads
-//!   to `--replicas K` distinct shards. Documents are immutable after
-//!   upload, so replication is re-upload + deterministic placement — no
-//!   consensus, and two routers over the same `--shard` list agree.
+//!   the way a node does (explicit `doc`, else the connection's pinned
+//!   document, else the fleet's only document) and go to its replica set
+//!   ([`BackendPool::read_order`], round-robin across replicas).
+//!   `PUT /documents/{id}` walks the ring and uploads to `--replicas K`
+//!   distinct shards. Documents are immutable after upload, so
+//!   replication is re-upload + deterministic placement — no consensus,
+//!   and two routers over the same `--shard` list agree.
 //! * **Scatter/gather** — `GET /documents` unions all shards' listings;
 //!   `GET /stats` nests every shard's stats under `shards` plus a
 //!   `router` section (backend health, failover counters, the idle
@@ -30,10 +32,12 @@
 //!   response (including 4xx — deterministic on every replica) passes
 //!   through verbatim.
 //! * **Prepared statements** — the router keeps a per-client-connection
-//!   handle table (`ConnCore`): `/prepare` validates eagerly on one
-//!   backend, `/execute` lazily re-prepares the statement on whichever
-//!   pooled backend connection the read lands on, so handles
-//!   transparently survive failover *and* connection pooling.
+//!   handle table (`ConnCore`) holding the statements themselves:
+//!   `/prepare` runs the node's own validation against a document-free
+//!   [`Catalog`] and contacts no backend; `/execute` forwards the
+//!   statement's text as an ad-hoc `/query`. A query's text alone names
+//!   its plan on every shard, so any replica answers from its plan cache
+//!   and a handle survives failover with nothing to re-prepare.
 //!
 //! ## Multiplexed backend connections
 //!
@@ -44,20 +48,23 @@
 //! request execution* (bounded by the worker count), not client count.
 //! Because a pooled backend session is shared across clients, the router
 //! injects the client's **complete** options object
-//! (`wire::options_json`) into every forwarded `/query` and
-//! `/execute`, making backend session state irrelevant per request. One
+//! (`wire::options_json`) and the resolved `doc` into every forwarded
+//! `/query`, making backend session state irrelevant per request. One
 //! consequence: the wire defaults (not a backend catalog's custom
 //! defaults) are what an option-silent client gets through the router.
 
+use crate::engine::{Catalog, Prepared};
 use crate::server::client::{Client, ClientError};
 use crate::server::event::{EventConfig, EventLoop, Service};
-use crate::server::handler::{body_object, MAX_PREPARED_PER_CONN};
+use crate::server::handler::{
+    apply_request_options, body_object, prepare_into, prepared_handle, query_fields, target_doc,
+};
 use crate::server::http::Request;
 use crate::server::pool::BackendPool;
 use crate::server::wire;
 use mhx_json::Json;
 use mhx_xquery::EvalOptions;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -101,7 +108,6 @@ pub(crate) struct RouterShared {
     requests: AtomicU64,
     pipelined: AtomicU64,
     failovers: AtomicU64,
-    re_prepares: AtomicU64,
 }
 
 impl RouterShared {
@@ -167,7 +173,6 @@ impl Router {
             requests: AtomicU64::new(0),
             pipelined: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
-            re_prepares: AtomicU64::new(0),
         });
         let evloop = EventLoop::start(
             listener,
@@ -230,10 +235,9 @@ impl Service for RouterService {
 
     fn handle(&self, conn: &mut ConnCore, req: &Request) -> (u16, Json) {
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        let (failovers, re_prepares) = (conn.failovers, conn.re_prepares);
+        let failovers = conn.failovers;
         let out = route(&self.shared, conn, req);
         self.shared.failovers.fetch_add(conn.failovers - failovers, Ordering::Relaxed);
-        self.shared.re_prepares.fetch_add(conn.re_prepares - re_prepares, Ordering::Relaxed);
         out
     }
 
@@ -258,76 +262,59 @@ enum Attempt {
     Failover(String),
 }
 
-/// A pooled connection to one backend: the client plus the statements
-/// *this connection's server session* has compiled, keyed by the
-/// canonical `/prepare` body.
-struct PooledBackend {
-    client: Client,
-    prepared: HashMap<String, u64>,
-}
-
 /// The router's shared backend machinery: the placement pool plus one
 /// LIFO free list of pooled connections per backend. Checkout pops (or
 /// dials); checkin pushes back **only after a clean exchange** — a
-/// transport error or drain signal drops the connection, which also
-/// invalidates its server-session handle table for free.
+/// transport error or drain signal drops the connection. The
+/// document-free `catalog` compiles `/prepare` bodies exactly as a node
+/// would, so a bad statement fails at `/prepare` without a backend.
 pub(crate) struct RouterCore {
     pool: Arc<BackendPool>,
-    idle: Vec<Mutex<Vec<PooledBackend>>>,
+    idle: Vec<Mutex<Vec<Client>>>,
     idle_cap: usize,
+    catalog: Catalog,
 }
 
 /// Per-client-connection router state, owned by the event loop's
-/// connection table: the prepared-statement table (router handle space)
-/// and the connection's evaluation options, injected whole into every
-/// forwarded read so pooled backend sessions behave deterministically.
+/// connection table: the pinned document, the prepared statements
+/// (router handle space), and the connection's evaluation options,
+/// injected whole into every forwarded read so pooled backend sessions
+/// behave deterministically.
 pub(crate) struct ConnCore {
-    prepared: Vec<PreparedStmt>,
+    doc: Option<String>,
+    prepared: Vec<Prepared>,
     opts: EvalOptions,
     pub(crate) failovers: u64,
-    pub(crate) re_prepares: u64,
 }
 
 impl ConnCore {
     pub(crate) fn new() -> ConnCore {
-        ConnCore {
-            prepared: Vec::new(),
-            opts: EvalOptions::default(),
-            failovers: 0,
-            re_prepares: 0,
-        }
+        ConnCore { doc: None, prepared: Vec::new(), opts: EvalOptions::default(), failovers: 0 }
     }
-}
-
-/// One router-level prepared statement.
-struct PreparedStmt {
-    /// The original `/prepare` body — replayed on whichever pooled
-    /// backend connection an execute lands on that has not compiled it.
-    body: Json,
-    /// Canonical identity on pooled sessions (the serialized body).
-    key: String,
-    /// Backend index that validated the statement eagerly.
-    #[cfg_attr(not(test), allow(dead_code))]
-    validated_on: usize,
 }
 
 impl RouterCore {
     pub(crate) fn new(pool: Arc<BackendPool>, idle_cap: usize) -> RouterCore {
         let n = pool.len();
-        RouterCore { pool, idle: (0..n).map(|_| Mutex::new(Vec::new())).collect(), idle_cap }
+        RouterCore {
+            pool,
+            idle: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+            idle_cap,
+            catalog: Catalog::new(),
+        }
     }
 
     /// Pop an idle pooled connection to backend `i`, or dial a fresh one.
-    fn checkout(&self, i: usize) -> Result<PooledBackend, ClientError> {
+    fn checkout(&self, i: usize) -> Result<Client, ClientError> {
         if let Some(b) = self.idle[i].lock().unwrap_or_else(PoisonError::into_inner).pop() {
             return Ok(b);
         }
-        Ok(PooledBackend { client: Client::connect(self.pool.addr(i))?, prepared: HashMap::new() })
+        Ok(Client::connect(self.pool.addr(i))?)
     }
 
     /// Return a connection after a clean exchange (dropped if the free
     /// list is full).
-    fn checkin(&self, i: usize, backend: PooledBackend) {
+    fn checkin(&self, i: usize, backend: Client) {
         let mut idle = self.idle[i].lock().unwrap_or_else(PoisonError::into_inner);
         if idle.len() < self.idle_cap {
             idle.push(backend);
@@ -353,7 +340,7 @@ impl RouterCore {
                 return Attempt::Failover(format!("{}: {e}", self.pool.addr(i)));
             }
         };
-        match backend.client.request(method, path, body) {
+        match backend.request(method, path, body) {
             Ok((status, json)) if wire::is_drain_envelope(status, &json) => {
                 self.pool.mark_draining(i);
                 Attempt::Failover(format!("{} is draining", self.pool.addr(i)))
@@ -395,253 +382,56 @@ impl RouterCore {
         (502, body)
     }
 
-    /// Validate the request's `"options"` patch onto the connection —
-    /// same strictness and error shape as a single node.
-    fn patch_options(&self, conn: &mut ConnCore, body: &Json) -> Result<(), (u16, Json)> {
-        if let Some(options) = body.get("options") {
-            if let Err(message) = wire::apply_options(&mut conn.opts, options) {
-                return Err((400, wire::protocol_error_body("bad_options", &message)));
-            }
-        }
-        Ok(())
-    }
-
-    /// Resolve the target document like a single node does: explicit
-    /// `doc` field, else the fleet's only document.
-    fn resolve_doc(&self, body: &Json) -> Result<String, (u16, Json)> {
-        if let Some(doc) = body.get("doc") {
-            return doc.as_str().map(str::to_string).ok_or_else(|| {
-                (400, wire::protocol_error_body("bad_request", "`doc` must be a string"))
-            });
-        }
-        let listing = self.document_listing()?;
-        if listing.len() == 1 {
-            return Ok(listing.into_keys().next().expect("len checked"));
-        }
-        Err((
-            400,
-            wire::protocol_error_body(
-                "no_document",
-                "no `doc` given and the fleet does not hold exactly one document",
-            ),
-        ))
-    }
-
+    /// Forward an ad-hoc query to the document's replicas, checking the
+    /// body and resolving the options and the document in a node's
+    /// order, and pin the document exactly when a node would: once a
+    /// backend found it, whether the query then succeeded or failed to
+    /// parse, compile or evaluate.
     pub(crate) fn query(&self, conn: &mut ConnCore, body: &Json) -> (u16, Json) {
-        if let Err(err) = self.patch_options(conn, body) {
+        if let Err(err) = query_fields(body) {
             return err;
         }
-        let doc = match self.resolve_doc(body) {
+        if let Err(err) = apply_request_options(&mut conn.opts, body) {
+            return err;
+        }
+        let doc = match target_doc(body, conn.doc.as_deref(), || {
+            Ok(self.document_listing()?.into_keys().collect())
+        }) {
             Ok(doc) => doc,
             Err(err) => return err,
         };
         let order = self.pool.read_order(&doc);
         let fwd = with_field(
-            &with_field(body, "doc", Json::Str(doc)),
+            &with_field(body, "doc", Json::Str(doc.clone())),
             "options",
             wire::options_json(&conn.opts),
         );
-        self.try_replicas(conn, &order, "POST", "/query", Some(&fwd))
+        let (status, json) = self.try_replicas(conn, &order, "POST", "/query", Some(&fwd));
+        let kind = json.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str);
+        if status == 200 || matches!(kind, Some("parse" | "compile" | "eval")) {
+            conn.doc = Some(doc);
+        }
+        (status, json)
     }
 
-    pub(crate) fn prepare(&self, conn: &mut ConnCore, body: &Json) -> (u16, Json) {
-        if conn.prepared.len() >= MAX_PREPARED_PER_CONN {
-            return (
-                400,
-                wire::protocol_error_body(
-                    "too_many_prepared",
-                    &format!(
-                        "this connection already holds {MAX_PREPARED_PER_CONN} prepared queries"
-                    ),
-                ),
-            );
-        }
-        // Eager validation on one backend: compile errors surface now,
-        // exactly as on a single node.
-        let key = body.to_string();
-        let order = self.pool.any_order();
-        let mut tried = Vec::new();
-        for (k, &i) in order.iter().enumerate() {
-            if k > 0 {
-                conn.failovers += 1;
-            }
-            let mut backend = match self.checkout(i) {
-                Ok(b) => b,
-                Err(e) => {
-                    self.pool.mark_down(i);
-                    tried.push(format!("{}: {e}", self.pool.addr(i)));
-                    continue;
-                }
-            };
-            match backend.client.request("POST", "/prepare", Some(body)) {
-                Ok((status, json)) if wire::is_drain_envelope(status, &json) => {
-                    self.pool.mark_draining(i);
-                    tried.push(format!("{} is draining", self.pool.addr(i)));
-                }
-                Ok((status, json)) if (200..300).contains(&status) => {
-                    self.pool.mark_up(i);
-                    let Some(h) = json.get("handle").and_then(Json::as_u64) else {
-                        return (
-                            502,
-                            wire::bad_gateway_body("shard returned a malformed /prepare response"),
-                        );
-                    };
-                    // The compiled handle stays with this *pooled
-                    // connection* — whoever checks it out next reuses it.
-                    backend.prepared.insert(key.clone(), h);
-                    self.checkin(i, backend);
-                    let lang =
-                        json.get("lang").cloned().unwrap_or_else(|| Json::Str("xquery".into()));
-                    conn.prepared.push(PreparedStmt { body: body.clone(), key, validated_on: i });
-                    let handle = conn.prepared.len() - 1;
-                    // Same envelope as a single node, in the router's
-                    // handle space.
-                    return (
-                        200,
-                        Json::Obj(vec![
-                            ("ok".into(), Json::Bool(true)),
-                            ("handle".into(), Json::Num(handle as f64)),
-                            ("lang".into(), lang),
-                        ]),
-                    );
-                }
-                Ok((status, json)) => {
-                    self.pool.mark_up(i);
-                    self.checkin(i, backend);
-                    return (status, json);
-                }
-                Err(e) => {
-                    self.pool.mark_down(i);
-                    tried.push(format!("{}: {e}", self.pool.addr(i)));
-                }
-            }
-        }
-        let body =
-            wire::bad_gateway_body(&format!("all replicas unavailable ({})", tried.join("; ")));
-        (502, body)
-    }
-
+    /// Run a prepared handle: its text travels as an ad-hoc `/query`
+    /// through the same replica failover, and the backend's plan cache
+    /// turns the repeated text into a lookup.
     pub(crate) fn execute(&self, conn: &mut ConnCore, body: &Json) -> (u16, Json) {
-        let Some(handle) = body.get("handle").and_then(Json::as_u64) else {
-            return (
-                400,
-                wire::protocol_error_body("bad_request", "missing integer field `handle`"),
-            );
-        };
-        if handle as usize >= conn.prepared.len() {
-            return (
-                404,
-                wire::protocol_error_body(
-                    "unknown_handle",
-                    &format!("no prepared query with handle {handle} on this connection"),
-                ),
-            );
-        }
-        if let Err(err) = self.patch_options(conn, body) {
-            return err;
-        }
-        let doc = match self.resolve_doc(body) {
-            Ok(doc) => doc,
+        let statement = match prepared_handle(&conn.prepared, body) {
+            Ok(handle) => &conn.prepared[handle],
             Err(err) => return err,
         };
-        let order = self.pool.read_order(&doc);
-        let mut tried = Vec::new();
-        for (k, &i) in order.iter().enumerate() {
-            if k > 0 {
-                conn.failovers += 1;
-            }
-            let mut backend = match self.checkout(i) {
-                Ok(b) => b,
-                Err(e) => {
-                    self.pool.mark_down(i);
-                    tried.push(format!("{}: {e}", self.pool.addr(i)));
-                    continue;
-                }
-            };
-            // Make sure this pooled connection's server session has the
-            // statement compiled; re-prepare it here if not.
-            let stmt = &conn.prepared[handle as usize];
-            let backend_handle = match backend.prepared.get(&stmt.key).copied() {
-                Some(h) => h,
-                None => {
-                    // A pooled session at its handle cap can't take one
-                    // more: start a fresh connection instead of
-                    // surfacing `too_many_prepared` for a foreign cap.
-                    if backend.prepared.len() >= MAX_PREPARED_PER_CONN {
-                        backend = match Client::connect(self.pool.addr(i)) {
-                            Ok(client) => PooledBackend { client, prepared: HashMap::new() },
-                            Err(e) => {
-                                self.pool.mark_down(i);
-                                tried.push(format!("{}: {e}", self.pool.addr(i)));
-                                continue;
-                            }
-                        };
-                    }
-                    match backend.client.request("POST", "/prepare", Some(&stmt.body)) {
-                        Ok((status, json)) if wire::is_drain_envelope(status, &json) => {
-                            self.pool.mark_draining(i);
-                            tried.push(format!("{} is draining", self.pool.addr(i)));
-                            continue;
-                        }
-                        Ok((status, json)) if (200..300).contains(&status) => {
-                            match json.get("handle").and_then(Json::as_u64) {
-                                Some(h) => {
-                                    backend.prepared.insert(stmt.key.clone(), h);
-                                    conn.re_prepares += 1;
-                                    h
-                                }
-                                None => {
-                                    tried.push(format!(
-                                        "{}: malformed /prepare response",
-                                        self.pool.addr(i)
-                                    ));
-                                    continue;
-                                }
-                            }
-                        }
-                        // A deterministic compile rejection would fail
-                        // identically everywhere: surface it.
-                        Ok((status, json)) => {
-                            self.pool.mark_up(i);
-                            self.checkin(i, backend);
-                            return (status, json);
-                        }
-                        Err(e) => {
-                            self.pool.mark_down(i);
-                            tried.push(format!("{}: {e}", self.pool.addr(i)));
-                            continue;
-                        }
-                    }
-                }
-            };
-            let fwd = with_field(
-                &with_field(
-                    &with_field(body, "doc", Json::Str(doc.clone())),
-                    "handle",
-                    Json::Num(backend_handle as f64),
-                ),
-                "options",
-                wire::options_json(&conn.opts),
-            );
-            match backend.client.request("POST", "/execute", Some(&fwd)) {
-                Ok((status, json)) if wire::is_drain_envelope(status, &json) => {
-                    self.pool.mark_draining(i);
-                    tried.push(format!("{} is draining", self.pool.addr(i)));
-                }
-                Ok((status, json)) => {
-                    self.pool.mark_up(i);
-                    self.checkin(i, backend);
-                    return (status, json);
-                }
-                Err(e) => {
-                    self.pool.mark_down(i);
-                    tried.push(format!("{}: {e}", self.pool.addr(i)));
-                }
+        let mut fwd = vec![
+            ("lang".to_string(), Json::Str(statement.lang().name().into())),
+            ("query".to_string(), Json::Str(statement.source().into())),
+        ];
+        for field in ["doc", "options"] {
+            if let Some(value) = body.get(field) {
+                fwd.push((field.to_string(), value.clone()));
             }
         }
-        let body =
-            wire::bad_gateway_body(&format!("all replicas unavailable ({})", tried.join("; ")));
-        (502, body)
+        self.query(conn, &Json::Obj(fwd))
     }
 
     /// Upload `id` to its replica set, walking the ring past dead
@@ -806,10 +596,10 @@ impl RouterCore {
                             "failovers".into(),
                             Json::Num(shared.failovers.load(Ordering::Relaxed) as f64),
                         ),
-                        (
-                            "re_prepares".into(),
-                            Json::Num(shared.re_prepares.load(Ordering::Relaxed) as f64),
-                        ),
+                        // Always 0 (nothing is re-prepared: a routed
+                        // statement travels as its text); kept so the
+                        // section keeps its shape for readers of /stats.
+                        ("re_prepares".into(), Json::Num(0.0)),
                         (
                             "idle_backend_connections".into(),
                             Json::Num(self.idle_connections() as f64),
@@ -831,8 +621,7 @@ impl RouterCore {
 }
 
 /// Clone `body` with `field` set to `value` (replacing any existing
-/// entry) — the router rewrites `doc`, `handle`, and `options` before
-/// forwarding.
+/// entry) — the router rewrites `doc` and `options` before forwarding.
 fn with_field(body: &Json, field: &str, value: Json) -> Json {
     let mut entries: Vec<(String, Json)> = body
         .as_obj()
@@ -863,7 +652,7 @@ fn route(shared: &RouterShared, conn: &mut ConnCore, req: &Request) -> (u16, Jso
             _ => wrong_method(),
         },
         "/prepare" => match method {
-            "POST" => with_body(&mut |body| core.prepare(conn, body)),
+            "POST" => with_body(&mut |body| prepare_into(&core.catalog, &mut conn.prepared, body)),
             _ => wrong_method(),
         },
         "/execute" => match method {
@@ -1042,51 +831,70 @@ mod tests {
         .unwrap()
     }
 
+    fn prepare(core: &RouterCore, conn: &mut ConnCore) -> (u16, Json) {
+        let body = mhx_json::parse(r#"{"lang":"xpath","query":"count(/descendant::w)"}"#).unwrap();
+        prepare_into(&core.catalog, &mut conn.prepared, &body)
+    }
+
+    fn execute_body(doc: &str) -> Json {
+        mhx_json::parse(&format!(r#"{{"handle":0,"doc":"{doc}"}}"#)).unwrap()
+    }
+
+    /// Handles belong to the client connection: however many connections
+    /// prepare, none is refused by a backend session's 256-handle cap.
     #[test]
-    fn prepared_handles_re_prepare_transparently_after_failover() {
+    fn every_connection_prepares_and_executes_past_the_backend_handle_cap() {
+        let shard = live_shard(&["ms"]);
+        let pool = Arc::new(BackendPool::new(vec![shard.addr().to_string()], 1));
+        let core = RouterCore::new(pool, 4);
+        for k in 0..300 {
+            let mut conn = ConnCore::new();
+            let (status, json) = prepare(&core, &mut conn);
+            assert_eq!(status, 200, "prepare on connection {k}: {json}");
+            let (status, json) = core.execute(&mut conn, &execute_body("ms"));
+            assert_eq!(status, 200, "execute on connection {k}: {json}");
+            assert_eq!(json.get("serialized").and_then(Json::as_str), Some("2"));
+        }
+        shard.shutdown();
+    }
+
+    #[test]
+    fn prepared_handles_survive_failover_with_nothing_to_re_prepare() {
         let mut shards = vec![Some(live_shard(&["ms"])), Some(live_shard(&["ms"]))];
         let addrs: Vec<String> =
             shards.iter().map(|s| s.as_ref().unwrap().addr().to_string()).collect();
         let pool = Arc::new(BackendPool::new(addrs, 2));
         let core = RouterCore::new(Arc::clone(&pool), 4);
         let mut conn = ConnCore::new();
-
-        let prep = mhx_json::parse(r#"{"lang":"xpath","query":"count(/descendant::w)"}"#).unwrap();
-        let (status, json) = core.prepare(&mut conn, &prep);
+        let (status, json) = prepare(&core, &mut conn);
         assert_eq!(status, 200, "{json}");
         assert_eq!(json.get("handle").and_then(Json::as_u64), Some(0), "router handle space");
 
-        // Kill the one backend that validated the statement before any
-        // execute: every execute path must now transparently re-prepare
-        // on the surviving replica's pooled connection.
-        let owner = conn.prepared[0].validated_on;
-        assert_eq!(conn.re_prepares, 0, "the eager prepare is not a re-prepare");
-        shards[owner].take().unwrap().shutdown();
-
-        let exec = mhx_json::parse(r#"{"handle":0,"doc":"ms"}"#).unwrap();
-        let (status, json) = core.execute(&mut conn, &exec);
-        assert_eq!(status, 200, "{json}");
-        assert_eq!(json.get("serialized").and_then(Json::as_str), Some("2"));
-        assert!(conn.re_prepares >= 1, "the statement was re-prepared after failover");
-
-        // And the re-prepared handle stays with the pooled connection: a
-        // second execute reuses it.
-        let re_prepares = conn.re_prepares;
-        let (status, json) = core.execute(&mut conn, &exec);
-        assert_eq!(status, 200, "{json}");
-        assert_eq!(json.get("serialized").and_then(Json::as_str), Some("2"));
-        assert_eq!(conn.re_prepares, re_prepares, "handle cached on the survivor's connection");
-
-        // A *different* client connection through the same core also
-        // reuses the pooled statement — the handle table travels with
-        // the backend connection, not the client.
-        let mut other = ConnCore::new();
-        let (status, json) = core.prepare(&mut other, &prep);
-        assert_eq!(status, 200, "{json}");
+        // Kill the replica the first read goes to (the cursor's initial
+        // rotation is the unrotated replica set).
+        shards[pool.replica_set("ms")[0]].take().unwrap().shutdown();
+        for _ in 0..2 {
+            let (status, json) = core.execute(&mut conn, &execute_body("ms"));
+            assert_eq!(status, 200, "{json}");
+            assert_eq!(json.get("serialized").and_then(Json::as_str), Some("2"));
+        }
+        assert!(conn.failovers >= 1, "the first execute failed over to the survivor");
 
         for s in shards.into_iter().flatten() {
             s.shutdown();
         }
+    }
+
+    #[test]
+    fn prepare_needs_no_backend_but_execute_502s_when_every_backend_is_down() {
+        let dead = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().to_string();
+        let core = RouterCore::new(Arc::new(BackendPool::new(vec![dead], 1)), 4);
+        let mut conn = ConnCore::new();
+        let (status, json) = prepare(&core, &mut conn);
+        assert_eq!(status, 200, "{json}");
+        let (status, json) = core.execute(&mut conn, &execute_body("ms"));
+        assert_eq!(status, 502, "{json}");
+        assert_eq!(error_kind_of(&json), wire::BAD_GATEWAY_KIND);
     }
 
     #[test]

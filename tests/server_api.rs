@@ -115,126 +115,139 @@ fn eight_concurrent_clients_mixed_workload() {
     assert!(server.shutdown());
 }
 
-#[test]
-fn engine_errors_map_to_typed_statuses() {
-    let server = boot(2);
-    let mut client = connect(&server);
-
+/// The typed status table: each row sends one request on `client`'s
+/// connection and expects one `(status, error kind)`, with `""` for a
+/// success. A node and a router in front of it must answer every row
+/// identically.
+fn check_status_table(client: &mut Client) {
     let body = |entries: Vec<(&str, Json)>| {
         Json::Obj(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     };
-    let query_body = |lang: &str, query: &str| {
-        body(vec![
-            ("doc", Json::Str("ms-a".into())),
-            ("lang", Json::Str(lang.into())),
-            ("query", Json::Str(query.into())),
-        ])
+    let query = |doc: Option<&str>, lang: &str, query: &str| {
+        let mut entries =
+            vec![("lang", Json::Str(lang.into())), ("query", Json::Str(query.into()))];
+        entries.extend(doc.map(|d| ("doc", Json::Str(d.into()))));
+        body(entries)
     };
-    let error_kind = |json: &Json| {
-        json.get("error")
-            .and_then(|e| e.get("kind"))
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string()
+    let mut row = |method: &str, path: &str, body: Option<Json>, status: u16, kind: &str| {
+        let (got, json) = client.request(method, path, body.as_ref()).unwrap();
+        let got_kind =
+            json.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str).unwrap_or("");
+        assert_eq!((got, got_kind), (status, kind), "{method} {path} {body:?} → {json}");
+        json
     };
+    let serialized = |json: &Json| json.get("serialized").and_then(Json::as_str).map(String::from);
+
+    // A malformed body is reported as such, before any document is
+    // resolved: this connection has no pin and there are two documents.
+    row("POST", "/query", Some(body(vec![])), 400, "bad_request");
+    row("POST", "/query", Some(query(None, "cobol", "1")), 400, "bad_request");
 
     // Parse error → 400, kind `parse`, language attached (the byte
     // offset rides along when the parser reports one).
-    let (status, json) =
-        client.request("POST", "/query", Some(&query_body("xpath", "/descendant::"))).unwrap();
-    assert_eq!(status, 400);
-    assert_eq!(error_kind(&json), "parse");
-    let err = json.get("error").unwrap();
-    assert_eq!(err.get("lang").and_then(Json::as_str), Some("xpath"));
-
-    // Static compile error (unbound variable) → 400, kind `compile`.
-    let (status, json) =
-        client.request("POST", "/query", Some(&query_body("xquery", "$undefined"))).unwrap();
-    assert_eq!(status, 400);
-    assert_eq!(error_kind(&json), "compile");
-
+    let json =
+        row("POST", "/query", Some(query(Some("ms-a"), "xpath", "/descendant::")), 400, "parse");
+    assert_eq!(json.get("error").unwrap().get("lang").and_then(Json::as_str), Some("xpath"));
+    // Static compile error (unbound variable) → 400, kind `compile`, on
+    // `/query` and on `/prepare` alike.
+    row("POST", "/query", Some(query(Some("ms-a"), "xquery", "$undefined")), 400, "compile");
+    row("POST", "/prepare", Some(query(None, "xquery", "$undefined")), 400, "compile");
     // Dynamic evaluation error → 422.
-    let (status, json) =
-        client.request("POST", "/query", Some(&query_body("xquery", "1 idiv 0"))).unwrap();
-    assert_eq!(status, 422);
-    assert_eq!(error_kind(&json), "eval");
-
+    row("POST", "/query", Some(query(Some("ms-a"), "xquery", "1 idiv 0")), 422, "eval");
     // XPath calls outside XPath's function library fail to compile → 400,
     // while an unbound XPath variable fails at evaluation → 422.
-    let (status, json) = client
-        .request("POST", "/query", Some(&query_body("xpath", "exists(/descendant::w)")))
-        .unwrap();
-    assert_eq!(status, 400);
-    assert_eq!(error_kind(&json), "compile");
-    let (status, json) =
-        client.request("POST", "/query", Some(&query_body("xpath", "$undefined"))).unwrap();
-    assert_eq!(status, 422);
-    assert_eq!(error_kind(&json), "eval");
-
+    row(
+        "POST",
+        "/query",
+        Some(query(Some("ms-a"), "xpath", "exists(/descendant::w)")),
+        400,
+        "compile",
+    );
+    row("POST", "/query", Some(query(Some("ms-a"), "xpath", "$undefined")), 422, "eval");
     // Unknown document → 404.
-    let (status, json) = client
-        .request(
-            "POST",
-            "/query",
-            Some(&body(vec![
-                ("doc", Json::Str("nowhere".into())),
-                ("query", Json::Str("1 + 1".into())),
-            ])),
-        )
-        .unwrap();
-    assert_eq!(status, 404);
-    assert_eq!(error_kind(&json), "unknown_document");
+    row("POST", "/query", Some(query(Some("nowhere"), "xquery", "1 + 1")), 404, "unknown_document");
 
     // Malformed document upload → 400, kind `document`.
-    let (status, json) = client
-        .request(
-            "PUT",
-            "/documents/bad",
-            Some(&body(vec![(
-                "hierarchies",
-                Json::Arr(vec![Json::Obj(vec![
-                    ("name".into(), Json::Str("w".into())),
-                    ("xml".into(), Json::Str("<r><w>unclosed".into())),
-                ])]),
-            )])),
-        )
-        .unwrap();
-    assert_eq!(status, 400);
-    assert_eq!(error_kind(&json), "document");
+    let bad_upload = body(vec![(
+        "hierarchies",
+        Json::Arr(vec![Json::Obj(vec![
+            ("name".into(), Json::Str("w".into())),
+            ("xml".into(), Json::Str("<r><w>unclosed".into())),
+        ])]),
+    )]);
+    row("PUT", "/documents/bad", Some(bad_upload), 400, "document");
 
-    // Protocol-level failures: bad JSON, missing field, unknown handle,
+    // Protocol-level failures: bad JSON, missing or mistyped handle,
     // unknown route, wrong method.
-    let (status, _) =
-        client.request("POST", "/query", Some(&Json::Str("not an object".into()))).unwrap();
-    assert_eq!(status, 400);
-    let (status, json) = client.request("POST", "/query", Some(&body(vec![]))).unwrap();
-    assert_eq!(status, 400);
-    assert_eq!(error_kind(&json), "bad_request");
-    let (status, json) =
-        client.request("POST", "/execute", Some(&body(vec![("handle", Json::Num(99.0))]))).unwrap();
-    assert_eq!(status, 404);
-    assert_eq!(error_kind(&json), "unknown_handle");
-    let (status, json) = client.request("GET", "/nope", None).unwrap();
-    assert_eq!(status, 404);
-    assert_eq!(error_kind(&json), "not_found");
-    let (status, json) = client.request("DELETE", "/query", None).unwrap();
-    assert_eq!(status, 405);
-    assert_eq!(error_kind(&json), "method_not_allowed");
+    row("POST", "/query", Some(Json::Str("not an object".into())), 400, "bad_json");
+    row("POST", "/execute", Some(body(vec![("handle", Json::Num(99.0))])), 404, "unknown_handle");
+    row(
+        "POST",
+        "/execute",
+        Some(body(vec![("handle", Json::Str("x".into()))])),
+        400,
+        "bad_request",
+    );
+    row("GET", "/nope", None, 404, "not_found");
+    row("DELETE", "/query", None, 405, "method_not_allowed");
+
+    // Without `doc`, a request runs on the connection's pinned document:
+    // the last one a request found, even when its query then failed to
+    // parse. An unknown or mistyped `doc` leaves the pin alone.
+    let count_words = "count(/descendant::w)";
+    let json = row("POST", "/query", Some(query(Some("ms-b"), "xpath", count_words)), 200, "");
+    assert_eq!(serialized(&json).as_deref(), Some("2"));
+    let json = row("POST", "/query", Some(query(None, "xpath", count_words)), 200, "");
+    assert_eq!(serialized(&json).as_deref(), Some("2"), "pinned to ms-b");
+    let json = row("POST", "/prepare", Some(query(None, "xpath", count_words)), 200, "");
+    let handle = json.get("handle").and_then(Json::as_u64).unwrap();
+    let execute = body(vec![("handle", Json::Num(handle as f64))]);
+    let json = row("POST", "/execute", Some(execute.clone()), 200, "");
+    assert_eq!(serialized(&json).as_deref(), Some("2"), "pinned to ms-b");
+    row(
+        "POST",
+        "/query",
+        Some(query(Some("nowhere"), "xpath", count_words)),
+        404,
+        "unknown_document",
+    );
+    let mistyped = body(vec![("doc", Json::Num(7.0)), ("query", Json::Str(count_words.into()))]);
+    row("POST", "/query", Some(mistyped), 400, "bad_request");
+    let json = row("POST", "/execute", Some(execute), 200, "");
+    assert_eq!(serialized(&json).as_deref(), Some("2"), "still pinned to ms-b");
+    row("POST", "/query", Some(query(Some("ms-a"), "xpath", "/descendant::")), 400, "parse");
+    let json = row("POST", "/query", Some(query(None, "xpath", count_words)), 200, "");
+    assert_eq!(serialized(&json).as_deref(), Some("6"), "pinned to ms-a");
 
     // Prepared statements are bounded per connection; the 257th is
-    // refused with a typed protocol error.
-    for _ in 0..256 {
-        client.prepare(QueryLang::XPath, "/descendant::w").unwrap();
+    // refused with a typed protocol error, but a body that is malformed
+    // anyway is reported as such first.
+    for _ in handle + 1..256 {
+        row("POST", "/prepare", Some(query(None, "xpath", "/descendant::w")), 200, "");
     }
-    match client.prepare(QueryLang::XPath, "/descendant::w") {
-        Err(ClientError::Server { status: 400, kind, .. }) => {
-            assert_eq!(kind, "too_many_prepared")
-        }
-        other => panic!("expected the prepared cap, got {other:?}"),
-    }
+    row("POST", "/prepare", Some(query(None, "xpath", "/descendant::w")), 400, "too_many_prepared");
+    row(
+        "POST",
+        "/prepare",
+        Some(body(vec![("lang", Json::Str("xpath".into()))])),
+        400,
+        "bad_request",
+    );
+}
 
+#[test]
+fn engine_errors_map_to_typed_statuses() {
+    use multihier_xquery::server::{BackendPool, Router, RouterConfig};
+
+    let server = boot(2);
+    check_status_table(&mut connect(&server));
     // The connection survived every error — all exchanges above reused it.
     assert_eq!(server.stats().connections_accepted, 1);
+
+    let pool = Arc::new(BackendPool::new(vec![server.addr().to_string()], 1));
+    let router = Router::bind(pool, "127.0.0.1:0", RouterConfig::default()).unwrap();
+    check_status_table(&mut Client::connect(&router.addr().to_string()).unwrap());
+    router.shutdown();
     assert!(server.shutdown());
 }
 

@@ -7,6 +7,7 @@
 //! client response.
 
 use mhx_json::Json;
+use multihier_xquery::engine::QueryLang;
 use multihier_xquery::server::client::{Client, ClientError};
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read};
@@ -120,9 +121,12 @@ fn upload(client: &mut Client, id: &str) {
     client.put_document(id, &[("w", &xml)]).expect("upload");
 }
 
+/// XPath for a document's first word: its marker.
+const FIRST_WORD: &str = "string((/descendant::w)[1])";
+
 /// The marker word of `id` as served through `client`.
 fn first_word(client: &mut Client, id: &str) -> Result<String, ClientError> {
-    client.xpath(id, "string((/descendant::w)[1])").map(|out| out.serialized)
+    client.xpath(id, FIRST_WORD).map(|out| out.serialized)
 }
 
 #[test]
@@ -230,12 +234,17 @@ fn killing_a_shard_fails_over_to_replicas_until_none_remain() {
         placements.iter().any(|(_, held)| held.contains(&victim)),
         "12 uploads across 3 shards always land some replica on the victim"
     );
+    // A statement prepared before the kill must keep working after it.
+    let handle = client.prepare(QueryLang::XPath, FIRST_WORD).expect("prepare");
 
     // SIGKILL one shard — no drain, no goodbye. Every document must still
-    // answer through the router via its surviving replica.
+    // answer through the router via its surviving replica, ad hoc and
+    // through the prepared handle alike.
     shards[0].kill();
     for (id, _) in &placements {
         assert_eq!(first_word(&mut client, id).unwrap(), *id, "failover for {id}");
+        let out = client.execute(handle, Some(id)).expect("execute after failover");
+        assert_eq!(out.serialized, *id, "prepared failover for {id}");
     }
     let stats = client.stats().unwrap();
     let failovers =
@@ -254,12 +263,16 @@ fn killing_a_shard_fails_over_to_replicas_until_none_remain() {
     // a shutting_down masquerade.
     shards[1].kill();
     shards[2].kill();
-    let err = first_word(&mut client, &placements[0].0).unwrap_err();
-    match &err {
-        ClientError::Server { status: 502, kind, .. } => assert_eq!(kind, "bad_gateway"),
-        other => panic!("expected bad_gateway after total loss, got {other:?}"),
+    for err in [
+        first_word(&mut client, &placements[0].0).unwrap_err(),
+        client.execute(handle, Some(&placements[0].0)).unwrap_err(),
+    ] {
+        match &err {
+            ClientError::Server { status: 502, kind, .. } => assert_eq!(kind, "bad_gateway"),
+            other => panic!("expected bad_gateway after total loss, got {other:?}"),
+        }
+        assert!(!err.is_retryable());
     }
-    assert!(!err.is_retryable());
 }
 
 #[test]
