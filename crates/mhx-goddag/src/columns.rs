@@ -6,16 +6,26 @@
 //! arrays — and the two conversions:
 //!
 //! * [`dissect`] lays a goddag and its structural index out as sections;
-//! * [`assemble`] rebuilds both from sections, re-deriving everything the
-//!   arrays don't carry (boundaries, `text_starts`, `base_count`,
-//!   `version`) by replaying hierarchy installation, so a reloaded
-//!   document is indistinguishable from a freshly parsed one.
+//! * [`assemble`] rebuilds both from sections, so a reloaded document is
+//!   indistinguishable from a freshly parsed one.
+//!
+//! A section stores what is expensive to recompute, once. The index's
+//! span array is stored in Definition-3 order (`ordered`); its by-start
+//! and by-end orders are stored as `u32` positions into it, which
+//! `dissect` derives in linear time from a node → position table and
+//! `assemble` gathers back. Everything else is re-derived on load: the
+//! leaf boundaries and `base_count`/`version` by installing each
+//! hierarchy as the builder does (one sort-and-merge of its endpoints
+//! into the leaf layer), each hierarchy's `text_starts`, and the spans of
+//! the containment-chain entries, which are their nodes' own spans.
 //!
 //! `assemble` never panics on malformed input: every read is
 //! bounds-checked, strings are UTF-8 validated, spans are checked against
-//! the text (bounds and char boundaries), and every cross-array index
+//! the text (bounds and char boundaries), every cross-array index
 //! (parent links, child links, index node ids) is validated before the
-//! structures are built. Malformed input yields a [`ColumnsError`].
+//! structures are built, and both stored orders must be true permutations
+//! of `ordered` (as long as it, every position in range, each used once).
+//! Malformed input yields a [`ColumnsError`].
 //!
 //! The payloads carry no magic, no checksums and no versioning — framing
 //! integrity is the container's job (`mhx-store` adds magic, a format
@@ -35,9 +45,11 @@ pub const SEC_META: u32 = 1;
 pub const SEC_HIERARCHIES: u32 = 2;
 /// The index's name → element-nodes map.
 pub const SEC_NAMES: u32 = 3;
-/// The index's three span interval arrays (ordered / by-start / by-end).
+/// The index's span interval array in Definition-3 order, then its
+/// by-start and by-end orders as `u32` positions into it.
 pub const SEC_SPANS: u32 = 4;
-/// The index's per-hierarchy laminar containment chains.
+/// The index's per-hierarchy laminar containment chains: node and parent
+/// link per entry (spans are the nodes' own).
 pub const SEC_CHAINS: u32 = 5;
 /// The index's selectivity statistics.
 pub const SEC_STATS: u32 = 6;
@@ -132,6 +144,12 @@ impl W {
             self.u32(e.start);
             self.u32(e.end);
             self.node(e.node);
+        }
+    }
+    fn positions(&mut self, positions: impl ExactSizeIterator<Item = u32>) {
+        self.u32(positions.len() as u32);
+        for p in positions {
+            self.u32(p);
         }
     }
 }
@@ -238,6 +256,28 @@ impl<'a> R<'a> {
         Ok(out)
     }
 
+    /// A column of `u32` positions into `of` that must be a permutation of
+    /// it (as long as `of`, every position in range, each used once),
+    /// gathered into the entries it selects.
+    fn permutation<T: Copy>(&mut self, of: &[T], what: &str) -> Result<Vec<T>, ColumnsError> {
+        let n = self.count(4)?;
+        if n != of.len() {
+            return Err(bad(format!("{what}: {n} positions for {} entries", of.len())));
+        }
+        let mut used = vec![false; n];
+        let mut out = Vec::with_capacity(n);
+        for chunk in self.take(4 * n)?.chunks_exact(4) {
+            let p = u32::from_le_bytes(chunk.try_into().expect("4 bytes")) as usize;
+            match used.get_mut(p) {
+                Some(seen @ false) => *seen = true,
+                Some(true) => return Err(bad(format!("{what}: position {p} repeated"))),
+                None => return Err(bad(format!("{what}: position {p} out of range"))),
+            }
+            out.push(of[p]);
+        }
+        Ok(out)
+    }
+
     fn finish(self) -> Result<(), ColumnsError> {
         if self.remaining() != 0 {
             return Err(bad(format!("{} trailing bytes in section", self.remaining())));
@@ -248,10 +288,12 @@ impl<'a> R<'a> {
 
 // ---------- dissect ----------
 
-/// Lay `g` and its index out as snapshot sections. Names and per-name
-/// statistics are written in sorted order so identical documents produce
-/// identical bytes (stable checksums).
+/// Lay `g` and its index out as snapshot sections. `idx` must be current
+/// for `g` ([`StructIndex::is_current`]). Names and per-name statistics
+/// are written in sorted order so identical documents produce identical
+/// bytes (stable checksums).
 pub fn dissect(g: &Goddag, idx: &StructIndex) -> Vec<Section> {
+    debug_assert!(idx.is_current(g), "dissect needs the index built for this goddag");
     let mut meta = W::default();
     meta.str(g.text());
     meta.str(g.root_name());
@@ -333,16 +375,15 @@ pub fn dissect(g: &Goddag, idx: &StructIndex) -> Vec<Section> {
 
     let mut spans = W::default();
     spans.spans(&idx.ordered);
-    spans.spans(&idx.by_start);
-    spans.spans(&idx.by_end);
+    let positions = Positions::of(g, &idx.ordered);
+    spans.positions(positions.permutation(&idx.by_start));
+    spans.positions(positions.permutation(&idx.by_end));
 
     let mut chains = W::default();
     chains.u32(idx.chains.len() as u32);
     for chain in &idx.chains {
         chains.u32(chain.len() as u32);
         for e in chain {
-            chains.u32(e.start);
-            chains.u32(e.end);
             chains.node(e.node);
             chains.u32(e.parent);
         }
@@ -370,6 +411,59 @@ pub fn dissect(g: &Goddag, idx: &StructIndex) -> Vec<Section> {
         Section { kind: SEC_CHAINS, bytes: chains.buf },
         Section { kind: SEC_STATS, bytes: stats.buf },
     ]
+}
+
+/// Where each node sits in the index's `ordered` array: dense tables for
+/// the root, elements and texts, and leaves by rank. Leaves are disjoint,
+/// so every span order (`ordered`, by start, by end) lists them in the
+/// same order, and the k-th leaf met in any of them is the k-th in
+/// `ordered`. Turns a sorted copy of `ordered` into positions in linear
+/// time, with no search and no sort.
+struct Positions {
+    root: u32,
+    elems: Vec<Vec<u32>>,
+    texts: Vec<Vec<u32>>,
+    leaves: Vec<u32>,
+}
+
+impl Positions {
+    fn of(g: &Goddag, ordered: &[SpanEntry]) -> Positions {
+        let (elems, texts) = g
+            .hierarchies()
+            .map(|(_, h)| (vec![0; h.element_count()], vec![0; h.text_count()]))
+            .unzip();
+        let mut table = Positions { root: 0, elems, texts, leaves: Vec::new() };
+        for (p, e) in ordered.iter().enumerate() {
+            let p = p as u32;
+            match e.node {
+                NodeId::Root => table.root = p,
+                NodeId::Elem { h, i } => table.elems[h.index()][i as usize] = p,
+                NodeId::Text { h, i } => table.texts[h.index()][i as usize] = p,
+                NodeId::Leaf { .. } => table.leaves.push(p),
+                NodeId::Attr { .. } => unreachable!("attributes have empty spans"),
+            }
+        }
+        table
+    }
+
+    /// The position in `ordered` of each entry of `sorted`, a reordering
+    /// of it.
+    fn permutation<'a>(
+        &'a self,
+        sorted: &'a [SpanEntry],
+    ) -> impl ExactSizeIterator<Item = u32> + 'a {
+        let mut leaf = 0;
+        sorted.iter().map(move |e| match e.node {
+            NodeId::Root => self.root,
+            NodeId::Elem { h, i } => self.elems[h.index()][i as usize],
+            NodeId::Text { h, i } => self.texts[h.index()][i as usize],
+            NodeId::Leaf { .. } => {
+                leaf += 1;
+                self.leaves[leaf - 1]
+            }
+            NodeId::Attr { .. } => unreachable!("attributes have empty spans"),
+        })
+    }
 }
 
 // ---------- assemble ----------
@@ -557,32 +651,35 @@ pub fn assemble(sections: &[Section]) -> Result<(Goddag, StructIndex), ColumnsEr
     }
     r.finish()?;
 
-    // SPANS
+    // SPANS: `ordered`, then the two sort orders as permutations of it.
     let mut r = R::new(section(sections, SEC_SPANS, "spans")?);
     let ordered = r.spans()?;
-    let by_start = r.spans()?;
-    let by_end = r.spans()?;
-    r.finish()?;
-    for e in ordered.iter().chain(&by_start).chain(&by_end) {
+    for e in &ordered {
         check_node(e.node, &g, "span array")?;
+        if e.node.is_attr() {
+            return Err(bad("span array: attribute nodes have empty spans"));
+        }
     }
+    let by_start = r.permutation(&ordered, "by-start order")?;
+    let by_end = r.permutation(&ordered, "by-end order")?;
+    r.finish()?;
 
-    // CHAINS
+    // CHAINS: node and parent link; each span comes from the arenas.
     let mut r = R::new(section(sections, SEC_CHAINS, "chains")?);
     let chain_count = r.count(4)?;
     let mut chains = Vec::with_capacity(chain_count);
     for _ in 0..chain_count {
-        let n = r.count(17)?;
+        // An element or text node (7 bytes) and its parent link (4).
+        let n = r.count(11)?;
         let mut chain = Vec::with_capacity(n);
         for _ in 0..n {
-            let start = r.u32()?;
-            let end = r.u32()?;
             let node = r.node()?;
             check_node(node, &g, "containment chain")?;
             let parent = r.u32()?;
             if parent != NO_PARENT && parent as usize >= n {
                 return Err(bad("containment chain: parent out of range"));
             }
+            let (start, end) = g.span(node);
             chain.push(ChainEntry { start, end, node, parent });
         }
         chains.push(chain);
@@ -641,12 +738,23 @@ mod tests {
         (g, idx)
     }
 
+    /// The reloaded index holds the built one's arrays, entry for entry —
+    /// not merely arrays that answer the same axis queries.
+    fn assert_same_arrays(built: &StructIndex, reloaded: &StructIndex) {
+        assert_eq!(built.ordered, reloaded.ordered);
+        assert_eq!(built.by_start, reloaded.by_start);
+        assert_eq!(built.by_end, reloaded.by_end);
+        assert_eq!(built.chains, reloaded.chains);
+        assert_eq!(built.name_map, reloaded.name_map);
+    }
+
     #[test]
     fn round_trip_preserves_structure_and_queries() {
         let (g, idx) = sample();
         let sections = dissect(&g, &idx);
         let (g2, idx2) = assemble(&sections).unwrap();
         assert!(idx2.is_current(&g2));
+        assert_same_arrays(&idx, &idx2);
         assert_eq!(g.text(), g2.text());
         assert_eq!(g.root_name(), g2.root_name());
         assert_eq!(g.root_attr_pairs(), g2.root_attr_pairs());
@@ -683,7 +791,8 @@ mod tests {
             .child(crate::hierarchy::FragmentSpec::new("m", (0, 4)));
         g.add_virtual_hierarchy("rest", &[frag]).unwrap();
         let idx = StructIndex::build(&g);
-        let (g2, _) = assemble(&dissect(&g, &idx)).unwrap();
+        let (g2, idx2) = assemble(&dissect(&g, &idx)).unwrap();
+        assert_same_arrays(&idx, &idx2);
         assert_eq!(g2.hierarchy_count(), 3);
         assert_eq!(g2.base_hierarchy_count(), 2);
         assert!(g2.hierarchy(HierarchyId(2)).is_virtual());
@@ -718,6 +827,47 @@ mod tests {
                 s[si].bytes[bi] ^= 0xFF;
                 let _ = assemble(&s); // must not panic
             }
+        }
+    }
+
+    /// A SPANS payload: `idx.ordered`, then the given by-start and by-end
+    /// position columns.
+    fn with_positions(idx: &StructIndex, by_start: &[u32], by_end: &[u32]) -> Vec<u8> {
+        let mut w = W::default();
+        w.spans(&idx.ordered);
+        w.positions(by_start.iter().copied());
+        w.positions(by_end.iter().copied());
+        w.buf
+    }
+
+    #[test]
+    fn malformed_permutations_error() {
+        let (g, idx) = sample();
+        let sections = dissect(&g, &idx);
+        let at = sections.iter().position(|s| s.kind == SEC_SPANS).unwrap();
+        let positions = Positions::of(&g, &idx.ordered);
+        let by_start: Vec<u32> = positions.permutation(&idx.by_start).collect();
+        let by_end: Vec<u32> = positions.permutation(&idx.by_end).collect();
+        assert_eq!(sections[at].bytes, with_positions(&idx, &by_start, &by_end));
+        let n = idx.ordered.len() as u32;
+
+        let mut repeated = by_start.clone();
+        repeated[1] = repeated[0];
+        let mut out_of_range = by_end.clone();
+        out_of_range[0] = n;
+        let short = &by_start[1..];
+        let mut long = by_end.clone();
+        long.push(0);
+        for (payload, want) in [
+            (with_positions(&idx, &repeated, &by_end), "repeated"),
+            (with_positions(&idx, &by_start, &out_of_range), "out of range"),
+            (with_positions(&idx, short, &by_end), "positions for"),
+            (with_positions(&idx, &by_start, &long), "positions for"),
+        ] {
+            let mut bad = sections.clone();
+            bad[at].bytes = payload;
+            let err = assemble(&bad).unwrap_err();
+            assert!(err.detail.contains(want), "{want}: {}", err.detail);
         }
     }
 

@@ -517,14 +517,7 @@ impl Goddag {
     }
 
     fn install(&mut self, h: Hierarchy, is_virtual: bool) -> HierarchyId {
-        for e in &h.elems {
-            self.boundaries.add(e.span.0);
-            self.boundaries.add(e.span.1);
-        }
-        for t in &h.texts {
-            self.boundaries.add(t.span.0);
-            self.boundaries.add(t.span.1);
-        }
+        self.boundaries.add_all(endpoints(&h));
         let id = HierarchyId(self.hierarchies.len() as u16);
         self.hierarchies.push(h);
         if !is_virtual {
@@ -541,14 +534,7 @@ impl Goddag {
             return Err(GoddagError::NotVirtual);
         }
         let h = self.hierarchies.pop().expect("non-empty checked above");
-        for e in &h.elems {
-            self.boundaries.remove(e.span.0);
-            self.boundaries.remove(e.span.1);
-        }
-        for t in &h.texts {
-            self.boundaries.remove(t.span.0);
-            self.boundaries.remove(t.span.1);
-        }
+        self.boundaries.remove_all(endpoints(&h));
         self.version += 1;
         Ok(())
     }
@@ -559,6 +545,16 @@ impl Goddag {
             self.remove_last_hierarchy().expect("virtual hierarchies are removable");
         }
     }
+}
+
+/// Both endpoints of every element and text span of `h`: what the
+/// hierarchy registers in the leaf layer.
+fn endpoints(h: &Hierarchy) -> Vec<u32> {
+    let mut out = Vec::with_capacity(2 * (h.elems.len() + h.texts.len()));
+    for (s, e) in h.elems.iter().map(|e| e.span).chain(h.texts.iter().map(|t| t.span)) {
+        out.extend([s, e]);
+    }
+    out
 }
 
 fn text_diff(a: &str, b: &str) -> String {

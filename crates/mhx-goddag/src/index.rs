@@ -42,7 +42,7 @@ use crate::node::{HierarchyId, NodeId};
 use std::collections::HashMap;
 
 /// One non-empty node span. `start`/`end` are byte offsets into `S`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SpanEntry {
     pub(crate) start: u32,
     pub(crate) end: u32,
@@ -51,7 +51,7 @@ pub(crate) struct SpanEntry {
 
 /// One node in a hierarchy's laminar containment chain. `parent` indexes
 /// into the same array (`u32::MAX` for top-level nodes).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ChainEntry {
     pub(crate) start: u32,
     pub(crate) end: u32,
@@ -152,22 +152,29 @@ impl StructIndex {
     /// O(N log N) total.
     pub fn build(g: &Goddag) -> StructIndex {
         let all = g.all_nodes();
-        let mut name_map: HashMap<String, Vec<NodeId>> = HashMap::new();
-        let mut names: HashMap<String, (u32, u64)> = HashMap::new();
+        // Per name borrowed from `g`: its nodes and their total span bytes.
+        // The owned maps below then allocate per distinct name, not per
+        // element.
+        let mut by_name: HashMap<&str, (Vec<NodeId>, u64)> = HashMap::new();
         let mut ordered = Vec::with_capacity(all.len());
         for &n in &all {
             let (s, e) = g.span(n);
             if n.is_element() {
                 if let Some(name) = g.name(n) {
-                    name_map.entry(name.to_string()).or_default().push(n);
-                    let slot = names.entry(name.to_string()).or_default();
-                    slot.0 += 1;
+                    let slot = by_name.entry(name).or_default();
+                    slot.0.push(n);
                     slot.1 += (e.saturating_sub(s)) as u64;
                 }
             }
             if s < e {
                 ordered.push(SpanEntry { start: s, end: e, node: n });
             }
+        }
+        let mut name_map = HashMap::with_capacity(by_name.len());
+        let mut names = HashMap::with_capacity(by_name.len());
+        for (name, (nodes, bytes)) in by_name {
+            names.insert(name.to_string(), (nodes.len() as u32, bytes));
+            name_map.insert(name.to_string(), nodes);
         }
         let mut by_start = ordered.clone();
         by_start.sort_by_key(|e| (e.start, e.end));

@@ -6,7 +6,7 @@
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
 //! │ magic "MHXSNAP1"                                     8 bytes │
-//! │ format version (u32 LE)                              4 bytes │
+//! │ format version (u32 LE, currently 2)                 4 bytes │
 //! │ document id (u32 length + UTF-8 bytes)                       │
 //! │ section count (u32 LE)                                       │
 //! │ section table: kind u32 · len u64 · FNV-1a-64 checksum u64   │
@@ -15,13 +15,20 @@
 //! ```
 //!
 //! Everything is little-endian and hand-rolled on `std` alone (the
-//! `mhx-json` discipline — no serde). Writes are atomic: the frame goes
-//! to a `.tmp` sibling, is fsynced, then renamed over the target, so a
-//! crash mid-write leaves at worst a `.tmp` leftover that
+//! `mhx-json` discipline — no serde). Writes are atomic and durable: the
+//! frame goes to a `.tmp` sibling, is fsynced, then renamed over the
+//! target, and the directory is fsynced so the rename survives power
+//! loss. A crash mid-write leaves at worst a `.tmp` leftover that
 //! [`DocStore::list`] ignores. Every load verifies the magic, version,
 //! stored id and per-section checksums before any decoding happens;
 //! failures surface as typed [`StoreError::Corrupt`] values, never
 //! panics.
+//!
+//! Format version 2 stores the index's span array once, with its two sort
+//! orders as positions into it, and its containment chains as node and
+//! parent only (see [`mhx_goddag::columns`]). There is one decoder: a
+//! version-1 file loads as [`CorruptKind::BadVersion`] until its document
+//! is uploaded again.
 
 use mhx_goddag::columns::{assemble, dissect, Section};
 use mhx_goddag::{Goddag, StructIndex};
@@ -31,7 +38,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"MHXSNAP1";
-const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 2;
 const SNAPSHOT_EXT: &str = "mhx";
 
 /// What exactly was wrong with a snapshot file.
@@ -188,6 +195,7 @@ impl DocStore {
             f.sync_all()?;
         }
         fs::rename(&tmp, &target)?;
+        sync_dir(&self.dir)?;
         Ok(frame.len() as u64)
     }
 
@@ -252,6 +260,16 @@ impl DocStore {
     pub fn bytes_on_disk(&self) -> u64 {
         self.list().map(|v| v.iter().map(|(_, n)| n).sum()).unwrap_or(0)
     }
+}
+
+/// Fsync a directory, making a rename inside it durable. Only Unix can
+/// open a directory as a file; elsewhere the rename is left as is.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    #[cfg(unix)]
+    fs::File::open(dir)?.sync_all()?;
+    #[cfg(not(unix))]
+    let _ = dir;
+    Ok(())
 }
 
 /// Parse and verify the frame: magic, version, id, section table,
@@ -403,10 +421,15 @@ mod tests {
         fs::write(&path, &bad_magic).unwrap();
         assert_eq!(kind_of(store.load("d").unwrap_err()), CorruptKind::BadMagic);
 
-        let mut bad_version = full.clone();
-        bad_version[8] = 0xEE; // version lives right after the magic
-        fs::write(&path, &bad_version).unwrap();
-        assert_eq!(kind_of(store.load("d").unwrap_err()), CorruptKind::BadVersion);
+        // The version lives right after the magic. Version 1 stored the
+        // index's three span arrays in full; this build reads only 2.
+        for version in [1u32, 0xEE] {
+            let mut bad_version = full.clone();
+            bad_version[8..12].copy_from_slice(&version.to_le_bytes());
+            fs::write(&path, &bad_version).unwrap();
+            let kind = kind_of(store.load("d").unwrap_err());
+            assert_eq!(kind, CorruptKind::BadVersion, "version {version}");
+        }
     }
 
     #[test]
