@@ -97,63 +97,65 @@ impl Json {
 
     /// Write this value as compact JSON onto `out`.
     pub fn write_into(&self, out: &mut String) {
+        self.write_to(out).expect("writing to a String cannot fail");
+    }
+
+    fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
+            Json::Null => out.write_str("null"),
+            Json::Bool(true) => out.write_str("true"),
+            Json::Bool(false) => out.write_str("false"),
             Json::Num(n) => write_number(*n, out),
             Json::Str(s) => {
-                out.push('"');
-                escape_into(s, out);
-                out.push('"');
+                out.write_char('"')?;
+                escape_to(s, out)?;
+                out.write_char('"')
             }
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write_into(out);
+                    item.write_to(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(entries) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in entries.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    out.push('"');
-                    escape_into(k, out);
-                    out.push_str("\":");
-                    v.write_into(out);
+                    out.write_char('"')?;
+                    escape_to(k, out)?;
+                    out.write_str("\":")?;
+                    v.write_to(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
 }
 
-/// `Display` is the compact writer, so `to_string()` serializes.
+/// `Display` is the compact writer, so `to_string()` serializes straight
+/// into the string it returns.
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write_into(&mut out);
-        f.write_str(&out)
+        self.write_to(f)
     }
 }
 
 /// Serialize a number the way JSON expects: integral values print without
 /// a fractional part, non-finite values (which JSON cannot represent)
 /// degrade to `null`.
-fn write_number(n: f64, out: &mut String) {
-    use fmt::Write;
+fn write_number<W: fmt::Write>(n: f64, out: &mut W) -> fmt::Result {
     if !n.is_finite() {
-        out.push_str("null");
+        out.write_str("null")
     } else if n.fract() == 0.0 && n.abs() < 1e15 {
-        write!(out, "{}", n as i64).expect("write to String");
+        write!(out, "{}", n as i64)
     } else {
-        write!(out, "{n}").expect("write to String");
+        write!(out, "{n}")
     }
 }
 
@@ -161,18 +163,30 @@ fn write_number(n: f64, out: &mut String) {
 /// control characters become `\n`/`\r`/`\t`/`\uXXXX`. Everything else
 /// (including non-ASCII) passes through as UTF-8.
 pub fn escape_into(s: &str, out: &mut String) {
-    use fmt::Write;
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).expect("write to String"),
-            c => out.push(c),
+    escape_to(s, out).expect("writing to a String cannot fail");
+}
+
+/// [`escape_into`] onto any writer. The text between two bytes that need
+/// escaping goes out in one piece; those bytes are all ASCII, so every
+/// piece is a whole UTF-8 slice.
+fn escape_to<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.write_str(&s[start..i])?;
+        match b {
+            b'"' => out.write_str("\\\""),
+            b'\\' => out.write_str("\\\\"),
+            b'\n' => out.write_str("\\n"),
+            b'\r' => out.write_str("\\r"),
+            b'\t' => out.write_str("\\t"),
+            _ => write!(out, "\\u{b:04x}"),
+        }?;
+        start = i + 1;
     }
+    out.write_str(&s[start..])
 }
 
 /// [`escape_into`] returning a fresh `String` (no surrounding quotes).
@@ -412,6 +426,43 @@ mod tests {
         assert_eq!(escape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
         assert_eq!(escape("\u{0002}"), "\\u0002");
         assert_eq!(escape("déjà"), "déjà", "non-ASCII passes through");
+    }
+
+    /// The char-at-a-time escaper the run-based one replaced: the oracle.
+    fn escape_by_char(s: &str) -> String {
+        use fmt::Write;
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// Quotes, backslashes, control characters (each escape form), DEL,
+    /// and one- to four-byte UTF-8 characters, mixed at random.
+    const ALPHABET: &[char] = &[
+        'a', 'Z', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{8}', '\u{c}',
+        '\u{1f}', '\u{7f}', 'é', 'þ', '€', '漢', '\u{2028}', '😀', '𝔊',
+    ];
+
+    proptest::proptest! {
+        #[test]
+        fn escaping_matches_the_char_at_a_time_oracle_and_round_trips(
+            picks in proptest::collection::vec(0..ALPHABET.len(), 0..48),
+        ) {
+            let s: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+            proptest::prop_assert_eq!(escape(&s), escape_by_char(&s));
+            let text = Json::Str(s.clone()).to_string();
+            proptest::prop_assert_eq!(parse(&text), Ok(Json::Str(s)));
+        }
     }
 
     #[test]

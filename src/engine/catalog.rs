@@ -14,6 +14,14 @@
 //! contend. The index slot is a lazily rebuilt `Arc` snapshot: readers
 //! validate it against the goddag version and rebuild under the slot's
 //! write lock when a mutation invalidated it.
+//!
+//! Poisoning: every lock here is taken with
+//! `unwrap_or_else(PoisonError::into_inner)`, so a panic on one thread
+//! never turns later calls into panics. A query that panics holds only
+//! read guards, which do not poison; a panic inside a write section
+//! (`add_hierarchy`, a snapshot load) leaves whatever that section had
+//! already written. The server answers the panicking request `500`
+//! (`internal`) and closes its connection.
 
 use crate::engine::cache::{CacheStats, CachedPlan, SharedPlanCache};
 use crate::engine::error::{query_error, EngineError, QueryLang};

@@ -66,6 +66,22 @@ impl From<io::Error> for ClientError {
     }
 }
 
+/// One response as received: its status, its body text undecoded, and
+/// whether the server closes the connection after it.
+pub(crate) struct RawResponse {
+    pub(crate) status: u16,
+    pub(crate) body: String,
+    pub(crate) close: bool,
+}
+
+impl RawResponse {
+    /// Decode the body; one that is not JSON is a protocol error.
+    pub(crate) fn json(&self) -> Result<Json, ClientError> {
+        mhx_json::parse(&self.body)
+            .map_err(|e| ClientError::Protocol(format!("unparseable body: {e} in `{}`", self.body)))
+    }
+}
+
 /// A blocking keep-alive connection to an `mhxd` server.
 pub struct Client {
     stream: TcpStream,
@@ -93,6 +109,18 @@ impl Client {
         path: &str,
         body: Option<&Json>,
     ) -> Result<(u16, Json), ClientError> {
+        let raw = self.exchange(method, path, body)?;
+        Ok((raw.status, raw.json()?))
+    }
+
+    /// [`Client::request`] without decoding the body, for a caller that
+    /// forwards it as received (the shard router).
+    pub(crate) fn exchange(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&Json>,
+    ) -> Result<RawResponse, ClientError> {
         let payload = body.map(Json::to_string).unwrap_or_default();
         let head = format!(
             "{method} {path} HTTP/1.1\r\nHost: mhxd\r\nContent-Type: application/json\r\n\
@@ -107,22 +135,19 @@ impl Client {
         self.read_response()
     }
 
-    fn read_response(&mut self) -> Result<(u16, Json), ClientError> {
+    fn read_response(&mut self) -> Result<RawResponse, ClientError> {
         let mut chunk = [0u8; 8 * 1024];
         loop {
             if let Some(head_end) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
                 let head = std::str::from_utf8(&self.buf[..head_end])
                     .map_err(|_| ClientError::Protocol("response head is not UTF-8".into()))?;
-                let (status, content_length) = parse_response_head(head)?;
+                let (status, content_length, close) = parse_response_head(head)?;
                 let total = head_end + 4 + content_length;
                 if self.buf.len() >= total {
                     let body = String::from_utf8(self.buf[head_end + 4..total].to_vec())
                         .map_err(|_| ClientError::Protocol("body is not UTF-8".into()))?;
                     self.buf.drain(..total);
-                    let json = mhx_json::parse(&body).map_err(|e| {
-                        ClientError::Protocol(format!("unparseable body: {e} in `{body}`"))
-                    })?;
-                    return Ok((status, json));
+                    return Ok(RawResponse { status, body, close });
                 }
             }
             match self.stream.read(&mut chunk) {
@@ -323,7 +348,8 @@ impl Client {
     }
 }
 
-fn parse_response_head(head: &str) -> Result<(u16, usize), ClientError> {
+/// The status, `Content-Length` and `Connection: close` of a response head.
+fn parse_response_head(head: &str) -> Result<(u16, usize, bool), ClientError> {
     let mut lines = head.split("\r\n");
     let status_line = lines.next().unwrap_or("");
     let status = status_line
@@ -332,6 +358,7 @@ fn parse_response_head(head: &str) -> Result<(u16, usize), ClientError> {
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| ClientError::Protocol(format!("bad status line `{status_line}`")))?;
     let mut content_length = 0usize;
+    let mut close = false;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -339,8 +366,10 @@ fn parse_response_head(head: &str) -> Result<(u16, usize), ClientError> {
                     .trim()
                     .parse()
                     .map_err(|_| ClientError::Protocol("bad content-length".into()))?;
+            } else if name.eq_ignore_ascii_case("connection") {
+                close = value.trim().eq_ignore_ascii_case("close");
             }
         }
     }
-    Ok((status, content_length))
+    Ok((status, content_length, close))
 }

@@ -21,17 +21,35 @@
 //! queue, the ordered output buffer, and the front end's per-connection
 //! state ([`Service::Conn`] — session pin, prepared handles, options).
 //!
-//! ## Pipelining
+//! ## Pipelining and replies
 //!
 //! Requests parse ahead into the entry's `pending` queue (bounded by
 //! [`PIPELINE_MAX`]); execution stays **serial per connection** — one
 //! request in a worker at a time, so per-connection state needs no lock
-//! and responses are appended to the output buffer in arrival order. The
-//! worker sends the finished state + formatted bytes back through the
-//! completion queue and wakes the loop, which dispatches the next pending
-//! request. Reads pause (interest is dropped) while the pipeline or the
-//! output backlog is over its cap; level-triggered readiness re-fires
-//! when interest returns.
+//! and replies leave in arrival order. The worker formats the reply. When
+//! the request was dispatched with the output buffer flushed and nothing
+//! queued behind it, the worker writes the reply straight to the
+//! nonblocking socket (the loop and the job share the stream) and posts
+//! the state back through the completion queue *without* waking the
+//! loop, which collects it on its next wake-up. The worker wakes the loop
+//! only when the loop has something to do for that connection: the rest
+//! of a short write, a connection that must close, or whatever the loop
+//! queued while the request ran (a parsed request, a protocol error, the
+//! peer's half-close). The loop flags those on the connection before it
+//! drains the completion queue, so a state never sits behind a sleeping
+//! loop: a worker that posts before the flag is collected by that drain,
+//! one that posts after it sees the flag and wakes the loop. Any other
+//! reply travels back with the state, and the loop appends it to the
+//! output buffer and dispatches the next pending request. Reads pause
+//! (interest is dropped) while the pipeline or the output backlog is over
+//! its cap; level-triggered readiness re-fires when interest returns.
+//!
+//! ## Panics
+//!
+//! A request whose handler panics is answered `500` with the `internal`
+//! wire kind and `Connection: close`. The worker survives, the state
+//! comes back through the completion queue (and is released when the
+//! connection closes), and [`Service::note_panic`] counts it.
 //!
 //! ## Drain
 //!
@@ -43,14 +61,14 @@
 //! while serving), and a hard deadline backstops a peer that never reads
 //! its response.
 
-use crate::server::accept::{DispatchPool, Job};
+use crate::server::accept::{DispatchPool, JobQueue};
 use crate::server::http::{self, ParseError, Request};
 use crate::server::wire;
-use mhx_json::Json;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::Sender;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -65,9 +83,10 @@ pub(crate) trait Service: Send + Sync + 'static {
     /// A connection was admitted: build its state (and count it).
     fn connect(&self, stream: &TcpStream) -> Self::Conn;
 
-    /// Execute one complete request. Runs on a worker thread; the event
-    /// loop guarantees at most one in-flight request per connection.
-    fn handle(&self, conn: &mut Self::Conn, req: &Request) -> (u16, Json);
+    /// Execute one complete request and return its status and encoded
+    /// JSON body. Runs on a worker thread; the event loop guarantees at
+    /// most one in-flight request per connection.
+    fn handle(&self, conn: &mut Self::Conn, req: &Request) -> (u16, String);
 
     /// The connection is gone; release its state.
     fn disconnect(&self, conn: Self::Conn);
@@ -78,6 +97,10 @@ pub(crate) trait Service: Send + Sync + 'static {
     /// A request was parsed while an earlier one from the same connection
     /// was still queued or executing (i.e. the client pipelined).
     fn note_pipelined(&self) {}
+
+    /// [`Service::handle`] panicked; the request was answered `500`
+    /// (`internal`) and its connection closes.
+    fn note_panic(&self) {}
 }
 
 /// The subset of the front ends' config the loop needs.
@@ -139,7 +162,7 @@ impl EventLoop {
             listener,
             service,
             cfg,
-            jobs: pool.sender(),
+            jobs: pool.queue(),
             completions: Arc::new(Mutex::new(VecDeque::new())),
             waker: waker.clone(),
             conns: HashMap::new(),
@@ -160,13 +183,15 @@ impl EventLoop {
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
-        // The loop thread's job sender is gone with it; closing ours
-        // drains the queue and the workers exit.
+        // Nothing submits once the loop has exited; the workers finish
+        // what is queued and exit.
         self.pool.join();
     }
 }
 
-/// A finished request on its way back from a worker.
+/// A finished request on its way back from a worker: the state, and the
+/// part of the reply the worker did not write itself (empty when it
+/// wrote it all).
 struct Completion<C> {
     token: u64,
     state: C,
@@ -178,7 +203,8 @@ type CompletionQueue<C> = Arc<Mutex<VecDeque<Completion<C>>>>;
 
 /// One connection's slot in the table.
 struct ConnEntry<C> {
-    stream: TcpStream,
+    /// Shared with a job that may write its reply directly.
+    stream: Arc<TcpStream>,
     fd: i32,
     /// Unparsed inbound bytes + the head-search resume offset.
     buf: Vec<u8>,
@@ -192,6 +218,10 @@ struct ConnEntry<C> {
     /// worker holds it (`in_worker`).
     state: Option<C>,
     in_worker: bool,
+    /// Set while a worker holds the state and the loop has queued
+    /// something for this connection: the worker must then wake the loop
+    /// when it posts its completion.
+    recall: Arc<AtomicBool>,
     close_after_flush: bool,
     /// A protocol-error response (400/408/413) waiting for the in-flight
     /// request (if any) to finish, so ordering holds even on errors.
@@ -213,7 +243,7 @@ struct Loop<S: Service> {
     listener: TcpListener,
     service: Arc<S>,
     cfg: EventConfig,
-    jobs: Sender<Job>,
+    jobs: JobQueue,
     completions: CompletionQueue<S::Conn>,
     waker: sys::Waker,
     conns: HashMap<u64, ConnEntry<S::Conn>>,
@@ -226,14 +256,19 @@ impl<S: Service> Loop<S> {
         let mut drain_started: Option<Instant> = None;
         loop {
             self.poller.wait(&mut events, self.cfg.poll_interval);
+            // States whose replies their workers wrote wait here without
+            // a wake; take them back before reading, so that a request
+            // following such a reply does not count as pipelined.
+            self.drain_completions();
             for ev in std::mem::take(&mut events) {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
                     token => self.conn_ready(token, ev.readable, ev.writable),
                 }
             }
-            self.drain_completions();
             self.sweep_timeouts();
+            // After every recall flag this round set (see the module doc).
+            self.drain_completions();
             if self.service.draining() {
                 let t0 = *drain_started.get_or_insert_with(Instant::now);
                 self.close_idle_for_drain();
@@ -271,7 +306,7 @@ impl<S: Service> Loop<S> {
                     self.conns.insert(
                         token,
                         ConnEntry {
-                            stream,
+                            stream: Arc::new(stream),
                             fd,
                             buf: Vec::new(),
                             scan: 0,
@@ -280,6 +315,7 @@ impl<S: Service> Loop<S> {
                             pending: VecDeque::new(),
                             state: Some(state),
                             in_worker: false,
+                            recall: Arc::default(),
                             close_after_flush: false,
                             fatal: None,
                             read_closed: false,
@@ -307,7 +343,7 @@ impl<S: Service> Loop<S> {
             let Some(entry) = self.conns.get_mut(&token) else { return };
             if readable && entry.want_read && !entry.read_closed {
                 let mut chunk = [0u8; CHUNK];
-                match entry.stream.read(&mut chunk) {
+                match (&*entry.stream).read(&mut chunk) {
                     Ok(0) => entry.read_closed = true,
                     Ok(n) => {
                         entry.buf.extend_from_slice(&chunk[..n]);
@@ -388,6 +424,14 @@ impl<S: Service> Loop<S> {
                 entry.scan = 0;
                 entry.partial_since = None;
             }
+            if entry.in_worker
+                && (!entry.pending.is_empty() || entry.fatal.is_some() || entry.read_closed)
+            {
+                // SeqCst pairs with the worker's load after its push: the
+                // completion queue's lock orders the push against the
+                // loop's next drain (see the module doc).
+                entry.recall.store(true, Ordering::SeqCst);
+            }
         }
         for _ in 0..pipelined {
             self.service.note_pipelined();
@@ -400,42 +444,32 @@ impl<S: Service> Loop<S> {
     /// Hand the next pending request to a worker (serial per connection),
     /// or emit a queued fatal response once the line is free.
     fn dispatch(&mut self, token: u64) {
+        let Some(entry) = self.conns.get_mut(&token) else { return };
+        if entry.in_worker || entry.close_after_flush {
+            return;
+        }
+        if let Some(bytes) = entry.fatal.take() {
+            entry.out.extend_from_slice(&bytes);
+            entry.close_after_flush = true;
+            return;
+        }
+        let Some(req) = entry.pending.pop_front() else { return };
+        let state = entry.state.take().expect("state present when not in a worker");
+        entry.in_worker = true;
+        entry.recall.store(false, Ordering::SeqCst);
+        // The reply may bypass the loop only when nothing goes out before
+        // it and nothing waits behind it.
+        let direct =
+            entry.out_pos >= entry.out.len() && entry.pending.is_empty() && !entry.read_closed;
+        let job = ReplyJob {
+            token,
+            stream: direct.then(|| Arc::clone(&entry.stream)),
+            recall: Arc::clone(&entry.recall),
+            completions: Arc::clone(&self.completions),
+            waker: self.waker.clone(),
+        };
         let service = Arc::clone(&self.service);
-        let completions = Arc::clone(&self.completions);
-        let waker = self.waker.clone();
-        let mut job: Option<Job> = None;
-        {
-            let Some(entry) = self.conns.get_mut(&token) else { return };
-            if entry.in_worker || entry.close_after_flush {
-                return;
-            }
-            if entry.fatal.is_none() {
-                if let Some(req) = entry.pending.pop_front() {
-                    let state = entry.state.take().expect("state present when not in a worker");
-                    entry.in_worker = true;
-                    job = Some(Box::new(move || {
-                        let mut state = state;
-                        let (status, body) = service.handle(&mut state, &req);
-                        // Keep-alive folds the client's wish and the drain
-                        // state, exactly like the worker-per-connection
-                        // front end did.
-                        let keep = !req.close && !service.draining();
-                        let bytes = http::format_response(status, &body.to_string(), keep);
-                        completions
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push_back(Completion { token, state, bytes, keep });
-                        waker.wake();
-                    }));
-                }
-            } else if let Some(bytes) = entry.fatal.take() {
-                entry.out.extend_from_slice(&bytes);
-                entry.close_after_flush = true;
-            }
-        }
-        if let Some(job) = job {
-            let _ = self.jobs.send(job);
-        }
+        self.jobs.submit(Box::new(move || job.run(&*service, state, &req)));
     }
 
     fn drain_completions(&mut self) {
@@ -542,7 +576,7 @@ impl<S: Service> Loop<S> {
                     entry.out_pos = 0;
                     break;
                 }
-                match entry.stream.write(&entry.out[entry.out_pos..]) {
+                match (&*entry.stream).write(&entry.out[entry.out_pos..]) {
                     Ok(0) => {
                         close = true;
                         break;
@@ -608,6 +642,64 @@ impl<S: Service> Loop<S> {
             // is disconnected there.
         }
     }
+}
+
+/// Where a dispatched request's reply goes: straight to the socket when
+/// the loop allowed it (`stream`), else back with the state.
+struct ReplyJob<C> {
+    token: u64,
+    stream: Option<Arc<TcpStream>>,
+    recall: Arc<AtomicBool>,
+    completions: CompletionQueue<C>,
+    waker: sys::Waker,
+}
+
+impl<C> ReplyJob<C> {
+    /// Run `req` on a worker, answer it, and post the state back.
+    fn run<S: Service<Conn = C>>(self, service: &S, mut state: C, req: &Request) {
+        let handled = panic::catch_unwind(AssertUnwindSafe(|| service.handle(&mut state, req)));
+        let (status, body, keep) = match handled {
+            // Keep-alive folds the client's wish and the drain state.
+            Ok((status, body)) => (status, body, !req.close && !service.draining()),
+            Err(_) => {
+                service.note_panic();
+                (500, wire::internal_body().to_string(), false)
+            }
+        };
+        let mut bytes = http::format_response(status, &body, keep);
+        if let Some(stream) = &self.stream {
+            let sent = write_now(stream, &bytes);
+            bytes.drain(..sent);
+        }
+        let wake = !keep || !bytes.is_empty();
+        self.completions.lock().unwrap_or_else(PoisonError::into_inner).push_back(Completion {
+            token: self.token,
+            state,
+            bytes,
+            keep,
+        });
+        // Checked after the push (see the module doc). A drain that began
+        // after `keep` was decided would otherwise wait a poll tick.
+        if wake || self.recall.load(Ordering::SeqCst) || service.draining() {
+            self.waker.wake();
+        }
+    }
+}
+
+/// Write as much of `bytes` as the nonblocking socket takes now and
+/// return how much that was. It stops at `WouldBlock` or an error; the
+/// loop's flush meets either again with the rest and handles it.
+fn write_now(mut stream: &TcpStream, bytes: &[u8]) -> usize {
+    let mut sent = 0;
+    while sent < bytes.len() {
+        match stream.write(&bytes[sent..]) {
+            Ok(0) => break,
+            Ok(n) => sent += n,
+            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    sent
 }
 
 #[cfg(unix)]
@@ -845,5 +937,85 @@ mod sys {
 
     impl Waker {
         pub(super) fn wake(&self) {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicU64;
+
+    /// Answers `200 {"ok":true}`, except on `/panic`, where it panics.
+    #[derive(Default)]
+    struct Panicky {
+        panics: AtomicU64,
+        stop: AtomicBool,
+    }
+
+    impl Service for Panicky {
+        type Conn = ();
+
+        fn connect(&self, _stream: &TcpStream) {}
+
+        fn handle(&self, _conn: &mut (), req: &Request) -> (u16, String) {
+            assert!(req.path != "/panic", "a handler bug, triggered on purpose");
+            (200, r#"{"ok":true}"#.into())
+        }
+
+        fn disconnect(&self, _conn: ()) {}
+
+        fn draining(&self) -> bool {
+            self.stop.load(Ordering::SeqCst)
+        }
+
+        fn note_panic(&self) {
+            self.panics.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Send one `GET path` on a fresh connection and read until the
+    /// server closes it.
+    fn get_until_eof(addr: &str, path: &str, close: bool) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("set timeout");
+        let connection = if close { "close" } else { "keep-alive" };
+        write!(stream, "GET {path} HTTP/1.1\r\nConnection: {connection}\r\n\r\n").expect("send");
+        let mut text = String::new();
+        stream.read_to_string(&mut text).expect("a reply, then EOF");
+        text
+    }
+
+    /// Each of `workers + 1` panicking requests is answered 500
+    /// `internal` and closed; the pool still serves afterwards.
+    #[test]
+    fn a_panicking_request_is_answered_500_and_its_worker_survives() {
+        let workers = 2;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("bound").to_string();
+        let service = Arc::new(Panicky::default());
+        let cfg = EventConfig {
+            poll_interval: Duration::from_millis(5),
+            request_timeout: Duration::from_secs(10),
+            max_body: 1024,
+            max_idle: None,
+        };
+        let mut evloop =
+            EventLoop::start(listener, "panicky", workers, cfg, Arc::clone(&service)).unwrap();
+
+        for _ in 0..=workers {
+            // Keep-alive asked for, yet the reply closes the connection.
+            let reply = get_until_eof(&addr, "/panic", false);
+            assert!(reply.starts_with("HTTP/1.1 500 "), "{reply}");
+            assert!(reply.contains("\r\nConnection: close\r\n"), "{reply}");
+            let body = mhx_json::parse(reply.split("\r\n\r\n").nth(1).unwrap()).unwrap();
+            let kind = body.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str());
+            assert_eq!(kind, Some(wire::INTERNAL_KIND), "{reply}");
+        }
+        let reply = get_until_eof(&addr, "/fine", true);
+        assert!(reply.starts_with("HTTP/1.1 200 "), "{reply}");
+        assert_eq!(service.panics.load(Ordering::SeqCst), workers as u64 + 1);
+
+        service.stop.store(true, Ordering::SeqCst);
+        evloop.shutdown();
     }
 }

@@ -496,6 +496,7 @@ fn stats_body(shared: &Shared, catalog: &Catalog) -> Json {
                     "pipelined_requests".into(),
                     Json::Num(shared.pipelined.load(Ordering::Relaxed) as f64),
                 ),
+                ("panics".into(), Json::Num(shared.panics.load(Ordering::Relaxed) as f64)),
                 ("active_connections".into(), Json::Num(sessions.len() as f64)),
                 ("sessions".into(), Json::Arr(sessions)),
             ]),

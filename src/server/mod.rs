@@ -15,16 +15,21 @@
 //!      TcpListener ──► event loop (1 thread: accept + epoll readiness)
 //!                         │ connection table: fd token → buffers +
 //!                         │   ConnState (doc pin, prepared, options)
-//!                         │ complete requests → mpsc job queue
+//!                         │ complete requests → job queue (one idle
+//!                         │   worker wakes per job)
 //!            ┌────────────┼────────────┐
 //!        worker 0     worker 1  …  worker N-1   (ServerConfig::workers)
-//!            │ route → respond (bytes back via completion queue)
+//!            │ route → write the reply to the socket; the state returns
+//!            │   via the completion queue (which carries reply bytes only
+//!            │   for short writes, pipelined requests and closes)
 //!        Session ──► Catalog (&self queries, shared plan cache)
 //! ```
 //!
 //! Requests pipeline: the loop parses ahead while earlier requests run,
 //! execution stays serial per connection, and responses flush strictly
-//! in arrival order.
+//! in arrival order. A request whose handler panics is answered `500`
+//! (`internal`), closes its connection, and counts in `/stats` as
+//! `server.panics`; the worker lives on.
 //!
 //! No tokio, no hyper: the build is offline (see the `vendor/` shim
 //! convention), and `std::net` + raw-libc epoll + a thread pool serve the
@@ -62,7 +67,6 @@ pub use wire::{error_kind, parse_lang, status_for, WireOutcome};
 
 use crate::engine::{Catalog, EvalStats};
 use event::{EventConfig, EventLoop, Service};
-use mhx_json::Json;
 use mhx_xquery::EvalOptions;
 use std::collections::BTreeMap;
 use std::io;
@@ -153,6 +157,7 @@ pub(crate) struct Shared {
     pub(crate) accepted: AtomicU64,
     pub(crate) requests: AtomicU64,
     pub(crate) pipelined: AtomicU64,
+    pub(crate) panics: AtomicU64,
     next_conn: AtomicU64,
     conns: Mutex<BTreeMap<u64, Arc<ConnStats>>>,
 }
@@ -220,13 +225,13 @@ impl Service for ServerService {
         ServerConn { stats, state }
     }
 
-    fn handle(&self, conn: &mut ServerConn, req: &http::Request) -> (u16, Json) {
+    fn handle(&self, conn: &mut ServerConn, req: &http::Request) -> (u16, String) {
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
         conn.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let out =
+        let (status, body) =
             handler::route(&self.shared, &self.shared.catalog, &conn.stats, &mut conn.state, req);
         conn.stats.record_eval(conn.state.eval_stats());
-        out
+        (status, body.to_string())
     }
 
     fn disconnect(&self, conn: ServerConn) {
@@ -239,6 +244,10 @@ impl Service for ServerService {
 
     fn note_pipelined(&self) {
         self.shared.pipelined.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn note_panic(&self) {
+        self.shared.panics.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -286,6 +295,7 @@ impl Server {
             accepted: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             pipelined: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
             next_conn: AtomicU64::new(0),
             conns: Mutex::new(BTreeMap::new()),
         });

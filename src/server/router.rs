@@ -25,12 +25,13 @@
 //!   `GET /stats` nests every shard's stats under `shards` plus a
 //!   `router` section (backend health, failover counters, the idle
 //!   backend-connection gauge).
-//! * **Failover** — a connection error or the typed `503`/
-//!   `shutting_down` drain signal from one shard retries the next
-//!   replica; only when every replica failed does the client see an
+//! * **Failover** — a connection error, a body that is not JSON, or the
+//!   typed `503`/`shutting_down` drain signal from one shard retries the
+//!   next replica; only when every replica failed does the client see an
 //!   error, and it is the distinct `502`/`bad_gateway` kind. Any other
-//!   response (including 4xx — deterministic on every replica) passes
-//!   through verbatim.
+//!   response passes through verbatim: 4xx is deterministic on every
+//!   replica, and so is a `500`/`internal` (the request panicked its
+//!   handler and would panic the next replica too).
 //! * **Prepared statements** — the router keeps a per-client-connection
 //!   handle table (`ConnCore`) holding the statements themselves:
 //!   `/prepare` runs the node's own validation against a document-free
@@ -52,6 +53,15 @@
 //! `/query`, making backend session state irrelevant per request. One
 //! consequence: the wire defaults (not a backend catalog's custom
 //! defaults) are what an option-silent client gets through the router.
+//!
+//! A forwarded reply (`/query`, `/execute`, a rejected upload) travels as
+//! text: the router decodes each backend body once, for the checks that
+//! read it (the drain signal, a garbled body, the pin decision), and
+//! sends the text on as received, never encoding it again. The gathers
+//! (`/documents`, `/stats`) build bodies of their own from the decoded
+//! replies. A backend that closes its connection after a reply (as a
+//! node does after a `500`/`internal`) does not get that connection back
+//! in the free list.
 
 use crate::engine::{Catalog, Prepared};
 use crate::server::client::{Client, ClientError};
@@ -107,6 +117,7 @@ pub(crate) struct RouterShared {
     accepted: AtomicU64,
     requests: AtomicU64,
     pipelined: AtomicU64,
+    panics: AtomicU64,
     failovers: AtomicU64,
 }
 
@@ -172,6 +183,7 @@ impl Router {
             accepted: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             pipelined: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
         });
         let evloop = EventLoop::start(
@@ -233,7 +245,7 @@ impl Service for RouterService {
         ConnCore::new()
     }
 
-    fn handle(&self, conn: &mut ConnCore, req: &Request) -> (u16, Json) {
+    fn handle(&self, conn: &mut ConnCore, req: &Request) -> (u16, String) {
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
         let failovers = conn.failovers;
         let out = route(&self.shared, conn, req);
@@ -250,16 +262,34 @@ impl Service for RouterService {
     fn note_pipelined(&self) {
         self.shared.pipelined.fetch_add(1, Ordering::Relaxed);
     }
+
+    fn note_panic(&self) {
+        self.shared.panics.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A reply on its way to the client: the body text it is sent as, and
+/// that text decoded (once) for the checks that read it.
+struct Reply {
+    status: u16,
+    text: String,
+    json: Json,
 }
 
 /// How one backend attempt ended.
 enum Attempt {
-    /// A complete HTTP exchange that is not the drain signal — pass it
-    /// through (4xx included: deterministic on every replica).
-    Done(u16, Json),
+    /// A complete HTTP exchange with a JSON body that is not the drain
+    /// signal — pass it through (4xx and `500`/`internal` included:
+    /// deterministic on every replica).
+    Done(Reply),
     /// Connection error, garbled response, or the typed drain signal:
     /// try the next replica. Carries the reason for the 502 message.
     Failover(String),
+}
+
+/// Encode a reply the router (or the shared handler code) built as JSON.
+fn encoded((status, json): (u16, Json)) -> (u16, String) {
+    (status, json.to_string())
 }
 
 /// The router's shared backend machinery: the placement pool plus one
@@ -328,10 +358,11 @@ impl RouterCore {
     }
 
     /// One uninterpreted exchange with backend `i` on a pooled
-    /// connection, with health classification: transport failures and
-    /// the drain signal become [`Attempt::Failover`] (and drop the
-    /// connection); everything else checks the connection back in and
-    /// passes through.
+    /// connection, with health classification: transport failures, a
+    /// body that is not JSON and the drain signal become
+    /// [`Attempt::Failover`] (and drop the connection); everything else
+    /// passes through, and its connection goes back to the free list
+    /// unless the backend closes it.
     fn attempt(&self, i: usize, method: &str, path: &str, body: Option<&Json>) -> Attempt {
         let mut backend = match self.checkout(i) {
             Ok(b) => b,
@@ -340,15 +371,18 @@ impl RouterCore {
                 return Attempt::Failover(format!("{}: {e}", self.pool.addr(i)));
             }
         };
-        match backend.request(method, path, body) {
-            Ok((status, json)) if wire::is_drain_envelope(status, &json) => {
+        let exchanged = backend.exchange(method, path, body).and_then(|raw| Ok((raw.json()?, raw)));
+        match exchanged {
+            Ok((json, raw)) if wire::is_drain_envelope(raw.status, &json) => {
                 self.pool.mark_draining(i);
                 Attempt::Failover(format!("{} is draining", self.pool.addr(i)))
             }
-            Ok((status, json)) => {
+            Ok((json, raw)) => {
                 self.pool.mark_up(i);
-                self.checkin(i, backend);
-                Attempt::Done(status, json)
+                if !raw.close {
+                    self.checkin(i, backend);
+                }
+                Attempt::Done(Reply { status: raw.status, text: raw.body, json })
             }
             Err(e) => {
                 self.pool.mark_down(i);
@@ -366,20 +400,20 @@ impl RouterCore {
         method: &str,
         path: &str,
         body: Option<&Json>,
-    ) -> (u16, Json) {
+    ) -> Reply {
         let mut tried = Vec::new();
         for (k, &i) in order.iter().enumerate() {
             if k > 0 {
                 conn.failovers += 1;
             }
             match self.attempt(i, method, path, body) {
-                Attempt::Done(status, json) => return (status, json),
+                Attempt::Done(reply) => return reply,
                 Attempt::Failover(why) => tried.push(why),
             }
         }
-        let body =
+        let json =
             wire::bad_gateway_body(&format!("all replicas unavailable ({})", tried.join("; ")));
-        (502, body)
+        Reply { status: 502, text: json.to_string(), json }
     }
 
     /// Forward an ad-hoc query to the document's replicas, checking the
@@ -387,18 +421,18 @@ impl RouterCore {
     /// order, and pin the document exactly when a node would: once a
     /// backend found it, whether the query then succeeded or failed to
     /// parse, compile or evaluate.
-    pub(crate) fn query(&self, conn: &mut ConnCore, body: &Json) -> (u16, Json) {
+    pub(crate) fn query(&self, conn: &mut ConnCore, body: &Json) -> (u16, String) {
         if let Err(err) = query_fields(body) {
-            return err;
+            return encoded(err);
         }
         if let Err(err) = apply_request_options(&mut conn.opts, body) {
-            return err;
+            return encoded(err);
         }
         let doc = match target_doc(body, conn.doc.as_deref(), || {
             Ok(self.document_listing()?.into_keys().collect())
         }) {
             Ok(doc) => doc,
-            Err(err) => return err,
+            Err(err) => return encoded(err),
         };
         let order = self.pool.read_order(&doc);
         let fwd = with_field(
@@ -406,21 +440,21 @@ impl RouterCore {
             "options",
             wire::options_json(&conn.opts),
         );
-        let (status, json) = self.try_replicas(conn, &order, "POST", "/query", Some(&fwd));
-        let kind = json.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str);
-        if status == 200 || matches!(kind, Some("parse" | "compile" | "eval")) {
+        let reply = self.try_replicas(conn, &order, "POST", "/query", Some(&fwd));
+        let kind = reply.json.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str);
+        if reply.status == 200 || matches!(kind, Some("parse" | "compile" | "eval")) {
             conn.doc = Some(doc);
         }
-        (status, json)
+        (reply.status, reply.text)
     }
 
     /// Run a prepared handle: its text travels as an ad-hoc `/query`
     /// through the same replica failover, and the backend's plan cache
     /// turns the repeated text into a lookup.
-    pub(crate) fn execute(&self, conn: &mut ConnCore, body: &Json) -> (u16, Json) {
+    pub(crate) fn execute(&self, conn: &mut ConnCore, body: &Json) -> (u16, String) {
         let statement = match prepared_handle(&conn.prepared, body) {
             Ok(handle) => &conn.prepared[handle],
-            Err(err) => return err,
+            Err(err) => return encoded(err),
         };
         let mut fwd = vec![
             ("lang".to_string(), Json::Str(statement.lang().name().into())),
@@ -437,7 +471,7 @@ impl RouterCore {
     /// Upload `id` to its replica set, walking the ring past dead
     /// backends so the document still lands `replicas` times when a
     /// preferred shard is down.
-    pub(crate) fn upload(&self, conn: &mut ConnCore, id: &str, body: &Json) -> (u16, Json) {
+    pub(crate) fn upload(&self, conn: &mut ConnCore, id: &str, body: &Json) -> (u16, String) {
         let want = self.pool.replicas();
         let order = self.pool.ring_order(id);
         let mut placed = Vec::new();
@@ -447,12 +481,12 @@ impl RouterCore {
                 break;
             }
             match self.attempt(i, "PUT", &format!("/documents/{id}"), Some(body)) {
-                Attempt::Done(status, _) if (200..300).contains(&status) => placed.push(i),
+                Attempt::Done(reply) if (200..300).contains(&reply.status) => placed.push(i),
                 // A deterministic rejection (malformed hierarchy, bad id)
                 // would fail identically on every shard: surface it. Any
                 // shard that already accepted keeps the document — uploads
                 // of a fixed id are idempotent, so a client retry heals.
-                Attempt::Done(status, json) => return (status, json),
+                Attempt::Done(reply) => return (reply.status, reply.text),
                 Attempt::Failover(why) => tried.push(why),
             }
         }
@@ -460,12 +494,12 @@ impl RouterCore {
         if placed.is_empty() {
             let body =
                 wire::bad_gateway_body(&format!("no shard accepted `{id}` ({})", tried.join("; ")));
-            return (502, body);
+            return encoded((502, body));
         }
         self.pool.record_placement(id, placed.clone());
         let shards: Vec<Json> =
             placed.iter().map(|&i| Json::Str(self.pool.addr(i).into())).collect();
-        (
+        encoded((
             200,
             Json::Obj(vec![
                 ("ok".into(), Json::Bool(true)),
@@ -473,7 +507,7 @@ impl RouterCore {
                 ("replicas".into(), Json::Num(placed.len() as f64)),
                 ("shards".into(), Json::Arr(shards)),
             ]),
-        )
+        ))
     }
 
     /// Scatter `GET /documents` to every backend and merge the listings:
@@ -487,8 +521,8 @@ impl RouterCore {
         let mut errors = Vec::new();
         for i in 0..self.pool.len() {
             match self.attempt(i, "GET", "/documents", None) {
-                Attempt::Done(status, json) if (200..300).contains(&status) => {
-                    match json.get("documents").and_then(Json::as_arr) {
+                Attempt::Done(reply) if (200..300).contains(&reply.status) => {
+                    match reply.json.get("documents").and_then(Json::as_arr) {
                         Some(entries) => {
                             for entry in entries {
                                 if let Some(id) = entry.get("id").and_then(Json::as_str) {
@@ -500,8 +534,8 @@ impl RouterCore {
                         None => errors.push(format!("{}: malformed /documents", self.pool.addr(i))),
                     }
                 }
-                Attempt::Done(status, _) => {
-                    errors.push(format!("{}: status {status}", self.pool.addr(i)));
+                Attempt::Done(reply) => {
+                    errors.push(format!("{}: status {}", self.pool.addr(i), reply.status));
                 }
                 Attempt::Failover(why) => errors.push(why),
             }
@@ -539,7 +573,7 @@ impl RouterCore {
         for i in 0..self.pool.len() {
             let addr = self.pool.addr(i).to_string();
             match self.attempt(i, "GET", "/stats", None) {
-                Attempt::Done(status, json) if (200..300).contains(&status) => {
+                Attempt::Done(Reply { status, json, .. }) if (200..300).contains(&status) => {
                     shard_requests += json
                         .get("server")
                         .and_then(|s| s.get("requests"))
@@ -592,6 +626,7 @@ impl RouterCore {
                             "pipelined_requests".into(),
                             Json::Num(shared.pipelined.load(Ordering::Relaxed) as f64),
                         ),
+                        ("panics".into(), Json::Num(shared.panics.load(Ordering::Relaxed) as f64)),
                         (
                             "failovers".into(),
                             Json::Num(shared.failovers.load(Ordering::Relaxed) as f64),
@@ -631,20 +666,24 @@ fn with_field(body: &Json, field: &str, value: Json) -> Json {
     Json::Obj(entries)
 }
 
-fn route(shared: &RouterShared, conn: &mut ConnCore, req: &Request) -> (u16, Json) {
+fn route(shared: &RouterShared, conn: &mut ConnCore, req: &Request) -> (u16, String) {
     // Path first, then method — same 405 discipline as the single-node
     // handler.
     let core = &shared.core;
     let method = req.method.as_str();
-    let wrong_method =
-        || (405, wire::protocol_error_body("method_not_allowed", "wrong method for this path"));
-    let with_body = |f: &mut dyn FnMut(&Json) -> (u16, Json)| match body_object(req) {
+    let wrong_method = || {
+        encoded((
+            405,
+            wire::protocol_error_body("method_not_allowed", "wrong method for this path"),
+        ))
+    };
+    let with_body = |f: &mut dyn FnMut(&Json) -> (u16, String)| match body_object(req) {
         Ok(body) => f(&body),
-        Err(err) => err,
+        Err(err) => encoded(err),
     };
     match req.path.as_str() {
         "/healthz" | "/" => match method {
-            "GET" => (200, Json::Obj(vec![("ok".into(), Json::Bool(true))])),
+            "GET" => encoded((200, Json::Obj(vec![("ok".into(), Json::Bool(true))]))),
             _ => wrong_method(),
         },
         "/query" => match method {
@@ -652,7 +691,9 @@ fn route(shared: &RouterShared, conn: &mut ConnCore, req: &Request) -> (u16, Jso
             _ => wrong_method(),
         },
         "/prepare" => match method {
-            "POST" => with_body(&mut |body| prepare_into(&core.catalog, &mut conn.prepared, body)),
+            "POST" => with_body(&mut |body| {
+                encoded(prepare_into(&core.catalog, &mut conn.prepared, body))
+            }),
             _ => wrong_method(),
         },
         "/execute" => match method {
@@ -660,23 +701,23 @@ fn route(shared: &RouterShared, conn: &mut ConnCore, req: &Request) -> (u16, Jso
             _ => wrong_method(),
         },
         "/documents" => match method {
-            "GET" => core.documents(),
+            "GET" => encoded(core.documents()),
             _ => wrong_method(),
         },
         "/stats" => match method {
-            "GET" => core.stats(shared),
+            "GET" => encoded(core.stats(shared)),
             _ => wrong_method(),
         },
         "/shutdown" => match method {
             "POST" => {
                 shared.shutdown_requested.store(true, Ordering::SeqCst);
-                (
+                encoded((
                     200,
                     Json::Obj(vec![
                         ("ok".into(), Json::Bool(true)),
                         ("draining".into(), Json::Bool(true)),
                     ]),
-                )
+                ))
             }
             _ => wrong_method(),
         },
@@ -687,7 +728,10 @@ fn route(shared: &RouterShared, conn: &mut ConnCore, req: &Request) -> (u16, Jso
                 _ => wrong_method(),
             }
         }
-        path => (404, wire::protocol_error_body("not_found", &format!("no route for `{path}`"))),
+        path => encoded((
+            404,
+            wire::protocol_error_body("not_found", &format!("no route for `{path}`")),
+        )),
     }
 }
 
@@ -705,9 +749,13 @@ mod tests {
         r#"{"ok":false,"error":{"kind":"shutting_down","message":"draining"}}"#;
     const NOT_FOUND_BODY: &str =
         r#"{"ok":false,"error":{"kind":"unknown_document","message":"no document `ms`"}}"#;
+    const INTERNAL_BODY: &str =
+        r#"{"ok":false,"error":{"kind":"internal","message":"the request's handler panicked"}}"#;
 
     /// A canned-response backend: answers every request on every
-    /// connection with `status` + `body`, counting requests served.
+    /// connection with `status` + `body`, counting requests served. A
+    /// `500` closes the connection after the reply, as a node does after
+    /// a panicking request.
     fn mock_backend(status: u16, body: &'static str) -> (String, Arc<AtomicUsize>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
@@ -746,12 +794,14 @@ mod tests {
                         };
                         buf.drain(..end);
                         hits.fetch_add(1, Ordering::SeqCst);
+                        let close = status == 500;
                         let resp = format!(
                             "HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n\
-                             Content-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
-                            body.len()
+                             Content-Length: {}\r\nConnection: {}\r\n\r\n{body}",
+                            body.len(),
+                            if close { "close" } else { "keep-alive" },
                         );
-                        if s.write_all(resp.as_bytes()).is_err() {
+                        if s.write_all(resp.as_bytes()).is_err() || close {
                             return;
                         }
                     }
@@ -759,6 +809,11 @@ mod tests {
             }
         });
         (addr, hits)
+    }
+
+    /// Decode a reply's text for the assertions.
+    fn decoded((status, text): (u16, String)) -> (u16, Json) {
+        (status, mhx_json::parse(&text).expect("router replies are JSON"))
     }
 
     fn error_kind_of(json: &Json) -> &str {
@@ -779,7 +834,7 @@ mod tests {
         let pool = Arc::new(BackendPool::new(vec![a, b], 2));
         let core = RouterCore::new(Arc::clone(&pool), 4);
         let mut conn = ConnCore::new();
-        let (status, json) = core.query(&mut conn, &query_body("ms"));
+        let (status, json) = decoded(core.query(&mut conn, &query_body("ms")));
         assert_eq!(status, 502);
         assert_eq!(error_kind_of(&json), wire::BAD_GATEWAY_KIND);
         assert_eq!(hits_a.load(Ordering::SeqCst), 1, "each replica tried exactly once");
@@ -790,25 +845,53 @@ mod tests {
         assert_eq!(core.idle_connections(), 0, "drain attempts never pool their connection");
     }
 
+    /// A body that does not parse is a garbled exchange: it fails over
+    /// like a dead replica, and its connection is never pooled.
     #[test]
-    fn a_non_retryable_4xx_surfaces_immediately_without_failover() {
-        let (a, hits_a) = mock_backend(404, NOT_FOUND_BODY);
-        let (b, hits_b) = mock_backend(404, NOT_FOUND_BODY);
+    fn a_body_that_is_not_json_fails_over_to_each_replica_once_then_502s() {
+        let (a, hits_a) = mock_backend(200, "<html>not json</html>");
+        let (b, hits_b) = mock_backend(200, "<html>not json</html>");
         let pool = Arc::new(BackendPool::new(vec![a, b], 2));
-        // Which mock leads the replica set is hash-determined — read it
-        // off the pool instead of assuming (the first read uses the
-        // cursor's initial rotation, i.e. the unrotated set).
-        let first = pool.replica_set("ms")[0];
         let core = RouterCore::new(Arc::clone(&pool), 4);
         let mut conn = ConnCore::new();
-        let (status, json) = core.query(&mut conn, &query_body("ms"));
-        assert_eq!(status, 404);
-        assert_eq!(error_kind_of(&json), "unknown_document");
-        let (h_first, h_other) = if first == 0 { (&hits_a, &hits_b) } else { (&hits_b, &hits_a) };
-        assert_eq!(h_first.load(Ordering::SeqCst), 1, "only the first replica is asked");
-        assert_eq!(h_other.load(Ordering::SeqCst), 0, "a 4xx never fails over");
-        assert_eq!(conn.failovers, 0);
-        assert_eq!(core.idle_connections(), 1, "the clean exchange pooled its connection");
+        let (status, json) = decoded(core.query(&mut conn, &query_body("ms")));
+        assert_eq!(status, 502, "{json}");
+        assert_eq!(error_kind_of(&json), wire::BAD_GATEWAY_KIND);
+        assert_eq!(hits_a.load(Ordering::SeqCst), 1, "each replica tried exactly once");
+        assert_eq!(hits_b.load(Ordering::SeqCst), 1, "each replica tried exactly once");
+        assert_eq!(conn.failovers, 1, "one retry beyond the first attempt");
+        assert_eq!(core.idle_connections(), 0, "a garbled exchange never pools its connection");
+    }
+
+    /// 4xx, and `500`/`internal` too, are deterministic on every replica:
+    /// the first reply passes through as received, with no failover.
+    #[test]
+    fn a_non_retryable_4xx_surfaces_immediately_without_failover() {
+        for (status_in, body, kind, pooled) in [
+            (404, NOT_FOUND_BODY, "unknown_document", 1),
+            // The backend closes after a 500, so its connection is dropped.
+            (500, INTERNAL_BODY, wire::INTERNAL_KIND, 0),
+        ] {
+            let (a, hits_a) = mock_backend(status_in, body);
+            let (b, hits_b) = mock_backend(status_in, body);
+            let pool = Arc::new(BackendPool::new(vec![a, b], 2));
+            // Which mock leads the replica set is hash-determined — read it
+            // off the pool instead of assuming (the first read uses the
+            // cursor's initial rotation, i.e. the unrotated set).
+            let first = pool.replica_set("ms")[0];
+            let core = RouterCore::new(Arc::clone(&pool), 4);
+            let mut conn = ConnCore::new();
+            let (status, text) = core.query(&mut conn, &query_body("ms"));
+            assert_eq!(status, status_in);
+            assert_eq!(text, body, "forwarded as received");
+            assert_eq!(error_kind_of(&mhx_json::parse(&text).unwrap()), kind);
+            let (h_first, h_other) =
+                if first == 0 { (&hits_a, &hits_b) } else { (&hits_b, &hits_a) };
+            assert_eq!(h_first.load(Ordering::SeqCst), 1, "only the first replica is asked");
+            assert_eq!(h_other.load(Ordering::SeqCst), 0, "{status_in} never fails over");
+            assert_eq!(conn.failovers, 0);
+            assert_eq!(core.idle_connections(), pooled, "{status_in}: pooled connections");
+        }
     }
 
     fn live_shard(docs: &[&str]) -> Server {
@@ -851,7 +934,7 @@ mod tests {
             let mut conn = ConnCore::new();
             let (status, json) = prepare(&core, &mut conn);
             assert_eq!(status, 200, "prepare on connection {k}: {json}");
-            let (status, json) = core.execute(&mut conn, &execute_body("ms"));
+            let (status, json) = decoded(core.execute(&mut conn, &execute_body("ms")));
             assert_eq!(status, 200, "execute on connection {k}: {json}");
             assert_eq!(json.get("serialized").and_then(Json::as_str), Some("2"));
         }
@@ -874,7 +957,7 @@ mod tests {
         // rotation is the unrotated replica set).
         shards[pool.replica_set("ms")[0]].take().unwrap().shutdown();
         for _ in 0..2 {
-            let (status, json) = core.execute(&mut conn, &execute_body("ms"));
+            let (status, json) = decoded(core.execute(&mut conn, &execute_body("ms")));
             assert_eq!(status, 200, "{json}");
             assert_eq!(json.get("serialized").and_then(Json::as_str), Some("2"));
         }
@@ -892,7 +975,7 @@ mod tests {
         let mut conn = ConnCore::new();
         let (status, json) = prepare(&core, &mut conn);
         assert_eq!(status, 200, "{json}");
-        let (status, json) = core.execute(&mut conn, &execute_body("ms"));
+        let (status, json) = decoded(core.execute(&mut conn, &execute_body("ms")));
         assert_eq!(status, 502, "{json}");
         assert_eq!(error_kind_of(&json), wire::BAD_GATEWAY_KIND);
     }
@@ -908,7 +991,7 @@ mod tests {
         let upload =
             mhx_json::parse(r#"{"hierarchies":[{"name":"w","xml":"<r><w>a</w><w>b</w></r>"}]}"#)
                 .unwrap();
-        let (status, json) = core.upload(&mut conn, "novel", &upload);
+        let (status, json) = decoded(core.upload(&mut conn, "novel", &upload));
         assert_eq!(status, 200, "{json}");
         assert_eq!(json.get("replicas").and_then(Json::as_u64), Some(2));
         for shard in &shards {
@@ -927,7 +1010,7 @@ mod tests {
         assert_eq!(entries[0].get("residency").and_then(Json::as_str), Some(own.name()));
         assert_eq!(entries[0].get("snapshot_bytes").and_then(Json::as_u64), Some(0));
 
-        let (status, json) = core.query(&mut conn, &query_body("novel"));
+        let (status, json) = decoded(core.query(&mut conn, &query_body("novel")));
         assert_eq!(status, 200, "{json}");
         assert_eq!(json.get("serialized").and_then(Json::as_str), Some("2"));
 

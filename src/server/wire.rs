@@ -14,7 +14,10 @@
 //! information [`EngineError`] carries — so clients can branch without
 //! string-matching messages, and the HTTP status is derived from it
 //! ([`status_for`]). Protocol-level failures (bad JSON, unknown route,
-//! missing field) reuse the same error envelope with their own kinds.
+//! missing field) reuse the same error envelope with their own kinds. A
+//! request whose handler panicked is answered **500** with the kind
+//! `internal` ([`INTERNAL_KIND`]), and its connection closes after the
+//! reply.
 
 use crate::engine::{EngineError, QueryLang, QueryOutcome, QueryValue};
 use mhx_json::Json;
@@ -77,6 +80,18 @@ pub const BAD_GATEWAY_KIND: &str = "bad_gateway";
 /// unreachable or draining (status 502, kind [`BAD_GATEWAY_KIND`]).
 pub(crate) fn bad_gateway_body(message: &str) -> Json {
     protocol_error_body(BAD_GATEWAY_KIND, message)
+}
+
+/// Wire error kind for a request whose handler panicked: the server
+/// answers **500** with it and closes the connection. The shard router
+/// passes it through without failing over, because the same request
+/// would panic the next replica too.
+pub const INTERNAL_KIND: &str = "internal";
+
+/// The error envelope for a request whose handler panicked (status 500,
+/// kind [`INTERNAL_KIND`]).
+pub(crate) fn internal_body() -> Json {
+    protocol_error_body(INTERNAL_KIND, "the request's handler panicked")
 }
 
 /// True when a response is the engine's typed drain signal (`503` +

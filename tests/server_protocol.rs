@@ -294,3 +294,51 @@ fn abrupt_mid_request_disconnects_leak_no_connections() {
     assert_eq!(sessions.len(), 1, "only the observer remains: {stats}");
     assert!(server.shutdown());
 }
+
+/// With a 10 s poll tick, anything that waited for the tick instead of a
+/// wake-up would take 10 s: replies written by their worker, a pipelined
+/// burst, a `Connection: close` and a client's half-close must all finish
+/// on wake-ups alone.
+#[test]
+fn replies_and_closes_never_wait_for_the_poll_tick() {
+    let server = boot(ServerConfig {
+        workers: 2,
+        poll_interval: Duration::from_secs(10),
+        ..ServerConfig::default()
+    });
+    let t0 = Instant::now();
+
+    // Back-to-back keep-alive: each request goes out as soon as the
+    // previous reply is read.
+    let mut conn = RawConn::connect(&server);
+    for n in 1..=300u64 {
+        conn.send(&query_request(n, false));
+        let (status, body) = conn.read_response();
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(serialized_of(&body), (2 * n).to_string());
+    }
+
+    // A 16-deep pipelined burst, answered in order.
+    let burst: Vec<u8> = (1..=16u64).flat_map(|n| query_request(n, false)).collect();
+    conn.send(&burst);
+    for n in 1..=16u64 {
+        let (status, body) = conn.read_response();
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(serialized_of(&body), (2 * n).to_string(), "response {n} out of order");
+    }
+
+    // `Connection: close`: the reply, then EOF.
+    conn.send(&query_request(7, true));
+    assert_eq!(serialized_of(&conn.read_response().1), "14");
+    assert!(conn.try_read_response().is_none(), "EOF after the Connection: close reply");
+
+    // The client shuts its write side after a request: the reply, then EOF.
+    let mut conn = RawConn::connect(&server);
+    conn.send(&query_request(8, false));
+    conn.stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    assert_eq!(serialized_of(&conn.read_response().1), "16");
+    assert!(conn.try_read_response().is_none(), "EOF after the half-closed client's reply");
+
+    assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
+    assert!(server.shutdown());
+}
