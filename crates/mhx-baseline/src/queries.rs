@@ -25,12 +25,6 @@ pub fn goddag_overlap_count(g: &Goddag, a_name: &str, b_name: &str) -> usize {
         .sum()
 }
 
-/// Same count via region extraction (used for the baselines and for the
-/// goddag-region control).
-pub fn region_overlap_count(a: &[crate::region::Region], b: &[crate::region::Region]) -> usize {
-    overlapping_pairs(a, b).len()
-}
-
 /// Containment count via the xdescendant axis.
 pub fn goddag_containment_count(g: &Goddag, a_name: &str, b_name: &str) -> usize {
     g.all_nodes()

@@ -123,11 +123,6 @@ impl Boundaries {
         // Every boundary except the final one (`text_len`) starts a leaf.
         self.offsets[..self.leaf_count()].iter().copied()
     }
-
-    /// The last leaf's start within `[start, end)`, if any.
-    pub fn last_leaf_in(&self, start: u32, end: u32) -> Option<u32> {
-        self.within(start, end).last().copied()
-    }
 }
 
 #[cfg(test)]
@@ -158,8 +153,6 @@ mod tests {
         assert_eq!(b.leaves_in(5, 15).collect::<Vec<_>>(), vec![5, 10]);
         assert_eq!(b.leaves_in(0, 20).collect::<Vec<_>>(), vec![0, 5, 10, 15]);
         assert_eq!(b.leaves_in(5, 5).count(), 0);
-        assert_eq!(b.last_leaf_in(0, 20), Some(15));
-        assert_eq!(b.last_leaf_in(5, 5), None);
     }
 
     #[test]
@@ -281,7 +274,6 @@ mod tests {
             let (s, e) = (a.min(b), a.max(b));
             let want = model.leaves_in(s, e);
             prop_assert_eq!(flat.leaves_in(s, e).collect::<Vec<_>>(), &want[..], "{}..{}", s, e);
-            prop_assert_eq!(flat.last_leaf_in(s, e), want.last().copied(), "{}..{}", s, e);
         }
         Ok(())
     }

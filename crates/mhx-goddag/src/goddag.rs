@@ -344,19 +344,6 @@ impl Goddag {
         self.boundaries.leaves_in(s, e).map(|st| NodeId::Leaf { start: st }).collect()
     }
 
-    /// `(min(leaves(n)), max(leaves(n)))` as leaf start offsets, or `None`
-    /// for empty-span nodes.
-    pub fn leaf_interval(&self, n: NodeId) -> Option<(u32, u32)> {
-        let (s, e) = self.span(n);
-        if s >= e {
-            return None;
-        }
-        let min = self.boundaries.leaf_start_at(s);
-        debug_assert_eq!(min, s, "node spans start on boundaries");
-        let max = self.boundaries.last_leaf_in(s, e)?;
-        Some((min, max))
-    }
-
     /// The leaf containing byte offset `off`.
     pub fn leaf_at(&self, off: u32) -> NodeId {
         NodeId::Leaf { start: self.boundaries.leaf_start_at(off) }

@@ -5,7 +5,7 @@
 use crate::ast::Expr;
 use crate::error::{Result, XPathError};
 use crate::eval::{evaluate_expr, Context};
-use crate::value::Value;
+use crate::value::{round, Value};
 use mhx_goddag::{Goddag, NodeId};
 
 pub fn call(g: &Goddag, name: &str, args: &[Expr], ctx: &Context) -> Result<Value> {
@@ -95,18 +95,16 @@ fn dispatch(g: &Goddag, name: &str, vals: &[Value], ctx: &Context) -> Result<Val
         }
         "substring" => {
             arity(name, vals, 2, 3)?;
+            // XPath 1.0 §4.2: the characters at 1-based positions p with
+            // round(start) <= p < round(start) + round(len).
+            let start = round(vals[1].to_num(g));
+            let end = vals.get(2).map_or(f64::INFINITY, |v| start + round(v.to_num(g)));
             let s = vals[0].to_str(g);
-            let chars: Vec<char> = s.chars().collect();
-            // XPath 1.0: 1-based, round() semantics on the arguments.
-            let start = vals[1].to_num(g).round();
-            let len = vals.get(2).map(|v| v.to_num(g).round()).unwrap_or(f64::INFINITY);
-            if start.is_nan() || len.is_nan() {
-                return Ok(Value::Str(String::new()));
-            }
-            let from = (start - 1.0).max(0.0) as usize;
-            let until = (start + len - 1.0).max(0.0);
-            let until = if until.is_infinite() { chars.len() } else { until as usize };
-            Value::Str(chars[from.min(chars.len())..until.min(chars.len())].iter().collect())
+            let kept = s.chars().zip(1u32..).filter(|&(_, p)| {
+                let p = f64::from(p);
+                start <= p && p < end
+            });
+            Value::Str(kept.map(|(c, _)| c).collect())
         }
         "string-length" => {
             arity(name, vals, 0, 1)?;
@@ -201,7 +199,7 @@ fn dispatch(g: &Goddag, name: &str, vals: &[Value], ctx: &Context) -> Result<Val
         }
         "round" => {
             arity(name, vals, 1, 1)?;
-            Value::Num(vals[0].to_num(g).round())
+            Value::Num(round(vals[0].to_num(g)))
         }
         // ---- KyGODDAG extensions ----
         "leaves" => {
@@ -324,6 +322,8 @@ mod tests {
         assert_eq!(n("floor(2.7)"), 2.0);
         assert_eq!(n("ceiling(2.1)"), 3.0);
         assert_eq!(n("round(2.5)"), 3.0);
+        assert_eq!(n("round(-2.5)"), -2.0, "halves toward +∞");
+        assert_eq!(s("round(-0.5)"), "0", "negative zero prints 0");
         assert_eq!(n("number('4')"), 4.0);
         assert!(n("number('x')").is_nan());
     }
@@ -365,5 +365,9 @@ mod tests {
         assert_eq!(s("substring('12345', 1.5, 2.6)"), "234");
         assert_eq!(s("substring('12345', 0, 3)"), "12");
         assert_eq!(s("substring('12345', 2)"), "2345");
+        assert_eq!(s("substring('12345', 0 div 0, 3)"), "");
+        assert_eq!(s("substring('12345', -42, 1 div 0)"), "12345");
+        assert_eq!(s("substring('12345', -1 div 0, 1 div 0)"), "");
+        assert_eq!(s("substring('12345', -1.5, 4)"), "12", "round(-1.5) is -1");
     }
 }

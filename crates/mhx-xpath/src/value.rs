@@ -88,6 +88,14 @@ pub fn parse_number(s: &str) -> f64 {
     s.trim().parse::<f64>().unwrap_or(f64::NAN)
 }
 
+/// XPath 1.0 `round()` (§4.4) and F&O `fn:round`: the nearest integer,
+/// halves toward +∞ (`f64::round` takes them away from zero). Negative
+/// zero for -0.5 <= n < 0; NaN and the infinities round to themselves.
+pub fn round(n: f64) -> f64 {
+    let floor = n.floor();
+    (if n - floor >= 0.5 { floor + 1.0 } else { floor }).copysign(n)
+}
+
 /// XPath 1.0 comparison semantics for `=`, `!=`, `<`, `<=`, `>`, `>=`,
 /// including the existential node-set rules.
 pub fn compare(g: &Goddag, op: crate::ast::BinOp, a: &Value, b: &Value) -> bool {
@@ -147,6 +155,24 @@ mod tests {
         assert_eq!(format_number(f64::NAN), "NaN");
         assert_eq!(format_number(f64::INFINITY), "Infinity");
         assert_eq!(format_number(0.0), "0");
+    }
+
+    #[test]
+    fn rounding_takes_halves_toward_positive_infinity() {
+        for (n, want) in [(2.5, 3.0), (-2.5, -2.0), (2.4, 2.0), (-2.6, -3.0), (0.5, 1.0)] {
+            assert_eq!(round(n), want, "round({n})");
+        }
+        // The largest double below 0.5 rounds down: no `floor(n + 0.5)`
+        // double rounding.
+        assert_eq!(round(0.5 - f64::EPSILON / 4.0), 0.0);
+        for n in [-0.5, -0.2, -0.0] {
+            assert!(round(n) == 0.0 && round(n).is_sign_negative(), "round({n}) is -0");
+        }
+        assert!(round(f64::NAN).is_nan());
+        assert_eq!(round(f64::INFINITY), f64::INFINITY);
+        assert_eq!(round(f64::NEG_INFINITY), f64::NEG_INFINITY);
+        // An odd integer above 2^52, where `n + 0.5` is not representable.
+        assert_eq!(round(4503599627370497.0), 4503599627370497.0);
     }
 
     #[test]

@@ -195,15 +195,14 @@ pub enum QExpr {
 }
 
 impl QExpr {
-    /// Does this expression (recursively) call `analyze-string`? Used to
-    /// decide whether evaluation needs a mutable KyGODDAG.
+    /// Does this expression (recursively) call a function that installs
+    /// a temporary hierarchy (`analyze-string`)? Such an expression needs
+    /// a mutable KyGODDAG and must not be reordered.
     pub fn uses_analyze_string(&self) -> bool {
         let mut found = false;
         self.walk(&mut |e| {
             if let QExpr::Call { name, .. } = e {
-                if name == "analyze-string" {
-                    found = true;
-                }
+                found |= crate::functions::lookup(name).is_some_and(|f| f.installs_hierarchy);
             }
         });
         found
@@ -223,7 +222,12 @@ impl QExpr {
 
     fn visit<'a>(&'a self, predicates: bool, f: &mut impl FnMut(&'a QExpr)) {
         f(self);
-        let mut go = |e: &'a QExpr| e.visit(predicates, f);
+        self.children(predicates, |e: &'a QExpr| e.visit(predicates, f));
+    }
+
+    /// Each direct sub-expression, in evaluation order; step and filter
+    /// predicates only when `predicates` is set.
+    pub(crate) fn children<'a>(&'a self, predicates: bool, mut go: impl FnMut(&'a QExpr)) {
         match self {
             QExpr::Sequence(es) => es.iter().for_each(go),
             QExpr::Flwor { clauses, ret } => {

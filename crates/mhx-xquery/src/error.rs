@@ -1,9 +1,9 @@
 //! XQuery errors.
 //!
 //! Every error carries a [`XQueryErrorKind`] recording the pipeline stage
-//! that produced it — the parser marks its errors [`Parse`], the XPath
-//! lowering's static checks [`Compile`], everything the evaluator raises
-//! is [`Eval`] — so facade layers (the root crate's `Catalog`) can map
+//! that produced it — the parser marks its errors [`Parse`], XQuery's
+//! static check and the XPath lowering [`Compile`], everything the
+//! evaluator raises is [`Eval`] — so facade layers (the root crate's `Catalog`) can map
 //! failures onto typed variants without string-sniffing.
 //!
 //! [`Parse`]: XQueryErrorKind::Parse
@@ -18,8 +18,10 @@ pub enum XQueryErrorKind {
     /// The query text failed to lex/parse (includes embedded XPath-level
     /// syntax errors and malformed XML fragment patterns).
     Parse,
-    /// The query parsed but is statically invalid (an XPath call outside
-    /// XPath's function library, `count()` of a non-node argument, …).
+    /// The query parsed but is statically invalid: a call to an unknown
+    /// function (in XPath, one outside XPath's function library) or with a
+    /// wrong argument count, an unbound XQuery variable, an XPath
+    /// `count()` of a non-node argument, …
     Compile,
     /// The parsed query failed during evaluation.
     Eval,

@@ -11,6 +11,14 @@
 //! XPath expression is lowered onto the XQuery AST ([`xpath`]) and runs
 //! through the same optimizer and evaluator.
 //!
+//! A query passes parse → compile → evaluate. Compiling an XQuery text
+//! runs the static check (every call names a known function with an
+//! argument count it takes, every variable is bound); compiling an XPath
+//! text lowers it. Both, the optimizer ([`opt`]) and the evaluator read
+//! one function registry ([`functions`]), which holds each function's
+//! argument counts, XPath conversions, result type, focus use, purity,
+//! cost and implementation.
+//!
 //! ```
 //! use mhx_goddag::GoddagBuilder;
 //! use mhx_xquery::run_query;
@@ -35,6 +43,7 @@
 
 pub mod analyze;
 pub mod ast;
+mod check;
 pub mod error;
 pub mod eval;
 pub mod functions;
@@ -95,15 +104,13 @@ pub struct CompiledXQuery {
 }
 
 impl CompiledXQuery {
-    /// Parse and optimize `src`.
+    /// Parse `src`, run the static check (an unknown function, a wrong
+    /// argument count or an unbound variable is an
+    /// [`XQueryErrorKind::Compile`] error), and optimize once.
     pub fn compile(src: &str) -> Result<CompiledXQuery> {
-        Ok(CompiledXQuery::from_ast(src.to_string(), parse_query(src)?))
-    }
-
-    /// Wrap an already-parsed query (e.g. after static checks), running
-    /// the optimizer once.
-    pub fn from_ast(src: String, ast: QExpr) -> CompiledXQuery {
-        CompiledXQuery::build(src, ast, false)
+        let ast = parse_query(src)?;
+        check::check(&ast)?;
+        Ok(CompiledXQuery::build(src.to_string(), ast, false))
     }
 
     fn build(src: String, ast: QExpr, root_focus: bool) -> CompiledXQuery {
@@ -126,11 +133,6 @@ impl CompiledXQuery {
     /// The query as parsed (what `optimize: false` evaluates).
     pub fn ast(&self) -> &QExpr {
         &self.ast
-    }
-
-    /// The optimizer's rewrite (what `optimize: true` evaluates).
-    pub fn optimized_ast(&self) -> &QExpr {
-        &self.optimized
     }
 
     /// Rewrites the optimizer applied at compile time.
@@ -465,6 +467,14 @@ mod engine_tests {
         assert_eq!(run("string-join(distinct-values(('a','b','a')), '')"), "ab");
         assert_eq!(run("string-join(reverse(('a','b','c')), '')"), "cba");
         assert_eq!(run("string-join(subsequence(('a','b','c','d'), 2, 2), '')"), "bc");
+        // Positions round(start) <= p < round(start) + round(len), halves
+        // rounding toward +∞; a NaN start keeps nothing.
+        assert_eq!(run("string-join(subsequence(('a','b','c','d'), -0.5, 3), '')"), "ab");
+        assert_eq!(run("string-join(subsequence(('a','b','c','d'), 1.5, 2), '')"), "bc");
+        assert_eq!(run("count(subsequence((1,2,3), number('x')))"), "0");
+        assert_eq!(run("round(-2.5)"), "-2");
+        assert_eq!(run("round(-0.5)"), "0");
+        assert_eq!(run("substring('12345', -1.5, 4)"), "12");
     }
 
     #[test]
@@ -472,6 +482,8 @@ mod engine_tests {
         assert_eq!(run("string-join(hierarchies(), ',')"), "lines,words,restorations,damage");
         assert_eq!(run("hierarchy((/descendant::dmg)[1])"), "damage");
         assert_eq!(run("leaf-count()"), "16");
+        // With no argument, hierarchy() reads the context item.
+        assert_eq!(run("count(/descendant::dmg[hierarchy() = 'damage'])"), "2");
     }
 
     #[test]
@@ -480,6 +492,8 @@ mod engine_tests {
             run("string-join(for $l in leaves((/descendant::w)[2]) return string($l), '|')"),
             "una|w|endendne"
         );
+        // With no argument, leaves() reads the context item.
+        assert_eq!(run("count(/descendant::w[count(leaves()) = 3])"), "2");
     }
 
     #[test]
@@ -508,8 +522,11 @@ mod engine_tests {
     #[test]
     fn errors_reported() {
         let g = figure1();
-        assert!(run_query(&g, "$undefined").is_err());
-        assert!(run_query(&g, "wat()").is_err());
+        for src in ["$undefined", "wat()", "count()", "if (false()) then wat() else 1"] {
+            let compile = XQueryErrorKind::Compile;
+            assert_eq!(run_query(&g, src).unwrap_err().kind, compile, "`{src}`");
+            assert_eq!(CompiledXQuery::compile(src).unwrap_err().kind, compile, "`{src}`");
+        }
         assert!(run_query(&g, "1 idiv 0").is_err());
         assert!(run_query(&g, "analyze-string('notanode', 'x')").is_err());
         assert!(run_query(&g, "'a'/child::b").is_err());

@@ -37,6 +37,9 @@
 //!    (`StructIndex::axis_exists`); a context-independent predicate is
 //!    evaluated once per step.
 //!
+//! Types, focus use, purity and call costs come from the function registry
+//! ([`crate::functions`]).
+//!
 //! XQuery predicates can also mutate the copy-on-write KyGODDAG through
 //! `analyze-string()` (temporary hierarchies installed mid-query), and the
 //! per-node path makes that mutation visible to *subsequent context nodes*
@@ -53,6 +56,7 @@
 
 use crate::ast::{AttrPiece, Clause, Comp, Content, DirElem, QExpr, QPathStart, QStep};
 use crate::eval::{Env, Evaluator};
+use crate::functions::{lookup, Reads};
 use crate::item::{Item, Sequence};
 use mhx_goddag::{Axis, IndexStats, NodeId};
 use mhx_xpath::{NodeTest, StepStrategy};
@@ -150,7 +154,7 @@ fn uses_focus(e: &QExpr) -> bool {
 }
 
 fn is_focus_call(e: &QExpr) -> bool {
-    matches!(e, QExpr::Call { name, .. } if matches!(name.as_str(), "position" | "last"))
+    matches!(e, QExpr::Call { name, .. } if lookup(name).is_some_and(|f| f.reads == Reads::Focus))
 }
 
 /// Coarse static type lattice — what classification and the XPath
@@ -199,17 +203,7 @@ pub(crate) fn static_type(e: &QExpr) -> Ty {
             Ty::Nodes => Ty::Nodes,
             _ => Ty::Unknown,
         },
-        QExpr::Call { name, .. } => match name.as_str() {
-            "boolean" | "not" | "true" | "false" | "empty" | "exists" | "starts-with"
-            | "ends-with" | "contains" | "matches" => Ty::Bool,
-            "string" | "string-join" | "concat" | "substring" | "substring-before"
-            | "substring-after" | "normalize-space" | "translate" | "upper-case" | "lower-case"
-            | "name" | "local-name" | "replace" | "serialize" | "hierarchy" => Ty::Str,
-            "position" | "last" | "count" | "string-length" | "number" | "sum" | "avg" | "min"
-            | "max" | "abs" | "floor" | "ceiling" | "round" | "leaf-count" => Ty::Num,
-            "root" | "leaves" | "analyze-string" => Ty::Nodes,
-            _ => Ty::Unknown,
-        },
+        QExpr::Call { name, .. } => lookup(name).map_or(Ty::Unknown, |f| f.result),
     }
 }
 
@@ -248,12 +242,7 @@ fn cost(e: &QExpr, stats: Option<&IndexStats>) -> u64 {
         | QExpr::Range { lo: a, hi: b } => 1 + c(a) + c(b),
         QExpr::Neg(inner) => 1 + c(inner),
         QExpr::Call { name, args } => {
-            let base = match name.as_str() {
-                // Regex compilation per call.
-                "matches" | "replace" | "tokenize" | "analyze-string" => 16,
-                _ => 2,
-            };
-            base + args.iter().map(c).sum::<u64>()
+            lookup(name).map_or(2, |f| f.cost) + args.iter().map(c).sum::<u64>()
         }
         QExpr::Path { start, steps } => {
             let start_cost = match start {
@@ -530,23 +519,20 @@ fn probe_of(pred: &QExpr) -> Option<(Axis, NodeTest)> {
 
 /// Can the expression's value depend on the focus (context item, position,
 /// size)? `false` ⇒ safe to evaluate once per step: literals, variables
-/// (bound outside the predicate) and absolute paths qualify; anything
-/// touching the focus — `position()`/`last()`, relative paths,
-/// zero-argument context functions like `string()` — does not, and direct
-/// constructors conservatively stay per-candidate.
+/// (bound outside the predicate), absolute paths and calls that read no
+/// focus (`root()`, `leaf-count()`) qualify; anything touching the focus —
+/// `position()`/`last()`, relative paths, zero-argument context functions
+/// like `string()` — does not, and direct constructors conservatively stay
+/// per-candidate.
 pub fn is_context_independent(e: &QExpr) -> bool {
     let mut dependent = false;
     e.walk_focus(&mut |x| {
-        dependent |= is_focus_call(x)
-            || match x {
-                QExpr::ContextItem | QExpr::DirElem(_) => true,
-                QExpr::Path { start: QPathStart::Context, .. } => true,
-                // Zero-argument functions default to the context item.
-                QExpr::Call { name, args } => {
-                    args.is_empty() && !matches!(name.as_str(), "true" | "false")
-                }
-                _ => false,
-            }
+        dependent |= match x {
+            QExpr::ContextItem | QExpr::DirElem(_) => true,
+            QExpr::Path { start: QPathStart::Context, .. } => true,
+            QExpr::Call { name, args } => lookup(name).is_none_or(|f| f.reads_focus(args.len())),
+            _ => false,
+        }
     });
     !dependent
 }
@@ -873,12 +859,24 @@ mod tests {
         assert!(path_steps(&opt)[0].preds_position_free);
         assert!(path_steps(&opt)[0].pred_probes.iter().all(Option::is_none));
         assert_eq!(r.existential_probes, 0);
+        // Zero-argument calls that read no focus hoist.
+        for src in [
+            "/descendant::w[count(root()) = 1]",
+            "/descendant::w[leaf-count() > 1]",
+            "/descendant::w[hierarchies() = 'words']",
+        ] {
+            let (opt, r) = optimize_src(src);
+            assert_eq!(r.hoisted_predicates, 1, "`{src}` hoists");
+            assert!(path_steps(&opt)[0].pred_hoistable[0], "`{src}`");
+        }
         // Context-dependent lookalikes never hoist: relative paths,
         // zero-argument context functions, focus readers.
         for src in [
             "/descendant::w[contains(string(.), 'a')]",
             "/descendant::w[string-length() > 1]",
+            "/descendant::w[count(leaves()) > 1]",
             "/descendant::w[child::a]",
+            "/descendant::w[position() > 1]",
         ] {
             let (opt, r) = optimize_src(src);
             assert_eq!(r.hoisted_predicates, 0, "`{src}` must not hoist");

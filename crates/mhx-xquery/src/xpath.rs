@@ -18,17 +18,18 @@
 //!   compares numbers;
 //! * `tokenize` joins its tokens with one space (XPath 1.0 has no
 //!   sequences);
-//! * zero-argument `leaves()` and `hierarchy()` read the context node, `(.)`;
 //! * the document root is the top-level focus, at position 1 of size 1;
-//! * only XPath's own function library is callable: any other name, a
-//!   wrong argument count, or a statically non-node argument where a
-//!   node-set is due (`count('a')`) is a compile-stage error.
+//! * only XPath's own function library is callable — the registry entries
+//!   ([`crate::functions`]) that carry XPath parameter conversions: any
+//!   other name, a wrong argument count, or a statically non-node argument
+//!   where a node-set is due (`count('a')`) is a compile-stage error.
 //!
 //! The naive interpreter in `mhx-xpath` stays the oracle: the differential
 //! suites check this pipeline against it.
 
 use crate::ast::{ArithOp, Comp, QExpr, QPathStart, QStep};
 use crate::error::{Result, XQueryError, XQueryErrorKind};
+use crate::functions::{self, Function};
 use crate::opt::{static_type, Ty};
 use crate::{CompiledXQuery, EvalOptions, Item};
 use mhx_goddag::{Axis, Goddag, StructIndex};
@@ -68,37 +69,6 @@ pub fn xpath_value(seq: &[Item]) -> Value {
         [Item::Bool(b)] => Value::Bool(*b),
         items => Value::Nodes(items.iter().filter_map(Item::as_goddag_node).collect()),
     }
-}
-
-/// What an XPath function parameter converts its argument to.
-#[derive(Debug, Clone, Copy)]
-enum Param {
-    Str,
-    Num,
-    Bool,
-    Nodes,
-}
-
-/// XPath's function library: arity range and parameter kinds (the last
-/// kind repeats, for `concat`).
-fn signature(name: &str) -> Option<(usize, usize, &'static [Param])> {
-    use Param::*;
-    Some(match name {
-        "position" | "last" | "true" | "false" | "leaf-count" => (0, 0, &[]),
-        "count" | "sum" => (1, 1, &[Nodes]),
-        "name" | "local-name" | "leaves" | "hierarchy" => (0, 1, &[Nodes]),
-        "string" | "string-length" | "normalize-space" => (0, 1, &[Str]),
-        "number" => (0, 1, &[Num]),
-        "concat" => (2, usize::MAX, &[Str]),
-        "starts-with" | "ends-with" | "contains" | "substring-before" | "substring-after"
-        | "matches" | "tokenize" => (2, 2, &[Str]),
-        "translate" | "replace" => (3, 3, &[Str]),
-        "substring" => (2, 3, &[Str, Num, Num]),
-        "upper-case" | "lower-case" => (1, 1, &[Str]),
-        "boolean" | "not" => (1, 1, &[Bool]),
-        "floor" | "ceiling" | "round" => (1, 1, &[Num]),
-        _ => return None,
-    })
 }
 
 fn compile_error(msg: impl Into<String>) -> XQueryError {
@@ -159,34 +129,30 @@ fn compare(op: Comp, l: QExpr, r: QExpr) -> QExpr {
     QExpr::Compare { op, lhs: Box::new(side(l, lt, rt)), rhs: Box::new(side(r, rt, lt)) }
 }
 
+/// A call of XPath's function library, each argument converted as its
+/// registry entry says.
 fn lower_call(name: &str, args: &[Expr]) -> Result<QExpr> {
-    let Some((lo, hi, params)) = signature(name) else {
-        return Err(compile_error(format!("unknown function {name}()")));
+    let (f, params) = match functions::lookup(name) {
+        Some(f @ Function { xpath: Some(params), .. }) => (f, *params),
+        _ => return Err(compile_error(format!("unknown function {name}()"))),
     };
-    if args.len() < lo || args.len() > hi {
-        return Err(compile_error(if hi == usize::MAX {
-            format!("{name}() needs at least {lo} arguments")
-        } else {
-            format!("{name}() expects {lo}..{hi} arguments, got {}", args.len())
-        }));
-    }
+    f.check_arity(args.len()).map_err(|e| e.with_kind(XQueryErrorKind::Compile))?;
     let mut lowered = Vec::with_capacity(args.len());
     for (i, a) in args.iter().enumerate() {
         let e = lower(a)?;
         lowered.push(match params[i.min(params.len() - 1)] {
-            Param::Str => to_string(e),
-            Param::Num => to_number(e),
-            Param::Bool => e,
-            Param::Nodes if maybe_nodes(static_type(&e)) => e,
-            Param::Nodes => return Err(compile_error(format!("{name}() requires a node-set"))),
+            Ty::Str => to_string(e),
+            Ty::Num => to_number(e),
+            Ty::Nodes if !maybe_nodes(static_type(&e)) => {
+                return Err(compile_error(format!("{name}() requires a node-set")));
+            }
+            _ => e,
         });
     }
-    Ok(match name {
-        "leaves" | "hierarchy" if lowered.is_empty() => call(name, vec![dot()]),
-        "tokenize" => {
-            call("string-join", vec![call(name, lowered), QExpr::Literal(" ".to_string())])
-        }
-        _ => call(name, lowered),
+    Ok(if name == "tokenize" {
+        call("string-join", vec![call(name, lowered), QExpr::Literal(" ".to_string())])
+    } else {
+        call(name, lowered)
     })
 }
 

@@ -19,7 +19,7 @@
 use multihier_xquery::corpus::figure1;
 use multihier_xquery::goddag::GoddagBuilder;
 use multihier_xquery::prelude::Catalog;
-use multihier_xquery::server::{Server, ServerConfig};
+use multihier_xquery::server::{signal, Server, ServerConfig};
 use std::process::exit;
 use std::sync::Arc;
 use std::time::Duration;
@@ -60,51 +60,6 @@ struct DocSpec {
     id: String,
     hierarchies: Vec<(String, String)>,
     prebuilt: bool,
-}
-
-/// SIGINT/SIGTERM land in an atomic flag the main loop polls. Raw libc
-/// `signal(2)` via an `extern` declaration: std exposes no signal API and
-/// the build is offline, but every target this daemon runs on links libc
-/// anyway.
-#[cfg(unix)]
-mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub static REQUESTED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        // Only an atomic store: async-signal-safe.
-        REQUESTED.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: *const ()) -> *const ();
-    }
-
-    pub fn install() {
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        // SAFETY: the handler is an async-signal-safe extern "C" fn; the
-        // raw `signal` binding matches the libc prototype on every unix
-        // target this builds for.
-        unsafe {
-            signal(SIGINT, on_signal as *const ());
-            signal(SIGTERM, on_signal as *const ());
-        }
-    }
-
-    pub fn requested() -> bool {
-        REQUESTED.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod sig {
-    pub fn install() {}
-
-    pub fn requested() -> bool {
-        false
-    }
 }
 
 fn main() {
@@ -253,7 +208,7 @@ fn main() {
         }
     }
 
-    sig::install();
+    signal::install();
     let workers = config.workers;
     let server = match Server::bind(Arc::clone(&catalog), &listen, config) {
         Ok(s) => s,
@@ -268,11 +223,7 @@ fn main() {
         server.addr(),
     );
 
-    // Owner loop: the event loop cannot join itself, so shutdown — from a
-    // signal or from `POST /shutdown` — is performed here.
-    while !sig::requested() && !server.shutdown_requested() {
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    signal::wait_for_shutdown(|| server.shutdown_requested());
     eprintln!("mhxd: draining ({} in flight)…", catalog.in_flight());
     let drained = server.shutdown();
     let stats = catalog.cache_stats();

@@ -16,10 +16,9 @@
 //! shards keep running.
 
 use multihier_xquery::server::client::Client;
-use multihier_xquery::server::{BackendPool, Router, RouterConfig};
+use multihier_xquery::server::{signal, BackendPool, Router, RouterConfig};
 use std::process::exit;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
@@ -34,50 +33,6 @@ fn usage() -> ! {
          \x20                  (default 1; clamped to the shard count)"
     );
     exit(2);
-}
-
-/// SIGINT/SIGTERM land in an atomic flag the owner loop polls — same
-/// raw-libc `signal(2)` pattern as `mhxd` (std has no signal API and the
-/// build is offline, but every unix target links libc anyway).
-#[cfg(unix)]
-mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub static REQUESTED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        // Only an atomic store: async-signal-safe.
-        REQUESTED.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: *const ()) -> *const ();
-    }
-
-    pub fn install() {
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        // SAFETY: the handler is an async-signal-safe extern "C" fn; the
-        // raw `signal` binding matches the libc prototype on every unix
-        // target this builds for.
-        unsafe {
-            signal(SIGINT, on_signal as *const ());
-            signal(SIGTERM, on_signal as *const ());
-        }
-    }
-
-    pub fn requested() -> bool {
-        REQUESTED.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod sig {
-    pub fn install() {}
-
-    pub fn requested() -> bool {
-        false
-    }
 }
 
 fn main() {
@@ -139,7 +94,7 @@ fn main() {
     }
 
     let pool = Arc::new(BackendPool::new(shards, replicas));
-    sig::install();
+    signal::install();
     let workers = config.workers;
     let router = match Router::bind(Arc::clone(&pool), &listen, config) {
         Ok(r) => r,
@@ -155,11 +110,7 @@ fn main() {
         pool.replicas(),
     );
 
-    // Owner loop: the event loop cannot join itself, so shutdown — from
-    // a signal or from `POST /shutdown` — is performed here.
-    while !sig::requested() && !router.shutdown_requested() {
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    signal::wait_for_shutdown(|| router.shutdown_requested());
     let health = pool.health_snapshot();
     let healthy = health.iter().filter(|h| h.healthy).count();
     eprintln!("mhxr: draining…");

@@ -28,8 +28,7 @@ use crate::engine::error::{query_error, EngineError, QueryLang};
 use crate::engine::result::QueryOutcome;
 use crate::engine::session::{Prepared, Session};
 use mhx_goddag::{Goddag, StructIndex};
-use mhx_xquery::ast::Clause;
-use mhx_xquery::{parse_query, CompiledXQuery, EvalOptions, EvalStats, QExpr};
+use mhx_xquery::{CompiledXQuery, EvalOptions, EvalStats};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -818,15 +817,10 @@ impl Catalog {
     ) -> Result<CachedPlan, EngineError> {
         self.cache.get_or_compile(lang, src, doc, || {
             let plan = match lang {
-                QueryLang::XPath => {
-                    CompiledXQuery::compile_xpath(src).map_err(|e| query_error(lang, e))?
-                }
-                QueryLang::XQuery => {
-                    let ast = parse_query(src).map_err(|e| query_error(lang, e))?;
-                    check_static(&ast)?;
-                    CompiledXQuery::from_ast(src.to_string(), ast)
-                }
-            };
+                QueryLang::XPath => CompiledXQuery::compile_xpath(src),
+                QueryLang::XQuery => CompiledXQuery::compile(src),
+            }
+            .map_err(|e| query_error(lang, e))?;
             Ok(CachedPlan { lang, plan: Arc::new(plan) })
         })
     }
@@ -857,128 +851,6 @@ impl Catalog {
             totals.add(stats);
         }
         Ok(outcome)
-    }
-}
-
-// ----------------------------------------------------------------------
-// Static (compile-stage) checks
-// ----------------------------------------------------------------------
-
-/// XQuery's static rules make a reference to an undeclared variable a
-/// compile-time error. The engine enforces it here — queries always start
-/// from an empty variable environment — so `$typo` surfaces as
-/// [`EngineError::Compile`] before any document is touched, and invalid
-/// plans never enter the shared cache.
-fn check_static(ast: &QExpr) -> Result<(), EngineError> {
-    let mut scope: Vec<&str> = Vec::new();
-    if let Some(var) = free_variable(ast, &mut scope) {
-        return Err(EngineError::Compile {
-            lang: QueryLang::XQuery,
-            message: format!("unbound variable ${var}"),
-        });
-    }
-    Ok(())
-}
-
-/// First variable referenced outside any enclosing `for`/`let`/quantified
-/// binding, in document order of the AST.
-fn free_variable<'a>(e: &'a QExpr, scope: &mut Vec<&'a str>) -> Option<String> {
-    use mhx_xquery::ast::{AttrPiece, Content, DirElem, QPathStart};
-
-    fn check_dir<'a>(d: &'a DirElem, scope: &mut Vec<&'a str>) -> Option<String> {
-        for (_, pieces) in &d.attrs {
-            for p in pieces {
-                if let AttrPiece::Expr(e) = p {
-                    if let Some(v) = free_variable(e, scope) {
-                        return Some(v);
-                    }
-                }
-            }
-        }
-        for c in &d.content {
-            let found = match c {
-                Content::Text(_) => None,
-                Content::Expr(e) => free_variable(e, scope),
-                Content::Elem(inner) => check_dir(inner, scope),
-            };
-            if found.is_some() {
-                return found;
-            }
-        }
-        None
-    }
-
-    match e {
-        QExpr::Var(v) => (!scope.contains(&v.as_str())).then(|| v.clone()),
-        QExpr::Flwor { clauses, ret } => {
-            let depth = scope.len();
-            for c in clauses {
-                let found = match c {
-                    Clause::For { var, at, seq } => {
-                        let found = free_variable(seq, scope);
-                        scope.push(var);
-                        if let Some(at) = at {
-                            scope.push(at);
-                        }
-                        found
-                    }
-                    Clause::Let { var, expr } => {
-                        let found = free_variable(expr, scope);
-                        scope.push(var);
-                        found
-                    }
-                    Clause::Where(e) => free_variable(e, scope),
-                    Clause::OrderBy { keys } => {
-                        keys.iter().find_map(|k| free_variable(&k.key, scope))
-                    }
-                };
-                if found.is_some() {
-                    scope.truncate(depth);
-                    return found;
-                }
-            }
-            let found = free_variable(ret, scope);
-            scope.truncate(depth);
-            found
-        }
-        QExpr::Quantified { binds, satisfies, .. } => {
-            let depth = scope.len();
-            for (var, seq) in binds {
-                if let Some(v) = free_variable(seq, scope) {
-                    scope.truncate(depth);
-                    return Some(v);
-                }
-                scope.push(var);
-            }
-            let found = free_variable(satisfies, scope);
-            scope.truncate(depth);
-            found
-        }
-        QExpr::Sequence(es) => es.iter().find_map(|e| free_variable(e, scope)),
-        QExpr::If { cond, then, els } => free_variable(cond, scope)
-            .or_else(|| free_variable(then, scope))
-            .or_else(|| free_variable(els, scope)),
-        QExpr::Or(a, b) | QExpr::And(a, b) | QExpr::Union(a, b) => {
-            free_variable(a, scope).or_else(|| free_variable(b, scope))
-        }
-        QExpr::Compare { lhs, rhs, .. } | QExpr::Arith { lhs, rhs, .. } => {
-            free_variable(lhs, scope).or_else(|| free_variable(rhs, scope))
-        }
-        QExpr::Range { lo, hi } => free_variable(lo, scope).or_else(|| free_variable(hi, scope)),
-        QExpr::Neg(e) => free_variable(e, scope),
-        QExpr::Call { args, .. } => args.iter().find_map(|e| free_variable(e, scope)),
-        QExpr::Path { start, steps } => {
-            if let QPathStart::Expr(e) = start {
-                if let Some(v) = free_variable(e, scope) {
-                    return Some(v);
-                }
-            }
-            steps.iter().find_map(|s| s.predicates.iter().find_map(|p| free_variable(p, scope)))
-        }
-        QExpr::Filter { base, predicates } => free_variable(base, scope)
-            .or_else(|| predicates.iter().find_map(|p| free_variable(p, scope))),
-        QExpr::DirElem(d) => check_dir(d, scope),
-        QExpr::Literal(_) | QExpr::Number(_) | QExpr::ContextItem => None,
     }
 }
 
@@ -1045,46 +917,11 @@ mod tests {
         // again on the next request.
         for _ in 0..2 {
             assert!(matches!(c.xpath("ms", "/descendant::"), Err(EngineError::Parse { .. })));
+            let unknown = c.xquery("ms", "if (false()) then nosuch() else 1");
+            assert!(matches!(unknown, Err(EngineError::Compile { .. })), "{unknown:?}");
         }
-        assert_eq!(c.cache_stats().misses, 3);
+        assert_eq!(c.cache_stats().misses, 5);
         assert_eq!(c.cache_stats().entries, 1);
-    }
-
-    #[test]
-    fn static_checker_accepts_all_binding_forms() {
-        for q in [
-            "for $w at $i in /descendant::w return concat($i, string($w))",
-            "let $a := 2 let $b := $a * 3 return $a + $b",
-            "some $w in /descendant::w satisfies string($w) = 'sibbe'",
-            "every $x in (1, 2) satisfies $x > 0",
-            "for $w in /descendant::w where string($w) order by string($w) return $w",
-            "for $w in /descendant::w return <b k=\"{$w}\">{$w}</b>",
-            "let $res := analyze-string(/, 'ge') for $n in $res/child::m return string($n)",
-            "for $w in /descendant::w return $w[1]",
-        ] {
-            let ast = parse_query(q).unwrap();
-            assert_eq!(check_static(&ast), Ok(()), "false positive on `{q}`");
-        }
-    }
-
-    #[test]
-    fn static_checker_rejects_free_variables() {
-        for (q, var) in [
-            ("$undefined", "undefined"),
-            ("for $w in /descendant::w return $typo", "typo"),
-            ("let $a := $a return 1", "a"),
-            ("(for $x in (1) return $x, $x)", "x"),
-            ("some $x in (1) satisfies $y", "y"),
-            ("/descendant::w[$p]", "p"),
-        ] {
-            let ast = parse_query(q).unwrap();
-            match check_static(&ast) {
-                Err(EngineError::Compile { message, .. }) => {
-                    assert!(message.contains(var), "`{q}` should name ${var}: {message}")
-                }
-                other => panic!("`{q}` should fail the static check, got {other:?}"),
-            }
-        }
     }
 
     #[test]

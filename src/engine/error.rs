@@ -55,7 +55,8 @@ pub enum EngineError {
         at: Option<usize>,
     },
     /// The query parsed but could not be compiled into an executable plan
-    /// (static errors, e.g. an unbound variable reference).
+    /// (static errors: an unknown function, a wrong argument count, an
+    /// unbound XQuery variable).
     Compile { lang: QueryLang, message: String },
     /// The compiled plan failed during evaluation against a document.
     Eval { lang: QueryLang, message: String },

@@ -58,6 +58,7 @@ mod handler;
 mod http;
 pub mod pool;
 pub mod router;
+pub mod signal;
 pub mod wire;
 
 pub use http::Request;

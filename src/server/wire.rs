@@ -25,7 +25,9 @@ use mhx_xquery::{AnalyzeMode, EvalOptions};
 
 /// Map an engine error onto the HTTP status the wire protocol uses.
 ///
-/// * `Parse` / `Compile` — the request text can never succeed: **400**;
+/// * `Parse` / `Compile` — the request text can never succeed: **400**
+///   (a syntax error; a call to an unknown function or with a wrong
+///   argument count, in either language; an unbound XQuery variable);
 /// * `Eval` — valid query, failed against this document: **422**;
 /// * `UnknownDocument` — the addressed resource does not exist: **404**;
 /// * `Document` — the uploaded document is malformed: **400**;

@@ -407,6 +407,10 @@ fn xpath_probes_keep_their_xpath_meaning() {
         ("/descendant::w < true()", Some("false")),
         // no sequences in XPath 1.0
         ("tokenize('a b c',' ')", Some("a b c")),
+        // round() takes halves toward +∞ (§4.4), also inside substring()
+        ("round(-2.5)", Some("-2")),
+        ("round(-0.5)", Some("0")),
+        ("substring('12345', -1.5, 4)", Some("12")),
         // the root is the top-level focus, position 1 of size 1
         ("leaves()", Some(text.as_str())),
         ("hierarchy()", Some("")),

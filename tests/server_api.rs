@@ -152,6 +152,12 @@ fn check_status_table(client: &mut Client) {
     // `/query` and on `/prepare` alike.
     row("POST", "/query", Some(query(Some("ms-a"), "xquery", "$undefined")), 400, "compile");
     row("POST", "/prepare", Some(query(None, "xquery", "$undefined")), 400, "compile");
+    // So is an XQuery call to an unknown function or with a wrong
+    // argument count, even in a branch evaluation would never reach.
+    for q in ["nosuch()", "if (false()) then nosuch() else 1", "count((1, 2), 3)"] {
+        row("POST", "/query", Some(query(Some("ms-a"), "xquery", q)), 400, "compile");
+    }
+    row("POST", "/prepare", Some(query(None, "xquery", "nosuch()")), 400, "compile");
     // Dynamic evaluation error → 422.
     row("POST", "/query", Some(query(Some("ms-a"), "xquery", "1 idiv 0")), 422, "eval");
     // XPath calls outside XPath's function library fail to compile → 400,

@@ -13,12 +13,15 @@ use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A spawned daemon plus the address it reported on stderr.
+/// A spawned daemon, the address it reported on stderr, and the thread
+/// that reads the rest of its stderr.
 struct Proc {
     child: Child,
     addr: String,
+    stderr: Option<JoinHandle<String>>,
 }
 
 impl Proc {
@@ -46,6 +49,17 @@ impl Proc {
             }
         }
     }
+
+    /// SIGTERM through the `kill` command, then a clean exit; returns what
+    /// the process wrote to stderr after its startup line.
+    fn terminate(mut self) -> String {
+        let pid = self.child.id().to_string();
+        let status = Command::new("kill").args(["-TERM", &pid]).status().expect("run kill");
+        assert!(status.success(), "kill -TERM {pid}: {status}");
+        let stderr = self.stderr.take().expect("stderr reader");
+        self.wait_clean(Duration::from_secs(10));
+        stderr.join().expect("stderr reader thread")
+    }
 }
 
 impl Drop for Proc {
@@ -57,7 +71,7 @@ impl Drop for Proc {
 }
 
 /// Spawn `bin`, parse the ephemeral bound address from its startup line
-/// (`… on http://ADDR …`), and keep draining stderr in the background so
+/// (`… on http://ADDR …`), and keep reading stderr in the background so
 /// the child never blocks on a full pipe.
 fn spawn(bin: &str, args: &[String]) -> Proc {
     let mut child = Command::new(bin)
@@ -79,13 +93,13 @@ fn spawn(bin: &str, args: &[String]) -> Proc {
         }
         line.clear();
     }
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        while reader.read_line(&mut sink).map(|n| n > 0).unwrap_or(false) {
-            sink.clear();
-        }
+    let stderr = std::thread::spawn(move || {
+        let mut rest = String::new();
+        let _ = reader.read_to_string(&mut rest);
+        rest
     });
-    Proc { child, addr: addr.expect("daemon printed its bound address on stderr") }
+    let addr = addr.expect("daemon printed its bound address on stderr");
+    Proc { child, addr, stderr: Some(stderr) }
 }
 
 fn spawn_shard() -> Proc {
@@ -373,4 +387,19 @@ fn router_drains_promptly_under_an_idle_connection_fleet() {
     }
     // `s0` keeps serving — a router drain never touches the shards; its
     // `Drop` impl reaps the process.
+}
+
+#[test]
+fn sigterm_drains_each_daemon_and_exits_cleanly() {
+    let shard = spawn_shard();
+    let router = spawn_router(&[&shard], 1);
+    let mut client = connect(&router.addr);
+    upload(&mut client, "sig-doc");
+    assert_eq!(first_word(&mut client, "sig-doc").expect("routed query"), "sig-doc");
+    drop(client);
+    // The router first, so that it never sees its shard go away.
+    for (daemon, name) in [(router, "mhxr"), (shard, "mhxd")] {
+        let stderr = daemon.terminate();
+        assert!(stderr.contains(&format!("{name}: stopped")), "{name} stderr: {stderr}");
+    }
 }
