@@ -1,4 +1,4 @@
-//! E17 — shard routing: aggregate throughput of `Router` over two
+//! E17 — shard routing: aggregate throughput of a routing `Server` over two
 //! `Server` backends vs a single node of the same size.
 //!
 //! The load generator is the same think-time client swarm as
@@ -24,7 +24,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mhx_corpus::{generate, GeneratedDoc, GeneratorConfig};
 use multihier_xquery::prelude::Catalog;
 use multihier_xquery::server::client::Client;
-use multihier_xquery::server::{BackendPool, Router, RouterConfig, Server, ServerConfig};
+use multihier_xquery::server::{BackendPool, Server, ServerConfig};
 use std::hint::black_box;
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -159,7 +159,7 @@ fn shard_benches(c: &mut Criterion) {
     let doc = corpus_doc();
     let shard = boot_node(NODE_WORKERS);
     let pool = Arc::new(BackendPool::new(vec![shard.addr().to_string()], 1));
-    let router = Router::bind(Arc::clone(&pool), "127.0.0.1:0", RouterConfig::default())
+    let router = Server::bind_router(Arc::clone(&pool), "127.0.0.1:0", ServerConfig::default())
         .expect("bind router");
     let router_addr = router.addr().to_string();
     upload(&router_addr, &doc, &["doc".to_string()]);
@@ -188,9 +188,9 @@ fn emit_snapshot(_c: &mut Criterion) {
     let pool = Arc::new(BackendPool::new(vec![s0.addr().to_string(), s1.addr().to_string()], 1));
     // Router workers sized to the swarm: one long-lived connection per
     // client must fit without queueing behind each other.
-    let router_config = RouterConfig { workers: CLIENTS, ..RouterConfig::default() };
+    let router_config = ServerConfig { workers: CLIENTS, ..ServerConfig::default() };
     let router =
-        Router::bind(Arc::clone(&pool), "127.0.0.1:0", router_config).expect("bind router");
+        Server::bind_router(Arc::clone(&pool), "127.0.0.1:0", router_config).expect("bind router");
     let router_addr = router.addr().to_string();
     let ids = balanced_ids(&pool);
     upload(&router_addr, &doc, &ids);

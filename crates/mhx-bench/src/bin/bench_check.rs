@@ -6,18 +6,17 @@
 //!
 //! ```text
 //! bench-check --baseline <dir> [--fresh <dir>] [--tolerance 0.25]
-//!             [--min-batch-speedup <x>] [--min-shard-ratio <x>]
-//!             [--min-serve-ratio <x>] [--min-store-ratio <x>]
+//!             [--min-floor <stem> <x>]...
 //! bench-check --list
 //! ```
 //!
 //! `--baseline` points at copies of the committed `BENCH_*.json` saved
 //! *before* the bench run (the benches overwrite the files in place);
-//! `--fresh` (default `.`) at the just-emitted ones. `--min-batch-speedup`,
-//! `--min-shard-ratio`, `--min-serve-ratio`, and `--min-store-ratio`
-//! raise the unconditional floors on the batch, shard, serve, and store
-//! metrics above their built-in values — CI also passes
-//! impossibly high values here to prove the gate can fail.
+//! `--fresh` (default `.`) at the just-emitted ones. `--min-floor STEM X`
+//! (repeatable) raises the unconditional floor on every metric of the
+//! `STEM` snapshot (one of `--list`'s stems) to at least `X` — CI passes
+//! an impossibly high value for each stem in turn to prove the gate can
+//! fail on every snapshot.
 //!
 //! `--list` prints the tracked snapshot table, one `stem file` pair per
 //! line, and exits. This is the **single source of truth** for CI: the
@@ -25,10 +24,7 @@
 //! from this list, so registering a new snapshot here is the only step
 //! needed to put it under the gate.
 
-use mhx_bench::snapshot::{
-    compare, override_batch_floor, override_serve_floor, override_shard_floor,
-    override_store_floor, parse, tracked_metrics, Metric,
-};
+use mhx_bench::snapshot::{compare, override_floor, parse, tracked_metrics, Metric};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -47,10 +43,8 @@ struct Args {
     baseline: Option<PathBuf>,
     fresh: PathBuf,
     tolerance: f64,
-    min_batch_speedup: Option<f64>,
-    min_shard_ratio: Option<f64>,
-    min_serve_ratio: Option<f64>,
-    min_store_ratio: Option<f64>,
+    /// `--min-floor` overrides: a snapshot stem and its raised floor.
+    floors: Vec<(String, f64)>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -58,10 +52,7 @@ fn parse_args() -> Result<Args, String> {
     let mut baseline = None;
     let mut fresh = PathBuf::from(".");
     let mut tolerance = 0.25;
-    let mut min_batch_speedup = None;
-    let mut min_shard_ratio = None;
-    let mut min_serve_ratio = None;
-    let mut min_store_ratio = None;
+    let mut floors = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         let mut value = |name: &str| argv.next().ok_or_else(|| format!("{name} requires a value"));
@@ -73,24 +64,17 @@ fn parse_args() -> Result<Args, String> {
             "--baseline" => baseline = Some(PathBuf::from(value("--baseline")?)),
             "--fresh" => fresh = PathBuf::from(value("--fresh")?),
             "--tolerance" => tolerance = number("--tolerance", value("--tolerance")?)?,
-            "--min-batch-speedup" => {
-                min_batch_speedup =
-                    Some(number("--min-batch-speedup", value("--min-batch-speedup")?)?);
-            }
-            "--min-shard-ratio" => {
-                min_shard_ratio = Some(number("--min-shard-ratio", value("--min-shard-ratio")?)?);
-            }
-            "--min-serve-ratio" => {
-                min_serve_ratio = Some(number("--min-serve-ratio", value("--min-serve-ratio")?)?);
-            }
-            "--min-store-ratio" => {
-                min_store_ratio = Some(number("--min-store-ratio", value("--min-store-ratio")?)?);
+            "--min-floor" => {
+                let stem = value("--min-floor")?;
+                if !SNAPSHOTS.iter().any(|(known, _)| *known == stem) {
+                    return Err(format!("--min-floor: unknown snapshot stem `{stem}`"));
+                }
+                floors.push((stem, number("--min-floor", value("--min-floor")?)?));
             }
             "--help" | "-h" => {
                 println!(
                     "bench-check --baseline <dir> [--fresh <dir>] [--tolerance 0.25] \
-                     [--min-batch-speedup <x>] [--min-shard-ratio <x>] \
-                     [--min-serve-ratio <x>] [--min-store-ratio <x>]\n\
+                     [--min-floor <stem> <x>]...\n\
                      bench-check --list    print the tracked `stem file` snapshot table \
                      (CI's single source of truth) and exit"
                 );
@@ -99,16 +83,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    Ok(Args {
-        list,
-        baseline,
-        fresh,
-        tolerance,
-        min_batch_speedup,
-        min_shard_ratio,
-        min_serve_ratio,
-        min_store_ratio,
-    })
+    Ok(Args { list, baseline, fresh, tolerance, floors })
 }
 
 fn load_metrics(dir: &Path, stem: &str, file: &str) -> Result<Vec<Metric>, String> {
@@ -154,17 +129,8 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        if let Some(min) = args.min_batch_speedup {
-            override_batch_floor(&mut new, min);
-        }
-        if let Some(min) = args.min_shard_ratio {
-            override_shard_floor(&mut new, min);
-        }
-        if let Some(min) = args.min_serve_ratio {
-            override_serve_floor(&mut new, min);
-        }
-        if let Some(min) = args.min_store_ratio {
-            override_store_floor(&mut new, min);
+        for (floor_stem, min) in &args.floors {
+            override_floor(&mut new, &format!("{floor_stem}:"), *min);
         }
         println!("== {file}");
         for verdict in compare(&base, &new, args.tolerance) {

@@ -412,39 +412,16 @@ fn judge(base: &Metric, fresh: &Metric, tolerance: f64) -> Verdict {
 }
 
 /// Raise the hard minimum on every metric whose name starts with
-/// `prefix` (never lowers a built-in floor). This is how the CLI floor
-/// flags work — and how CI proves the gate can fail, by passing an
-/// impossibly high floor and requiring a nonzero exit.
+/// `prefix` (never lowers a built-in floor). This is how `bench-check
+/// --min-floor STEM X` works (prefix `STEM:`) — and how CI proves the
+/// gate can fail, by passing an impossibly high floor for each snapshot
+/// and requiring a nonzero exit.
 pub fn override_floor(metrics: &mut [Metric], prefix: &str, min: f64) {
     for m in metrics {
         if m.name.starts_with(prefix) {
             m.hard_min = Some(m.hard_min.map_or(min, |h| h.max(min)));
         }
     }
-}
-
-/// Apply a hard-minimum override to every batch metric (the
-/// `--min-batch-speedup` flag).
-pub fn override_batch_floor(metrics: &mut [Metric], min: f64) {
-    override_floor(metrics, "batch:", min);
-}
-
-/// Apply a hard-minimum override to every shard metric (the
-/// `--min-shard-ratio` flag).
-pub fn override_shard_floor(metrics: &mut [Metric], min: f64) {
-    override_floor(metrics, "shard:", min);
-}
-
-/// Apply a hard-minimum override to every serve metric (the
-/// `--min-serve-ratio` flag).
-pub fn override_serve_floor(metrics: &mut [Metric], min: f64) {
-    override_floor(metrics, "serve:", min);
-}
-
-/// Apply a hard-minimum override to every store metric (the
-/// `--min-store-ratio` flag).
-pub fn override_store_floor(metrics: &mut [Metric], min: f64) {
-    override_floor(metrics, "store:", min);
 }
 
 #[cfg(test)]
@@ -620,14 +597,14 @@ mod tests {
     #[test]
     fn serve_floor_override_raises_hard_min() {
         let mut metrics = tracked_metrics("serve", &parse(SERVE).unwrap()).unwrap();
-        override_serve_floor(&mut metrics, 1_000_000.0);
+        override_floor(&mut metrics, "serve:", 1_000_000.0);
         let verdicts = compare(&metrics.clone(), &metrics, 0.25);
         // Every serve metric is now below the impossible floor — the CI
         // self-test that proves the serve gate can fail.
         assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
         // The override never lowers a built-in floor.
         let mut metrics = tracked_metrics("serve", &parse(SERVE).unwrap()).unwrap();
-        override_serve_floor(&mut metrics, 0.01);
+        override_floor(&mut metrics, "serve:", 0.01);
         let fleet =
             metrics.iter().find(|m| m.name == "serve:idle_fleet_connections:ratio").unwrap();
         assert_eq!(fleet.hard_min, Some(1000.0));
@@ -683,14 +660,14 @@ mod tests {
     #[test]
     fn shard_floor_override_raises_hard_min() {
         let mut metrics = tracked_metrics("shard", &parse(SHARD).unwrap()).unwrap();
-        override_shard_floor(&mut metrics, 1_000_000.0);
+        override_floor(&mut metrics, "shard:", 1_000_000.0);
         let verdicts = compare(&metrics.clone(), &metrics, 0.25);
         // Every shard metric is now below the impossible floor — the CI
         // self-test that proves the shard gate can fail.
         assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
         // The override never lowers a built-in floor.
         let mut metrics = tracked_metrics("shard", &parse(SHARD).unwrap()).unwrap();
-        override_shard_floor(&mut metrics, 0.01);
+        override_floor(&mut metrics, "shard:", 0.01);
         let scaling = metrics.iter().find(|m| m.name.contains("shard2")).unwrap();
         assert_eq!(scaling.hard_min, Some(1.1));
     }
@@ -748,14 +725,14 @@ mod tests {
     #[test]
     fn store_floor_override_raises_hard_min() {
         let mut metrics = tracked_metrics("store", &parse(STORE).unwrap()).unwrap();
-        override_store_floor(&mut metrics, 1_000_000.0);
+        override_floor(&mut metrics, "store:", 1_000_000.0);
         let verdicts = compare(&metrics.clone(), &metrics, 0.25);
         // Every store metric is now below the impossible floor — the CI
         // self-test that proves the store gate can fail.
         assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
         // The override never lowers a built-in floor.
         let mut metrics = tracked_metrics("store", &parse(STORE).unwrap()).unwrap();
-        override_store_floor(&mut metrics, 0.01);
+        override_floor(&mut metrics, "store:", 0.01);
         let churn = metrics.iter().find(|m| m.name.contains("over_budget")).unwrap();
         assert_eq!(churn.hard_min, Some(1.0));
     }
@@ -847,7 +824,7 @@ mod tests {
     #[test]
     fn batch_floor_override_raises_hard_min() {
         let mut metrics = tracked_metrics("batch", &parse(BATCH).unwrap()).unwrap();
-        override_batch_floor(&mut metrics, 1_000_000.0);
+        override_floor(&mut metrics, "batch:", 1_000_000.0);
         let verdicts = compare(&metrics.clone(), &metrics, 0.25);
         // Every batch metric is now below the impossible floor — this is
         // exactly the CI self-test that proves the gate can fail.

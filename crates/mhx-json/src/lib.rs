@@ -11,7 +11,8 @@
 //! `\n` `\r` `\t` `\uXXXX`), numbers, booleans, null. The writer is the
 //! inverse: [`Json::write_into`] emits compact JSON with all mandatory
 //! escaping (control characters included), and round-trips through
-//! [`parse`].
+//! [`parse`]. Nesting is capped at [`MAX_DEPTH`] arrays and objects, so a
+//! hostile body is an error, not a stack overflow.
 //!
 //! ```
 //! use mhx_json::{parse, Json};
@@ -196,11 +197,18 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Parse a JSON document (one top-level value, trailing content rejected).
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser, the writer and `Drop` all recurse once per level, so the cap
+/// keeps a hostile document within a thread's stack; the deepest document
+/// the workspace writes (a router's `/stats`) is about 7 levels deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document (one top-level value, trailing content rejected,
+/// nesting deeper than [`MAX_DEPTH`] rejected).
 pub fn parse(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -214,10 +222,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value at `pos`, inside `depth` enclosing arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}"))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut entries = Vec::new();
@@ -228,7 +240,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let Json::Str(key) = parse_value(bytes, pos)? else {
+                let Json::Str(key) = parse_value(bytes, pos, depth + 1)? else {
                     return Err(format!("object key must be a string at byte {pos}"));
                 };
                 skip_ws(bytes, pos);
@@ -236,7 +248,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                entries.push((key, parse_value(bytes, pos)?));
+                entries.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -257,7 +269,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -471,6 +483,35 @@ mod tests {
         assert_eq!(Json::Num(3.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Str("3".into()).as_u64(), None);
+    }
+
+    /// `levels` nested arrays around one number.
+    fn nested(levels: usize) -> String {
+        format!("{}1{}", "[".repeat(levels), "]".repeat(levels))
+    }
+
+    /// On a thread with the 2 MiB stack a server's workers get, the
+    /// deepest accepted document parses, re-encodes and drops; one level
+    /// deeper is an error, not a stack overflow — as is a depth that
+    /// would overflow the stack if it were parsed.
+    #[test]
+    fn nesting_is_capped_within_a_worker_stack() {
+        std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(|| {
+                let deepest = parse(&nested(MAX_DEPTH)).expect("the deepest accepted document");
+                assert_eq!(deepest.to_string(), nested(MAX_DEPTH));
+                drop(deepest);
+                let mixed =
+                    format!("{}{}", r#"{"a":["#.repeat(MAX_DEPTH / 2), "]}".repeat(MAX_DEPTH / 2));
+                assert!(parse(&mixed).is_ok(), "objects and arrays count alike");
+                assert!(parse(&format!("[{mixed}]")).unwrap_err().contains("nesting deeper"));
+                assert!(parse(&nested(MAX_DEPTH + 1)).unwrap_err().contains("nesting deeper"));
+                assert!(parse(&nested(10_000)).is_err());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

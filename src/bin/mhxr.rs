@@ -16,7 +16,7 @@
 //! shards keep running.
 
 use multihier_xquery::server::client::Client;
-use multihier_xquery::server::{signal, BackendPool, Router, RouterConfig};
+use multihier_xquery::server::{signal, BackendPool, Server, ServerConfig};
 use std::process::exit;
 use std::sync::Arc;
 
@@ -38,7 +38,7 @@ fn usage() -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut listen = "127.0.0.1:7077".to_string();
-    let mut config = RouterConfig::default();
+    let mut config = ServerConfig::default();
     let mut shards: Vec<String> = Vec::new();
     let mut replicas = 1usize;
 
@@ -96,7 +96,7 @@ fn main() {
     let pool = Arc::new(BackendPool::new(shards, replicas));
     signal::install();
     let workers = config.workers;
-    let router = match Router::bind(Arc::clone(&pool), &listen, config) {
+    let router = match Server::bind_router(Arc::clone(&pool), &listen, config) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cannot bind {listen}: {e}");

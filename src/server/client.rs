@@ -1,8 +1,10 @@
 //! A small blocking client for the `mhxd` wire protocol, used by the
-//! integration tests, `mhxq --connect`, and the `serve` load-generator
-//! bench. One [`Client`] holds one keep-alive TCP connection — i.e. one
-//! server-side [`Session`](crate::engine::Session) — so prepared handles
-//! and per-connection options behave exactly as they do server-side.
+//! integration tests, `mhxq --connect`, the `serve` load-generator bench,
+//! and a router's pooled backend connections. One [`Client`] holds one
+//! keep-alive TCP connection — i.e. one server-side connection state
+//! (document pin, prepared handles, options) in the front end's
+//! connection table — so prepared handles and per-connection options
+//! behave exactly as they do server-side.
 
 use crate::engine::QueryLang;
 use crate::server::wire::WireOutcome;

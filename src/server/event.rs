@@ -1,5 +1,5 @@
-//! The evented front end shared by `mhxd` ([`Server`](crate::server::Server))
-//! and `mhxr` ([`Router`](crate::server::Router)): one readiness loop owns
+//! The evented front end of [`Server`](crate::server::Server), serving
+//! `mhxd` and `mhxr` alike: one readiness loop owns
 //! **every** client socket in nonblocking mode, parses requests
 //! incrementally off readiness notifications, and hands complete requests
 //! to the small [`DispatchPool`]. Thread count is `workers + 1` (the
@@ -63,7 +63,7 @@
 
 use crate::server::accept::{DispatchPool, JobQueue};
 use crate::server::http::{self, ParseError, Request};
-use crate::server::wire;
+use crate::server::{wire, ServerConfig};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -103,21 +103,6 @@ pub(crate) trait Service: Send + Sync + 'static {
     fn note_panic(&self) {}
 }
 
-/// The subset of the front ends' config the loop needs.
-pub(crate) struct EventConfig {
-    /// `epoll_wait` timeout: bounds drain-notice latency and the timeout
-    /// sweep cadence.
-    pub(crate) poll_interval: Duration,
-    /// How long a started (half-received) request may take to arrive.
-    pub(crate) request_timeout: Duration,
-    /// Maximum request body size in bytes.
-    pub(crate) max_body: usize,
-    /// Close a keep-alive connection that has been completely idle (no
-    /// half-received request, nothing queued or in flight, output
-    /// flushed) for this long. `None` keeps idle connections forever.
-    pub(crate) max_idle: Option<Duration>,
-}
-
 const TOKEN_LISTENER: u64 = 0;
 const FIRST_CONN_TOKEN: u64 = 1;
 
@@ -143,20 +128,19 @@ pub(crate) struct EventLoop {
 }
 
 impl EventLoop {
-    /// Start the loop thread (named `{name}-event-loop`) plus `workers`
-    /// dispatch workers. The listener is moved into the loop, which also
+    /// Start the loop thread (named `{name}-event-loop`) plus
+    /// `cfg.workers` dispatch workers. The listener is moved into the loop, which also
     /// accepts — no separate acceptor thread.
     pub(crate) fn start<S: Service>(
         listener: TcpListener,
         name: &str,
-        workers: usize,
-        cfg: EventConfig,
+        cfg: ServerConfig,
         service: Arc<S>,
     ) -> io::Result<EventLoop> {
         listener.set_nonblocking(true)?;
         let (mut poller, waker) = sys::Poller::new()?;
         poller.register(raw_fd(&listener), TOKEN_LISTENER, true, false)?;
-        let pool = DispatchPool::start(name, workers);
+        let pool = DispatchPool::start(name, cfg.workers);
         let lp = Loop {
             poller,
             listener,
@@ -242,7 +226,7 @@ struct Loop<S: Service> {
     poller: sys::Poller,
     listener: TcpListener,
     service: Arc<S>,
-    cfg: EventConfig,
+    cfg: ServerConfig,
     jobs: JobQueue,
     completions: CompletionQueue<S::Conn>,
     waker: sys::Waker,
@@ -993,14 +977,14 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("bound").to_string();
         let service = Arc::new(Panicky::default());
-        let cfg = EventConfig {
+        let cfg = ServerConfig {
+            workers,
             poll_interval: Duration::from_millis(5),
             request_timeout: Duration::from_secs(10),
             max_body: 1024,
             max_idle: None,
         };
-        let mut evloop =
-            EventLoop::start(listener, "panicky", workers, cfg, Arc::clone(&service)).unwrap();
+        let mut evloop = EventLoop::start(listener, "panicky", cfg, Arc::clone(&service)).unwrap();
 
         for _ in 0..=workers {
             // Keep-alive asked for, yet the reply closes the connection.

@@ -1,7 +1,13 @@
-//! Request handling for the daemon: the endpoint router plus the owned
-//! per-connection state (pinned document, prepared-statement table,
+//! Request handling for both front ends: the one route table plus the
+//! owned per-connection state (pinned document, prepared-statement table,
 //! evaluation options) that lives in the event loop's connection table
-//! and travels into a worker with each request.
+//! and travels into a worker with each request. A node (`mhxd`) answers
+//! from its [`Catalog`]; a router (`mhxr`) sends the work to its shard
+//! pool ([`RouterCore`](super::router::RouterCore)). Only the endpoints
+//! whose work differs branch on which: `/query`, `/execute`,
+//! `/documents`, `/stats` and `PUT /documents/{id}`. The rest, `/prepare`
+//! included, run the same code on either, a router's catalog being the
+//! document-free one that compiles its `/prepare` bodies.
 //!
 //! Endpoints (all bodies JSON, see [`super::wire`]):
 //!
@@ -23,26 +29,27 @@ use crate::server::{ConnStats, Shared};
 use mhx_goddag::GoddagBuilder;
 use mhx_json::Json;
 use mhx_xquery::EvalOptions;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::PoisonError;
 
 /// Cap on prepared statements per connection: compiled plans held outside
 /// the LRU cache must stay bounded, mirroring the cache's own capacity.
-/// [`prepare_into`] enforces it on the node's and the router's handle
-/// tables alike.
 const MAX_PREPARED_PER_CONN: usize = 256;
 
 /// Mutable per-connection state. Owned (`'static`) so it can live in the
 /// event loop's connection table and move into workers: instead of
 /// holding a borrowing [`Session`] across requests, the connection pins a
-/// *document id* and opens a short-lived session per request
+/// *document id* and a node opens a short-lived session per request
 /// ([`pin_session`]) — sessions are cheap handles, and the per-session
 /// evaluation counters are folded into `totals` as each one is dropped.
+/// A router keeps the same state and injects `opts` whole into every
+/// query it forwards.
 pub(crate) struct ConnState {
     /// The pinned document requests default to when they carry no `doc`.
-    doc: Option<String>,
-    prepared: Vec<Prepared>,
+    pub(crate) doc: Option<String>,
+    pub(crate) prepared: Vec<Prepared>,
     /// The connection's evaluation options (survive document re-pins).
-    opts: EvalOptions,
+    pub(crate) opts: EvalOptions,
     /// Evaluation counters accumulated across this connection's requests.
     totals: EvalStats,
 }
@@ -61,24 +68,33 @@ impl ConnState {
 /// guarantees requests from one connection arrive here serially.
 pub(crate) fn route(
     shared: &Shared,
-    catalog: &Catalog,
     conn: &ConnStats,
     state: &mut ConnState,
     req: &Request,
-) -> (u16, Json) {
+) -> (u16, String) {
+    let catalog = &*shared.catalog;
+    let router = shared.router.as_ref();
     // Resolve the path first, then the method: a known path with the
     // wrong method is always a 405, without a second hand-maintained
     // list of routes that could drift.
     let method = req.method.as_str();
     let wrong_method =
         || (405, wire::protocol_error_body("method_not_allowed", "wrong method for this path"));
-    match req.path.as_str() {
+    // A router's forwarded replies leave as the text they arrived as
+    // (`Ok`); every other reply is built here and encoded once, below.
+    let (status, reply) = match req.path.as_str() {
         "/healthz" | "/" => match method {
             "GET" => (200, Json::Obj(vec![("ok".into(), Json::Bool(true))])),
             _ => wrong_method(),
         },
-        "/query" => match method {
-            "POST" => query_endpoint(catalog, conn, state, req),
+        "/query" => match (method, router) {
+            ("POST", Some(router)) => {
+                match body_object(req).and_then(|body| router.query(state, &body)) {
+                    Ok(forwarded) => return forwarded,
+                    Err(err) => err,
+                }
+            }
+            ("POST", None) => query_endpoint(catalog, conn, state, req),
             _ => wrong_method(),
         },
         "/prepare" => match method {
@@ -88,35 +104,24 @@ pub(crate) fn route(
             },
             _ => wrong_method(),
         },
-        "/execute" => match method {
-            "POST" => execute_endpoint(catalog, conn, state, req),
-            _ => wrong_method(),
-        },
-        "/documents" => match method {
-            "GET" => {
-                let docs = catalog
-                    .document_status()
-                    .into_iter()
-                    .map(|(id, residency, bytes)| {
-                        Json::Obj(vec![
-                            ("id".into(), Json::Str(id)),
-                            ("residency".into(), Json::Str(residency.name().into())),
-                            ("snapshot_bytes".into(), Json::Num(bytes as f64)),
-                        ])
-                    })
-                    .collect();
-                (
-                    200,
-                    Json::Obj(vec![
-                        ("ok".into(), Json::Bool(true)),
-                        ("documents".into(), Json::Arr(docs)),
-                    ]),
-                )
+        "/execute" => match (method, router) {
+            ("POST", Some(router)) => {
+                match body_object(req).and_then(|body| router.execute(state, &body)) {
+                    Ok(forwarded) => return forwarded,
+                    Err(err) => err,
+                }
             }
+            ("POST", None) => execute_endpoint(catalog, conn, state, req),
             _ => wrong_method(),
         },
-        "/stats" => match method {
-            "GET" => (200, stats_body(shared, catalog)),
+        "/documents" => match (method, router) {
+            ("GET", Some(router)) => router.documents(),
+            ("GET", None) => (200, documents_body(catalog)),
+            _ => wrong_method(),
+        },
+        "/stats" => match (method, router) {
+            ("GET", Some(router)) => (200, router.stats(shared)),
+            ("GET", None) => (200, stats_body(shared)),
             _ => wrong_method(),
         },
         "/shutdown" => match method {
@@ -134,18 +139,24 @@ pub(crate) fn route(
         },
         path if path.strip_prefix("/documents/").is_some_and(|id| !id.is_empty()) => {
             let id = path.strip_prefix("/documents/").expect("guard matched");
-            match method {
-                "PUT" => upload_endpoint(catalog, id, req),
+            match (method, router) {
+                ("PUT", Some(router)) => {
+                    match body_object(req).and_then(|body| router.upload(id, &body)) {
+                        Ok(forwarded) => return forwarded,
+                        Err(err) => err,
+                    }
+                }
+                ("PUT", None) => upload_endpoint(catalog, id, req),
                 _ => wrong_method(),
             }
         }
         path => (404, wire::protocol_error_body("not_found", &format!("no route for `{path}`"))),
-    }
+    };
+    (status, reply.to_string())
 }
 
 /// Parse the request body as a JSON object; protocol error otherwise.
-/// Shared with the router, whose endpoints frame bodies identically.
-pub(crate) fn body_object(req: &Request) -> Result<Json, (u16, Json)> {
+fn body_object(req: &Request) -> Result<Json, (u16, Json)> {
     let text = req
         .body_str()
         .ok_or_else(|| (400, wire::protocol_error_body("bad_json", "body is not UTF-8")))?;
@@ -161,21 +172,28 @@ fn engine_failure(e: &EngineError) -> (u16, Json) {
     (wire::status_for(e), wire::engine_error_body(e))
 }
 
-/// Resolve the request's target document: explicit `doc` field, else the
-/// connection's pinned document, else the only document `ids` lists (the
-/// node lists its catalog, the router its fleet).
-pub(crate) fn target_doc(
+/// Apply a request's `"options"` patch onto the connection's options (a
+/// node's session picks them up, a router forwards them), then resolve
+/// its target document: explicit `doc` field, else the connection's
+/// pinned document, else the only document `ids` lists (the node lists
+/// its catalog, the router its fleet).
+pub(crate) fn resolve_doc(
+    state: &mut ConnState,
     body: &Json,
-    pinned: Option<&str>,
     ids: impl FnOnce() -> Result<Vec<String>, (u16, Json)>,
 ) -> Result<String, (u16, Json)> {
+    if let Some(options) = body.get("options") {
+        if let Err(message) = wire::apply_options(&mut state.opts, options) {
+            return Err((400, wire::protocol_error_body("bad_options", &message)));
+        }
+    }
     if let Some(doc) = body.get("doc") {
         return doc.as_str().map(str::to_string).ok_or_else(|| {
             (400, wire::protocol_error_body("bad_request", "`doc` must be a string"))
         });
     }
-    if let Some(doc) = pinned {
-        return Ok(doc.to_string());
+    if let Some(doc) = &state.doc {
+        return Ok(doc.clone());
     }
     let mut ids = ids()?;
     if ids.len() == 1 {
@@ -217,10 +235,7 @@ fn with_session(
     body: &Json,
     f: impl FnOnce(&Session<'_>, &ConnState) -> Result<crate::engine::QueryOutcome, EngineError>,
 ) -> (u16, Json) {
-    if let Err(err) = apply_request_options(&mut state.opts, body) {
-        return err;
-    }
-    let doc = match target_doc(body, state.doc.as_deref(), || Ok(catalog.document_ids())) {
+    let doc = match resolve_doc(state, body, || Ok(catalog.document_ids())) {
         Ok(doc) => doc,
         Err(err) => return err,
     };
@@ -234,20 +249,6 @@ fn with_session(
         Ok(out) => (200, wire::outcome_body(&out)),
         Err(e) => engine_failure(&e),
     }
-}
-
-/// Apply a request's `"options"` patch onto the connection's options; the
-/// node's next [`pin_session`] picks them up, the router forwards them.
-pub(crate) fn apply_request_options(
-    opts: &mut EvalOptions,
-    body: &Json,
-) -> Result<(), (u16, Json)> {
-    if let Some(options) = body.get("options") {
-        if let Err(message) = wire::apply_options(opts, options) {
-            return Err((400, wire::protocol_error_body("bad_options", &message)));
-        }
-    }
-    Ok(())
 }
 
 fn query_endpoint(
@@ -268,10 +269,7 @@ fn query_endpoint(
         // Same resolution flow as a real query (options patch, doc
         // defaulting, document pin) so explain-then-query behaves
         // identically — but the plan is rendered, not evaluated.
-        if let Err(err) = apply_request_options(&mut state.opts, &body) {
-            return err;
-        }
-        let doc = match target_doc(&body, state.doc.as_deref(), || Ok(catalog.document_ids())) {
+        let doc = match resolve_doc(state, &body, || Ok(catalog.document_ids())) {
             Ok(doc) => doc,
             Err(err) => return err,
         };
@@ -287,8 +285,8 @@ fn query_endpoint(
 }
 
 /// Check a `/query` body's fields: the text, its language, and whether to
-/// explain instead of run. The router checks them too before it resolves
-/// a document, so a malformed body fails there exactly as on a node.
+/// explain instead of run. A router checks them before it resolves a
+/// document, so a malformed body fails there exactly as on a node.
 pub(crate) fn query_fields(body: &Json) -> Result<(&str, QueryLang, bool), (u16, Json)> {
     let (src, lang) = query_and_lang(body)?;
     let explain = match body.get("explain") {
@@ -315,9 +313,9 @@ fn query_and_lang(body: &Json) -> Result<(&str, QueryLang), (u16, Json)> {
 }
 
 /// Validate a `/prepare` body `{lang?, query}` and compile it into a
-/// connection's handle table. The node and the router both answer
-/// `/prepare` with this, so a handle is checked and numbered identically
-/// on either.
+/// connection's handle table. A router compiles against its
+/// document-free catalog, so a bad statement fails at `/prepare` there
+/// too, without contacting a shard.
 pub(crate) fn prepare_into(
     catalog: &Catalog,
     prepared: &mut Vec<Prepared>,
@@ -354,7 +352,7 @@ pub(crate) fn prepare_into(
 }
 
 /// Look up an `/execute` body's `handle` in a connection's handle table
-/// (shared by the node and the router, like [`prepare_into`]).
+/// (a router forwards the statement's text, a node runs its plan).
 pub(crate) fn prepared_handle(prepared: &[Prepared], body: &Json) -> Result<usize, (u16, Json)> {
     let Some(handle) = body.get("handle").and_then(Json::as_u64) else {
         return Err((
@@ -439,27 +437,73 @@ fn upload_endpoint(catalog: &Catalog, id: &str, req: &Request) -> (u16, Json) {
     }
 }
 
-fn stats_body(shared: &Shared, catalog: &Catalog) -> Json {
-    let cache = catalog.cache_stats();
-    let eval = catalog.eval_stats();
-    let sessions: Vec<Json> = shared
-        .conn_snapshot()
+/// A node's `GET /documents` listing.
+fn documents_body(catalog: &Catalog) -> Json {
+    let docs = catalog
+        .document_status()
         .into_iter()
-        .map(|c| {
+        .map(|(id, residency, bytes)| {
             Json::Obj(vec![
-                ("conn".into(), Json::Num(c.id as f64)),
-                ("peer".into(), Json::Str(c.peer)),
-                ("doc".into(), Json::Str(c.doc)),
-                ("requests".into(), Json::Num(c.requests as f64)),
-                ("batched_steps".into(), Json::Num(c.eval.batched_steps as f64)),
-                ("rewritten_steps".into(), Json::Num(c.eval.rewritten_steps as f64)),
-                ("plan_rewrites".into(), Json::Num(c.eval.plan_rewrites as f64)),
-                ("early_exit_steps".into(), Json::Num(c.eval.early_exit_steps as f64)),
-                ("hoisted_preds".into(), Json::Num(c.eval.hoisted_preds as f64)),
-                ("chain_joins".into(), Json::Num(c.eval.chain_joins as f64)),
+                ("id".into(), Json::Str(id)),
+                ("residency".into(), Json::Str(residency.name().into())),
+                ("snapshot_bytes".into(), Json::Num(bytes as f64)),
             ])
         })
         .collect();
+    Json::Obj(vec![("ok".into(), Json::Bool(true)), ("documents".into(), Json::Arr(docs))])
+}
+
+/// The counters both front ends report in `/stats` (under `server` on a
+/// node, `router` on a router), after `workers` and a router's
+/// `replicas`.
+pub(crate) fn front_end_counters(shared: &Shared) -> [(String, Json); 4] {
+    let count = |counter: &AtomicU64| Json::Num(counter.load(Ordering::Relaxed) as f64);
+    [
+        ("connections_accepted".into(), count(&shared.accepted)),
+        ("requests".into(), count(&shared.requests)),
+        ("pipelined_requests".into(), count(&shared.pipelined)),
+        ("panics".into(), count(&shared.panics)),
+    ]
+}
+
+/// A node's evaluation counters, as the `eval` section and each session
+/// row of `/stats` report them.
+fn eval_counters(eval: &EvalStats) -> [(String, Json); 6] {
+    [
+        ("batched_steps".into(), Json::Num(eval.batched_steps as f64)),
+        ("rewritten_steps".into(), Json::Num(eval.rewritten_steps as f64)),
+        ("plan_rewrites".into(), Json::Num(eval.plan_rewrites as f64)),
+        ("early_exit_steps".into(), Json::Num(eval.early_exit_steps as f64)),
+        ("hoisted_preds".into(), Json::Num(eval.hoisted_preds as f64)),
+        ("chain_joins".into(), Json::Num(eval.chain_joins as f64)),
+    ]
+}
+
+/// A node's `GET /stats`.
+fn stats_body(shared: &Shared) -> Json {
+    let catalog = &shared.catalog;
+    let cache = catalog.cache_stats();
+    let sessions: Vec<Json> = shared
+        .conns
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .values()
+        .map(|c| {
+            let doc = c.doc.lock().unwrap_or_else(PoisonError::into_inner).clone();
+            let mut row = vec![
+                ("conn".into(), Json::Num(c.id as f64)),
+                ("peer".into(), Json::Str(c.peer.clone())),
+                ("doc".into(), Json::Str(doc)),
+                ("requests".into(), Json::Num(c.requests.load(Ordering::Relaxed) as f64)),
+            ];
+            row.extend(eval_counters(&c.eval.lock().unwrap_or_else(PoisonError::into_inner)));
+            Json::Obj(row)
+        })
+        .collect();
+    let mut server = vec![("workers".into(), Json::Num(shared.config.workers as f64))];
+    server.extend(front_end_counters(shared));
+    server.push(("active_connections".into(), Json::Num(sessions.len() as f64)));
+    server.push(("sessions".into(), Json::Arr(sessions)));
     Json::Obj(vec![
         ("ok".into(), Json::Bool(true)),
         (
@@ -472,35 +516,8 @@ fn stats_body(shared: &Shared, catalog: &Catalog) -> Json {
                 ("entries".into(), Json::Num(cache.entries as f64)),
             ]),
         ),
-        (
-            "eval".into(),
-            Json::Obj(vec![
-                ("batched_steps".into(), Json::Num(eval.batched_steps as f64)),
-                ("rewritten_steps".into(), Json::Num(eval.rewritten_steps as f64)),
-                ("plan_rewrites".into(), Json::Num(eval.plan_rewrites as f64)),
-                ("early_exit_steps".into(), Json::Num(eval.early_exit_steps as f64)),
-                ("hoisted_preds".into(), Json::Num(eval.hoisted_preds as f64)),
-                ("chain_joins".into(), Json::Num(eval.chain_joins as f64)),
-            ]),
-        ),
-        (
-            "server".into(),
-            Json::Obj(vec![
-                ("workers".into(), Json::Num(shared.config.workers as f64)),
-                (
-                    "connections_accepted".into(),
-                    Json::Num(shared.accepted.load(Ordering::Relaxed) as f64),
-                ),
-                ("requests".into(), Json::Num(shared.requests.load(Ordering::Relaxed) as f64)),
-                (
-                    "pipelined_requests".into(),
-                    Json::Num(shared.pipelined.load(Ordering::Relaxed) as f64),
-                ),
-                ("panics".into(), Json::Num(shared.panics.load(Ordering::Relaxed) as f64)),
-                ("active_connections".into(), Json::Num(sessions.len() as f64)),
-                ("sessions".into(), Json::Arr(sessions)),
-            ]),
-        ),
+        ("eval".into(), Json::Obj(eval_counters(&catalog.eval_stats()).into())),
+        ("server".into(), Json::Obj(server)),
         ("documents".into(), Json::Num(catalog.len() as f64)),
         ("store".into(), store_section(catalog)),
     ])

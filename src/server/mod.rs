@@ -1,6 +1,7 @@
-//! # `mhxd` — the catalog on the wire
+//! # `mhxd` and `mhxr` — the catalog on the wire
 //!
-//! A std-only **evented** HTTP/1.1 front end for [`Catalog`]: one epoll
+//! A std-only **evented** HTTP/1.1 front end for [`Catalog`], or for a
+//! pool of `mhxd` shards ([`Server::bind_router`]): one epoll
 //! readiness loop (raw `epoll(7)` on Linux, see `event.rs`) owns every
 //! client socket in nonblocking mode and parses requests incrementally;
 //! complete requests are handed to a fixed pool of dispatch workers.
@@ -22,14 +23,17 @@
 //!            │ route → write the reply to the socket; the state returns
 //!            │   via the completion queue (which carries reply bytes only
 //!            │   for short writes, pipelined requests and closes)
-//!        Session ──► Catalog (&self queries, shared plan cache)
+//!        handler::route(ConnState) ──► node:   Catalog (a per-request
+//!                                  │            Session, shared plan cache)
+//!                                  └─► router: shard pool (pooled backend
+//!                                               connections, failover)
 //! ```
 //!
 //! Requests pipeline: the loop parses ahead while earlier requests run,
 //! execution stays serial per connection, and responses flush strictly
 //! in arrival order. A request whose handler panics is answered `500`
 //! (`internal`), closes its connection, and counts in `/stats` as
-//! `server.panics`; the worker lives on.
+//! `server.panics` (`router.panics` on a router); the worker lives on.
 //!
 //! No tokio, no hyper: the build is offline (see the `vendor/` shim
 //! convention), and `std::net` + raw-libc epoll + a thread pool serve the
@@ -46,10 +50,14 @@
 //! The [`client`] module is the matching blocking client (used by the
 //! integration tests, `mhxq --connect`, and the `serve` bench); [`wire`]
 //! documents the JSON wire format and the `EngineError` → status mapping.
-//! Scaling past one node is the [`router`] module (the `mhxr` binary): a
+//! Scaling past one node is the same front end with the shard pool as
+//! its backend (the `mhxr` binary, [`Server::bind_router`]): a
 //! [`pool::BackendPool`] consistent-hashes document ids across several
-//! `mhxd` backends and the [`Router`] speaks this same wire protocol in
-//! front of them, with replication and drain-aware failover.
+//! `mhxd` backends, and the [`router`] module forwards each request to
+//! them with replication and drain-aware failover. Both share one route
+//! table, one per-connection state, one [`ServerConfig`] and one set of
+//! counters; only `/query`, `/execute`, `/documents`, `/stats` and
+//! `PUT /documents/{id}` branch on the backend.
 
 mod accept;
 pub mod client;
@@ -63,12 +71,12 @@ pub mod wire;
 
 pub use http::Request;
 pub use pool::{BackendHealth, BackendPool};
-pub use router::{Router, RouterConfig};
 pub use wire::{error_kind, parse_lang, status_for, WireOutcome};
 
 use crate::engine::{Catalog, EvalStats};
-use event::{EventConfig, EventLoop, Service};
+use event::{EventLoop, Service};
 use mhx_xquery::EvalOptions;
+use router::RouterCore;
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -76,7 +84,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// Tuning knobs for [`Server::bind`].
+/// Tuning knobs for [`Server::bind`] and [`Server::bind_router`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Dispatch worker threads — the concurrent request execution bound.
@@ -125,8 +133,8 @@ pub(crate) struct ConnStats {
     pub(crate) id: u64,
     pub(crate) peer: String,
     pub(crate) requests: AtomicU64,
-    doc: Mutex<String>,
-    eval: Mutex<EvalStats>,
+    pub(crate) doc: Mutex<String>,
+    pub(crate) eval: Mutex<EvalStats>,
 }
 
 impl ConnStats {
@@ -140,18 +148,16 @@ impl ConnStats {
     }
 }
 
-/// A `/stats`-shaped snapshot of one connection.
-pub(crate) struct ConnSnapshot {
-    pub(crate) id: u64,
-    pub(crate) peer: String,
-    pub(crate) doc: String,
-    pub(crate) requests: u64,
-    pub(crate) eval: EvalStats,
-}
-
 /// State shared by the event loop, the workers, and the [`Server`] handle.
+/// It is the front end's [`Service`]: it counts connections and requests,
+/// owns the drain flag, and routes each complete request through
+/// [`handler`].
 pub(crate) struct Shared {
+    /// A node's documents, or a router's document-free catalog, which
+    /// compiles `/prepare` bodies exactly as a node would.
     pub(crate) catalog: Arc<Catalog>,
+    /// The shard pool a router forwards to; `None` on a node.
+    pub(crate) router: Option<RouterCore>,
     pub(crate) config: ServerConfig,
     shutdown: AtomicBool,
     pub(crate) shutdown_requested: AtomicBool,
@@ -160,102 +166,64 @@ pub(crate) struct Shared {
     pub(crate) pipelined: AtomicU64,
     pub(crate) panics: AtomicU64,
     next_conn: AtomicU64,
-    conns: Mutex<BTreeMap<u64, Arc<ConnStats>>>,
-}
-
-impl Shared {
-    pub(crate) fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn register_conn(&self, stream: &TcpStream) -> Arc<ConnStats> {
-        let id = self.next_conn.fetch_add(1, Ordering::Relaxed) + 1;
-        let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into());
-        let conn = Arc::new(ConnStats {
-            id,
-            peer,
-            requests: AtomicU64::new(0),
-            doc: Mutex::new(String::new()),
-            eval: Mutex::default(),
-        });
-        self.conns.lock().unwrap_or_else(PoisonError::into_inner).insert(id, Arc::clone(&conn));
-        conn
-    }
-
-    pub(crate) fn unregister_conn(&self, id: u64) {
-        self.conns.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
-    }
-
-    pub(crate) fn conn_snapshot(&self) -> Vec<ConnSnapshot> {
-        self.conns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .map(|c| ConnSnapshot {
-                id: c.id,
-                peer: c.peer.clone(),
-                doc: c.doc.lock().unwrap_or_else(PoisonError::into_inner).clone(),
-                requests: c.requests.load(Ordering::Relaxed),
-                eval: *c.eval.lock().unwrap_or_else(PoisonError::into_inner),
-            })
-            .collect()
-    }
-}
-
-/// The daemon's [`Service`]: glues the event loop to the engine — counts
-/// connections and requests, owns the drain flag, and routes each
-/// complete request through [`handler`].
-struct ServerService {
-    shared: Arc<Shared>,
+    /// Every open connection's `/stats` row, by connection id.
+    pub(crate) conns: Mutex<BTreeMap<u64, Arc<ConnStats>>>,
 }
 
 /// One connection's entry payload: its `/stats` row plus the handler
 /// state (document pin, prepared handles, options).
-struct ServerConn {
+pub(crate) struct ServerConn {
     stats: Arc<ConnStats>,
     state: handler::ConnState,
 }
 
-impl Service for ServerService {
+impl Service for Shared {
     type Conn = ServerConn;
 
     fn connect(&self, stream: &TcpStream) -> ServerConn {
-        self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-        let stats = self.shared.register_conn(stream);
-        let state = handler::ConnState::new(self.shared.catalog.options().clone());
+        self.accepted.fetch_add(1, Ordering::Relaxed);
+        let id = self.next_conn.fetch_add(1, Ordering::Relaxed) + 1;
+        let stats = Arc::new(ConnStats {
+            id,
+            peer: stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into()),
+            requests: AtomicU64::new(0),
+            doc: Mutex::new(String::new()),
+            eval: Mutex::default(),
+        });
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner).insert(id, Arc::clone(&stats));
+        let state = handler::ConnState::new(self.catalog.options().clone());
         ServerConn { stats, state }
     }
 
     fn handle(&self, conn: &mut ServerConn, req: &http::Request) -> (u16, String) {
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
+        self.requests.fetch_add(1, Ordering::Relaxed);
         conn.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let (status, body) =
-            handler::route(&self.shared, &self.shared.catalog, &conn.stats, &mut conn.state, req);
+        let reply = handler::route(self, &conn.stats, &mut conn.state, req);
         conn.stats.record_eval(conn.state.eval_stats());
-        (status, body.to_string())
+        reply
     }
 
     fn disconnect(&self, conn: ServerConn) {
-        self.shared.unregister_conn(conn.stats.id);
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner).remove(&conn.stats.id);
     }
 
     fn draining(&self) -> bool {
-        self.shared.draining()
+        self.shutdown.load(Ordering::SeqCst)
     }
 
     fn note_pipelined(&self) {
-        self.shared.pipelined.fetch_add(1, Ordering::Relaxed);
+        self.pipelined.fetch_add(1, Ordering::Relaxed);
     }
 
     fn note_panic(&self) {
-        self.shared.panics.fetch_add(1, Ordering::Relaxed);
+        self.panics.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// The running daemon: a bound listener, its event loop, and the worker
-/// pool. Dropping without [`Server::shutdown`] detaches the threads
-/// (they keep serving until the process exits) — daemons should always
-/// shut down explicitly.
+/// The running front end, a node or a router: a bound listener, its
+/// event loop, and the worker pool. Dropping without [`Server::shutdown`]
+/// detaches the threads (they keep serving until the process exits) —
+/// daemons should always shut down explicitly.
 ///
 /// ```
 /// use multihier_xquery::prelude::*;
@@ -282,15 +250,67 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind `addr` (use port 0 for an ephemeral port) and start the
-    /// event loop plus `config.workers` worker threads.
+    /// Bind `addr` (use port 0 for an ephemeral port) and serve
+    /// `catalog`: start the event loop plus `config.workers` worker
+    /// threads.
     pub fn bind(catalog: Arc<Catalog>, addr: &str, config: ServerConfig) -> io::Result<Server> {
+        Server::start(catalog, None, addr, config)
+    }
+
+    /// Bind `addr` as a shard router over `backends`: the same front end
+    /// and wire protocol, answering from the shards instead of a local
+    /// catalog. Its [`Server::catalog`] holds no documents; it compiles
+    /// `/prepare` bodies.
+    ///
+    /// ```
+    /// use multihier_xquery::prelude::*;
+    /// use multihier_xquery::server::{client::Client, BackendPool, Server, ServerConfig};
+    /// use std::sync::Arc;
+    ///
+    /// // One real shard…
+    /// let catalog = Arc::new(Catalog::new());
+    /// catalog.insert(
+    ///     "ms",
+    ///     GoddagBuilder::new().hierarchy("w", "<r><w>a</w><w>b</w></r>").build().unwrap(),
+    /// );
+    /// let shard = Server::bind(catalog, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    ///
+    /// // …fronted by a router speaking the identical wire protocol.
+    /// let pool = Arc::new(BackendPool::new(vec![shard.addr().to_string()], 1));
+    /// let router = Server::bind_router(pool, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    ///
+    /// let mut client = Client::connect(&router.addr().to_string()).unwrap();
+    /// let out = client.xpath("ms", "count(/descendant::w)").unwrap();
+    /// assert_eq!(out.serialized, "2");
+    ///
+    /// assert!(router.shutdown());
+    /// assert!(shard.shutdown());
+    /// ```
+    pub fn bind_router(
+        backends: Arc<BackendPool>,
+        addr: &str,
+        config: ServerConfig,
+    ) -> io::Result<Server> {
+        Server::start(Arc::new(Catalog::new()), Some(backends), addr, config)
+    }
+
+    fn start(
+        catalog: Arc<Catalog>,
+        backends: Option<Arc<BackendPool>>,
+        addr: &str,
+        config: ServerConfig,
+    ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let workers = config.workers.max(1);
+        let name = if backends.is_some() { "mhxr" } else { "mhxd" };
+        let config = ServerConfig { workers: config.workers.max(1), ..config };
+        // A router's free lists never need to exceed the execution bound:
+        // at most `workers` requests hold a backend connection at once.
+        let router = backends.map(|pool| RouterCore::new(pool, config.workers));
         let shared = Arc::new(Shared {
             catalog,
-            config: ServerConfig { workers, ..config },
+            router,
+            config: config.clone(),
             shutdown: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
@@ -300,18 +320,7 @@ impl Server {
             next_conn: AtomicU64::new(0),
             conns: Mutex::new(BTreeMap::new()),
         });
-        let evloop = EventLoop::start(
-            listener,
-            "mhxd",
-            workers,
-            EventConfig {
-                poll_interval: shared.config.poll_interval,
-                request_timeout: shared.config.request_timeout,
-                max_body: shared.config.max_body,
-                max_idle: shared.config.max_idle,
-            },
-            Arc::new(ServerService { shared: Arc::clone(&shared) }),
-        )?;
+        let evloop = EventLoop::start(listener, name, config, Arc::clone(&shared))?;
         Ok(Server { addr: local, shared, evloop })
     }
 
@@ -358,7 +367,8 @@ impl Server {
     /// Graceful shutdown: stop accepting, drain the engine (in-flight
     /// queries finish, every response in progress is completed), join all
     /// threads. Returns true when the engine reached zero in-flight
-    /// queries before the internal timeout.
+    /// queries before the internal timeout. A router's shards keep
+    /// running: draining them is their owners' job.
     pub fn shutdown(mut self) -> bool {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.catalog.begin_shutdown();

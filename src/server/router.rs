@@ -2,12 +2,16 @@
 //!
 //! One JSON/HTTP front end over N `mhxd` backends, speaking the *same*
 //! wire protocol clients already use — a client cannot tell a router
-//! from a single node except for the extra `/stats` sections.
+//! from a single node except for the extra `/stats` sections. It *is*
+//! the node's front end ([`Server::bind_router`](crate::server::Server::bind_router)):
+//! the same event loop, route table, per-connection state, config and
+//! counters, with this module's `RouterCore` as the backend where a
+//! node has its documents.
 //!
 //! ```text
 //!                clients (keep-alive, wire protocol)
 //!                          │
-//!               Router (mhxr, evented front end)
+//!               mhxr (the mhxd front end, evented)
 //!          consistent hash on document id (BackendPool)
 //!            │                │                │
 //!         mhxd shard 0     mhxd shard 1     mhxd shard 2
@@ -32,13 +36,13 @@
 //!   response passes through verbatim: 4xx is deterministic on every
 //!   replica, and so is a `500`/`internal` (the request panicked its
 //!   handler and would panic the next replica too).
-//! * **Prepared statements** — the router keeps a per-client-connection
-//!   handle table (`ConnCore`) holding the statements themselves:
-//!   `/prepare` runs the node's own validation against a document-free
-//!   [`Catalog`] and contacts no backend; `/execute` forwards the
-//!   statement's text as an ad-hoc `/query`. A query's text alone names
-//!   its plan on every shard, so any replica answers from its plan cache
-//!   and a handle survives failover with nothing to re-prepare.
+//! * **Prepared statements** — the client connection's handle table holds
+//!   the statements themselves: `/prepare` compiles against the router's
+//!   document-free [`Catalog`](crate::engine::Catalog), exactly as on a
+//!   node, and contacts no backend; `/execute` forwards the statement's
+//!   text as an ad-hoc `/query`. A query's text alone names its plan on
+//!   every shard, so any replica answers from its plan cache and a handle
+//!   survives failover with nothing to re-prepare.
 //!
 //! ## Multiplexed backend connections
 //!
@@ -63,210 +67,22 @@
 //! node does after a `500`/`internal`) does not get that connection back
 //! in the free list.
 
-use crate::engine::{Catalog, Prepared};
 use crate::server::client::{Client, ClientError};
-use crate::server::event::{EventConfig, EventLoop, Service};
 use crate::server::handler::{
-    apply_request_options, body_object, prepare_into, prepared_handle, query_fields, target_doc,
+    front_end_counters, prepared_handle, query_fields, resolve_doc, ConnState,
 };
-use crate::server::http::Request;
 use crate::server::pool::BackendPool;
-use crate::server::wire;
+use crate::server::{wire, Shared};
 use mhx_json::Json;
-use mhx_xquery::EvalOptions;
 use std::collections::BTreeMap;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
 
-/// Tuning knobs for [`Router::bind`] (mirrors
-/// [`ServerConfig`](crate::server::ServerConfig)).
-#[derive(Debug, Clone)]
-pub struct RouterConfig {
-    /// Dispatch worker threads: the concurrent request execution bound
-    /// (connection count is bounded only by file descriptors).
-    pub workers: usize,
-    /// Event-loop wait timeout: bounds drain-notice latency.
-    pub poll_interval: Duration,
-    /// How long a started request may take to arrive completely.
-    pub request_timeout: Duration,
-    /// Maximum request body size in bytes.
-    pub max_body: usize,
-}
-
-impl Default for RouterConfig {
-    fn default() -> RouterConfig {
-        RouterConfig {
-            workers: 8,
-            poll_interval: Duration::from_millis(25),
-            request_timeout: Duration::from_secs(10),
-            max_body: 16 * 1024 * 1024,
-        }
-    }
-}
-
-/// State shared by the router's event loop, workers, and the [`Router`]
-/// handle.
-pub(crate) struct RouterShared {
-    core: RouterCore,
-    config: RouterConfig,
-    shutdown: AtomicBool,
-    shutdown_requested: AtomicBool,
-    accepted: AtomicU64,
-    requests: AtomicU64,
-    pipelined: AtomicU64,
-    panics: AtomicU64,
-    failovers: AtomicU64,
-}
-
-impl RouterShared {
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-}
-
-/// The running router: a bound listener, its event loop, and the worker
-/// pool. Like [`Server`](crate::server::Server), dropping without
-/// [`Router::shutdown`] detaches the threads.
-///
-/// ```
-/// use multihier_xquery::prelude::*;
-/// use multihier_xquery::server::{client::Client, BackendPool, Router, RouterConfig};
-/// use multihier_xquery::server::{Server, ServerConfig};
-/// use std::sync::Arc;
-///
-/// // One real shard…
-/// let catalog = Arc::new(Catalog::new());
-/// catalog.insert(
-///     "ms",
-///     GoddagBuilder::new().hierarchy("w", "<r><w>a</w><w>b</w></r>").build().unwrap(),
-/// );
-/// let shard = Server::bind(catalog, "127.0.0.1:0", ServerConfig::default()).unwrap();
-///
-/// // …fronted by a router speaking the identical wire protocol.
-/// let pool = Arc::new(BackendPool::new(vec![shard.addr().to_string()], 1));
-/// let router = Router::bind(pool, "127.0.0.1:0", RouterConfig::default()).unwrap();
-///
-/// let mut client = Client::connect(&router.addr().to_string()).unwrap();
-/// let out = client.xpath("ms", "count(/descendant::w)").unwrap();
-/// assert_eq!(out.serialized, "2");
-///
-/// router.shutdown();
-/// shard.shutdown();
-/// ```
-pub struct Router {
-    addr: SocketAddr,
-    shared: Arc<RouterShared>,
-    evloop: EventLoop,
-}
-
-impl Router {
-    /// Bind `addr` (port 0 for ephemeral) and start routing onto
-    /// `backends`.
-    pub fn bind(
-        backends: Arc<BackendPool>,
-        addr: &str,
-        config: RouterConfig,
-    ) -> io::Result<Router> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let workers = config.workers.max(1);
-        let shared = Arc::new(RouterShared {
-            // The free list never needs to exceed the execution bound:
-            // at most `workers` requests hold a backend conn at once.
-            core: RouterCore::new(backends, workers),
-            config: RouterConfig { workers, ..config },
-            shutdown: AtomicBool::new(false),
-            shutdown_requested: AtomicBool::new(false),
-            accepted: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            pipelined: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-        });
-        let evloop = EventLoop::start(
-            listener,
-            "mhxr",
-            workers,
-            EventConfig {
-                poll_interval: shared.config.poll_interval,
-                request_timeout: shared.config.request_timeout,
-                max_body: shared.config.max_body,
-                max_idle: None,
-            },
-            Arc::new(RouterService { shared: Arc::clone(&shared) }),
-        )?;
-        Ok(Router { addr: local, shared, evloop })
-    }
-
-    /// The bound address (with the real port when bound to port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The routing pool (placement + backend health).
-    pub fn backends(&self) -> &Arc<BackendPool> {
-        &self.shared.core.pool
-    }
-
-    /// True once a client posted `/shutdown` (or
-    /// [`Router::request_shutdown`] ran); the owner loop polls this.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown_requested.load(Ordering::SeqCst)
-    }
-
-    /// Ask the owner loop to shut down (same effect as `POST /shutdown`).
-    pub fn request_shutdown(&self) {
-        self.shared.shutdown_requested.store(true, Ordering::SeqCst);
-    }
-
-    /// Graceful shutdown of the *router only*: stop accepting, complete
-    /// every response in progress, join all threads. The backends keep
-    /// running — draining them is their owners' job.
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.evloop.shutdown();
-    }
-}
-
-/// The router's [`Service`]: counts connections/requests and routes each
-/// complete request through the shared [`RouterCore`].
-struct RouterService {
-    shared: Arc<RouterShared>,
-}
-
-impl Service for RouterService {
-    type Conn = ConnCore;
-
-    fn connect(&self, _stream: &TcpStream) -> ConnCore {
-        self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-        ConnCore::new()
-    }
-
-    fn handle(&self, conn: &mut ConnCore, req: &Request) -> (u16, String) {
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        let failovers = conn.failovers;
-        let out = route(&self.shared, conn, req);
-        self.shared.failovers.fetch_add(conn.failovers - failovers, Ordering::Relaxed);
-        out
-    }
-
-    fn disconnect(&self, _conn: ConnCore) {}
-
-    fn draining(&self) -> bool {
-        self.shared.draining()
-    }
-
-    fn note_pipelined(&self) {
-        self.shared.pipelined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_panic(&self) {
-        self.shared.panics.fetch_add(1, Ordering::Relaxed);
-    }
-}
+/// A forwarding endpoint's answer: `Ok` is reply text ready to send (a
+/// backend's reply as it arrived, or the router's own upload receipt);
+/// `Err` is a reply for the route table to encode, as the handler's
+/// checks return them.
+type Forwarded = Result<(u16, String), (u16, Json)>;
 
 /// A reply on its way to the client: the body text it is sent as, and
 /// that text decoded (once) for the checks that read it.
@@ -287,40 +103,17 @@ enum Attempt {
     Failover(String),
 }
 
-/// Encode a reply the router (or the shared handler code) built as JSON.
-fn encoded((status, json): (u16, Json)) -> (u16, String) {
-    (status, json.to_string())
-}
-
-/// The router's shared backend machinery: the placement pool plus one
-/// LIFO free list of pooled connections per backend. Checkout pops (or
-/// dials); checkin pushes back **only after a clean exchange** — a
-/// transport error or drain signal drops the connection. The
-/// document-free `catalog` compiles `/prepare` bodies exactly as a node
-/// would, so a bad statement fails at `/prepare` without a backend.
+/// The router's backend: the placement pool plus one LIFO free list of
+/// pooled connections per backend. Checkout pops (or dials); checkin
+/// pushes back **only after a clean exchange** — a transport error or
+/// drain signal drops the connection.
 pub(crate) struct RouterCore {
     pool: Arc<BackendPool>,
     idle: Vec<Mutex<Vec<Client>>>,
     idle_cap: usize,
-    catalog: Catalog,
-}
-
-/// Per-client-connection router state, owned by the event loop's
-/// connection table: the pinned document, the prepared statements
-/// (router handle space), and the connection's evaluation options,
-/// injected whole into every forwarded read so pooled backend sessions
-/// behave deterministically.
-pub(crate) struct ConnCore {
-    doc: Option<String>,
-    prepared: Vec<Prepared>,
-    opts: EvalOptions,
-    pub(crate) failovers: u64,
-}
-
-impl ConnCore {
-    pub(crate) fn new() -> ConnCore {
-        ConnCore { doc: None, prepared: Vec::new(), opts: EvalOptions::default(), failovers: 0 }
-    }
+    /// Retries past a request's first replica, and upload attempts that
+    /// found a shard down or draining.
+    failovers: AtomicU64,
 }
 
 impl RouterCore {
@@ -330,7 +123,7 @@ impl RouterCore {
             pool,
             idle: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
             idle_cap,
-            catalog: Catalog::new(),
+            failovers: AtomicU64::new(0),
         }
     }
 
@@ -391,22 +184,15 @@ impl RouterCore {
         }
     }
 
-    /// Try `order` until one backend completes the exchange; exhausting
-    /// it is the router's own `502`/`bad_gateway`.
-    fn try_replicas(
-        &self,
-        conn: &mut ConnCore,
-        order: &[usize],
-        method: &str,
-        path: &str,
-        body: Option<&Json>,
-    ) -> Reply {
+    /// `POST /query` to each replica in `order` until one completes the
+    /// exchange; exhausting them is the router's own `502`/`bad_gateway`.
+    fn try_replicas(&self, order: &[usize], body: &Json) -> Reply {
         let mut tried = Vec::new();
         for (k, &i) in order.iter().enumerate() {
             if k > 0 {
-                conn.failovers += 1;
+                self.failovers.fetch_add(1, Ordering::Relaxed);
             }
-            match self.attempt(i, method, path, body) {
+            match self.attempt(i, "POST", "/query", Some(body)) {
                 Attempt::Done(reply) => return reply,
                 Attempt::Failover(why) => tried.push(why),
             }
@@ -416,62 +202,56 @@ impl RouterCore {
         Reply { status: 502, text: json.to_string(), json }
     }
 
-    /// Forward an ad-hoc query to the document's replicas, checking the
-    /// body and resolving the options and the document in a node's
-    /// order, and pin the document exactly when a node would: once a
-    /// backend found it, whether the query then succeeded or failed to
-    /// parse, compile or evaluate.
-    pub(crate) fn query(&self, conn: &mut ConnCore, body: &Json) -> (u16, String) {
-        if let Err(err) = query_fields(body) {
-            return encoded(err);
-        }
-        if let Err(err) = apply_request_options(&mut conn.opts, body) {
-            return encoded(err);
-        }
-        let doc = match target_doc(body, conn.doc.as_deref(), || {
-            Ok(self.document_listing()?.into_keys().collect())
-        }) {
-            Ok(doc) => doc,
-            Err(err) => return encoded(err),
-        };
-        let order = self.pool.read_order(&doc);
-        let fwd = with_field(
-            &with_field(body, "doc", Json::Str(doc.clone())),
-            "options",
-            wire::options_json(&conn.opts),
-        );
-        let reply = self.try_replicas(conn, &order, "POST", "/query", Some(&fwd));
-        let kind = reply.json.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str);
-        if reply.status == 200 || matches!(kind, Some("parse" | "compile" | "eval")) {
-            conn.doc = Some(doc);
-        }
-        (reply.status, reply.text)
+    /// Forward an ad-hoc query: the body's own fields, less the `doc` and
+    /// `options` the router fills in itself.
+    pub(crate) fn query(&self, state: &mut ConnState, body: &Json) -> Forwarded {
+        query_fields(body)?;
+        let fields = body.as_obj().unwrap_or_default().iter();
+        let fields = fields.filter(|(k, _)| k != "doc" && k != "options").cloned();
+        self.forward(state, body, fields)
     }
 
     /// Run a prepared handle: its text travels as an ad-hoc `/query`
     /// through the same replica failover, and the backend's plan cache
     /// turns the repeated text into a lookup.
-    pub(crate) fn execute(&self, conn: &mut ConnCore, body: &Json) -> (u16, String) {
-        let statement = match prepared_handle(&conn.prepared, body) {
-            Ok(handle) => &conn.prepared[handle],
-            Err(err) => return encoded(err),
-        };
-        let mut fwd = vec![
+    pub(crate) fn execute(&self, state: &mut ConnState, body: &Json) -> Forwarded {
+        let statement = &state.prepared[prepared_handle(&state.prepared, body)?];
+        let fields = [
             ("lang".to_string(), Json::Str(statement.lang().name().into())),
             ("query".to_string(), Json::Str(statement.source().into())),
         ];
-        for field in ["doc", "options"] {
-            if let Some(value) = body.get(field) {
-                fwd.push((field.to_string(), value.clone()));
-            }
+        self.forward(state, body, fields.into_iter())
+    }
+
+    /// Send `fields` plus the resolved `doc` and the connection's complete
+    /// options, built as one object, to the document's replicas. Resolve
+    /// the options and the document in a node's order, and pin the
+    /// document exactly when a node would: once a backend found it,
+    /// whether the query then succeeded or failed to parse, compile or
+    /// evaluate.
+    fn forward(
+        &self,
+        state: &mut ConnState,
+        body: &Json,
+        fields: impl Iterator<Item = (String, Json)>,
+    ) -> Forwarded {
+        let doc = resolve_doc(state, body, || Ok(self.document_listing()?.into_keys().collect()))?;
+        let mut fwd: Vec<(String, Json)> = fields.collect();
+        fwd.push(("doc".into(), Json::Str(doc.clone())));
+        fwd.push(("options".into(), wire::options_json(&state.opts)));
+        let order = self.pool.read_order(&doc);
+        let reply = self.try_replicas(&order, &Json::Obj(fwd));
+        let kind = reply.json.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str);
+        if reply.status == 200 || matches!(kind, Some("parse" | "compile" | "eval")) {
+            state.doc = Some(doc);
         }
-        self.query(conn, &Json::Obj(fwd))
+        Ok((reply.status, reply.text))
     }
 
     /// Upload `id` to its replica set, walking the ring past dead
     /// backends so the document still lands `replicas` times when a
     /// preferred shard is down.
-    pub(crate) fn upload(&self, conn: &mut ConnCore, id: &str, body: &Json) -> (u16, String) {
+    pub(crate) fn upload(&self, id: &str, body: &Json) -> Forwarded {
         let want = self.pool.replicas();
         let order = self.pool.ring_order(id);
         let mut placed = Vec::new();
@@ -486,28 +266,25 @@ impl RouterCore {
                 // would fail identically on every shard: surface it. Any
                 // shard that already accepted keeps the document — uploads
                 // of a fixed id are idempotent, so a client retry heals.
-                Attempt::Done(reply) => return (reply.status, reply.text),
+                Attempt::Done(reply) => return Ok((reply.status, reply.text)),
                 Attempt::Failover(why) => tried.push(why),
             }
         }
-        conn.failovers += tried.len() as u64;
+        self.failovers.fetch_add(tried.len() as u64, Ordering::Relaxed);
         if placed.is_empty() {
-            let body =
-                wire::bad_gateway_body(&format!("no shard accepted `{id}` ({})", tried.join("; ")));
-            return encoded((502, body));
+            let message = format!("no shard accepted `{id}` ({})", tried.join("; "));
+            return Err((502, wire::bad_gateway_body(&message)));
         }
         self.pool.record_placement(id, placed.clone());
         let shards: Vec<Json> =
             placed.iter().map(|&i| Json::Str(self.pool.addr(i).into())).collect();
-        encoded((
-            200,
-            Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                ("id".into(), Json::Str(id.into())),
-                ("replicas".into(), Json::Num(placed.len() as f64)),
-                ("shards".into(), Json::Arr(shards)),
-            ]),
-        ))
+        let receipt = Json::Obj(vec![
+            ("ok".into(), Json::Bool(true)),
+            ("id".into(), Json::Str(id.into())),
+            ("replicas".into(), Json::Num(placed.len() as f64)),
+            ("shards".into(), Json::Arr(shards)),
+        ]);
+        Ok((200, receipt.to_string()))
     }
 
     /// Scatter `GET /documents` to every backend and merge the listings:
@@ -566,7 +343,7 @@ impl RouterCore {
 
     /// Scatter `GET /stats`, gather per-shard stats plus the router's own
     /// health/counter section and cross-shard totals.
-    fn stats(&self, shared: &RouterShared) -> (u16, Json) {
+    pub(crate) fn stats(&self, shared: &Shared) -> Json {
         let mut shards = Vec::new();
         let mut shard_requests = 0u64;
         let mut shard_documents = 0u64;
@@ -605,133 +382,32 @@ impl RouterCore {
                 ])
             })
             .collect();
-        (
-            200,
-            Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                (
-                    "router".into(),
-                    Json::Obj(vec![
-                        ("workers".into(), Json::Num(shared.config.workers as f64)),
-                        ("replicas".into(), Json::Num(self.pool.replicas() as f64)),
-                        (
-                            "connections_accepted".into(),
-                            Json::Num(shared.accepted.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "requests".into(),
-                            Json::Num(shared.requests.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "pipelined_requests".into(),
-                            Json::Num(shared.pipelined.load(Ordering::Relaxed) as f64),
-                        ),
-                        ("panics".into(), Json::Num(shared.panics.load(Ordering::Relaxed) as f64)),
-                        (
-                            "failovers".into(),
-                            Json::Num(shared.failovers.load(Ordering::Relaxed) as f64),
-                        ),
-                        // Always 0 (nothing is re-prepared: a routed
-                        // statement travels as its text); kept so the
-                        // section keeps its shape for readers of /stats.
-                        ("re_prepares".into(), Json::Num(0.0)),
-                        (
-                            "idle_backend_connections".into(),
-                            Json::Num(self.idle_connections() as f64),
-                        ),
-                        ("backends".into(), Json::Arr(backends)),
-                    ]),
-                ),
-                (
-                    "totals".into(),
-                    Json::Obj(vec![
-                        ("shard_requests".into(), Json::Num(shard_requests as f64)),
-                        ("shard_documents".into(), Json::Num(shard_documents as f64)),
-                    ]),
-                ),
-                ("shards".into(), Json::Arr(shards)),
-            ]),
-        )
-    }
-}
-
-/// Clone `body` with `field` set to `value` (replacing any existing
-/// entry) — the router rewrites `doc` and `options` before forwarding.
-fn with_field(body: &Json, field: &str, value: Json) -> Json {
-    let mut entries: Vec<(String, Json)> = body
-        .as_obj()
-        .map(|o| o.iter().filter(|(k, _)| k != field).cloned().collect())
-        .unwrap_or_default();
-    entries.push((field.to_string(), value));
-    Json::Obj(entries)
-}
-
-fn route(shared: &RouterShared, conn: &mut ConnCore, req: &Request) -> (u16, String) {
-    // Path first, then method — same 405 discipline as the single-node
-    // handler.
-    let core = &shared.core;
-    let method = req.method.as_str();
-    let wrong_method = || {
-        encoded((
-            405,
-            wire::protocol_error_body("method_not_allowed", "wrong method for this path"),
-        ))
-    };
-    let with_body = |f: &mut dyn FnMut(&Json) -> (u16, String)| match body_object(req) {
-        Ok(body) => f(&body),
-        Err(err) => encoded(err),
-    };
-    match req.path.as_str() {
-        "/healthz" | "/" => match method {
-            "GET" => encoded((200, Json::Obj(vec![("ok".into(), Json::Bool(true))]))),
-            _ => wrong_method(),
-        },
-        "/query" => match method {
-            "POST" => with_body(&mut |body| core.query(conn, body)),
-            _ => wrong_method(),
-        },
-        "/prepare" => match method {
-            "POST" => with_body(&mut |body| {
-                encoded(prepare_into(&core.catalog, &mut conn.prepared, body))
-            }),
-            _ => wrong_method(),
-        },
-        "/execute" => match method {
-            "POST" => with_body(&mut |body| core.execute(conn, body)),
-            _ => wrong_method(),
-        },
-        "/documents" => match method {
-            "GET" => encoded(core.documents()),
-            _ => wrong_method(),
-        },
-        "/stats" => match method {
-            "GET" => encoded(core.stats(shared)),
-            _ => wrong_method(),
-        },
-        "/shutdown" => match method {
-            "POST" => {
-                shared.shutdown_requested.store(true, Ordering::SeqCst);
-                encoded((
-                    200,
-                    Json::Obj(vec![
-                        ("ok".into(), Json::Bool(true)),
-                        ("draining".into(), Json::Bool(true)),
-                    ]),
-                ))
-            }
-            _ => wrong_method(),
-        },
-        path if path.strip_prefix("/documents/").is_some_and(|id| !id.is_empty()) => {
-            let id = path.strip_prefix("/documents/").expect("guard matched");
-            match method {
-                "PUT" => with_body(&mut |body| core.upload(conn, id, body)),
-                _ => wrong_method(),
-            }
-        }
-        path => encoded((
-            404,
-            wire::protocol_error_body("not_found", &format!("no route for `{path}`")),
-        )),
+        let mut router = vec![
+            ("workers".into(), Json::Num(shared.config.workers as f64)),
+            ("replicas".into(), Json::Num(self.pool.replicas() as f64)),
+        ];
+        router.extend(front_end_counters(shared));
+        router.extend([
+            ("failovers".into(), Json::Num(self.failovers.load(Ordering::Relaxed) as f64)),
+            // Always 0 (nothing is re-prepared: a routed statement travels
+            // as its text); kept so the section keeps its shape for
+            // readers of /stats.
+            ("re_prepares".into(), Json::Num(0.0)),
+            ("idle_backend_connections".into(), Json::Num(self.idle_connections() as f64)),
+            ("backends".into(), Json::Arr(backends)),
+        ]);
+        Json::Obj(vec![
+            ("ok".into(), Json::Bool(true)),
+            ("router".into(), Json::Obj(router)),
+            (
+                "totals".into(),
+                Json::Obj(vec![
+                    ("shard_requests".into(), Json::Num(shard_requests as f64)),
+                    ("shard_documents".into(), Json::Num(shard_documents as f64)),
+                ]),
+            ),
+            ("shards".into(), Json::Arr(shards)),
+        ])
     }
 }
 
@@ -739,11 +415,14 @@ fn route(shared: &RouterShared, conn: &mut ConnCore, req: &Request) -> (u16, Str
 mod tests {
     use super::*;
     use crate::engine::Catalog;
+    use crate::server::handler::prepare_into;
     use crate::server::{Server, ServerConfig};
     use mhx_goddag::GoddagBuilder;
+    use mhx_xquery::EvalOptions;
     use std::io::{Read, Write};
     use std::net::TcpListener;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     const DRAIN_BODY: &str =
         r#"{"ok":false,"error":{"kind":"shutting_down","message":"draining"}}"#;
@@ -811,9 +490,21 @@ mod tests {
         (addr, hits)
     }
 
-    /// Decode a reply's text for the assertions.
-    fn decoded((status, text): (u16, String)) -> (u16, Json) {
-        (status, mhx_json::parse(&text).expect("router replies are JSON"))
+    /// Decode a forwarded reply's text for the assertions.
+    fn decoded(reply: Forwarded) -> (u16, Json) {
+        match reply {
+            Ok((status, text)) => (status, mhx_json::parse(&text).expect("replies are JSON")),
+            Err(built) => built,
+        }
+    }
+
+    /// A fresh client connection's state.
+    fn new_conn() -> ConnState {
+        ConnState::new(EvalOptions::default())
+    }
+
+    fn failovers(core: &RouterCore) -> u64 {
+        core.failovers.load(Ordering::Relaxed)
     }
 
     fn error_kind_of(json: &Json) -> &str {
@@ -833,13 +524,13 @@ mod tests {
         let (b, hits_b) = mock_backend(503, DRAIN_BODY);
         let pool = Arc::new(BackendPool::new(vec![a, b], 2));
         let core = RouterCore::new(Arc::clone(&pool), 4);
-        let mut conn = ConnCore::new();
+        let mut conn = new_conn();
         let (status, json) = decoded(core.query(&mut conn, &query_body("ms")));
         assert_eq!(status, 502);
         assert_eq!(error_kind_of(&json), wire::BAD_GATEWAY_KIND);
         assert_eq!(hits_a.load(Ordering::SeqCst), 1, "each replica tried exactly once");
         assert_eq!(hits_b.load(Ordering::SeqCst), 1, "each replica tried exactly once");
-        assert_eq!(conn.failovers, 1, "one retry beyond the first attempt");
+        assert_eq!(failovers(&core), 1, "one retry beyond the first attempt");
         let health = pool.health_snapshot();
         assert!(health.iter().all(|h| h.draining && !h.healthy), "both marked draining");
         assert_eq!(core.idle_connections(), 0, "drain attempts never pool their connection");
@@ -853,13 +544,13 @@ mod tests {
         let (b, hits_b) = mock_backend(200, "<html>not json</html>");
         let pool = Arc::new(BackendPool::new(vec![a, b], 2));
         let core = RouterCore::new(Arc::clone(&pool), 4);
-        let mut conn = ConnCore::new();
+        let mut conn = new_conn();
         let (status, json) = decoded(core.query(&mut conn, &query_body("ms")));
         assert_eq!(status, 502, "{json}");
         assert_eq!(error_kind_of(&json), wire::BAD_GATEWAY_KIND);
         assert_eq!(hits_a.load(Ordering::SeqCst), 1, "each replica tried exactly once");
         assert_eq!(hits_b.load(Ordering::SeqCst), 1, "each replica tried exactly once");
-        assert_eq!(conn.failovers, 1, "one retry beyond the first attempt");
+        assert_eq!(failovers(&core), 1, "one retry beyond the first attempt");
         assert_eq!(core.idle_connections(), 0, "a garbled exchange never pools its connection");
     }
 
@@ -880,8 +571,8 @@ mod tests {
             // cursor's initial rotation, i.e. the unrotated set).
             let first = pool.replica_set("ms")[0];
             let core = RouterCore::new(Arc::clone(&pool), 4);
-            let mut conn = ConnCore::new();
-            let (status, text) = core.query(&mut conn, &query_body("ms"));
+            let mut conn = new_conn();
+            let (status, text) = core.query(&mut conn, &query_body("ms")).expect("forwarded");
             assert_eq!(status, status_in);
             assert_eq!(text, body, "forwarded as received");
             assert_eq!(error_kind_of(&mhx_json::parse(&text).unwrap()), kind);
@@ -889,7 +580,7 @@ mod tests {
                 if first == 0 { (&hits_a, &hits_b) } else { (&hits_b, &hits_a) };
             assert_eq!(h_first.load(Ordering::SeqCst), 1, "only the first replica is asked");
             assert_eq!(h_other.load(Ordering::SeqCst), 0, "{status_in} never fails over");
-            assert_eq!(conn.failovers, 0);
+            assert_eq!(failovers(&core), 0);
             assert_eq!(core.idle_connections(), pooled, "{status_in}: pooled connections");
         }
     }
@@ -914,9 +605,11 @@ mod tests {
         .unwrap()
     }
 
-    fn prepare(core: &RouterCore, conn: &mut ConnCore) -> (u16, Json) {
+    /// `/prepare` as a router answers it: against its document-free
+    /// catalog.
+    fn prepare(catalog: &Catalog, conn: &mut ConnState) -> (u16, Json) {
         let body = mhx_json::parse(r#"{"lang":"xpath","query":"count(/descendant::w)"}"#).unwrap();
-        prepare_into(&core.catalog, &mut conn.prepared, &body)
+        prepare_into(catalog, &mut conn.prepared, &body)
     }
 
     fn execute_body(doc: &str) -> Json {
@@ -930,9 +623,10 @@ mod tests {
         let shard = live_shard(&["ms"]);
         let pool = Arc::new(BackendPool::new(vec![shard.addr().to_string()], 1));
         let core = RouterCore::new(pool, 4);
+        let catalog = Catalog::new();
         for k in 0..300 {
-            let mut conn = ConnCore::new();
-            let (status, json) = prepare(&core, &mut conn);
+            let mut conn = new_conn();
+            let (status, json) = prepare(&catalog, &mut conn);
             assert_eq!(status, 200, "prepare on connection {k}: {json}");
             let (status, json) = decoded(core.execute(&mut conn, &execute_body("ms")));
             assert_eq!(status, 200, "execute on connection {k}: {json}");
@@ -948,8 +642,8 @@ mod tests {
             shards.iter().map(|s| s.as_ref().unwrap().addr().to_string()).collect();
         let pool = Arc::new(BackendPool::new(addrs, 2));
         let core = RouterCore::new(Arc::clone(&pool), 4);
-        let mut conn = ConnCore::new();
-        let (status, json) = prepare(&core, &mut conn);
+        let mut conn = new_conn();
+        let (status, json) = prepare(&Catalog::new(), &mut conn);
         assert_eq!(status, 200, "{json}");
         assert_eq!(json.get("handle").and_then(Json::as_u64), Some(0), "router handle space");
 
@@ -961,7 +655,7 @@ mod tests {
             assert_eq!(status, 200, "{json}");
             assert_eq!(json.get("serialized").and_then(Json::as_str), Some("2"));
         }
-        assert!(conn.failovers >= 1, "the first execute failed over to the survivor");
+        assert!(failovers(&core) >= 1, "the first execute failed over to the survivor");
 
         for s in shards.into_iter().flatten() {
             s.shutdown();
@@ -972,8 +666,8 @@ mod tests {
     fn prepare_needs_no_backend_but_execute_502s_when_every_backend_is_down() {
         let dead = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().to_string();
         let core = RouterCore::new(Arc::new(BackendPool::new(vec![dead], 1)), 4);
-        let mut conn = ConnCore::new();
-        let (status, json) = prepare(&core, &mut conn);
+        let mut conn = new_conn();
+        let (status, json) = prepare(&Catalog::new(), &mut conn);
         assert_eq!(status, 200, "{json}");
         let (status, json) = decoded(core.execute(&mut conn, &execute_body("ms")));
         assert_eq!(status, 502, "{json}");
@@ -986,12 +680,12 @@ mod tests {
         let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
         let pool = Arc::new(BackendPool::new(addrs, 2));
         let core = RouterCore::new(Arc::clone(&pool), 4);
-        let mut conn = ConnCore::new();
+        let mut conn = new_conn();
 
         let upload =
             mhx_json::parse(r#"{"hierarchies":[{"name":"w","xml":"<r><w>a</w><w>b</w></r>"}]}"#)
                 .unwrap();
-        let (status, json) = decoded(core.upload(&mut conn, "novel", &upload));
+        let (status, json) = decoded(core.upload("novel", &upload));
         assert_eq!(status, 200, "{json}");
         assert_eq!(json.get("replicas").and_then(Json::as_u64), Some(2));
         for shard in &shards {

@@ -6,7 +6,8 @@
 use mhx_json::Json;
 use multihier_xquery::prelude::*;
 use multihier_xquery::server::client::{Client, ClientError};
-use multihier_xquery::server::{Server, ServerConfig};
+use multihier_xquery::server::{BackendPool, Server, ServerConfig};
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -54,6 +55,12 @@ fn boot(workers: usize) -> Server {
 
 fn connect(server: &Server) -> Client {
     Client::connect(&server.addr().to_string()).expect("connect")
+}
+
+/// A shard router in front of `server` alone.
+fn router_in_front_of(server: &Server) -> Server {
+    let pool = Arc::new(BackendPool::new(vec![server.addr().to_string()], 1));
+    Server::bind_router(pool, "127.0.0.1:0", ServerConfig::default()).expect("bind router")
 }
 
 #[test]
@@ -243,18 +250,52 @@ fn check_status_table(client: &mut Client) {
 
 #[test]
 fn engine_errors_map_to_typed_statuses() {
-    use multihier_xquery::server::{BackendPool, Router, RouterConfig};
-
     let server = boot(2);
     check_status_table(&mut connect(&server));
     // The connection survived every error — all exchanges above reused it.
     assert_eq!(server.stats().connections_accepted, 1);
 
-    let pool = Arc::new(BackendPool::new(vec![server.addr().to_string()], 1));
-    let router = Router::bind(pool, "127.0.0.1:0", RouterConfig::default()).unwrap();
-    check_status_table(&mut Client::connect(&router.addr().to_string()).unwrap());
-    router.shutdown();
+    let router = router_in_front_of(&server);
+    check_status_table(&mut connect(&router));
+    // 10,000 nested arrays: a body too deep to parse is `bad_json`, and
+    // the connection (and the process) lives on to answer the next query.
+    let deep = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+    for front_end in [&server, &router] {
+        let mut stream = TcpStream::connect(front_end.addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let (status, json) = raw_post(&mut stream, "/query", &deep);
+        let kind = json.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str);
+        assert_eq!((status, kind), (400, Some("bad_json")), "{json}");
+        let query = r#"{"doc":"ms-a","lang":"xpath","query":"count(/descendant::w)"}"#;
+        let (status, json) = raw_post(&mut stream, "/query", query);
+        assert_eq!(status, 200, "{json}");
+        assert_eq!(json.get("serialized").and_then(Json::as_str), Some("6"));
+    }
+    assert!(router.shutdown());
     assert!(server.shutdown());
+}
+
+/// One `POST` on `stream` with `body` sent as given, for a body the
+/// `Json` writer cannot build (it would overflow the test thread's
+/// stack); returns the reply's status and decoded body.
+fn raw_post(stream: &mut TcpStream, path: &str, body: &str) -> (u16, Json) {
+    write!(stream, "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len())
+        .expect("send");
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("reply head");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).expect("UTF-8 head");
+    let status = head[9..12].parse().expect("status code");
+    let length = head
+        .lines()
+        .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:")?.trim().parse().ok())
+        .expect("Content-Length");
+    let mut reply = vec![0u8; length];
+    stream.read_exact(&mut reply).expect("reply body");
+    (status, mhx_json::parse(std::str::from_utf8(&reply).unwrap()).expect("JSON reply"))
 }
 
 /// The shard router extends the status table with `502`/`bad_gateway`:
@@ -262,12 +303,9 @@ fn engine_errors_map_to_typed_statuses() {
 /// from one backend's retryable `503`/`shutting_down` drain signal.
 #[test]
 fn router_maps_exhausted_replicas_to_bad_gateway() {
-    use multihier_xquery::server::{BackendPool, Router, RouterConfig};
-
     let server = boot(2);
-    let pool = Arc::new(BackendPool::new(vec![server.addr().to_string()], 1));
-    let router = Router::bind(pool, "127.0.0.1:0", RouterConfig::default()).unwrap();
-    let mut via_router = Client::connect(&router.addr().to_string()).unwrap();
+    let router = router_in_front_of(&server);
+    let mut via_router = connect(&router);
 
     // Pass-through: a routed query answers exactly like a direct one…
     let out = via_router.xpath("ms-a", "count(/descendant::w)").unwrap();
@@ -302,7 +340,135 @@ fn router_maps_exhausted_replicas_to_bad_gateway() {
     }
     assert!(!err.is_retryable(), "502 means every replica was already tried");
 
-    router.shutdown();
+    assert!(router.shutdown());
+    assert!(server.shutdown());
+}
+
+/// The key set of `json`'s object at `path` (each step an object key, or
+/// `0` for an array's first element).
+fn keys_at(json: &Json, path: &[&str]) -> BTreeSet<String> {
+    let node = path.iter().fold(json, |node, step| match *step {
+        "0" => &node.as_arr().expect("array")[0],
+        key => node.get(key).unwrap_or_else(|| panic!("no `{key}` in {node}")),
+    });
+    node.as_obj().expect("object").iter().map(|(k, _)| k.clone()).collect()
+}
+
+fn key_set(keys: &[&str]) -> BTreeSet<String> {
+    keys.iter().map(|k| k.to_string()).collect()
+}
+
+/// Operators and the end-to-end benchmark read `/stats` by key: both
+/// front ends keep every section's key set.
+#[test]
+fn stats_keep_their_shape_on_both_front_ends() {
+    let server = boot(2);
+    let mut client = connect(&server);
+    client.xpath("ms-a", "count(/descendant::w)").unwrap();
+    let stats = client.stats().unwrap();
+    let eval_keys = [
+        "batched_steps",
+        "rewritten_steps",
+        "plan_rewrites",
+        "early_exit_steps",
+        "hoisted_preds",
+        "chain_joins",
+    ];
+    let node = [
+        (vec![], key_set(&["ok", "cache", "eval", "server", "documents", "store"])),
+        (vec!["cache"], key_set(&["hits", "misses", "evictions", "cross_doc_hits", "entries"])),
+        (vec!["eval"], key_set(&eval_keys)),
+        (
+            vec!["server"],
+            key_set(&[
+                "workers",
+                "connections_accepted",
+                "requests",
+                "pipelined_requests",
+                "panics",
+                "active_connections",
+                "sessions",
+            ]),
+        ),
+        (
+            vec!["server", "sessions", "0"],
+            key_set(&["conn", "peer", "doc", "requests"])
+                .union(&key_set(&eval_keys))
+                .cloned()
+                .collect(),
+        ),
+        (
+            vec!["store"],
+            key_set(&[
+                "attached",
+                "memory_budget",
+                "loads",
+                "evictions",
+                "cold_start_hits",
+                "bytes_on_disk",
+                "resident_docs",
+                "resident_bytes",
+            ]),
+        ),
+    ];
+    for (path, want) in &node {
+        assert_eq!(&keys_at(&stats, path), want, "node /stats at {path:?}");
+    }
+
+    let router = router_in_front_of(&server);
+    let stats = connect(&router).stats().unwrap();
+    let routed = [
+        (vec![], key_set(&["ok", "router", "totals", "shards"])),
+        (
+            vec!["router"],
+            key_set(&[
+                "workers",
+                "replicas",
+                "connections_accepted",
+                "requests",
+                "pipelined_requests",
+                "panics",
+                "failovers",
+                "re_prepares",
+                "idle_backend_connections",
+                "backends",
+            ]),
+        ),
+        (
+            vec!["router", "backends", "0"],
+            key_set(&["addr", "healthy", "draining", "failures", "successes"]),
+        ),
+        (vec!["totals"], key_set(&["shard_requests", "shard_documents"])),
+        (vec!["shards", "0"], key_set(&["addr", "stats"])),
+    ];
+    for (path, want) in &routed {
+        assert_eq!(&keys_at(&stats, path), want, "router /stats at {path:?}");
+    }
+    // A shard's own stats nest whole under `shards[].stats`.
+    assert_eq!(keys_at(&stats, &["shards", "0", "stats"]), node[0].1);
+    assert!(router.shutdown());
+    assert!(server.shutdown());
+}
+
+/// A router's shutdown drains its document-free catalog as a node's
+/// drains its documents, so a `/prepare` that races the drain gets the
+/// retryable drain signal from either front end.
+#[test]
+fn a_draining_router_answers_prepare_with_the_drain_signal() {
+    let server = boot(2);
+    let router = router_in_front_of(&server);
+    let catalog = Arc::clone(router.catalog());
+    assert!(router.shutdown());
+    assert!(catalog.is_shutting_down(), "shutdown drains the router's catalog");
+
+    let router = router_in_front_of(&server);
+    let mut client = connect(&router);
+    router.catalog().begin_shutdown();
+    match client.prepare(QueryLang::XPath, "count(/descendant::w)") {
+        Err(ClientError::Server { status: 503, kind, .. }) => assert_eq!(kind, "shutting_down"),
+        other => panic!("expected the drain signal, got {other:?}"),
+    }
+    assert!(router.shutdown());
     assert!(server.shutdown());
 }
 
