@@ -1,11 +1,22 @@
 //! E11 — analyze-string: the cost of the temporary-hierarchy machinery
 //! (Definition 4) by text size, pattern shape, and mode.
+//!
+//! Also writes `BENCH_analyze.json` at the workspace root: two ratios of
+//! the match enumeration `analyze-string` runs (`captures_iter`) over a
+//! ~100k-char generated text, each between two patterns with the same
+//! matches, one of which hides its literal prefix behind a class:
+//!
+//! * `literal_speedup` — `[s]ceaft` (the VM from every byte) over
+//!   `sceaft` (answered by `str::find` alone);
+//! * `prefix_speedup` — `[s]ce(af)t` over `sce(af)t` (the VM seeded only
+//!   at occurrences of the prefix `sceaft`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mhx_corpus::{generate, GeneratorConfig};
+use mhx_regex::Regex;
 use mhx_xquery::{run_query, run_query_with, AnalyzeMode, EvalOptions};
 use std::hint::black_box;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn by_text_size(c: &mut Criterion) {
     let mut grp = c.benchmark_group("e11_analyze_by_size");
@@ -94,5 +105,62 @@ fn temp_hierarchy_cycle(c: &mut Criterion) {
     grp.finish();
 }
 
-criterion_group!(benches, by_text_size, by_pattern, mode_comparison, temp_hierarchy_cycle);
+/// Median of 9 timed runs of `f`, after one warm-up run.
+fn median_ns(f: &mut dyn FnMut()) -> f64 {
+    f();
+    let mut samples: Vec<f64> = (0..9)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() * 1e9
+        })
+        .collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    samples[samples.len() / 2]
+}
+
+/// Snapshot rows written to `BENCH_analyze.json` at the workspace root.
+fn emit_snapshot(_c: &mut Criterion) {
+    let doc =
+        generate(&GeneratorConfig { text_len: 100_000, hierarchies: 2, ..Default::default() });
+    let g = doc.build_goddag();
+    let text = g.text();
+    // `(slow, fast)`: the same matches, with the prefix hidden or not.
+    let pairs = [("literal", "[s]ceaft", "sceaft"), ("prefix", "[s]ce(af)t", "sce(af)t")];
+    let mut rows = Vec::new();
+    let mut matches = 0;
+    for (name, slow, fast) in pairs {
+        let (slow, fast) = (Regex::new(slow).unwrap(), Regex::new(fast).unwrap());
+        let count = |re: &Regex| re.captures_iter(text).count();
+        matches = count(&fast);
+        assert!(matches > 0, "the generated text must contain `sceaft`");
+        assert_eq!(count(&slow), matches, "{name}: both patterns find the same matches");
+        let slow_ns = median_ns(&mut || {
+            black_box(count(&slow));
+        });
+        let fast_ns = median_ns(&mut || {
+            black_box(count(&fast));
+        });
+        println!("{name}: {slow_ns:.0} ns vs {fast_ns:.0} ns ({:.1}x)", slow_ns / fast_ns);
+        rows.push(format!("    \"{name}_speedup\": {:.2}", slow_ns / fast_ns));
+    }
+    let json = format!(
+        "{{\n  \"bench\": \"analyze\",\n  \"text_bytes\": {},\n  \"matches\": {matches},\n  \
+         \"ratios\": {{\n{}\n  }}\n}}\n",
+        text.len(),
+        rows.join(",\n"),
+    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_analyze.json");
+    std::fs::write(path, &json).expect("write BENCH_analyze.json");
+    println!("wrote {path}");
+}
+
+criterion_group!(
+    benches,
+    by_text_size,
+    by_pattern,
+    mode_comparison,
+    temp_hierarchy_cycle,
+    emit_snapshot
+);
 criterion_main!(benches);

@@ -28,7 +28,7 @@ use mhx_bench::snapshot::{compare, override_floor, parse, tracked_metrics, Metri
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const SNAPSHOTS: [(&str, &str); 7] = [
+const SNAPSHOTS: [(&str, &str); 8] = [
     ("axes", "BENCH_axes.json"),
     ("catalog", "BENCH_catalog.json"),
     ("batch", "BENCH_batch.json"),
@@ -36,6 +36,7 @@ const SNAPSHOTS: [(&str, &str); 7] = [
     ("serve", "BENCH_serve.json"),
     ("shard", "BENCH_shard.json"),
     ("store", "BENCH_store.json"),
+    ("analyze_string", "BENCH_analyze.json"),
 ];
 
 struct Args {

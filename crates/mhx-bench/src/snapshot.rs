@@ -333,6 +333,42 @@ pub fn tracked_metrics(file: &str, doc: &Json) -> Result<Vec<Metric>, String> {
                 return Err("BENCH_store.json: `ratios` is empty".into());
             }
         }
+        "analyze_string" => {
+            // Prefix-skip ratios from `benches/analyze_string.rs`: the
+            // match enumeration `analyze-string` runs, over the same text,
+            // for two patterns with the same matches, one hiding its
+            // literal prefix behind a class. A literal pattern must stay
+            // an order of magnitude ahead of the VM stepping every byte;
+            // a prefix read through a group must keep the VM's seeds to
+            // the prefix's occurrences.
+            let ratios = doc
+                .get("ratios")
+                .and_then(Json::as_obj)
+                .ok_or("BENCH_analyze.json: missing `ratios` object")?;
+            for (name, v) in ratios {
+                let ratio = v.as_f64().ok_or("BENCH_analyze.json: non-numeric ratio")?;
+                // Every label is matched explicitly, like the other rows.
+                let (healthy, hard_min) = match name.as_str() {
+                    "literal_speedup" => (20.0, Some(10.0)),
+                    "prefix_speedup" => (3.0, Some(2.0)),
+                    other => {
+                        return Err(format!(
+                            "BENCH_analyze.json: unknown ratio row `{other}` — register its \
+                             floors in tracked_metrics"
+                        ));
+                    }
+                };
+                out.push(Metric {
+                    name: format!("analyze_string:{name}:ratio"),
+                    value: ratio,
+                    healthy,
+                    hard_min,
+                });
+            }
+            if out.is_empty() {
+                return Err("BENCH_analyze.json: `ratios` is empty".into());
+            }
+        }
         other => return Err(format!("unknown snapshot kind `{other}`")),
     }
     Ok(out)
@@ -735,6 +771,38 @@ mod tests {
         override_floor(&mut metrics, "store:", 0.01);
         let churn = metrics.iter().find(|m| m.name.contains("over_budget")).unwrap();
         assert_eq!(churn.hard_min, Some(1.0));
+    }
+
+    const ANALYZE: &str = r#"{
+  "bench": "analyze",
+  "ratios": {
+    "literal_speedup": 40.0,
+    "prefix_speedup": 6.0
+  }
+}"#;
+
+    #[test]
+    fn analyze_metrics_gate_the_prefix_skip_hard() {
+        let base = tracked_metrics("analyze_string", &parse(ANALYZE).unwrap()).unwrap();
+        assert_eq!(base.len(), 2);
+        let floor = |name: &str| base.iter().find(|m| m.name == name).unwrap().hard_min;
+        assert_eq!(floor("analyze_string:literal_speedup:ratio"), Some(10.0));
+        assert_eq!(floor("analyze_string:prefix_speedup:ratio"), Some(2.0));
+
+        // The skip "stopped working": both patterns cost the same.
+        let parity = r#"{"ratios": {"literal_speedup": 1.0, "prefix_speedup": 1.0}}"#;
+        let fresh = tracked_metrics("analyze_string", &parse(parity).unwrap()).unwrap();
+        let verdicts = compare(&base, &fresh, 0.25);
+        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
+
+        let drifted = r#"{"ratios": {"suffix_speedup": 5.0}}"#;
+        let err = tracked_metrics("analyze_string", &parse(drifted).unwrap()).unwrap_err();
+        assert!(err.contains("suffix_speedup"), "{err}");
+
+        let mut metrics = base.clone();
+        override_floor(&mut metrics, "analyze_string:", 1_000_000.0);
+        let verdicts = compare(&metrics.clone(), &metrics, 0.25);
+        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
     }
 
     #[test]

@@ -25,6 +25,8 @@ pub enum GoddagError {
     BadSpan { start: usize, end: usize, len: usize },
     /// Fragment children must be disjoint and in order within the parent.
     OverlappingFragments,
+    /// A hierarchy nests elements deeper than [`crate::hierarchy::MAX_DEPTH`].
+    TooDeep { hierarchy: String },
     /// CMH violation (paper §3): shared non-root element name.
     SharedElement { name: String, dtd1: String, dtd2: String },
     /// CMH violation: root not declared in a DTD.
@@ -60,6 +62,11 @@ impl fmt::Display for GoddagError {
             GoddagError::OverlappingFragments => {
                 write!(f, "fragment children must be disjoint, ordered and inside their parent")
             }
+            GoddagError::TooDeep { hierarchy } => write!(
+                f,
+                "hierarchy `{hierarchy}` nests elements deeper than {} levels",
+                crate::hierarchy::MAX_DEPTH
+            ),
             GoddagError::SharedElement { name, dtd1, dtd2 } => write!(
                 f,
                 "element <{name}> is declared in both `{dtd1}` and `{dtd2}` but only the root may be shared"

@@ -7,16 +7,22 @@ use crate::hierarchy::{FragmentSpec, Hierarchy, Kid, Parent};
 use crate::node::{HierarchyId, NodeId, OrderKey};
 use mhx_xml::Document;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// A multihierarchical document `d = (S, (d1, …, dn))` materialized as a
 /// KyGODDAG (paper §3): the DOM trees of all hierarchies united at the root,
 /// plus the shared leaf layer.
+///
+/// A hierarchy is immutable once installed and held behind an [`Arc`], so
+/// a clone shares every hierarchy with its original: the copy-on-write
+/// evaluator's clone copies the text, the leaf boundaries and one pointer
+/// per hierarchy, and dropping it frees only what it installed itself.
 #[derive(Debug, Clone)]
 pub struct Goddag {
     text: String,
     root_name: String,
     root_attrs: Vec<(String, String)>,
-    hierarchies: Vec<Hierarchy>,
+    hierarchies: Vec<Arc<Hierarchy>>,
     boundaries: Boundaries,
     /// Hierarchies `0..base_count` are permanent; the rest are virtual
     /// (analyze-string results) and removable in LIFO order.
@@ -74,7 +80,7 @@ impl Goddag {
     }
 
     pub fn hierarchies(&self) -> impl Iterator<Item = (HierarchyId, &Hierarchy)> {
-        self.hierarchies.iter().enumerate().map(|(i, h)| (HierarchyId(i as u16), h))
+        self.hierarchies.iter().enumerate().map(|(i, h)| (HierarchyId(i as u16), &**h))
     }
 
     pub fn hierarchy_id(&self, name: &str) -> Option<HierarchyId> {
@@ -506,7 +512,7 @@ impl Goddag {
     fn install(&mut self, h: Hierarchy, is_virtual: bool) -> HierarchyId {
         self.boundaries.add_all(endpoints(&h));
         let id = HierarchyId(self.hierarchies.len() as u16);
-        self.hierarchies.push(h);
+        self.hierarchies.push(Arc::new(h));
         if !is_virtual {
             self.base_count = self.hierarchies.len();
         }
@@ -874,5 +880,47 @@ mod tests {
         let sibs = g.following_siblings(l0);
         assert!(!sibs.is_empty());
         assert!(sibs.iter().all(|s| s.is_leaf()));
+    }
+
+    /// On a thread with the 2 MiB stack a server's workers get, the
+    /// deepest accepted document builds, indexes, goes through the
+    /// snapshot columns and back, exports, and drops; one level deeper is
+    /// an error, not a stack overflow, for uploads and virtual hierarchies
+    /// alike.
+    #[test]
+    fn nesting_is_capped_within_a_worker_stack() {
+        use crate::hierarchy::MAX_DEPTH;
+        std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(|| {
+                let nested = |levels: usize| {
+                    format!("<r>{}x{}</r>", "<e>".repeat(levels), "</e>".repeat(levels))
+                };
+                let g = GoddagBuilder::new().hierarchy("deep", nested(MAX_DEPTH)).build().unwrap();
+                let idx = crate::StructIndex::build(&g);
+                let (back, back_idx) =
+                    crate::columns::assemble(&crate::columns::dissect(&g, &idx)).unwrap();
+                assert_eq!(back.hierarchy(HierarchyId(0)).element_count(), MAX_DEPTH);
+                let xml = crate::hierarchy_to_xml(&back, HierarchyId(0));
+                assert_eq!(xml, nested(MAX_DEPTH));
+                drop((g, idx, back, back_idx));
+
+                for levels in [MAX_DEPTH + 1, 10_000] {
+                    let err = GoddagBuilder::new().hierarchy("deep", nested(levels)).build();
+                    assert_eq!(err.unwrap_err(), GoddagError::TooDeep { hierarchy: "deep".into() });
+                }
+                let mut g = GoddagBuilder::new().hierarchy("flat", "<r>x</r>").build().unwrap();
+                let chain = |levels: usize| {
+                    (1..levels).fold(FragmentSpec::new("e", (0, 1)), |inner, _| {
+                        FragmentSpec::new("e", (0, 1)).child(inner)
+                    })
+                };
+                g.add_virtual_hierarchy("ok", &[chain(MAX_DEPTH)]).unwrap();
+                let err = g.add_virtual_hierarchy("no", &[chain(MAX_DEPTH + 1)]).unwrap_err();
+                assert_eq!(err, GoddagError::TooDeep { hierarchy: "no".into() });
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

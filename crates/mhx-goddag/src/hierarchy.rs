@@ -8,6 +8,14 @@
 use crate::error::{GoddagError, Result};
 use mhx_xml::{Document, NodeId as XmlId, NodeKind};
 
+/// The deepest nesting of elements a hierarchy may hold, counted from the
+/// children of the root. Building a hierarchy, and several later passes
+/// over it (serializing an element, exporting a hierarchy), recurse once
+/// per level, so the cap keeps a hostile upload within a worker's stack.
+/// It leaves room for an `analyze-string` hierarchy over the deepest
+/// pattern `mhx-regex` accepts (its groups, inside `<res>` and `<m>`).
+pub const MAX_DEPTH: usize = 512;
+
 /// Parent link within a hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Parent {
@@ -142,7 +150,7 @@ impl Hierarchy {
         let mut order = 0u32;
         let mut root_kids = Vec::new();
         for c in doc.children(root) {
-            if let Some(kid) = h.convert(doc, c, Parent::Root, &mut text, &mut order) {
+            if let Some(kid) = h.convert(doc, c, Parent::Root, &mut text, &mut order, 1)? {
                 root_kids.push(kid);
             }
         }
@@ -151,6 +159,8 @@ impl Hierarchy {
         Ok((h, text))
     }
 
+    /// Convert `node`, an element at `depth` (1 for a child of the root),
+    /// and its subtree.
     fn convert(
         &mut self,
         doc: &Document,
@@ -158,8 +168,9 @@ impl Hierarchy {
         parent: Parent,
         text: &mut String,
         order: &mut u32,
-    ) -> Option<Kid> {
-        match doc.kind(node) {
+        depth: usize,
+    ) -> Result<Option<Kid>> {
+        Ok(match doc.kind(node) {
             NodeKind::Text(t) => {
                 let start = text.len() as u32;
                 text.push_str(t);
@@ -171,6 +182,9 @@ impl Hierarchy {
                 });
                 *order += 1;
                 Some(Kid::Text(idx))
+            }
+            NodeKind::Element { .. } if depth > MAX_DEPTH => {
+                return Err(GoddagError::TooDeep { hierarchy: self.name.clone() });
             }
             NodeKind::Element { name, attrs } => {
                 let idx = self.elems.len() as u32;
@@ -187,7 +201,9 @@ impl Hierarchy {
                 });
                 let mut kids = Vec::new();
                 for c in doc.children(node) {
-                    if let Some(kid) = self.convert(doc, c, Parent::Elem(idx), text, order) {
+                    if let Some(kid) =
+                        self.convert(doc, c, Parent::Elem(idx), text, order, depth + 1)?
+                    {
                         kids.push(kid);
                     }
                 }
@@ -199,7 +215,7 @@ impl Hierarchy {
             }
             // Comments/PIs contribute neither structure nor text.
             _ => None,
-        }
+        })
     }
 
     /// Build a (virtual) hierarchy from fragment specs with absolute spans.
@@ -219,7 +235,7 @@ impl Hierarchy {
             is_virtual: true,
             text_starts: Vec::new(),
         };
-        check_siblings(frags, (0, text.len() as u32), text)?;
+        check_siblings(name, frags, (0, text.len() as u32), text, 1)?;
         let mut order = 0u32;
         let mut root_kids = Vec::new();
         for f in frags {
@@ -269,7 +285,18 @@ impl Hierarchy {
     }
 }
 
-fn check_siblings(frags: &[FragmentSpec], parent: (u32, u32), text: &str) -> Result<()> {
+/// Check `frags`, siblings at `depth` inside a `parent` span, and their
+/// subtrees.
+fn check_siblings(
+    name: &str,
+    frags: &[FragmentSpec],
+    parent: (u32, u32),
+    text: &str,
+    depth: usize,
+) -> Result<()> {
+    if depth > MAX_DEPTH && !frags.is_empty() {
+        return Err(GoddagError::TooDeep { hierarchy: name.to_string() });
+    }
     let mut cursor = parent.0;
     for f in frags {
         let (s, e) = f.span;
@@ -290,7 +317,7 @@ fn check_siblings(frags: &[FragmentSpec], parent: (u32, u32), text: &str) -> Res
         if s < cursor || e > parent.1 {
             return Err(GoddagError::OverlappingFragments);
         }
-        check_siblings(&f.children, f.span, text)?;
+        check_siblings(name, &f.children, f.span, text, depth + 1)?;
         cursor = e;
     }
     Ok(())

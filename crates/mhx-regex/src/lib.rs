@@ -6,6 +6,19 @@
 //! parser → Thompson NFA → Pike VM, giving leftmost-first (backtracker-
 //! compatible) semantics with submatch capture in O(len·insts).
 //!
+//! A search costs a `str::find` scan plus work near each match when the
+//! pattern starts with literal text: the compiler records the prefix every
+//! match must start with (the leading literals, read through groups), and
+//! the VM jumps to its next occurrence whenever no thread is live. Such a
+//! jump skips only bytes no thread would read, so the O(len·insts) bound
+//! and leftmost-first semantics hold. A pattern that is one literal with no
+//! capture groups is answered by `str::find` / `starts_with` alone.
+//!
+//! Two caps keep a hostile pattern from aborting or stalling its caller,
+//! each a [`RegexError`]: groups nest at most [`parser::MAX_DEPTH`] deep,
+//! and a program holds at most [`nfa::MAX_INSTS`] instructions, counted
+//! before a counted repetition is expanded.
+//!
 //! Supported syntax: literals, `.`, classes `[a-z^-]` with `\d \w \s`
 //! escapes, alternation, `(..)` / `(?:..)` groups, `* + ? {m} {m,} {m,n}`
 //! with lazy variants, anchors `^ $`.
@@ -85,7 +98,7 @@ pub struct Regex {
 impl Regex {
     pub fn new(pattern: &str) -> Result<Regex, RegexError> {
         let parsed = parser::parse(pattern)?;
-        let prog = nfa::compile(&parsed.ast, parsed.group_count);
+        let prog = nfa::compile(&parsed.ast, parsed.group_count)?;
         Ok(Regex { prog, pattern: pattern.to_string() })
     }
 
@@ -326,6 +339,61 @@ mod tests {
         assert_eq!(Regex::new("(a)(?:b)(c)").unwrap().group_count(), 2);
     }
 
+    /// On a thread with the 2 MiB stack a server's workers get, the
+    /// deepest accepted pattern compiles, matches and drops; one level
+    /// deeper is an error, not a stack overflow, as is a repetition whose
+    /// program would exhaust memory.
+    #[test]
+    fn caps_hold_within_a_worker_stack() {
+        std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(|| {
+                let nested =
+                    |levels: usize| format!("{}a{}", "(".repeat(levels), ")".repeat(levels));
+                let deepest = Regex::new(&nested(parser::MAX_DEPTH)).expect("the deepest pattern");
+                let caps = deepest.captures("xa").unwrap();
+                assert_eq!(caps.len(), parser::MAX_DEPTH + 1);
+                assert_eq!(caps.get(parser::MAX_DEPTH).unwrap().range(), 1..2);
+                drop(deepest);
+                let err = Regex::new(&nested(parser::MAX_DEPTH + 1)).unwrap_err();
+                assert!(err.msg.contains("nested deeper"), "{err}");
+                assert!(Regex::new(&nested(10_000)).is_err());
+                for huge in ["x{4294967295}", "(a{1000}){1000}"] {
+                    let err = Regex::new(huge).unwrap_err();
+                    assert!(err.msg.contains("instructions"), "{huge}: {err}");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    /// The prefix skip never re-reads a byte a live thread has read:
+    /// `a.*b` over 200,000 `a`s is one pass, where seeding an anchored
+    /// VM run at every candidate would take quadratic time.
+    #[test]
+    fn prefix_skip_stays_linear() {
+        let hay = "a".repeat(200_000);
+        let re = Regex::new("a.*b").unwrap();
+        let started = std::time::Instant::now();
+        assert!(re.find(&hay).is_none());
+        assert_eq!(re.find(&format!("{hay}b")).map(|m| m.range()), Some(0..200_001));
+        let elapsed = started.elapsed();
+        assert!(elapsed.as_secs() < 20, "a.*b over 200k chars took {elapsed:?}");
+    }
+
+    #[test]
+    fn literal_patterns_skip_the_vm() {
+        let re = Regex::new("sceaft").unwrap();
+        assert!(re.prog.literal);
+        let hay = "gesceaftum þa sceaft";
+        let spans: Vec<_> = re.find_iter(hay).map(|m| m.range()).collect();
+        assert_eq!(spans, vec![2..8, 15..21]);
+        assert!(re.is_full_match("sceaft"));
+        assert!(!re.is_full_match("sceafta"));
+        assert_eq!(Regex::new("").unwrap().find_iter("ab").count(), 3);
+    }
+
     #[test]
     fn multibyte_haystacks() {
         let re = Regex::new("gecyn").unwrap();
@@ -344,10 +412,23 @@ mod oracle {
     use super::*;
     use crate::ast::Ast;
     use proptest::prelude::*;
+    use std::cell::Cell;
+
+    /// Capture slots of the oracle, in char indices (same layout as the
+    /// VM's: `2k`/`2k+1` for group `k`).
+    type Caps = [Cell<Option<usize>>];
 
     /// Naive backtracking matcher. Calls `k` with each end offset in
-    /// preference order; stops when `k` returns true.
-    fn bt(ast: &Ast, hay: &[char], pos: usize, k: &mut dyn FnMut(usize) -> bool) -> bool {
+    /// preference order; stops when `k` returns true. A capture group
+    /// records its span in `caps` on the way to `k`, and restores the old
+    /// span when `k` fails, so a success leaves the last iteration's spans.
+    fn bt(
+        ast: &Ast,
+        hay: &[char],
+        pos: usize,
+        caps: &Caps,
+        k: &mut dyn FnMut(usize) -> bool,
+    ) -> bool {
         match ast {
             Ast::Empty => k(pos),
             Ast::Literal(c) => pos < hay.len() && hay[pos] == *c && k(pos + 1),
@@ -355,11 +436,22 @@ mod oracle {
             Ast::Class(cs) => pos < hay.len() && cs.contains(hay[pos]) && k(pos + 1),
             Ast::StartAnchor => pos == 0 && k(pos),
             Ast::EndAnchor => pos == hay.len() && k(pos),
-            Ast::Group { ast, .. } => bt(ast, hay, pos, k),
-            Ast::Concat(parts) => bt_concat(parts, hay, pos, k),
-            Ast::Alternate(parts) => parts.iter().any(|p| bt(p, hay, pos, k)),
+            Ast::Group { ast, index: None } => bt(ast, hay, pos, caps, k),
+            Ast::Group { ast, index: Some(i) } => {
+                let (s, e) = (&caps[2 * *i as usize], &caps[2 * *i as usize + 1]);
+                bt(ast, hay, pos, caps, &mut |p2| {
+                    let old = (s.replace(Some(pos)), e.replace(Some(p2)));
+                    k(p2) || {
+                        s.set(old.0);
+                        e.set(old.1);
+                        false
+                    }
+                })
+            }
+            Ast::Concat(parts) => bt_concat(parts, hay, pos, caps, k),
+            Ast::Alternate(parts) => parts.iter().any(|p| bt(p, hay, pos, caps, k)),
             Ast::Repeat { ast, min, max, greedy } => {
-                bt_repeat(ast, *min, *max, *greedy, hay, pos, k, 0)
+                bt_repeat(ast, *min, *max, *greedy, hay, pos, caps, k, 0)
             }
         }
     }
@@ -368,11 +460,14 @@ mod oracle {
         parts: &[Ast],
         hay: &[char],
         pos: usize,
+        caps: &Caps,
         k: &mut dyn FnMut(usize) -> bool,
     ) -> bool {
         match parts.split_first() {
             None => k(pos),
-            Some((first, rest)) => bt(first, hay, pos, &mut |p2| bt_concat(rest, hay, p2, k)),
+            Some((first, rest)) => {
+                bt(first, hay, pos, caps, &mut |p2| bt_concat(rest, hay, p2, caps, k))
+            }
         }
     }
 
@@ -384,29 +479,30 @@ mod oracle {
         greedy: bool,
         hay: &[char],
         pos: usize,
+        caps: &Caps,
         k: &mut dyn FnMut(usize) -> bool,
         depth: u32,
     ) -> bool {
         let can_more = max.map(|m| depth < m).unwrap_or(true) && depth < 64;
         let must_more = depth < min;
         let try_more = |k: &mut dyn FnMut(usize) -> bool| {
-            bt(ast, hay, pos, &mut |p2| {
+            bt(ast, hay, pos, caps, &mut |p2| {
                 if p2 == pos {
                     // Empty-width iteration: stop to avoid infinite loops
                     // (same behaviour as the VM's step dedup).
                     return false;
                 }
-                bt_repeat(ast, min, max, greedy, hay, p2, k, depth + 1)
+                bt_repeat(ast, min, max, greedy, hay, p2, caps, k, depth + 1)
             })
         };
         if must_more {
             // A mandatory iteration that matches empty satisfies the whole
             // remaining minimum (further copies would be empty too).
-            return bt(ast, hay, pos, &mut |p2| {
+            return bt(ast, hay, pos, caps, &mut |p2| {
                 if p2 == pos {
                     k(pos)
                 } else {
-                    bt_repeat(ast, min, max, greedy, hay, p2, k, depth + 1)
+                    bt_repeat(ast, min, max, greedy, hay, p2, caps, k, depth + 1)
                 }
             });
         }
@@ -421,27 +517,62 @@ mod oracle {
         }
     }
 
-    /// Oracle find: earliest start, then backtracking-preferred end.
-    fn oracle_find(ast: &Ast, hay: &str) -> Option<(usize, usize)> {
+    /// Byte offset of every char index of `hay`, and of its end.
+    fn byte_offsets(hay: &str) -> Vec<usize> {
+        hay.char_indices().map(|(i, _)| i).chain([hay.len()]).collect()
+    }
+
+    /// Oracle find from char index `from`: earliest start, then the
+    /// backtracking-preferred end. Returns the slots in byte offsets.
+    fn oracle_find_at(
+        parsed: &parser::Parsed,
+        hay: &str,
+        from: usize,
+    ) -> Option<Vec<Option<usize>>> {
         let chars: Vec<char> = hay.chars().collect();
-        let mut offs = Vec::with_capacity(chars.len() + 1);
-        let mut b = 0;
-        for c in &chars {
-            offs.push(b);
-            b += c.len_utf8();
-        }
-        offs.push(b);
-        for start in 0..=chars.len() {
+        let offs = byte_offsets(hay);
+        let caps: Vec<Cell<Option<usize>>> =
+            (0..2 * (parsed.group_count as usize + 1)).map(|_| Cell::new(None)).collect();
+        for start in from..=chars.len() {
             let mut end = None;
-            bt(ast, &chars, start, &mut |e| {
+            bt(&parsed.ast, &chars, start, &caps, &mut |e| {
                 end = Some(e);
                 true
             });
             if let Some(e) = end {
-                return Some((offs[start], offs[e]));
+                caps[0].set(Some(start));
+                caps[1].set(Some(e));
+                return Some(caps.iter().map(|c| c.get().map(|i| offs[i])).collect());
             }
         }
         None
+    }
+
+    /// The oracle's `captures_iter`: non-overlapping, stepping one char
+    /// past an empty match.
+    fn oracle_captures_iter(pattern: &str, hay: &str) -> Vec<Vec<Option<usize>>> {
+        let parsed = parser::parse(pattern).unwrap();
+        let offs = byte_offsets(hay);
+        let mut out = Vec::new();
+        let mut from = 0;
+        while let Some(slots) = oracle_find_at(&parsed, hay, from) {
+            let (s, e) = (slots[0].unwrap(), slots[1].unwrap());
+            from = offs.iter().position(|&o| o == e).unwrap() + usize::from(s == e);
+            out.push(slots);
+            if from >= offs.len() {
+                break;
+            }
+        }
+        out
+    }
+
+    /// The same pattern compiled without its literal prefix: every search
+    /// steps the VM from every byte, as it did before the prefix skip.
+    fn without_prefix(re: &Regex) -> Regex {
+        let mut plain = re.clone();
+        plain.prog.prefix.clear();
+        plain.prog.literal = false;
+        plain
     }
 
     fn arb_pattern() -> impl Strategy<Value = String> {
@@ -465,6 +596,23 @@ mod oracle {
         })
     }
 
+    /// A pattern that starts with literal text, some of it inside groups,
+    /// followed by an arbitrary tail (or nothing: a plain literal).
+    fn arb_literal_led() -> impl Strategy<Value = String> {
+        let lead = prop_oneof![
+            Just("a".to_string()),
+            Just("aa".to_string()),
+            Just("þa".to_string()),
+            Just("(a)".to_string()),
+            Just("a(þ)".to_string()),
+            Just("(?:ab)a".to_string()),
+            Just("(a(b))".to_string()),
+            Just("a(b[aþ])".to_string()),
+        ];
+        let tail = prop_oneof![Just(String::new()), Just("þ".to_string()), arb_pattern()];
+        (lead, tail).prop_map(|(l, t)| format!("{l}{t}"))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -474,8 +622,27 @@ mod oracle {
             let parsed = parser::parse(&pat).unwrap();
             let re = Regex::new(&pat).unwrap();
             let vm = re.find(&hay).map(|m| (m.start, m.end));
-            let oracle = oracle_find(&parsed.ast, &hay);
+            let oracle = oracle_find_at(&parsed, &hay, 0).map(|s| (s[0].unwrap(), s[1].unwrap()));
             prop_assert_eq!(vm, oracle, "pattern={} hay={}", pat, hay);
+        }
+
+        /// Literal-led patterns take the prefix skip (or the literal path):
+        /// every match and every capture equals the backtracking oracle's
+        /// and the same program's without its prefix.
+        #[test]
+        fn prefix_skip_keeps_every_answer(pat in arb_literal_led(), hay in "[aaabþ]{0,16}") {
+            let re = Regex::new(&pat).unwrap();
+            prop_assert!(!re.prog.prefix.is_empty(), "pattern={}", pat);
+            let plain = without_prefix(&re);
+            let spans = |r: &Regex| r.find_iter(&hay).map(|m| (m.start, m.end)).collect::<Vec<_>>();
+            let slots = |r: &Regex| r.captures_iter(&hay).map(|c| c.slots).collect::<Vec<_>>();
+            let oracle = oracle_captures_iter(&pat, &hay);
+            let oracle_spans: Vec<_> =
+                oracle.iter().map(|s| (s[0].unwrap(), s[1].unwrap())).collect();
+            prop_assert_eq!(spans(&re), oracle_spans, "pattern={} hay={}", pat, hay);
+            prop_assert_eq!(spans(&re), spans(&plain), "pattern={} hay={}", pat, hay);
+            prop_assert_eq!(slots(&re), oracle, "pattern={} hay={}", pat, hay);
+            prop_assert_eq!(slots(&re), slots(&plain), "pattern={} hay={}", pat, hay);
         }
 
         /// find_iter terminates and yields ordered matches.

@@ -1,6 +1,13 @@
 //! Thompson construction: [`Ast`] → instruction program for the Pike VM.
 
 use crate::ast::{Ast, ClassSet};
+use crate::parser::RegexError;
+
+/// The most instructions a compiled program may hold. The VM may step
+/// every instruction at every byte, so this bounds the work per byte as
+/// well as the program's memory: `x{4294967295}` would ask for billions.
+/// The size is counted before anything is emitted.
+pub const MAX_INSTS: usize = 10_000;
 
 /// One VM instruction. `Split` prefers its first branch, which is how
 /// greediness and leftmost-first alternation are encoded.
@@ -25,15 +32,77 @@ pub struct Program {
     pub insts: Vec<Inst>,
     pub n_slots: usize,
     pub group_count: u32,
+    /// Literal text every match starts with: the leading literals of the
+    /// top-level concatenation, read through groups. An unanchored search
+    /// skips to its next occurrence whenever no thread is live.
+    pub prefix: String,
+    /// The pattern is `prefix` and nothing else, with no capture groups:
+    /// a match is an occurrence of `prefix`, found without the VM.
+    pub literal: bool,
 }
 
-pub fn compile(ast: &Ast, group_count: u32) -> Program {
-    let mut c = Compiler { insts: Vec::new() };
+pub fn compile(ast: &Ast, group_count: u32) -> Result<Program, RegexError> {
+    let len = emitted_len(ast).saturating_add(3);
+    if len > MAX_INSTS {
+        return Err(RegexError {
+            msg: format!("pattern compiles to more than {MAX_INSTS} instructions"),
+            at: 0,
+        });
+    }
+    let mut c = Compiler { insts: Vec::with_capacity(len) };
     c.push(Inst::Save(0));
     c.emit(ast);
     c.push(Inst::Save(1));
     c.push(Inst::Match);
-    Program { insts: c.insts, n_slots: 2 * (group_count as usize + 1), group_count }
+    debug_assert_eq!(c.insts.len(), len);
+    let mut prefix = String::new();
+    let literal = literal_prefix(ast, &mut prefix) && group_count == 0;
+    Ok(Program {
+        insts: c.insts,
+        n_slots: 2 * (group_count as usize + 1),
+        group_count,
+        prefix,
+        literal,
+    })
+}
+
+/// Append to `out` the literal text every match of `ast` starts with;
+/// true when that text is all `ast` matches.
+fn literal_prefix(ast: &Ast, out: &mut String) -> bool {
+    match ast {
+        Ast::Empty => true,
+        Ast::Literal(c) => {
+            out.push(*c);
+            true
+        }
+        Ast::Group { ast, .. } => literal_prefix(ast, out),
+        Ast::Concat(parts) => parts.iter().all(|p| literal_prefix(p, out)),
+        _ => false,
+    }
+}
+
+/// How many instructions [`Compiler::emit`] writes for `ast`, saturating
+/// (counted repetitions multiply).
+fn emitted_len(ast: &Ast) -> usize {
+    let sum = |parts: &[Ast]| parts.iter().fold(0usize, |n, p| n.saturating_add(emitted_len(p)));
+    match ast {
+        Ast::Empty => 0,
+        Ast::Literal(_) | Ast::AnyChar | Ast::Class(_) | Ast::StartAnchor | Ast::EndAnchor => 1,
+        Ast::Concat(parts) => sum(parts),
+        // A split and a jump around every branch but the last.
+        Ast::Alternate(parts) => sum(parts).saturating_add(2 * (parts.len() - 1)),
+        Ast::Group { ast, index } => {
+            emitted_len(ast).saturating_add(if index.is_some() { 2 } else { 0 })
+        }
+        Ast::Repeat { ast, min, max, .. } => {
+            let body = emitted_len(ast);
+            let optional = match max {
+                None => body.saturating_add(2),
+                Some(mx) => ((mx - min) as usize).saturating_mul(body.saturating_add(1)),
+            };
+            (*min as usize).saturating_mul(body).saturating_add(optional)
+        }
+    }
 }
 
 struct Compiler {
@@ -120,9 +189,13 @@ impl Compiler {
     }
 
     fn emit_repeat(&mut self, ast: &Ast, min: u32, max: Option<u32>, greedy: bool) {
-        // Mandatory copies.
+        // Mandatory copies; a body that emits nothing needs no more.
         for _ in 0..min {
+            let before = self.here();
             self.emit(ast);
+            if self.here() == before {
+                break;
+            }
         }
         match max {
             None => {
@@ -162,7 +235,7 @@ mod tests {
 
     fn prog(p: &str) -> Program {
         let parsed = parse(p).unwrap();
-        compile(&parsed.ast, parsed.group_count)
+        compile(&parsed.ast, parsed.group_count).unwrap()
     }
 
     #[test]
@@ -210,6 +283,42 @@ mod tests {
         assert_eq!(p.n_slots, 6);
         assert!(p.insts.contains(&Inst::Save(2)));
         assert!(p.insts.contains(&Inst::Save(5)));
+    }
+
+    #[test]
+    fn literal_prefix_reads_through_groups() {
+        let prefix = |pat: &str| {
+            let p = prog(pat);
+            (p.prefix, p.literal)
+        };
+        assert_eq!(prefix("sceaft"), ("sceaft".into(), true));
+        assert_eq!(prefix("(?:sc)eaft"), ("sceaft".into(), true));
+        assert_eq!(prefix("sce(af)t"), ("sceaft".into(), false));
+        assert_eq!(prefix("un(a(w))e.*"), ("unawe".into(), false));
+        assert_eq!(prefix("ab*"), ("a".into(), false));
+        assert_eq!(prefix("(ab[c])d"), ("ab".into(), false));
+        assert_eq!(prefix("a(b|c)"), ("a".into(), false));
+        for none in ["[s]ceaft", ".a", "^a", "a|b", "(?:ab)*c", "a?b", r"\da"] {
+            assert_eq!(prefix(none), (String::new(), false), "{none}");
+        }
+        // The empty pattern is the empty literal: it matches everywhere.
+        assert_eq!(prefix(""), (String::new(), true));
+    }
+
+    #[test]
+    fn program_size_is_counted_before_expansion() {
+        let len = |pat: &str| {
+            let parsed = parse(pat).unwrap();
+            compile(&parsed.ast, parsed.group_count).map(|p| p.insts.len())
+        };
+        assert_eq!(len("a{9997}"), Ok(MAX_INSTS));
+        assert!(len("a{9998}").is_err());
+        assert!(len("x{4294967295}").is_err());
+        assert!(len("x{0,4294967295}").is_err());
+        assert!(len("(a{1000}){1000}").is_err());
+        assert!(len("(?:x{65536}){65536}").is_err(), "the count saturates, never wraps");
+        // A body that emits nothing costs nothing, however often repeated.
+        assert_eq!(len("(?:){4294967295}"), Ok(3));
     }
 
     #[test]

@@ -27,6 +27,12 @@ impl fmt::Display for RegexError {
 
 impl std::error::Error for RegexError {}
 
+/// The deepest nesting of groups [`parse`] accepts. The parser, the
+/// compiler and `Drop` of the syntax tree recurse once per level, and so
+/// does `analyze-string`'s walk over an XML-fragment pattern, whose tags
+/// become groups; the cap keeps a hostile pattern within a worker's stack.
+pub const MAX_DEPTH: usize = 128;
+
 pub struct Parsed {
     pub ast: Ast,
     /// Number of capturing groups (not counting group 0).
@@ -34,7 +40,7 @@ pub struct Parsed {
 }
 
 pub fn parse(pattern: &str) -> Result<Parsed, RegexError> {
-    let mut p = Parser { chars: pattern.char_indices().collect(), pos: 0, next_group: 1 };
+    let mut p = Parser { chars: pattern.char_indices().collect(), pos: 0, next_group: 1, depth: 0 };
     let ast = p.alternation()?;
     if p.pos < p.chars.len() {
         return Err(p.err("unexpected `)`"));
@@ -46,6 +52,8 @@ struct Parser {
     chars: Vec<(usize, char)>,
     pos: usize,
     next_group: u32,
+    /// Groups open at `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -188,6 +196,9 @@ impl Parser {
         match self.peek() {
             None => Ok(Ast::Empty),
             Some('(') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("groups nested deeper than {MAX_DEPTH} levels")));
+                }
                 self.bump();
                 let index = if self.peek() == Some('?') {
                     // only (?: ... ) is supported
@@ -201,7 +212,9 @@ impl Parser {
                     self.next_group += 1;
                     Some(i)
                 };
+                self.depth += 1;
                 let inner = self.alternation()?;
+                self.depth -= 1;
                 if !self.eat(')') {
                     return Err(self.err("missing `)`"));
                 }

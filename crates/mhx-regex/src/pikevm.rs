@@ -3,6 +3,12 @@
 //! Threads are kept in priority order, so alternation is leftmost-first and
 //! repetition greediness follows the `Split` branch order — the same match
 //! a backtracking engine would find, in O(len · insts) time.
+//!
+//! An unanchored search seeds a thread only where a match can start: when
+//! no thread is live and nothing has matched, it jumps with `str::find` to
+//! the next occurrence of the program's literal prefix. The jump skips only
+//! bytes no thread would have read, so each byte is still stepped at most
+//! once. A purely literal program never enters the VM.
 
 use crate::nfa::{Inst, Program};
 use std::rc::Rc;
@@ -55,25 +61,40 @@ impl<'p> PikeVm<'p> {
     }
 
     fn run(&self, hay: &str, start: usize, anchored: bool) -> Option<Vec<Option<usize>>> {
+        let prefix = self.prog.prefix.as_str();
+        if self.prog.literal {
+            let tail = &hay[start..];
+            let at = if anchored {
+                tail.starts_with(prefix).then_some(start)?
+            } else {
+                start + tail.find(prefix)?
+            };
+            return Some(vec![Some(at), Some(at + prefix.len())]);
+        }
         let n = self.prog.insts.len();
         let mut clist = ThreadList::new(n);
         let mut nlist = ThreadList::new(n);
+        let mut stack = Vec::new();
         let mut best: Option<Vec<Option<usize>>> = None;
 
         let init_slots: Slots = Rc::new(vec![None; self.prog.n_slots]);
         clist.clear();
 
-        let tail = &hay[start..];
-        let mut iter = tail.char_indices();
         let mut pos = start;
         loop {
-            let next_char = iter.next().map(|(i, c)| (start + i, c));
-            debug_assert!(next_char.is_none_or(|(i, _)| i == pos));
+            let searching = !anchored && best.is_none();
+            if searching && clist.threads.is_empty() && !prefix.is_empty() {
+                // No thread is live: the next match starts at the next
+                // occurrence of the prefix, or nowhere.
+                pos += hay[pos..].find(prefix)?;
+            }
+            let next_char = hay[pos..].chars().next();
 
             // Seed a new thread at this position (lowest priority) while
             // searching and nothing matched yet.
-            if pos == start || (!anchored && best.is_none()) {
-                add_thread(self.prog, &mut clist, 0, pos, hay, init_slots.clone());
+            if pos == start || searching {
+                stack.push((0, init_slots.clone()));
+                add_threads(self.prog, &mut clist, &mut stack, pos, hay);
             }
 
             if clist.threads.is_empty() && best.is_some() {
@@ -81,120 +102,78 @@ impl<'p> PikeVm<'p> {
             }
 
             nlist.clear();
-            let mut matched_this_step = false;
             for t in std::mem::take(&mut clist.threads) {
-                if matched_this_step {
-                    break;
-                }
-                match &self.prog.insts[t.pc] {
-                    Inst::Char(c) => {
-                        if let Some((_, ch)) = next_char {
-                            if ch == *c {
-                                add_thread(
-                                    self.prog,
-                                    &mut nlist,
-                                    t.pc + 1,
-                                    pos + ch.len_utf8(),
-                                    hay,
-                                    t.slots,
-                                );
-                            }
-                        }
-                    }
-                    Inst::Class(cs) => {
-                        if let Some((_, ch)) = next_char {
-                            if cs.contains(ch) {
-                                add_thread(
-                                    self.prog,
-                                    &mut nlist,
-                                    t.pc + 1,
-                                    pos + ch.len_utf8(),
-                                    hay,
-                                    t.slots,
-                                );
-                            }
-                        }
-                    }
-                    Inst::Any => {
-                        if let Some((_, ch)) = next_char {
-                            add_thread(
-                                self.prog,
-                                &mut nlist,
-                                t.pc + 1,
-                                pos + ch.len_utf8(),
-                                hay,
-                                t.slots,
-                            );
-                        }
-                    }
-                    Inst::Match => {
-                        // Highest-priority match at this position: lower
-                        // priority threads are cut off, but threads already
-                        // in nlist (added by higher-priority threads) keep
-                        // running — they may produce a longer leftmost-first
-                        // match? No: they were added earlier in priority
-                        // order, so anything in nlist outranks this match
-                        // only if it *started* earlier. Since we process in
-                        // priority order, recording and cutting is correct.
+                let advances = match (&self.prog.insts[t.pc], next_char) {
+                    (Inst::Char(c), Some(ch)) => ch == *c,
+                    (Inst::Class(cs), Some(ch)) => cs.contains(ch),
+                    (Inst::Any, Some(_)) => true,
+                    (Inst::Match, _) => {
+                        // The highest-priority thread still running matched
+                        // here: lower-priority threads are cut off. Threads
+                        // already in nlist came from higher-priority ones,
+                        // so they keep running and may extend the match.
                         best = Some((*t.slots).clone());
-                        matched_this_step = true;
+                        break;
                     }
-                    // Split/Jmp/Save/Assert are handled in add_thread.
-                    _ => unreachable!("epsilon instructions resolved in add_thread"),
+                    _ => false,
+                };
+                if let (true, Some(ch)) = (advances, next_char) {
+                    stack.push((t.pc + 1, t.slots));
+                    add_threads(self.prog, &mut nlist, &mut stack, pos + ch.len_utf8(), hay);
                 }
             }
             std::mem::swap(&mut clist, &mut nlist);
             match next_char {
-                Some((i, c)) => pos = i + c.len_utf8(),
+                Some(c) => pos += c.len_utf8(),
                 None => break,
             }
             if clist.threads.is_empty() && (anchored || best.is_some()) {
                 break;
             }
         }
-
-        // Drain any final-position threads (Match at EOF already handled in
-        // the loop's last iteration because we iterate once past the last
-        // char with next_char = None).
         best
     }
 }
 
-/// Add `pc` (following epsilon transitions) to `list` at input offset `pos`.
-fn add_thread(
+/// Queue the threads on `stack` (following epsilon transitions) onto
+/// `list` at input offset `pos`, depth first, so each `Split` queues its
+/// preferred branch first. A work stack rather than recursion: a chain of
+/// epsilon instructions can be as long as the program.
+fn add_threads(
     prog: &Program,
     list: &mut ThreadList,
-    pc: usize,
+    stack: &mut Vec<(usize, Slots)>,
     pos: usize,
     hay: &str,
-    slots: Slots,
 ) {
-    if list.seen[pc] == list.stamp {
-        return;
-    }
-    list.seen[pc] = list.stamp;
-    match &prog.insts[pc] {
-        Inst::Jmp(t) => add_thread(prog, list, *t, pos, hay, slots),
-        Inst::Split(a, b) => {
-            add_thread(prog, list, *a, pos, hay, slots.clone());
-            add_thread(prog, list, *b, pos, hay, slots);
+    while let Some((pc, slots)) = stack.pop() {
+        if list.seen[pc] == list.stamp {
+            continue;
         }
-        Inst::Save(n) => {
-            let mut s = (*slots).clone();
-            s[*n] = Some(pos);
-            add_thread(prog, list, pc + 1, pos, hay, Rc::new(s));
-        }
-        Inst::AssertStart => {
-            if pos == 0 {
-                add_thread(prog, list, pc + 1, pos, hay, slots);
+        list.seen[pc] = list.stamp;
+        match &prog.insts[pc] {
+            Inst::Jmp(t) => stack.push((*t, slots)),
+            Inst::Split(a, b) => {
+                stack.push((*b, slots.clone()));
+                stack.push((*a, slots));
             }
-        }
-        Inst::AssertEnd => {
-            if pos == hay.len() {
-                add_thread(prog, list, pc + 1, pos, hay, slots);
+            Inst::Save(n) => {
+                let mut s = (*slots).clone();
+                s[*n] = Some(pos);
+                stack.push((pc + 1, Rc::new(s)));
             }
+            Inst::AssertStart => {
+                if pos == 0 {
+                    stack.push((pc + 1, slots));
+                }
+            }
+            Inst::AssertEnd => {
+                if pos == hay.len() {
+                    stack.push((pc + 1, slots));
+                }
+            }
+            _ => list.threads.push(Thread { pc, slots }),
         }
-        _ => list.threads.push(Thread { pc, slots }),
     }
 }
 
@@ -206,7 +185,7 @@ mod tests {
 
     fn slots(pattern: &str, hay: &str) -> Option<Vec<Option<usize>>> {
         let p = parse(pattern).unwrap();
-        let prog = compile(&p.ast, p.group_count);
+        let prog = compile(&p.ast, p.group_count).unwrap();
         PikeVm::new(&prog).run_search(hay, 0)
     }
 
@@ -267,7 +246,7 @@ mod tests {
     #[test]
     fn anchored_run_requires_start() {
         let p = parse("ab").unwrap();
-        let prog = compile(&p.ast, p.group_count);
+        let prog = compile(&p.ast, p.group_count).unwrap();
         let vm = PikeVm::new(&prog);
         assert!(vm.run_anchored("xab", 0).is_none());
         assert!(vm.run_anchored("xab", 1).is_some());

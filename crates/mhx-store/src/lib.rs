@@ -385,6 +385,30 @@ mod tests {
         assert_eq!(store.bytes_on_disk(), bytes);
     }
 
+    /// The deepest document a hierarchy may hold saves, loads and drops
+    /// on a thread with the 2 MiB stack a server's workers get.
+    #[test]
+    fn deepest_document_round_trips_within_a_worker_stack() {
+        std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(|| {
+                let levels = mhx_goddag::hierarchy::MAX_DEPTH;
+                let xml = format!("<r>{}x{}</r>", "<e>".repeat(levels), "</e>".repeat(levels));
+                let g = GoddagBuilder::new().hierarchy("deep", xml).build().unwrap();
+                let idx = StructIndex::build(&g);
+                let store = tmp_store();
+                store.save("deep", &g, &idx).unwrap();
+                let (g2, idx2) = store.load("deep").unwrap().expect("snapshot exists");
+                assert!(idx2.is_current(&g2));
+                assert_eq!(g.all_nodes(), g2.all_nodes());
+                drop((g, idx, g2, idx2));
+                let _ = fs::remove_dir_all(store.dir());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
     #[test]
     fn absent_doc_loads_as_none() {
         let store = tmp_store();

@@ -9,10 +9,69 @@ use crate::error::{Result, XPathError};
 use crate::lexer::{tokenize, SpannedTok, Tok};
 use mhx_goddag::Axis;
 
+/// The deepest syntax tree [`parse`] and the XQuery parser accept. Each
+/// parser, and every later pass over its tree (lowering, the static check,
+/// the optimizer, evaluation, explain), recurses once per level, so the
+/// cap keeps a hostile query within a worker's stack.
+pub const MAX_DEPTH: usize = 64;
+
+/// How deep the syntax tree being parsed reaches, counted conservatively:
+/// a bracket, a call's argument, a clause's expression, a unary operand
+/// and a nested constructor each open a level, and so does every operator
+/// of a chain such as `1 + 1 + 1`, whose tree deepens by one per operator.
+#[derive(Debug, Default)]
+pub struct Nesting {
+    /// Levels of the tree above the expression being parsed.
+    depth: usize,
+    /// The deepest level the tree reaches so far (see [`Nesting::mark`]).
+    peak: usize,
+}
+
+impl Nesting {
+    /// Record that the expression being built reaches `height` levels
+    /// below the current depth: `None` if that is past [`MAX_DEPTH`].
+    pub fn grow(&mut self, height: usize) -> Option<usize> {
+        if self.depth + height > MAX_DEPTH {
+            return None;
+        }
+        self.peak = self.peak.max(self.depth + height);
+        Some(height)
+    }
+
+    /// Enter one level deeper, unless that is past [`MAX_DEPTH`]; every
+    /// successful `enter` is paired with a [`Nesting::leave`].
+    pub fn enter(&mut self) -> bool {
+        if self.grow(1).is_none() {
+            return false;
+        }
+        self.depth += 1;
+        true
+    }
+
+    pub fn leave(&mut self) {
+        self.depth -= 1;
+    }
+
+    /// Start measuring the expression about to be parsed: how many levels
+    /// below the current depth it reaches. The left operand of an operator
+    /// ends up one level deeper than it was parsed at, once the operator
+    /// is seen. Returns what [`Nesting::height_since`] needs.
+    pub fn mark(&mut self) -> usize {
+        std::mem::replace(&mut self.peak, self.depth)
+    }
+
+    /// The height of what was parsed since `mark` returned `outer`.
+    pub fn height_since(&mut self, outer: usize) -> usize {
+        let height = self.peak - self.depth;
+        self.peak = self.peak.max(outer);
+        height
+    }
+}
+
 /// Parse a complete XPath expression.
 pub fn parse(src: &str) -> Result<Expr> {
     let toks = tokenize(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, nesting: Nesting::default() };
     let e = p.expr()?;
     if p.pos < p.toks.len() {
         return Err(p.err("trailing input after expression"));
@@ -23,6 +82,7 @@ pub fn parse(src: &str) -> Result<Expr> {
 pub(crate) struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    nesting: Nesting,
 }
 
 impl Parser {
@@ -70,108 +130,102 @@ impl Parser {
         matches!(self.peek(), Some(Tok::Name(n)) if n == kw)
     }
 
+    fn too_deep(&self) -> XPathError {
+        self.err(format!("expression nests deeper than {MAX_DEPTH} levels"))
+    }
+
+    fn grow(&mut self, height: usize) -> Result<usize> {
+        self.nesting.grow(height).ok_or_else(|| self.too_deep())
+    }
+
+    fn enter(&mut self) -> Result<()> {
+        self.nesting.enter().then_some(()).ok_or_else(|| self.too_deep())
+    }
+
+    /// A left-associative chain `operand (op operand)*`, where `op` names
+    /// the operator at the cursor, if any; it is consumed here.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr>,
+        op: impl Fn(&Self) -> Option<BinOp>,
+    ) -> Result<Expr> {
+        let outer = self.nesting.mark();
+        let mut lhs = operand(self)?;
+        let mut height = self.nesting.height_since(outer);
+        while let Some(op) = op(self) {
+            self.bump();
+            let outer = self.nesting.mark();
+            let rhs = operand(self)?;
+            let h = self.nesting.height_since(outer);
+            height = self.grow(height.max(h) + 1)?;
+            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
+        }
+        Ok(lhs)
+    }
+
     pub(crate) fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.enter()?;
+        let e = self.or_expr();
+        self.nesting.leave();
+        e
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.peek_keyword("or") {
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary { op: BinOp::Or, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
+        self.chain(Self::and_expr, |p| p.peek_keyword("or").then_some(BinOp::Or))
     }
 
     fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.equality_expr()?;
-        while self.peek_keyword("and") {
-            self.bump();
-            let rhs = self.equality_expr()?;
-            lhs = Expr::Binary { op: BinOp::And, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
+        self.chain(Self::equality_expr, |p| p.peek_keyword("and").then_some(BinOp::And))
     }
 
     fn equality_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.relational_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Eq) => BinOp::Eq,
-                Some(Tok::Ne) => BinOp::Ne,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.relational_expr()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
+        self.chain(Self::relational_expr, |p| match p.peek() {
+            Some(Tok::Eq) => Some(BinOp::Eq),
+            Some(Tok::Ne) => Some(BinOp::Ne),
+            _ => None,
+        })
     }
 
     fn relational_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.additive_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Lt) => BinOp::Lt,
-                Some(Tok::Le) => BinOp::Le,
-                Some(Tok::Gt) => BinOp::Gt,
-                Some(Tok::Ge) => BinOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.additive_expr()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
+        self.chain(Self::additive_expr, |p| match p.peek() {
+            Some(Tok::Lt) => Some(BinOp::Lt),
+            Some(Tok::Le) => Some(BinOp::Le),
+            Some(Tok::Gt) => Some(BinOp::Gt),
+            Some(Tok::Ge) => Some(BinOp::Ge),
+            _ => None,
+        })
     }
 
     fn additive_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.multiplicative_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Plus) => BinOp::Add,
-                Some(Tok::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.multiplicative_expr()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
+        self.chain(Self::multiplicative_expr, |p| match p.peek() {
+            Some(Tok::Plus) => Some(BinOp::Add),
+            Some(Tok::Minus) => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn multiplicative_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Star) => BinOp::Mul,
-                Some(Tok::Name(n)) if n == "div" => BinOp::Div,
-                Some(Tok::Name(n)) if n == "mod" => BinOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
+        self.chain(Self::unary_expr, |p| match p.peek() {
+            Some(Tok::Star) => Some(BinOp::Mul),
+            Some(Tok::Name(n)) if n == "div" => Some(BinOp::Div),
+            Some(Tok::Name(n)) if n == "mod" => Some(BinOp::Mod),
+            _ => None,
+        })
     }
 
     fn unary_expr(&mut self) -> Result<Expr> {
         if self.eat(&Tok::Minus) {
-            Ok(Expr::Neg(Box::new(self.unary_expr()?)))
+            self.enter()?;
+            let operand = self.unary_expr()?;
+            self.nesting.leave();
+            Ok(Expr::Neg(Box::new(operand)))
         } else {
             self.union_expr()
         }
     }
 
     fn union_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.path_expr()?;
-        while self.eat(&Tok::Pipe) {
-            let rhs = self.path_expr()?;
-            lhs = Expr::Binary { op: BinOp::Union, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
+        self.chain(Self::path_expr, |p| (p.peek() == Some(&Tok::Pipe)).then_some(BinOp::Union))
     }
 
     /// PathExpr: location path, or filter expression with optional trailing
@@ -200,7 +254,9 @@ impl Parser {
             }
             _ => {
                 // Filter expression.
+                let outer = self.nesting.mark();
                 let primary = self.primary_expr()?;
+                let height = self.nesting.height_since(outer);
                 let mut predicates = Vec::new();
                 while self.eat(&Tok::LBracket) {
                     predicates.push(self.expr()?);
@@ -216,6 +272,7 @@ impl Parser {
                 if predicates.is_empty() && steps.is_empty() {
                     Ok(primary)
                 } else {
+                    self.grow(height + 1)?;
                     Ok(Expr::Path(PathExpr {
                         start: PathStart::Filter { expr: Box::new(primary), predicates },
                         steps,

@@ -89,25 +89,35 @@ fn fragment_to_regex(doc: &mhx_xml::Document) -> Result<(String, Vec<GroupSpec>)
         doc.root_element().map_err(|e| XQueryError::new(format!("pattern fragment: {e}")))?;
     let mut src = String::new();
     let mut next_group = 1u32;
-    let groups = walk(doc, root, &mut src, &mut next_group)?;
+    let groups = walk(doc, root, &mut src, &mut next_group, 0)?;
     Ok((src, groups))
 }
 
+/// Append the regex for the children of `el`, which sits inside `depth`
+/// tags, and return their group tree. Each tag becomes a group, so tags
+/// nest no deeper than the regex parser's groups may.
 fn walk(
     doc: &mhx_xml::Document,
     el: mhx_xml::NodeId,
     src: &mut String,
     next_group: &mut u32,
+    depth: usize,
 ) -> Result<Vec<GroupSpec>> {
     let mut specs = Vec::new();
     for c in doc.children(el) {
         match doc.kind(c) {
             mhx_xml::NodeKind::Text(t) => src.push_str(t),
+            mhx_xml::NodeKind::Element { .. } if depth == mhx_regex::parser::MAX_DEPTH => {
+                return Err(XQueryError::new(format!(
+                    "analyze-string pattern: tags nested deeper than {} levels",
+                    mhx_regex::parser::MAX_DEPTH
+                )));
+            }
             mhx_xml::NodeKind::Element { name, attrs } => {
                 let index = *next_group;
                 *next_group += 1;
                 src.push('(');
-                let children = walk(doc, c, src, next_group)?;
+                let children = walk(doc, c, src, next_group, depth + 1)?;
                 src.push(')');
                 specs.push(GroupSpec {
                     index,
@@ -298,5 +308,33 @@ mod tests {
         let kids = g.children(res);
         assert_eq!(kids.len(), 1);
         assert!(kids[0].is_text());
+    }
+
+    /// On a thread with the 2 MiB stack a server's workers get, the
+    /// deepest accepted fragment pattern compiles and installs its
+    /// hierarchy; one tag deeper, or one group deeper, is an error.
+    #[test]
+    fn pattern_nesting_is_capped_within_a_worker_stack() {
+        std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(|| {
+                let max = mhx_regex::parser::MAX_DEPTH;
+                let tags =
+                    |levels: usize| format!("{}a{}", "<t>".repeat(levels), "</t>".repeat(levels));
+                let mut g = word_goddag();
+                let res =
+                    analyze_string(&mut g, NodeId::Root, &tags(max), AnalyzeMode::Xslt).unwrap();
+                assert_eq!(g.children(res).len(), 3, "text, <m>, text");
+                for pattern in [tags(max + 1), tags(10_000)] {
+                    let err = parse_pattern(&pattern, AnalyzeMode::Xslt).unwrap_err();
+                    assert!(err.msg.contains("nested deeper"), "{err}");
+                }
+                let groups = format!("{}a{}", "(".repeat(max + 1), ")".repeat(max + 1));
+                let err = parse_pattern(&groups, AnalyzeMode::Xslt).unwrap_err();
+                assert!(err.msg.contains("nested deeper"), "{err}");
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

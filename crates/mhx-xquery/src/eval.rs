@@ -4,7 +4,10 @@
 //! queries never copy; the first `analyze-string()` call clones so it can
 //! install temporary hierarchies, which die with the evaluator — the
 //! paper's "temporary hierarchies are deleted after the entire query is
-//! evaluated" (Definition 4, step 5).
+//! evaluated" (Definition 4, step 5). The clone shares every hierarchy
+//! with the original (they sit behind `Arc`s): it copies the text, the
+//! leaf boundaries and one pointer per hierarchy, and dropping it frees
+//! only the temporary hierarchies.
 
 use crate::analyze::AnalyzeMode;
 use crate::ast::{ArithOp, AttrPiece, Clause, Comp, Content, DirElem, QExpr, QPathStart, QStep};
@@ -17,6 +20,11 @@ use mhx_xpath::plan;
 use mhx_xpath::{NodeTest, StepStrategy};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+
+/// The longest sequence `lo to hi` may build. A range is materialized, so
+/// without the cap a 25-byte `count(1 to 100000000000)` asks for terabytes;
+/// past it the range is an evaluation error, raised before allocating.
+pub const MAX_RANGE: usize = 1 << 24;
 
 /// Evaluation options.
 #[derive(Debug, Clone)]
@@ -96,7 +104,9 @@ impl Env {
 /// (the engine facade shares its long-lived index), or owned after a lazy
 /// (re)build — which happens on first indexed step, and again whenever
 /// `analyze-string()` installs or removes a temporary hierarchy on the
-/// copy-on-write goddag and bumps its version.
+/// copy-on-write goddag and bumps its version. The copy itself is cheap
+/// (it shares the base hierarchies); the rebuild is not, since it indexes
+/// every hierarchy again, and only an indexed step after the copy pays it.
 enum IndexState<'g> {
     None,
     Borrowed(&'g StructIndex),
@@ -298,6 +308,11 @@ impl<'g> Evaluator<'g> {
                 let h = self.eval_singleton_num(hi, env)?;
                 let (Some(l), Some(h)) = (l, h) else { return Ok(vec![]) };
                 let (l, h) = (l.round() as i64, h.round() as i64);
+                if i128::from(h) - i128::from(l) >= MAX_RANGE as i128 {
+                    return Err(XQueryError::new(format!(
+                        "range {l} to {h} is longer than {MAX_RANGE} items"
+                    )));
+                }
                 Ok((l..=h).map(|i| Item::Num(i as f64)).collect())
             }
             QExpr::Compare { op, lhs, rhs } => self.eval_compare(*op, lhs, rhs, env),

@@ -589,4 +589,104 @@ mod engine_tests {
     fn union_in_xquery() {
         assert_eq!(run("count(/descendant::line | /descendant::vline)"), "5");
     }
+
+    /// The deepest query of each shape, in both languages, compiles
+    /// (lowering, static check, optimizer), explains, evaluates and
+    /// serializes on a thread with the 2 MiB stack a server's workers get;
+    /// one level deeper is a parse error, not a stack overflow.
+    #[test]
+    fn nesting_is_capped_within_a_worker_stack() {
+        std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(|| {
+                let g = figure1();
+                let idx = StructIndex::build(&g);
+                // Each shape at `levels` nested levels below the top one.
+                let around = |open: &str, mid: &str, close: &str, levels: usize| {
+                    format!("{}{mid}{}", open.repeat(levels), close.repeat(levels))
+                };
+                let xquery = |levels: usize| {
+                    vec![
+                        around("(", "1", ")", levels),
+                        around("-", "1", "", levels),
+                        around("", "1", " + 1", levels),
+                        around("1 + (", "1", ")", levels / 2),
+                        around("count(", "1", ")", levels),
+                        around("/descendant::w[self::w", "", "]", levels),
+                        around("<a>", "x", "</a>", levels),
+                        around("<a>{", "1", "}</a>", levels / 2),
+                        around("for $x in 1 return ", "$x", "", levels),
+                    ]
+                };
+                let xpath = |levels: usize| {
+                    vec![
+                        around("(", "1", ")", levels),
+                        around("-", "1", "", levels),
+                        around("", "1", " * 1", levels),
+                        around("string(", "1", ")", levels),
+                        around("/descendant::w[self::w", "", "]", levels),
+                    ]
+                };
+                let deepest = parser::MAX_DEPTH - 1;
+                for (lang, shapes, compile) in [
+                    ("xquery", xquery(deepest), CompiledXQuery::compile as fn(&str) -> _),
+                    ("xpath", xpath(deepest), CompiledXQuery::compile_xpath),
+                ] {
+                    for q in shapes {
+                        let plan = compile(&q).unwrap_or_else(|e| panic!("{lang} {q}: {e}"));
+                        plan.explain(&g, &idx);
+                        for optimize in [true, false] {
+                            let opts = EvalOptions { optimize, ..EvalOptions::default() };
+                            plan.run_with_index(&g, Some(&idx), &opts).unwrap();
+                        }
+                    }
+                }
+                for (lang, shapes, compile) in [
+                    ("xquery", xquery(deepest + 2), CompiledXQuery::compile as fn(&str) -> _),
+                    ("xpath", xpath(deepest + 2), CompiledXQuery::compile_xpath),
+                ] {
+                    for q in shapes.into_iter().chain([around("(", "1", ")", 10_000)]) {
+                        let err = compile(&q).expect_err(&format!("{lang} {q}"));
+                        assert_eq!(err.kind, XQueryErrorKind::Parse, "{lang}: {err}");
+                        assert!(err.msg.contains("nests deeper"), "{lang}: {err}");
+                    }
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn ranges_past_the_cap_fail_before_allocating() {
+        let g = figure1();
+        let err = run_query(&g, "count(1 to 100000000000)").unwrap_err();
+        assert_eq!(err.kind, XQueryErrorKind::Eval);
+        assert!(err.msg.contains("longer than"), "{err}");
+        let max = eval::MAX_RANGE;
+        assert_eq!(run_query(&g, &format!("count(1 to {max})")).unwrap(), max.to_string());
+        assert!(run_query(&g, &format!("count(0 to {max})")).is_err());
+        assert!(run_query(&g, "count(-9223372036854775808 to 9223372036854775807)").is_err());
+        assert_eq!(run_query(&g, "count(5 to 1)").unwrap(), "0");
+    }
+
+    /// `analyze-string` over a borrowed goddag copies it, but the copy
+    /// shares every base hierarchy with the original, which is unchanged.
+    #[test]
+    fn analyze_string_copy_shares_base_hierarchies() {
+        let g = figure1();
+        let (version, count) = (g.version(), g.hierarchy_count());
+        let plan = CompiledXQuery::compile("count(analyze-string(/, 'ge')/child::m)").unwrap();
+        let shared = plan
+            .evaluate(&g, None, &EvalOptions::default(), |ev, seq| {
+                let copy = ev.goddag();
+                assert_eq!(copy.hierarchy_count(), count + 1);
+                assert_eq!(seq, vec![Item::Num(2.0)], "gesceaftum, gecynde");
+                g.hierarchies().all(|(h, base)| std::ptr::eq(copy.hierarchy(h), base))
+            })
+            .unwrap()
+            .0;
+        assert!(shared, "the copy must share the base hierarchies");
+        assert_eq!((g.version(), g.hierarchy_count()), (version, count));
+    }
 }

@@ -15,11 +15,14 @@ use crate::error::{Result, XQueryError};
 use mhx_goddag::Axis;
 use mhx_xml::cursor::Cursor;
 use mhx_xml::escape::{unescape, EntityMap};
+use mhx_xpath::parser::Nesting;
+pub use mhx_xpath::parser::MAX_DEPTH;
 use mhx_xpath::NodeTest;
 
-/// Parse a complete query (expression; prologs are not supported).
+/// Parse a complete query (expression; prologs are not supported). Its
+/// syntax tree nests at most [`MAX_DEPTH`] levels, counted as XPath's are.
 pub fn parse_query(src: &str) -> Result<QExpr> {
-    let mut p = P { cur: Cursor::new(src) };
+    let mut p = P { cur: Cursor::new(src), nesting: Nesting::default() };
     p.ws();
     let e = p.expr()?;
     p.ws();
@@ -31,11 +34,46 @@ pub fn parse_query(src: &str) -> Result<QExpr> {
 
 struct P<'a> {
     cur: Cursor<'a>,
+    nesting: Nesting,
 }
 
 impl<'a> P<'a> {
     fn err(&self, msg: impl Into<String>) -> XQueryError {
         XQueryError::at(msg, self.cur.offset())
+    }
+
+    fn too_deep(&self) -> XQueryError {
+        self.err(format!("query nests deeper than {MAX_DEPTH} levels"))
+    }
+
+    fn grow(&mut self, height: usize) -> Result<usize> {
+        self.nesting.grow(height).ok_or_else(|| self.too_deep())
+    }
+
+    fn enter(&mut self) -> Result<()> {
+        self.nesting.enter().then_some(()).ok_or_else(|| self.too_deep())
+    }
+
+    /// A left-associative chain `operand (op operand)*`: `op` consumes an
+    /// operator and returns how to join two operands, or `None` to stop.
+    fn chain<J: FnOnce(Box<QExpr>, Box<QExpr>) -> QExpr>(
+        &mut self,
+        operand: fn(&mut Self) -> Result<QExpr>,
+        op: impl Fn(&mut Self) -> Option<J>,
+    ) -> Result<QExpr> {
+        let outer = self.nesting.mark();
+        let mut lhs = operand(self)?;
+        let mut height = self.nesting.height_since(outer);
+        loop {
+            self.ws();
+            let Some(join) = op(self) else { return Ok(lhs) };
+            self.ws();
+            let outer = self.nesting.mark();
+            let rhs = operand(self)?;
+            let h = self.nesting.height_since(outer);
+            height = self.grow(height.max(h) + 1)?;
+            lhs = join(Box::new(lhs), Box::new(rhs));
+        }
     }
 
     fn ws(&mut self) {
@@ -118,17 +156,20 @@ impl<'a> P<'a> {
     }
 
     fn expr_single(&mut self) -> Result<QExpr> {
+        self.enter()?;
         self.ws();
-        if (self.peek_kw("for") || self.peek_kw("let")) && self.next_after_kw_is_dollar() {
-            return self.flwor();
-        }
-        if (self.peek_kw("some") || self.peek_kw("every")) && self.next_after_kw_is_dollar() {
-            return self.quantified();
-        }
-        if self.peek_kw("if") && self.next_after_kw_is('(') {
-            return self.if_expr();
-        }
-        self.or_expr()
+        let e = if (self.peek_kw("for") || self.peek_kw("let")) && self.next_after_kw_is_dollar() {
+            self.flwor()
+        } else if (self.peek_kw("some") || self.peek_kw("every")) && self.next_after_kw_is_dollar()
+        {
+            self.quantified()
+        } else if self.peek_kw("if") && self.next_after_kw_is('(') {
+            self.if_expr()
+        } else {
+            self.or_expr()
+        };
+        self.nesting.leave();
+        e
     }
 
     /// After a keyword at the cursor, is the next non-space char `$`?
@@ -305,35 +346,17 @@ impl<'a> P<'a> {
     }
 
     fn or_expr(&mut self) -> Result<QExpr> {
-        let mut lhs = self.and_expr()?;
-        loop {
-            self.ws();
-            if self.kw("or") {
-                self.ws();
-                let rhs = self.and_expr()?;
-                lhs = QExpr::Or(Box::new(lhs), Box::new(rhs));
-            } else {
-                return Ok(lhs);
-            }
-        }
+        self.chain(Self::and_expr, |p| p.kw("or").then_some(QExpr::Or))
     }
 
     fn and_expr(&mut self) -> Result<QExpr> {
-        let mut lhs = self.comparison_expr()?;
-        loop {
-            self.ws();
-            if self.kw("and") {
-                self.ws();
-                let rhs = self.comparison_expr()?;
-                lhs = QExpr::And(Box::new(lhs), Box::new(rhs));
-            } else {
-                return Ok(lhs);
-            }
-        }
+        self.chain(Self::comparison_expr, |p| p.kw("and").then_some(QExpr::And))
     }
 
     fn comparison_expr(&mut self) -> Result<QExpr> {
+        let outer = self.nesting.mark();
         let lhs = self.range_expr()?;
+        let height = self.nesting.height_since(outer);
         self.ws();
         let op = if self.cur.eat("!=") {
             Comp::Ne
@@ -369,16 +392,24 @@ impl<'a> P<'a> {
             return Ok(lhs);
         };
         self.ws();
+        let outer = self.nesting.mark();
         let rhs = self.range_expr()?;
+        let h = self.nesting.height_since(outer);
+        self.grow(height.max(h) + 1)?;
         Ok(QExpr::Compare { op, lhs: Box::new(lhs), rhs: Box::new(rhs) })
     }
 
     fn range_expr(&mut self) -> Result<QExpr> {
+        let outer = self.nesting.mark();
         let lo = self.additive_expr()?;
+        let height = self.nesting.height_since(outer);
         self.ws();
         if self.kw("to") {
             self.ws();
+            let outer = self.nesting.mark();
             let hi = self.additive_expr()?;
+            let h = self.nesting.height_since(outer);
+            self.grow(height.max(h) + 1)?;
             Ok(QExpr::Range { lo: Box::new(lo), hi: Box::new(hi) })
         } else {
             Ok(lo)
@@ -386,62 +417,47 @@ impl<'a> P<'a> {
     }
 
     fn additive_expr(&mut self) -> Result<QExpr> {
-        let mut lhs = self.multiplicative_expr()?;
-        loop {
-            self.ws();
-            let op = if self.cur.eat("+") {
+        self.chain(Self::multiplicative_expr, |p| {
+            let op = if p.cur.eat("+") {
                 ArithOp::Add
-            } else if self.cur.eat("-") {
+            } else if p.cur.eat("-") {
                 ArithOp::Sub
             } else {
-                return Ok(lhs);
+                return None;
             };
-            self.ws();
-            let rhs = self.multiplicative_expr()?;
-            lhs = QExpr::Arith { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
+            Some(move |lhs, rhs| QExpr::Arith { op, lhs, rhs })
+        })
     }
 
     fn multiplicative_expr(&mut self) -> Result<QExpr> {
-        let mut lhs = self.union_expr()?;
-        loop {
-            self.ws();
-            let op = if self.cur.eat("*") {
+        self.chain(Self::union_expr, |p| {
+            let op = if p.cur.eat("*") {
                 ArithOp::Mul
-            } else if self.kw("idiv") {
+            } else if p.kw("idiv") {
                 ArithOp::IDiv
-            } else if self.kw("div") {
+            } else if p.kw("div") {
                 ArithOp::Div
-            } else if self.kw("mod") {
+            } else if p.kw("mod") {
                 ArithOp::Mod
             } else {
-                return Ok(lhs);
+                return None;
             };
-            self.ws();
-            let rhs = self.union_expr()?;
-            lhs = QExpr::Arith { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
+            Some(move |lhs, rhs| QExpr::Arith { op, lhs, rhs })
+        })
     }
 
     fn union_expr(&mut self) -> Result<QExpr> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            self.ws();
-            if self.cur.eat("|") || self.kw("union") {
-                self.ws();
-                let rhs = self.unary_expr()?;
-                lhs = QExpr::Union(Box::new(lhs), Box::new(rhs));
-            } else {
-                return Ok(lhs);
-            }
-        }
+        self.chain(Self::unary_expr, |p| (p.cur.eat("|") || p.kw("union")).then_some(QExpr::Union))
     }
 
     fn unary_expr(&mut self) -> Result<QExpr> {
         self.ws();
         if self.cur.eat("-") {
             self.ws();
-            return Ok(QExpr::Neg(Box::new(self.unary_expr()?)));
+            self.enter()?;
+            let operand = self.unary_expr()?;
+            self.nesting.leave();
+            return Ok(QExpr::Neg(Box::new(operand)));
         }
         self.cur.eat("+"); // unary plus is a no-op
         self.path_expr()
@@ -466,11 +482,14 @@ impl<'a> P<'a> {
             return Ok(QExpr::Path { start: QPathStart::Root, steps: vec![] });
         }
         // Relative: first step-expr, then /-chain.
+        let outer = self.nesting.mark();
         let first = self.step_expr()?;
+        let height = self.nesting.height_since(outer);
         self.ws();
         if !self.cur.starts_with("/") || self.cur.starts_with("/>") {
             return Ok(first);
         }
+        self.grow(height + 1)?;
         let start = QPathStart::Expr(Box::new(first));
         let mut steps = Vec::new();
         loop {
@@ -673,11 +692,14 @@ impl<'a> P<'a> {
             let step = self.axis_step()?;
             return Ok(QExpr::Path { start: QPathStart::Context, steps: vec![step] });
         }
+        let outer = self.nesting.mark();
         let primary = self.primary_expr()?;
+        let height = self.nesting.height_since(outer);
         let predicates = self.predicates()?;
         if predicates.is_empty() {
             Ok(primary)
         } else {
+            self.grow(height + 1)?;
             Ok(QExpr::Filter { base: Box::new(primary), predicates })
         }
     }
@@ -720,7 +742,7 @@ impl<'a> P<'a> {
                 self.cur.expect(")").map_err(|_| self.err("expected `)`"))?;
                 Ok(e)
             }
-            Some('<') => self.dir_elem().map(QExpr::DirElem),
+            Some('<') => self.nested_dir_elem().map(QExpr::DirElem),
             Some(c) if c.is_ascii_digit() => self.number(),
             Some(c) if c != ':' && mhx_xml::name::is_name_start(c) => {
                 let name = self.name()?;
@@ -754,6 +776,14 @@ impl<'a> P<'a> {
     }
 
     // ---------- direct constructors ----------
+
+    /// A direct constructor, one level deeper.
+    fn nested_dir_elem(&mut self) -> Result<DirElem> {
+        self.enter()?;
+        let d = self.dir_elem();
+        self.nesting.leave();
+        d
+    }
 
     fn dir_elem(&mut self) -> Result<DirElem> {
         self.cur.expect("<").map_err(|_| self.err("expected `<`"))?;
@@ -878,7 +908,7 @@ impl<'a> P<'a> {
                         continue;
                     }
                     flush_text(&mut text, &mut out);
-                    out.push(Content::Elem(self.dir_elem()?));
+                    out.push(Content::Elem(self.nested_dir_elem()?));
                 }
                 Some('{') => {
                     self.cur.bump();

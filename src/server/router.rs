@@ -712,4 +712,33 @@ mod tests {
             s.shutdown();
         }
     }
+
+    /// A document nested too deep is refused by the first shard with
+    /// `400`/`document`, which every shard would repeat: the router
+    /// surfaces it without sending the upload anywhere else.
+    #[test]
+    fn a_too_deep_upload_is_refused_by_one_shard_only() {
+        let shards = [live_shard(&[]), live_shard(&[])];
+        let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
+        let pool = Arc::new(BackendPool::new(addrs, 2));
+        let core = RouterCore::new(Arc::clone(&pool), 4);
+        let levels = 10_000;
+        let xml = format!("<r>{}x{}</r>", "<e>".repeat(levels), "</e>".repeat(levels));
+        let upload = Json::Obj(vec![(
+            "hierarchies".into(),
+            Json::Arr(vec![Json::Obj(vec![
+                ("name".into(), Json::Str("w".into())),
+                ("xml".into(), Json::Str(xml)),
+            ])]),
+        )]);
+        let (status, json) = decoded(core.upload("deep", &upload));
+        assert_eq!((status, error_kind_of(&json)), (400, "document"), "{json}");
+        let requests: u64 = shards.iter().map(|s| s.stats().requests).sum();
+        assert_eq!(requests, 1, "only the first shard saw the upload");
+        assert_eq!(failovers(&core), 0);
+        for s in shards {
+            assert!(s.catalog().document_ids().is_empty());
+            s.shutdown();
+        }
+    }
 }

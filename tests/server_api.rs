@@ -190,6 +190,48 @@ fn check_status_table(client: &mut Client) {
     )]);
     row("PUT", "/documents/bad", Some(bad_upload), 400, "document");
 
+    // Input that would overflow a worker's stack or exhaust memory is a
+    // typed error, and the connection answers the next request. Too deep
+    // a query is `parse` (on `/prepare` too, which a router compiles
+    // itself); too deep a document is `document`; a regex too deeply
+    // nested or too large to compile, and a range too long to build, fail
+    // evaluation.
+    let parens = |levels: usize| format!("{}1{}", "(".repeat(levels), ")".repeat(levels));
+    for lang in ["xquery", "xpath"] {
+        row("POST", "/query", Some(query(Some("ms-a"), lang, &parens(1_000))), 400, "parse");
+        row("POST", "/prepare", Some(query(None, lang, &parens(1_000))), 400, "parse");
+    }
+    row("POST", "/query", Some(query(Some("ms-a"), "xquery", &parens(40))), 200, "");
+    let deep_upload = body(vec![(
+        "hierarchies",
+        Json::Arr(vec![Json::Obj(vec![
+            ("name".into(), Json::Str("w".into())),
+            (
+                "xml".into(),
+                Json::Str(format!("<r>{}x{}</r>", "<e>".repeat(10_000), "</e>".repeat(10_000))),
+            ),
+        ])]),
+    )]);
+    row("PUT", "/documents/deep", Some(deep_upload), 400, "document");
+    row("GET", "/documents", None, 200, "");
+    let groups = format!("{}a{}", "(".repeat(10_000), ")".repeat(10_000));
+    for q in [
+        format!("count(analyze-string(/, '{groups}')/child::m)"),
+        "matches('x', 'x{4294967295}')".to_string(),
+        "tokenize('a', '(a{1000}){1000}')".to_string(),
+        "count(1 to 100000000000)".to_string(),
+    ] {
+        row("POST", "/query", Some(query(Some("ms-a"), "xquery", &q)), 422, "eval");
+    }
+    let json = row(
+        "POST",
+        "/query",
+        Some(query(Some("ms-a"), "xquery", "count(analyze-string(/, 'sceaft')/child::m)")),
+        200,
+        "",
+    );
+    assert_eq!(serialized(&json).as_deref(), Some("1"));
+
     // Protocol-level failures: bad JSON, missing or mistyped handle,
     // unknown route, wrong method.
     row("POST", "/query", Some(Json::Str("not an object".into())), 400, "bad_json");
