@@ -224,38 +224,17 @@ pub fn tracked_metrics(file: &str, doc: &Json) -> Result<Vec<Metric>, String> {
             // active throughput past the health floor, and must cost at
             // most a handful of threads (hard floor 100 idle connections
             // per extra thread — worker-per-connection scores ~1).
-            let ratios = doc
-                .get("ratios")
-                .and_then(Json::as_obj)
-                .ok_or("BENCH_serve.json: missing `ratios` object")?;
-            for (name, v) in ratios {
-                let ratio = v.as_f64().ok_or("BENCH_serve.json: non-numeric ratio")?;
-                // Every label is matched explicitly, like the plan rows: an
-                // unknown row means benches/serve.rs drifted from the gate.
-                let (healthy, hard_min) = match name.as_str() {
+            out = ratio_rows("serve", "BENCH_serve.json", doc, |name| {
+                Some(match name {
                     "workers1_vs_8" => (0.9, Some(0.7)),
                     "keepalive_vs_fresh" => (1.1, Some(0.9)),
                     "prepared_vs_adhoc" => (1.0, Some(0.7)),
                     "active_with_idle_fleet" => (0.8, Some(0.5)),
                     "idle_fleet_connections" => (1000.0, Some(1000.0)),
                     "idle_conns_per_extra_thread" => (500.0, Some(100.0)),
-                    other => {
-                        return Err(format!(
-                            "BENCH_serve.json: unknown ratio row `{other}` — register its \
-                             floors in tracked_metrics"
-                        ));
-                    }
-                };
-                out.push(Metric {
-                    name: format!("serve:{name}:ratio"),
-                    value: ratio,
-                    healthy,
-                    hard_min,
-                });
-            }
-            if out.is_empty() {
-                return Err("BENCH_serve.json: `ratios` is empty".into());
-            }
+                    _ => return None,
+                })
+            })?;
         }
         "shard" => {
             // Shard-router throughput ratios from `benches/shard.rs`.
@@ -265,35 +244,13 @@ pub fn tracked_metrics(file: &str, doc: &Json) -> Result<Vec<Metric>, String> {
             // overhead and the PR's acceptance bar is broken. The
             // routed-hop row prices the extra TCP leg; it gates only
             // against the hop becoming pathological.
-            let ratios = doc
-                .get("ratios")
-                .and_then(Json::as_obj)
-                .ok_or("BENCH_shard.json: missing `ratios` object")?;
-            for (name, v) in ratios {
-                let ratio = v.as_f64().ok_or("BENCH_shard.json: non-numeric ratio")?;
-                // Every label is matched explicitly, like the plan and
-                // serve rows: an unknown row means benches/shard.rs
-                // drifted from the gate.
-                let (healthy, hard_min) = match name.as_str() {
+            out = ratio_rows("shard", "BENCH_shard.json", doc, |name| {
+                Some(match name {
                     "shard2_vs_single" => (1.5, Some(1.1)),
                     "routed_vs_direct" => (0.5, Some(0.3)),
-                    other => {
-                        return Err(format!(
-                            "BENCH_shard.json: unknown ratio row `{other}` — register its \
-                             floors in tracked_metrics"
-                        ));
-                    }
-                };
-                out.push(Metric {
-                    name: format!("shard:{name}:ratio"),
-                    value: ratio,
-                    healthy,
-                    hard_min,
-                });
-            }
-            if out.is_empty() {
-                return Err("BENCH_shard.json: `ratios` is empty".into());
-            }
+                    _ => return None,
+                })
+            })?;
         }
         "store" => {
             // Persistent-store ratios from `benches/store.rs`. Cold start
@@ -303,35 +260,13 @@ pub fn tracked_metrics(file: &str, doc: &Json) -> Result<Vec<Metric>, String> {
             // acceptance bar is broken. The churn row is counter-derived
             // correctness (fraction of right answers while the memory
             // budget forces evict/reload cycles) and must be exactly 1.0.
-            let ratios = doc
-                .get("ratios")
-                .and_then(Json::as_obj)
-                .ok_or("BENCH_store.json: missing `ratios` object")?;
-            for (name, v) in ratios {
-                let ratio = v.as_f64().ok_or("BENCH_store.json: non-numeric ratio")?;
-                // Every label is matched explicitly, like the plan, serve
-                // and shard rows: an unknown row means benches/store.rs
-                // drifted from the gate.
-                let (healthy, hard_min) = match name.as_str() {
+            out = ratio_rows("store", "BENCH_store.json", doc, |name| {
+                Some(match name {
                     "cold_vs_reparse" => (1.3, Some(1.05)),
                     "over_budget_correct" => (1.0, Some(1.0)),
-                    other => {
-                        return Err(format!(
-                            "BENCH_store.json: unknown ratio row `{other}` — register its \
-                             floors in tracked_metrics"
-                        ));
-                    }
-                };
-                out.push(Metric {
-                    name: format!("store:{name}:ratio"),
-                    value: ratio,
-                    healthy,
-                    hard_min,
-                });
-            }
-            if out.is_empty() {
-                return Err("BENCH_store.json: `ratios` is empty".into());
-            }
+                    _ => return None,
+                })
+            })?;
         }
         "analyze_string" => {
             // Prefix-skip ratios from `benches/analyze_string.rs`: the
@@ -341,35 +276,55 @@ pub fn tracked_metrics(file: &str, doc: &Json) -> Result<Vec<Metric>, String> {
             // an order of magnitude ahead of the VM stepping every byte;
             // a prefix read through a group must keep the VM's seeds to
             // the prefix's occurrences.
-            let ratios = doc
-                .get("ratios")
-                .and_then(Json::as_obj)
-                .ok_or("BENCH_analyze.json: missing `ratios` object")?;
-            for (name, v) in ratios {
-                let ratio = v.as_f64().ok_or("BENCH_analyze.json: non-numeric ratio")?;
-                // Every label is matched explicitly, like the other rows.
-                let (healthy, hard_min) = match name.as_str() {
+            out = ratio_rows("analyze_string", "BENCH_analyze.json", doc, |name| {
+                Some(match name {
                     "literal_speedup" => (20.0, Some(10.0)),
                     "prefix_speedup" => (3.0, Some(2.0)),
-                    other => {
-                        return Err(format!(
-                            "BENCH_analyze.json: unknown ratio row `{other}` — register its \
-                             floors in tracked_metrics"
-                        ));
-                    }
-                };
-                out.push(Metric {
-                    name: format!("analyze_string:{name}:ratio"),
-                    value: ratio,
-                    healthy,
-                    hard_min,
-                });
-            }
-            if out.is_empty() {
-                return Err("BENCH_analyze.json: `ratios` is empty".into());
-            }
+                    _ => return None,
+                })
+            })?;
+        }
+        "bindings" => {
+            // Binding-cost ratios from `benches/bindings.rs`: a query's time
+            // over its time behind an unused `let`. Parity is the design
+            // (a binding is pushed once, never copied), so every row gates
+            // parity like the plan bench's positional rows; copying the
+            // variables per tuple reads ~0.01.
+            out = ratio_rows("bindings", "BENCH_bindings.json", doc, |name| {
+                matches!(name, "flwor" | "positional_predicate" | "quantifier")
+                    .then_some((1.0, Some(0.6)))
+            })?;
         }
         other => return Err(format!("unknown snapshot kind `{other}`")),
+    }
+    Ok(out)
+}
+
+/// The rows of a snapshot's `ratios` object as `STEM:ROW:ratio` metrics,
+/// each with the `(healthy, hard_min)` floors `floors` gives its label.
+/// Every label is matched explicitly: an unknown row means the bench
+/// drifted from the gate, and silently inheriting some floor would let a
+/// collapsed win pass CI.
+fn ratio_rows(
+    stem: &str,
+    file: &str,
+    doc: &Json,
+    floors: impl Fn(&str) -> Option<(f64, Option<f64>)>,
+) -> Result<Vec<Metric>, String> {
+    let ratios = doc
+        .get("ratios")
+        .and_then(Json::as_obj)
+        .ok_or(format!("{file}: missing `ratios` object"))?;
+    let mut out = Vec::new();
+    for (name, v) in ratios {
+        let value = v.as_f64().ok_or(format!("{file}: non-numeric ratio"))?;
+        let (healthy, hard_min) = floors(name).ok_or(format!(
+            "{file}: unknown ratio row `{name}` — register its floors in tracked_metrics"
+        ))?;
+        out.push(Metric { name: format!("{stem}:{name}:ratio"), value, healthy, hard_min });
+    }
+    if out.is_empty() {
+        return Err(format!("{file}: `ratios` is empty"));
     }
     Ok(out)
 }
@@ -803,6 +758,26 @@ mod tests {
         override_floor(&mut metrics, "analyze_string:", 1_000_000.0);
         let verdicts = compare(&metrics.clone(), &metrics, 0.25);
         assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
+    }
+
+    #[test]
+    fn bindings_metrics_gate_parity_hard() {
+        let parity =
+            r#"{"ratios": {"flwor": 1.0, "positional_predicate": 0.97, "quantifier": 1.1}}"#;
+        let base = tracked_metrics("bindings", &parse(parity).unwrap()).unwrap();
+        assert_eq!(base.len(), 3);
+        assert!(base.iter().all(|m| m.hard_min == Some(0.6)), "{base:?}");
+
+        // Bindings "are copied again": each ratio falls to a few hundredths.
+        let copied =
+            r#"{"ratios": {"flwor": 0.005, "positional_predicate": 0.022, "quantifier": 0.02}}"#;
+        let fresh = tracked_metrics("bindings", &parse(copied).unwrap()).unwrap();
+        let verdicts = compare(&base, &fresh, 0.25);
+        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
+
+        let drifted = r#"{"ratios": {"order_by": 1.0}}"#;
+        let err = tracked_metrics("bindings", &parse(drifted).unwrap()).unwrap_err();
+        assert!(err.contains("order_by"), "{err}");
     }
 
     #[test]

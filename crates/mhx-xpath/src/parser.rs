@@ -2,7 +2,10 @@
 //!
 //! Grammar: XPath 1.0 with the paper's additions — seven extended axes and
 //! hierarchy-parameterized node tests (`text("h")`, `node("h")`, `*("h")`,
-//! and, as an extension, `name("h")` after an explicit axis).
+//! and, as an extension, `name("h")` after an explicit axis). Binary
+//! operators are parsed by one precedence-climbing loop over one table of
+//! levels (`operator`), so a bracket costs the parser a few frames, not one
+//! per precedence level.
 
 use crate::ast::{BinOp, Expr, NodeTest, PathExpr, PathStart, Step};
 use crate::error::{Result, XPathError};
@@ -12,13 +15,17 @@ use mhx_goddag::Axis;
 /// The deepest syntax tree [`parse`] and the XQuery parser accept. Each
 /// parser, and every later pass over its tree (lowering, the static check,
 /// the optimizer, evaluation, explain), recurses once per level, so the
-/// cap keeps a hostile query within a worker's stack.
+/// cap keeps a hostile query within a worker's stack. Evaluation also
+/// recurses once per FLWOR clause and quantifier binding, and the XQuery
+/// parser counts those as levels too.
 pub const MAX_DEPTH: usize = 64;
 
 /// How deep the syntax tree being parsed reaches, counted conservatively:
 /// a bracket, a call's argument, a clause's expression, a unary operand
 /// and a nested constructor each open a level, and so does every operator
 /// of a chain such as `1 + 1 + 1`, whose tree deepens by one per operator.
+/// Every FLWOR clause and quantifier binding after the first opens one
+/// more, so clauses and brackets share one budget.
 #[derive(Debug, Default)]
 pub struct Nesting {
     /// Levels of the tree above the expression being parsed.
@@ -124,12 +131,6 @@ impl Parser {
         XPathError { msg: msg.into(), at }
     }
 
-    /// Is the upcoming Name token one of the operator keywords (valid only
-    /// in operator position)?
-    fn peek_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Name(n)) if n == kw)
-    }
-
     fn too_deep(&self) -> XPathError {
         self.err(format!("expression nests deeper than {MAX_DEPTH} levels"))
     }
@@ -142,20 +143,24 @@ impl Parser {
         self.nesting.enter().then_some(()).ok_or_else(|| self.too_deep())
     }
 
-    /// A left-associative chain `operand (op operand)*`, where `op` names
-    /// the operator at the cursor, if any; it is consumed here.
-    fn chain(
-        &mut self,
-        operand: fn(&mut Self) -> Result<Expr>,
-        op: impl Fn(&Self) -> Option<BinOp>,
-    ) -> Result<Expr> {
+    pub(crate) fn expr(&mut self) -> Result<Expr> {
+        self.enter()?;
+        let e = self.binary(1);
+        self.nesting.leave();
+        e
+    }
+
+    /// Precedence climbing over [`operator`]'s table: an operand, then
+    /// each operator at level `min` or above with its right operand, which
+    /// holds only operators that bind tighter.
+    fn binary(&mut self, min: u8) -> Result<Expr> {
         let outer = self.nesting.mark();
-        let mut lhs = operand(self)?;
+        let mut lhs = self.unary(min)?;
         let mut height = self.nesting.height_since(outer);
-        while let Some(op) = op(self) {
+        while let Some((op, level)) = self.peek().and_then(operator).filter(|&(_, l)| l >= min) {
             self.bump();
             let outer = self.nesting.mark();
-            let rhs = operand(self)?;
+            let rhs = self.binary(level + 1)?;
             let h = self.nesting.height_since(outer);
             height = self.grow(height.max(h) + 1)?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
@@ -163,69 +168,16 @@ impl Parser {
         Ok(lhs)
     }
 
-    pub(crate) fn expr(&mut self) -> Result<Expr> {
-        self.enter()?;
-        let e = self.or_expr();
-        self.nesting.leave();
-        e
-    }
-
-    fn or_expr(&mut self) -> Result<Expr> {
-        self.chain(Self::and_expr, |p| p.peek_keyword("or").then_some(BinOp::Or))
-    }
-
-    fn and_expr(&mut self) -> Result<Expr> {
-        self.chain(Self::equality_expr, |p| p.peek_keyword("and").then_some(BinOp::And))
-    }
-
-    fn equality_expr(&mut self) -> Result<Expr> {
-        self.chain(Self::relational_expr, |p| match p.peek() {
-            Some(Tok::Eq) => Some(BinOp::Eq),
-            Some(Tok::Ne) => Some(BinOp::Ne),
-            _ => None,
-        })
-    }
-
-    fn relational_expr(&mut self) -> Result<Expr> {
-        self.chain(Self::additive_expr, |p| match p.peek() {
-            Some(Tok::Lt) => Some(BinOp::Lt),
-            Some(Tok::Le) => Some(BinOp::Le),
-            Some(Tok::Gt) => Some(BinOp::Gt),
-            Some(Tok::Ge) => Some(BinOp::Ge),
-            _ => None,
-        })
-    }
-
-    fn additive_expr(&mut self) -> Result<Expr> {
-        self.chain(Self::multiplicative_expr, |p| match p.peek() {
-            Some(Tok::Plus) => Some(BinOp::Add),
-            Some(Tok::Minus) => Some(BinOp::Sub),
-            _ => None,
-        })
-    }
-
-    fn multiplicative_expr(&mut self) -> Result<Expr> {
-        self.chain(Self::unary_expr, |p| match p.peek() {
-            Some(Tok::Star) => Some(BinOp::Mul),
-            Some(Tok::Name(n)) if n == "div" => Some(BinOp::Div),
-            Some(Tok::Name(n)) if n == "mod" => Some(BinOp::Mod),
-            _ => None,
-        })
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr> {
-        if self.eat(&Tok::Minus) {
-            self.enter()?;
-            let operand = self.unary_expr()?;
-            self.nesting.leave();
-            Ok(Expr::Neg(Box::new(operand)))
-        } else {
-            self.union_expr()
+    /// An operand: `-` and a union expression, where `min` lets a unary
+    /// minus stand (not as the right operand of `|`), or a path expression.
+    fn unary(&mut self, min: u8) -> Result<Expr> {
+        if min > UNION || !self.eat(&Tok::Minus) {
+            return self.path_expr();
         }
-    }
-
-    fn union_expr(&mut self) -> Result<Expr> {
-        self.chain(Self::path_expr, |p| (p.peek() == Some(&Tok::Pipe)).then_some(BinOp::Union))
+        self.enter()?;
+        let operand = self.binary(UNION)?;
+        self.nesting.leave();
+        Ok(Expr::Neg(Box::new(operand)))
     }
 
     /// PathExpr: location path, or filter expression with optional trailing
@@ -451,6 +403,33 @@ impl Parser {
             None => Err(XPathError::new("unexpected end of expression")),
         }
     }
+}
+
+/// The level of `|`, the tightest binary operator; a unary minus binds
+/// just looser.
+const UNION: u8 = 7;
+
+/// XPath's binary operators and their levels: a higher level binds
+/// tighter, and every operator associates to the left. A word is an
+/// operator only where one may stand, after an operand.
+fn operator(tok: &Tok) -> Option<(BinOp, u8)> {
+    Some(match tok {
+        Tok::Name(n) if n == "or" => (BinOp::Or, 1),
+        Tok::Name(n) if n == "and" => (BinOp::And, 2),
+        Tok::Eq => (BinOp::Eq, 3),
+        Tok::Ne => (BinOp::Ne, 3),
+        Tok::Lt => (BinOp::Lt, 4),
+        Tok::Le => (BinOp::Le, 4),
+        Tok::Gt => (BinOp::Gt, 4),
+        Tok::Ge => (BinOp::Ge, 4),
+        Tok::Plus => (BinOp::Add, 5),
+        Tok::Minus => (BinOp::Sub, 5),
+        Tok::Star => (BinOp::Mul, 6),
+        Tok::Name(n) if n == "div" => (BinOp::Div, 6),
+        Tok::Name(n) if n == "mod" => (BinOp::Mod, 6),
+        Tok::Pipe => (BinOp::Union, UNION),
+        _ => return None,
+    })
 }
 
 fn descendant_or_self_node() -> Step {

@@ -151,9 +151,10 @@ pub enum QExpr {
         then: Box<QExpr>,
         els: Box<QExpr>,
     },
+    /// `some`/`every`: its bindings are `for` clauses without `at`.
     Quantified {
         every: bool,
-        binds: Vec<(String, QExpr)>,
+        binds: Vec<Clause>,
         satisfies: Box<QExpr>,
     },
     Or(Box<QExpr>, Box<QExpr>),
@@ -230,7 +231,8 @@ impl QExpr {
     pub(crate) fn children<'a>(&'a self, predicates: bool, mut go: impl FnMut(&'a QExpr)) {
         match self {
             QExpr::Sequence(es) => es.iter().for_each(go),
-            QExpr::Flwor { clauses, ret } => {
+            QExpr::Flwor { clauses, ret: body }
+            | QExpr::Quantified { binds: clauses, satisfies: body, .. } => {
                 for c in clauses {
                     match c {
                         Clause::For { seq, .. } => go(seq),
@@ -239,13 +241,9 @@ impl QExpr {
                         Clause::OrderBy { keys } => keys.iter().for_each(|k| go(&k.key)),
                     }
                 }
-                go(ret);
+                go(body);
             }
             QExpr::If { cond, then, els } => [cond, then, els].into_iter().for_each(|e| go(e)),
-            QExpr::Quantified { binds, satisfies, .. } => {
-                binds.iter().for_each(|(_, e)| go(e));
-                go(satisfies);
-            }
             QExpr::Or(a, b)
             | QExpr::And(a, b)
             | QExpr::Union(a, b)

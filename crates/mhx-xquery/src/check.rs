@@ -1,8 +1,9 @@
 //! XQuery's static check, run by [`CompiledXQuery::compile`]: every
 //! function call names a function of the registry ([`crate::functions`])
 //! with an argument count it takes, and every variable reference is bound
-//! by an enclosing `for`, `let` or quantifier — queries start from an
-//! empty variable environment. A failure is a
+//! by an enclosing clause — a FLWOR's `for` or `let`, or a quantifier's
+//! binding, which is a `for` clause too, so one arm checks both forms.
+//! Queries start from an empty variable environment. A failure is a
 //! [`XQueryErrorKind::Compile`] error, raised before any document is
 //! touched, even in a branch evaluation would never reach.
 //!
@@ -31,7 +32,8 @@ fn expr<'a>(e: &'a QExpr, scope: &mut Vec<&'a str>) -> Result<()> {
         QExpr::Call { name, args } => {
             functions::resolve(name, args.len())?;
         }
-        QExpr::Flwor { clauses, ret } => {
+        QExpr::Flwor { clauses, ret: body }
+        | QExpr::Quantified { binds: clauses, satisfies: body, .. } => {
             for c in clauses {
                 match c {
                     Clause::For { var, at, seq } => {
@@ -49,16 +51,7 @@ fn expr<'a>(e: &'a QExpr, scope: &mut Vec<&'a str>) -> Result<()> {
                     }
                 }
             }
-            expr(ret, scope)?;
-            scope.truncate(depth);
-            return Ok(());
-        }
-        QExpr::Quantified { binds, satisfies, .. } => {
-            for (var, seq) in binds {
-                expr(seq, scope)?;
-                scope.push(var);
-            }
-            expr(satisfies, scope)?;
+            expr(body, scope)?;
             scope.truncate(depth);
             return Ok(());
         }

@@ -1,5 +1,14 @@
 //! The XQuery evaluator.
 //!
+//! Variables live on one stack ([`Env`]): a binding form pushes its
+//! bindings, runs its body, and pops them again, on its error path too, so
+//! an expression leaves the environment as it found it. A lookup scans
+//! from the innermost binding. FLWOR expressions and quantifiers share one
+//! loop (`Evaluator::tuples`), which binds one tuple at a time and runs the
+//! body on it; a quantifier is that loop with an early stop, and only
+//! `order by` keeps tuples, those of the clauses before it. A predicate
+//! swaps each candidate in as the focus and the outer focus back after.
+//!
 //! Evaluation owns a clone-on-write handle to the KyGODDAG: read-only
 //! queries never copy; the first `analyze-string()` call clones so it can
 //! install temporary hierarchies, which die with the evaluator — the
@@ -19,7 +28,6 @@ use mhx_xml::{Document, NodeId as OutId, NodeKind};
 use mhx_xpath::plan;
 use mhx_xpath::{NodeTest, StepStrategy};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 
 /// The longest sequence `lo to hi` may build. A range is materialized, so
 /// without the cap a 25-byte `count(1 to 100000000000)` asks for terabytes;
@@ -86,17 +94,19 @@ impl EvalStats {
     }
 }
 
-/// Variable bindings + focus (context item, position, size).
-#[derive(Debug, Clone, Default)]
-pub struct Env {
-    pub vars: BTreeMap<String, Sequence>,
+/// Variable bindings, innermost last, and the focus (context item,
+/// position, size). Names are borrowed from the query being evaluated. A
+/// bound value is copied only when an expression reads it.
+#[derive(Debug, Default, PartialEq)]
+pub struct Env<'q> {
+    pub(crate) vars: Vec<(&'q str, Sequence)>,
     pub focus: Option<(Item, usize, usize)>,
 }
 
-impl Env {
-    pub fn with_var(mut self, name: impl Into<String>, v: Sequence) -> Env {
-        self.vars.insert(name.into(), v);
-        self
+impl Env<'_> {
+    /// The value of the innermost binding of `name`.
+    fn get(&self, name: &str) -> Option<&Sequence> {
+        self.vars.iter().rev().find(|(n, _)| *n == name).map(|(_, v)| v)
     }
 }
 
@@ -257,13 +267,13 @@ impl<'g> Evaluator<'g> {
         }
     }
 
-    /// Evaluate an expression to a sequence.
-    pub fn eval(&mut self, e: &QExpr, env: &Env) -> Result<Sequence> {
+    /// Evaluate an expression to a sequence. `env` is left as it was
+    /// found, whether evaluation succeeds or fails.
+    pub fn eval<'q>(&mut self, e: &'q QExpr, env: &mut Env<'q>) -> Result<Sequence> {
         match e {
             QExpr::Literal(s) => Ok(vec![Item::Str(s.clone())]),
             QExpr::Number(n) => Ok(vec![Item::Num(*n)]),
             QExpr::Var(v) => env
-                .vars
                 .get(v)
                 .cloned()
                 .ok_or_else(|| XQueryError::new(format!("unbound variable ${v}"))),
@@ -302,12 +312,19 @@ impl<'g> Evaluator<'g> {
                     _ => Err(XQueryError::new("unary minus on a multi-item sequence")),
                 }
             }
-            QExpr::Arith { op, lhs, rhs } => self.eval_arith(*op, lhs, rhs, env),
+            QExpr::Arith { op, lhs, rhs } => {
+                arith(*op, self.eval_singleton_num(lhs, env)?, self.eval_singleton_num(rhs, env)?)
+            }
             QExpr::Range { lo, hi } => {
                 let l = self.eval_singleton_num(lo, env)?;
                 let h = self.eval_singleton_num(hi, env)?;
                 let (Some(l), Some(h)) = (l, h) else { return Ok(vec![]) };
-                let (l, h) = (l.round() as i64, h.round() as i64);
+                // NaN and the infinities have no whole part either.
+                if let Some(b) = [l, h].into_iter().find(|b| b.fract() != 0.0) {
+                    let b = mhx_xpath::value::format_number(b);
+                    return Err(XQueryError::new(format!("range bound {b} is not an integer")));
+                }
+                let (l, h) = (l as i64, h as i64);
                 if i128::from(h) - i128::from(l) >= MAX_RANGE as i128 {
                     return Err(XQueryError::new(format!(
                         "range {l} to {h} is longer than {MAX_RANGE} items"
@@ -315,7 +332,10 @@ impl<'g> Evaluator<'g> {
                 }
                 Ok((l..=h).map(|i| Item::Num(i as f64)).collect())
             }
-            QExpr::Compare { op, lhs, rhs } => self.eval_compare(*op, lhs, rhs, env),
+            QExpr::Compare { op, lhs, rhs } => {
+                let (l, r) = (self.eval(lhs, env)?, self.eval(rhs, env)?);
+                self.compare(*op, &l, &r)
+            }
             QExpr::Union(a, b) => {
                 let mut l = self.eval(a, env)?;
                 let r = self.eval(b, env)?;
@@ -335,10 +355,26 @@ impl<'g> Evaluator<'g> {
                 }
             }
             QExpr::Quantified { every, binds, satisfies } => {
-                let r = self.eval_quantified(*every, binds, satisfies, env)?;
-                Ok(vec![Item::Bool(r)])
+                // The answer unless some tuple decides otherwise.
+                let mut answer = *every;
+                self.tuples(binds, env, &mut |ev, env| {
+                    let v = ev.eval(satisfies, env)?;
+                    if ev.ebv(&v)? == *every {
+                        return Ok(true);
+                    }
+                    answer = !*every;
+                    Ok(false)
+                })?;
+                Ok(vec![Item::Bool(answer)])
             }
-            QExpr::Flwor { clauses, ret } => self.eval_flwor(clauses, ret, env),
+            QExpr::Flwor { clauses, ret } => {
+                let mut out = Vec::new();
+                self.tuples(clauses, env, &mut |ev, env| {
+                    out.extend(ev.eval(ret, env)?);
+                    Ok(true)
+                })?;
+                Ok(out)
+            }
             QExpr::Call { name, args } => crate::functions::call(self, name, args, env),
             QExpr::Filter { base, predicates } => {
                 let mut items = self.eval(base, env)?;
@@ -355,7 +391,7 @@ impl<'g> Evaluator<'g> {
         }
     }
 
-    fn eval_singleton_num(&mut self, e: &QExpr, env: &Env) -> Result<Option<f64>> {
+    fn eval_singleton_num<'q>(&mut self, e: &'q QExpr, env: &mut Env<'q>) -> Result<Option<f64>> {
         let v = self.eval(e, env)?;
         match v.len() {
             0 => Ok(None),
@@ -364,37 +400,13 @@ impl<'g> Evaluator<'g> {
         }
     }
 
-    fn eval_arith(&mut self, op: ArithOp, lhs: &QExpr, rhs: &QExpr, env: &Env) -> Result<Sequence> {
-        let (Some(a), Some(b)) =
-            (self.eval_singleton_num(lhs, env)?, self.eval_singleton_num(rhs, env)?)
-        else {
-            return Ok(vec![]);
-        };
-        let v = match op {
-            ArithOp::Add => a + b,
-            ArithOp::Sub => a - b,
-            ArithOp::Mul => a * b,
-            ArithOp::Div => a / b,
-            ArithOp::IDiv => {
-                if b == 0.0 {
-                    return Err(XQueryError::new("integer division by zero"));
-                }
-                (a / b).trunc()
-            }
-            ArithOp::Mod => a % b,
-        };
-        Ok(vec![Item::Num(v)])
-    }
-
-    fn eval_compare(&mut self, op: Comp, lhs: &QExpr, rhs: &QExpr, env: &Env) -> Result<Sequence> {
-        let l = self.eval(lhs, env)?;
-        let r = self.eval(rhs, env)?;
+    fn compare(&self, op: Comp, l: &[Item], r: &[Item]) -> Result<Sequence> {
         match op {
             Comp::Eq | Comp::Ne | Comp::Lt | Comp::Le | Comp::Gt | Comp::Ge => {
                 // General comparison: existential over atomized pairs.
                 let mut found = false;
-                'outer: for a in &l {
-                    for b in &r {
+                'outer: for a in l {
+                    for b in r {
                         if self.compare_pair(op, a, b) {
                             found = true;
                             break 'outer;
@@ -502,114 +514,99 @@ impl<'g> Evaluator<'g> {
         }
     }
 
-    fn eval_quantified(
+    /// Bind `clauses` one tuple at a time, in order, and run `body` on
+    /// each tuple with its bindings pushed; `body` answers `Ok(false)` to
+    /// stop the loop, and then so does this. Each clause is one level of
+    /// recursion (the parsers count it as one level of nesting); an
+    /// `order by` first collects the tuples of the clauses before it, with
+    /// copies of their bindings, and sorts them stably. Every binding is
+    /// popped again before this returns, on the error path too.
+    fn tuples<'q>(
         &mut self,
-        every: bool,
-        binds: &[(String, QExpr)],
-        satisfies: &QExpr,
-        env: &Env,
+        clauses: &'q [Clause],
+        env: &mut Env<'q>,
+        body: &mut dyn FnMut(&mut Self, &mut Env<'q>) -> Result<bool>,
     ) -> Result<bool> {
-        match binds.split_first() {
-            None => {
-                let v = self.eval(satisfies, env)?;
-                self.ebv(&v)
+        let outer = env.vars.len();
+        if let Some(k) = clauses.iter().rposition(|c| matches!(c, Clause::OrderBy { .. })) {
+            let Clause::OrderBy { keys } = &clauses[k] else { unreachable!("found above") };
+            let mut sorted = Vec::new();
+            self.tuples(&clauses[..k], env, &mut |ev, env| {
+                let mut ks = Vec::with_capacity(keys.len());
+                for spec in keys {
+                    let v = ev.eval(&spec.key, env)?;
+                    ks.push(match v.first() {
+                        None => OrdKey::Empty,
+                        Some(Item::Num(n)) => OrdKey::Num(*n),
+                        Some(item) => OrdKey::Str(ev.item_string(item)),
+                    });
+                }
+                sorted.push((ks, env.vars[outer..].to_vec()));
+                Ok(true)
+            })?;
+            sorted.sort_by(|(a, _), (b, _)| {
+                for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+                    let ord = x.cmp_key(y);
+                    let ord = if keys[i].descending { ord.reverse() } else { ord };
+                    if ord != std::cmp::Ordering::Equal {
+                        return ord;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+            for (_, bound) in sorted {
+                env.vars.extend(bound);
+                let go_on = self.tuples(&clauses[k + 1..], env, body);
+                env.vars.truncate(outer);
+                if !go_on? {
+                    return Ok(false);
+                }
             }
-            Some(((var, seq_expr), rest)) => {
-                let items = self.eval(seq_expr, env)?;
-                for item in items {
-                    let mut env2 = env.clone();
-                    env2.vars.insert(var.clone(), vec![item]);
-                    let r = self.eval_quantified(every, rest, satisfies, &env2)?;
-                    if every && !r {
+            return Ok(true);
+        }
+        let Some((clause, rest)) = clauses.split_first() else { return body(self, env) };
+        match clause {
+            Clause::For { var, at, seq } => {
+                for (i, item) in self.eval(seq, env)?.into_iter().enumerate() {
+                    env.vars.push((var, vec![item]));
+                    if let Some(at) = at {
+                        env.vars.push((at, vec![Item::Num((i + 1) as f64)]));
+                    }
+                    let go_on = self.tuples(rest, env, body);
+                    env.vars.truncate(outer);
+                    if !go_on? {
                         return Ok(false);
                     }
-                    if !every && r {
-                        return Ok(true);
-                    }
                 }
-                Ok(every)
+                Ok(true)
             }
-        }
-    }
-
-    fn eval_flwor(&mut self, clauses: &[Clause], ret: &QExpr, env: &Env) -> Result<Sequence> {
-        let mut frames: Vec<Env> = vec![env.clone()];
-        for clause in clauses {
-            match clause {
-                Clause::For { var, at, seq } => {
-                    let mut next = Vec::new();
-                    for frame in &frames {
-                        let items = self.eval(seq, frame)?;
-                        for (i, item) in items.into_iter().enumerate() {
-                            let mut f2 = frame.clone();
-                            f2.vars.insert(var.clone(), vec![item]);
-                            if let Some(at) = at {
-                                f2.vars.insert(at.clone(), vec![Item::Num((i + 1) as f64)]);
-                            }
-                            next.push(f2);
-                        }
-                    }
-                    frames = next;
-                }
-                Clause::Let { var, expr } => {
-                    for frame in &mut frames {
-                        let v = {
-                            let frame_ro: &Env = frame;
-                            self.eval(expr, frame_ro)?
-                        };
-                        frame.vars.insert(var.clone(), v);
-                    }
-                }
-                Clause::Where(cond) => {
-                    let mut kept = Vec::new();
-                    for frame in frames {
-                        let v = self.eval(cond, &frame)?;
-                        if self.ebv(&v)? {
-                            kept.push(frame);
-                        }
-                    }
-                    frames = kept;
-                }
-                Clause::OrderBy { keys } => {
-                    // Compute all keys, then stable-sort frames.
-                    let mut keyed: Vec<(Vec<OrdKey>, Env)> = Vec::with_capacity(frames.len());
-                    for frame in frames {
-                        let mut ks = Vec::with_capacity(keys.len());
-                        for spec in keys {
-                            let v = self.eval(&spec.key, &frame)?;
-                            let k = match v.first() {
-                                None => OrdKey::Empty,
-                                Some(Item::Num(n)) => OrdKey::Num(*n),
-                                Some(item) => OrdKey::Str(self.item_string(item)),
-                            };
-                            ks.push(k);
-                        }
-                        keyed.push((ks, frame));
-                    }
-                    keyed.sort_by(|(a, _), (b, _)| {
-                        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-                            let ord = x.cmp_key(y);
-                            let ord = if keys[i].descending { ord.reverse() } else { ord };
-                            if ord != std::cmp::Ordering::Equal {
-                                return ord;
-                            }
-                        }
-                        std::cmp::Ordering::Equal
-                    });
-                    frames = keyed.into_iter().map(|(_, f)| f).collect();
+            Clause::Let { var, expr } => {
+                let v = self.eval(expr, env)?;
+                env.vars.push((var, v));
+                let go_on = self.tuples(rest, env, body);
+                env.vars.truncate(outer);
+                go_on
+            }
+            Clause::Where(cond) => {
+                let v = self.eval(cond, env)?;
+                if self.ebv(&v)? {
+                    self.tuples(rest, env, body)
+                } else {
+                    Ok(true)
                 }
             }
+            Clause::OrderBy { .. } => unreachable!("order by is split off above"),
         }
-        let mut out = Vec::new();
-        for frame in frames {
-            out.extend(self.eval(ret, &frame)?);
-        }
-        Ok(out)
     }
 
     // ---------- paths ----------
 
-    fn eval_path(&mut self, start: &QPathStart, steps: &[QStep], env: &Env) -> Result<Sequence> {
+    fn eval_path<'q>(
+        &mut self,
+        start: &'q QPathStart,
+        steps: &'q [QStep],
+        env: &mut Env<'q>,
+    ) -> Result<Sequence> {
         let mut current: Sequence = match start {
             QPathStart::Root => vec![Item::Node(NodeId::Root)],
             QPathStart::Context => match &env.focus {
@@ -624,11 +621,51 @@ impl<'g> Evaluator<'g> {
         Ok(current)
     }
 
-    pub(crate) fn eval_step(
+    pub(crate) fn eval_step<'q>(
         &mut self,
         input: &[Item],
-        step: &QStep,
-        env: &Env,
+        step: &'q QStep,
+        env: &mut Env<'q>,
+    ) -> Result<Sequence> {
+        // Containment-chain join: this step absorbed a predicate-free
+        // `descendant::<outer>` step. Over pure KyGODDAG input the pair
+        // resolves as one merge join over the laminar containment chains;
+        // anything else (constructed nodes in the context) falls back to
+        // the two steps the join stands for.
+        let Some(outer_name) = &step.chain_outer else { return self.plain_step(input, step, env) };
+        let Some(ctxs) = goddag_nodes(input) else {
+            let outer = QStep::new(
+                Axis::Descendant,
+                NodeTest::Name { name: outer_name.clone(), hierarchies: None },
+                Vec::new(),
+            );
+            // Predicate-free: the outer step reads no environment.
+            let mid = self.plain_step(input, &outer, &mut Env::default())?;
+            return self.plain_step(&mid, step, env);
+        };
+        let NodeTest::Name { name, .. } = &step.test else {
+            unreachable!("chain joins are only planned for plain name tests");
+        };
+        self.stats.batched_steps += 1;
+        self.stats.rewritten_steps += 1;
+        self.stats.chain_joins += 1;
+        self.ensure_index();
+        let g = self.g.as_ref();
+        let idx = self.index.get().expect("ensure_index populated the slot");
+        let items: Sequence = idx
+            .descendant_chain_batch(g, outer_name, name, &ctxs)
+            .into_iter()
+            .map(Item::Node)
+            .collect();
+        self.apply_free_predicates(items, step, env)
+    }
+
+    /// One step as written, leaving aside any chain join it absorbed.
+    fn plain_step<'q>(
+        &mut self,
+        input: &[Item],
+        step: &'q QStep,
+        env: &mut Env<'q>,
     ) -> Result<Sequence> {
         // `.` — a predicate-free `self::node()` step from one node — is that
         // node: the hot case of per-candidate predicates such as
@@ -642,46 +679,6 @@ impl<'g> Evaluator<'g> {
                 return Ok(vec![item.clone()]);
             }
         }
-        // Containment-chain join: this step absorbed a predicate-free
-        // `descendant::<outer>` step. Over pure KyGODDAG input the pair
-        // resolves as one merge join over the laminar containment chains;
-        // anything else (constructed nodes in the context) falls back to
-        // the equivalent two-step form.
-        if let Some(outer_name) = &step.chain_outer {
-            if input.iter().all(|i| matches!(i, Item::Node(_))) {
-                let ctxs: Vec<NodeId> = input
-                    .iter()
-                    .map(|i| match i {
-                        Item::Node(n) => *n,
-                        _ => unreachable!("guard above admits only goddag nodes"),
-                    })
-                    .collect();
-                let NodeTest::Name { name, .. } = &step.test else {
-                    unreachable!("chain joins are only planned for plain name tests");
-                };
-                self.stats.batched_steps += 1;
-                self.stats.rewritten_steps += 1;
-                self.stats.chain_joins += 1;
-                self.ensure_index();
-                let g = self.g.as_ref();
-                let idx = self.index.get().expect("ensure_index populated the slot");
-                let items: Sequence = idx
-                    .descendant_chain_batch(g, outer_name, name, &ctxs)
-                    .into_iter()
-                    .map(Item::Node)
-                    .collect();
-                return self.apply_free_predicates(items, step, env);
-            }
-            let outer_step = QStep::new(
-                Axis::Descendant,
-                NodeTest::Name { name: outer_name.clone(), hierarchies: None },
-                Vec::new(),
-            );
-            let mut inner = step.clone();
-            inner.chain_outer = None;
-            let mid = self.eval_step(input, &outer_step, env)?;
-            return self.eval_step(&mid, &inner, env);
-        }
         // Batched fast path: a pure KyGODDAG node set and either no
         // predicates or only optimizer-certified position-free *pure*
         // predicates. Predicate-free: nothing evaluates per candidate, so
@@ -690,14 +687,7 @@ impl<'g> Evaluator<'g> {
         // position and never mutate the goddag, so filtering the
         // deduplicated union once equals per-node filter-then-union.
         let batchable = step.predicates.is_empty() || step.preds_position_free;
-        if batchable && input.iter().all(|i| matches!(i, Item::Node(_))) {
-            let ctxs: Vec<NodeId> = input
-                .iter()
-                .map(|i| match i {
-                    Item::Node(n) => *n,
-                    _ => unreachable!("guard above admits only goddag nodes"),
-                })
-                .collect();
+        if let Some(ctxs) = batchable.then(|| goddag_nodes(input)).flatten() {
             self.stats.batched_steps += 1;
             if step.rewritten {
                 self.stats.rewritten_steps += 1;
@@ -732,29 +722,31 @@ impl<'g> Evaluator<'g> {
 
     /// Predicate application with position()/last() focus; numeric
     /// predicate = position shorthand.
-    pub(crate) fn apply_predicate(
+    pub(crate) fn apply_predicate<'q>(
         &mut self,
         items: Sequence,
-        pred: &QExpr,
-        env: &Env,
+        pred: &'q QExpr,
+        env: &mut Env<'q>,
         reverse: bool,
     ) -> Result<Sequence> {
         let size = items.len();
-        let mut out = Vec::with_capacity(size);
-        for (i, item) in items.into_iter().enumerate() {
+        let outer = env.focus.take();
+        let out = Vec::with_capacity(size);
+        let kept = items.into_iter().enumerate().try_fold(out, |mut out, (i, item)| {
             let position = if reverse { size - i } else { i + 1 };
-            let mut env2 = env.clone();
-            env2.focus = Some((item.clone(), position, size));
-            let v = self.eval(pred, &env2)?;
-            let keep = match v.as_slice() {
-                [Item::Num(n)] => (position as f64) == *n,
-                other => self.ebv(other)?,
-            };
-            if keep {
+            env.focus = Some((item, position, size));
+            let keep = self.eval(pred, env).and_then(|v| match v.as_slice() {
+                [Item::Num(n)] => Ok((position as f64) == *n),
+                other => self.ebv(other),
+            });
+            let (item, _, _) = env.focus.take().expect("evaluation restores the focus");
+            if keep? {
                 out.push(item);
             }
-        }
-        Ok(out)
+            Ok(out)
+        });
+        env.focus = outer;
+        kept
     }
 
     /// Apply an all-free (position-free, pure) predicate list to a batched
@@ -769,11 +761,11 @@ impl<'g> Evaluator<'g> {
     ///
     /// Free predicates are pure (no `analyze-string()`), so the index
     /// stays current across the whole list.
-    fn apply_free_predicates(
+    fn apply_free_predicates<'q>(
         &mut self,
         mut items: Sequence,
-        step: &QStep,
-        env: &Env,
+        step: &'q QStep,
+        env: &mut Env<'q>,
     ) -> Result<Sequence> {
         if step.predicates.is_empty() {
             return Ok(items);
@@ -913,7 +905,7 @@ impl<'g> Evaluator<'g> {
 
     // ---------- constructors ----------
 
-    fn eval_constructor(&mut self, d: &DirElem, env: &Env) -> Result<OutId> {
+    fn eval_constructor<'q>(&mut self, d: &'q DirElem, env: &mut Env<'q>) -> Result<OutId> {
         let el = self.out.create_element(&d.name);
         for (aname, pieces) in &d.attrs {
             let mut value = String::new();
@@ -1032,6 +1024,11 @@ impl<'g> Evaluator<'g> {
     }
 }
 
+/// The items of `input` as KyGODDAG nodes, if they all are.
+fn goddag_nodes(input: &[Item]) -> Option<Vec<NodeId>> {
+    input.iter().map(Item::as_goddag_node).collect()
+}
+
 #[derive(Debug, Clone)]
 enum OrdKey {
     Empty,
@@ -1069,5 +1066,75 @@ fn cmp_ord(op: Comp, a: &bool, b: &bool) -> bool {
         Comp::Gt => a > b,
         Comp::Ge => a >= b,
         _ => unreachable!("general comparisons only"),
+    }
+}
+
+/// `a op b`, or the empty sequence if an operand is empty.
+fn arith(op: ArithOp, a: Option<f64>, b: Option<f64>) -> Result<Sequence> {
+    let (Some(a), Some(b)) = (a, b) else { return Ok(vec![]) };
+    let v = match op {
+        ArithOp::Add => a + b,
+        ArithOp::Sub => a - b,
+        ArithOp::Mul => a * b,
+        ArithOp::Div => a / b,
+        ArithOp::IDiv if b == 0.0 => return Err(XQueryError::new("integer division by zero")),
+        ArithOp::IDiv => (a / b).trunc(),
+        ArithOp::Mod => a % b,
+    };
+    Ok(vec![Item::Num(v)])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse_query;
+    use mhx_goddag::GoddagBuilder;
+
+    /// Whether evaluation succeeds or fails inside a clause, a binding or
+    /// a predicate, the environment ends holding exactly the bindings and
+    /// focus it held before, with the optimizer's plan and without.
+    #[test]
+    fn evaluation_leaves_the_environment_as_it_found_it() {
+        let g = GoddagBuilder::new().hierarchy("w", "<r><w>a</w><w>b</w></r>").build().unwrap();
+        let failing = [
+            "for $x in (1, 2) return $x idiv 0",
+            "for $x at $i in (1, 2) let $y := $i idiv 0 return $y",
+            "let $y := 1 for $z in ($y, $y idiv 0) return $z",
+            "for $x in (1, 2) where $x idiv 0 return $x",
+            "for $x in (1, 2) order by $x idiv 0 return $x",
+            "for $x in (1, 2) order by $x descending return $x idiv 0",
+            "for $x in (1, 2) order by $x for $y in (3, $x idiv 0) return $y",
+            "some $x in (1, 2), $y in (3, 4) satisfies $y idiv 0",
+            "every $x in (1, 2) satisfies $x idiv 0",
+            "/descendant::w[. idiv 0]",
+            "/descendant::w[string(. idiv 0)]",
+            "(1, 2)[for $x in (1, 2) return $x idiv 0]",
+            "$outer[position() idiv 0]",
+            "count(/descendant::w[some $y in (1) satisfies $y idiv 0])",
+        ];
+        let passing = [
+            "for $x at $i in (1, 2) let $y := $x order by $y descending return ($x, $i, $outer)",
+            "some $x in (1, 2) satisfies $x = 2",
+            "/descendant::w[position() = $x idiv 4][string(.)]",
+            "($outer, $x)[last()]",
+        ];
+        for (q, fails) in
+            failing.iter().map(|q| (q, true)).chain(passing.iter().map(|q| (q, false)))
+        {
+            let ast = parse_query(q).unwrap();
+            for plan in [ast.clone(), crate::opt::optimize(&ast).0] {
+                let outer = || Env {
+                    vars: vec![("outer", vec![Item::Num(7.0)]), ("x", vec![Item::Num(8.0)])],
+                    focus: Some((Item::Str("focus".into()), 2, 3)),
+                };
+                let mut env = outer();
+                let result = Evaluator::new(&g, EvalOptions::default()).eval(&plan, &mut env);
+                match result {
+                    Err(e) => assert!(fails && e.msg.contains("division by zero"), "`{q}`: {e}"),
+                    Ok(v) => assert!(!fails, "`{q}` answered {v:?}"),
+                }
+                assert_eq!(env, outer(), "`{q}`");
+            }
+        }
     }
 }

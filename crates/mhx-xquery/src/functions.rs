@@ -33,7 +33,7 @@ pub(crate) enum Reads {
     Focus,
 }
 
-type Imp = fn(&mut Evaluator<'_>, &[Sequence], &Env) -> Result<Sequence>;
+type Imp = fn(&mut Evaluator<'_>, &[Sequence], &Env<'_>) -> Result<Sequence>;
 
 /// One function: everything the pipeline knows about it.
 pub(crate) struct Function {
@@ -316,7 +316,12 @@ pub(crate) fn resolve(name: &str, argc: usize) -> Result<&'static Function> {
 /// Evaluate a call: the arguments in order, then the implementation. A
 /// compiled plan only holds calls the registry offers; the check here is
 /// for an AST handed to [`Evaluator::eval`] without compiling.
-pub fn call(ev: &mut Evaluator<'_>, name: &str, args: &[QExpr], env: &Env) -> Result<Sequence> {
+pub fn call<'q>(
+    ev: &mut Evaluator<'_>,
+    name: &str,
+    args: &'q [QExpr],
+    env: &mut Env<'q>,
+) -> Result<Sequence> {
     let f = resolve(name, args.len())?;
     let mut vals = Vec::with_capacity(args.len());
     for a in args {
@@ -325,7 +330,7 @@ pub fn call(ev: &mut Evaluator<'_>, name: &str, args: &[QExpr], env: &Env) -> Re
     (f.imp)(ev, &vals, env)
 }
 
-fn analyze_string(ev: &mut Evaluator<'_>, v: &[Sequence], _: &Env) -> Result<Sequence> {
+fn analyze_string(ev: &mut Evaluator<'_>, v: &[Sequence], _: &Env<'_>) -> Result<Sequence> {
     let pattern = one_string(ev, &v[1], "analyze-string pattern")?;
     let node = match v[0].as_slice() {
         [Item::Node(n)] => *n,
@@ -341,7 +346,7 @@ fn analyze_string(ev: &mut Evaluator<'_>, v: &[Sequence], _: &Env) -> Result<Seq
 }
 
 /// `name()` and `local-name()`: `""` without a node, or without a focus.
-fn name(ev: &mut Evaluator<'_>, v: &[Sequence], env: &Env) -> Result<Sequence> {
+fn name(ev: &mut Evaluator<'_>, v: &[Sequence], env: &Env<'_>) -> Result<Sequence> {
     string(match arg_or_context(v, env).unwrap_or_default().first() {
         Some(Item::Node(n)) => ev.goddag().name(*n).unwrap_or("").to_string(),
         Some(Item::ONode(o)) => ev.output_doc().name(*o).unwrap_or("").to_string(),
@@ -364,7 +369,7 @@ fn positions(ev: &Evaluator<'_>, v: &[Sequence], what: &str) -> Result<impl Fn(u
 }
 
 /// The first argument, or else the context item.
-fn arg_or_context<'a>(v: &'a [Sequence], env: &'a Env) -> Result<&'a [Item]> {
+fn arg_or_context<'a>(v: &'a [Sequence], env: &'a Env<'_>) -> Result<&'a [Item]> {
     match (v.first(), &env.focus) {
         (Some(seq), _) => Ok(seq),
         (None, Some((item, _, _))) => Ok(std::slice::from_ref(item)),

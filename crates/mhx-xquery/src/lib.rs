@@ -120,9 +120,9 @@ impl CompiledXQuery {
 
     /// The top-level environment: no variables, and the root focus for
     /// lowered XPath.
-    fn env(&self) -> Env {
+    fn env(&self) -> Env<'static> {
         let focus = self.root_focus.then_some((Item::Node(NodeId::Root), 1, 1));
-        Env { vars: Default::default(), focus }
+        Env { vars: Vec::new(), focus }
     }
 
     /// The original query text (the cache key).
@@ -146,7 +146,8 @@ impl CompiledXQuery {
     /// each path is evaluated step by step to measure them.
     pub fn explain(&self, g: &Goddag, idx: &StructIndex) -> String {
         let mut ev = Evaluator::with_index(g, idx, EvalOptions::default());
-        opt::explain(&mut ev, &self.env(), &self.optimized, &self.report, &self.src, idx.stats())
+        let mut env = self.env();
+        opt::explain(&mut ev, &mut env, &self.optimized, &self.report, &self.src, idx.stats())
     }
 
     /// Run against a goddag (optionally sharing a pre-built index),
@@ -171,7 +172,7 @@ impl CompiledXQuery {
         } else {
             &self.ast
         };
-        let seq = ev.eval(ast, &self.env())?;
+        let seq = ev.eval(ast, &mut self.env())?;
         Ok((finish(&ev, seq), *ev.stats()))
     }
 
@@ -437,6 +438,10 @@ mod engine_tests {
     fn constructed_node_navigation() {
         assert_eq!(run("let $x := <d><a>1</a><b>2</b></d> return string($x/child::b)"), "2");
         assert_eq!(run("let $x := <d><a>1</a></d> return count($x/descendant::node())"), "2");
+        // A chain join over constructed nodes runs its two steps as written.
+        let chained = "let $x := <d><a><b/><b/></a><a><b/></a></d> \
+                       return count($x/descendant::a/descendant::b)";
+        assert_eq!(run(chained), "3");
     }
 
     #[test]
@@ -605,8 +610,29 @@ mod engine_tests {
                 let around = |open: &str, mid: &str, close: &str, levels: usize| {
                     format!("{}{mid}{}", open.repeat(levels), close.repeat(levels))
                 };
-                let xquery = |levels: usize| {
+                // Evaluation recurses once per FLWOR clause and quantifier
+                // binding, so these count a level each, as brackets do.
+                let clauses = |levels: usize| {
+                    let each = |clause: fn(usize) -> &'static str| {
+                        (0..levels).map(clause).collect::<String>()
+                    };
                     vec![
+                        format!("{}return $x", each(|_| "for $x in 1 ")),
+                        format!("{}return $x", each(|_| "let $x := 1 ")),
+                        format!("{}return $x", each(|i| ["for $x in 1 ", "where $x "][i % 2])),
+                        format!("{}order by $x return $x", "for $x in 1 ".repeat(levels - 1)),
+                        format!("some {} satisfies true()", vec!["$x in 1"; levels].join(", ")),
+                        around("every $x in 1 satisfies ", "$x", "", levels),
+                        // Clauses and brackets share the budget.
+                        format!(
+                            "{}for $x in {} return $x",
+                            "for $x in 1 ".repeat(levels / 2),
+                            around("(", "1", ")", levels - levels / 2 - 1)
+                        ),
+                    ]
+                };
+                let xquery = |levels: usize| {
+                    let mut shapes = vec![
                         around("(", "1", ")", levels),
                         around("-", "1", "", levels),
                         around("", "1", " + 1", levels),
@@ -616,7 +642,9 @@ mod engine_tests {
                         around("<a>", "x", "</a>", levels),
                         around("<a>{", "1", "}</a>", levels / 2),
                         around("for $x in 1 return ", "$x", "", levels),
-                    ]
+                    ];
+                    shapes.extend(clauses(levels));
+                    shapes
                 };
                 let xpath = |levels: usize| {
                     vec![
@@ -641,9 +669,12 @@ mod engine_tests {
                         }
                     }
                 }
+                let shared =
+                    format!("{}return {}", "for $x in 1 ".repeat(40), around("(", "1", ")", 40));
                 for (lang, shapes, compile) in [
-                    ("xquery", xquery(deepest + 2), CompiledXQuery::compile as fn(&str) -> _),
-                    ("xpath", xpath(deepest + 2), CompiledXQuery::compile_xpath),
+                    ("xquery", xquery(deepest + 1), CompiledXQuery::compile as fn(&str) -> _),
+                    ("xquery", vec![shared], CompiledXQuery::compile),
+                    ("xpath", xpath(deepest + 1), CompiledXQuery::compile_xpath),
                 ] {
                     for q in shapes.into_iter().chain([around("(", "1", ")", 10_000)]) {
                         let err = compile(&q).expect_err(&format!("{lang} {q}"));
@@ -668,6 +699,25 @@ mod engine_tests {
         assert!(run_query(&g, &format!("count(0 to {max})")).is_err());
         assert!(run_query(&g, "count(-9223372036854775808 to 9223372036854775807)").is_err());
         assert_eq!(run_query(&g, "count(5 to 1)").unwrap(), "0");
+        // A bound that is not a whole number is an error too, never a
+        // rounded or zeroed range.
+        for q in [
+            "count('a' to 3)",
+            "count(0.5 to 2)",
+            "for $i in 1.5 to 3 return $i",
+            "count((1 div 0) to 3)",
+            "count(1 to (-1 div 0))",
+        ] {
+            let err = run_query(&g, q).unwrap_err();
+            assert_eq!(err.kind, XQueryErrorKind::Eval, "`{q}`");
+            assert!(err.msg.contains("not an integer"), "`{q}`: {err}");
+        }
+        assert_eq!(run_query(&g, "count(2.0 to 4)").unwrap(), "3");
+        assert_eq!(run_query(&g, "count(<a>2</a> to 4)").unwrap(), "3");
+        assert_eq!(
+            run_query(&g, "count((/descendant::w)[1] to 4)").unwrap_err().kind,
+            XQueryErrorKind::Eval
+        );
     }
 
     /// `analyze-string` over a borrowed goddag copies it, but the copy

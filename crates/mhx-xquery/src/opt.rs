@@ -54,7 +54,9 @@
 //! knob on [`crate::EvalOptions`] (default **on**) selects either form of
 //! the same compiled plan.
 
-use crate::ast::{AttrPiece, Clause, Comp, Content, DirElem, QExpr, QPathStart, QStep};
+use crate::ast::{
+    AttrPiece, Clause, Comp, Content, DirElem, OrderKeySpec, QExpr, QPathStart, QStep,
+};
 use crate::eval::{Env, Evaluator};
 use crate::functions::{lookup, Reads};
 use crate::item::{Item, Sequence};
@@ -218,7 +220,8 @@ fn cost(e: &QExpr, stats: Option<&IndexStats>) -> u64 {
     match e {
         QExpr::Literal(_) | QExpr::Number(_) | QExpr::Var(_) | QExpr::ContextItem => 1,
         QExpr::Sequence(es) => 1 + es.iter().map(c).sum::<u64>(),
-        QExpr::Flwor { clauses, ret } => {
+        QExpr::Flwor { clauses, ret: body }
+        | QExpr::Quantified { binds: clauses, satisfies: body, .. } => {
             4 + clauses
                 .iter()
                 .map(|cl| match cl {
@@ -228,12 +231,9 @@ fn cost(e: &QExpr, stats: Option<&IndexStats>) -> u64 {
                     Clause::OrderBy { keys } => keys.iter().map(|k| c(&k.key)).sum(),
                 })
                 .sum::<u64>()
-                + c(ret)
+                + c(body)
         }
         QExpr::If { cond, then, els } => 1 + c(cond) + c(then).max(c(els)),
-        QExpr::Quantified { binds, satisfies, .. } => {
-            2 + binds.iter().map(|(_, e)| c(e)).sum::<u64>() + c(satisfies)
-        }
         QExpr::Or(a, b)
         | QExpr::And(a, b)
         | QExpr::Union(a, b)
@@ -284,30 +284,9 @@ fn opt_expr(e: &QExpr, r: &mut OptimizerReport) -> QExpr {
     match e {
         QExpr::Literal(_) | QExpr::Number(_) | QExpr::Var(_) | QExpr::ContextItem => e.clone(),
         QExpr::Sequence(es) => QExpr::Sequence(es.iter().map(|e| opt_expr(e, r)).collect()),
-        QExpr::Flwor { clauses, ret } => QExpr::Flwor {
-            clauses: clauses
-                .iter()
-                .map(|c| match c {
-                    Clause::For { var, at, seq } => {
-                        Clause::For { var: var.clone(), at: at.clone(), seq: opt_expr(seq, r) }
-                    }
-                    Clause::Let { var, expr } => {
-                        Clause::Let { var: var.clone(), expr: opt_expr(expr, r) }
-                    }
-                    Clause::Where(e) => Clause::Where(opt_expr(e, r)),
-                    Clause::OrderBy { keys } => Clause::OrderBy {
-                        keys: keys
-                            .iter()
-                            .map(|k| crate::ast::OrderKeySpec {
-                                key: opt_expr(&k.key, r),
-                                descending: k.descending,
-                            })
-                            .collect(),
-                    },
-                })
-                .collect(),
-            ret: Box::new(opt_expr(ret, r)),
-        },
+        QExpr::Flwor { clauses, ret } => {
+            QExpr::Flwor { clauses: opt_clauses(clauses, r), ret: Box::new(opt_expr(ret, r)) }
+        }
         QExpr::If { cond, then, els } => QExpr::If {
             cond: Box::new(opt_expr(cond, r)),
             then: Box::new(opt_expr(then, r)),
@@ -315,7 +294,7 @@ fn opt_expr(e: &QExpr, r: &mut OptimizerReport) -> QExpr {
         },
         QExpr::Quantified { every, binds, satisfies } => QExpr::Quantified {
             every: *every,
-            binds: binds.iter().map(|(v, e)| (v.clone(), opt_expr(e, r))).collect(),
+            binds: opt_clauses(binds, r),
             satisfies: Box::new(opt_expr(satisfies, r)),
         },
         QExpr::Or(a, b) => QExpr::Or(Box::new(opt_expr(a, r)), Box::new(opt_expr(b, r))),
@@ -346,6 +325,26 @@ fn opt_expr(e: &QExpr, r: &mut OptimizerReport) -> QExpr {
         QExpr::DirElem(d) => QExpr::DirElem(opt_dir(d, r)),
         QExpr::Path { start, steps } => opt_path(start, steps, r),
     }
+}
+
+fn opt_clauses(clauses: &[Clause], r: &mut OptimizerReport) -> Vec<Clause> {
+    let mut opt = |e: &QExpr| opt_expr(e, r);
+    clauses
+        .iter()
+        .map(|c| match c {
+            Clause::For { var, at, seq } => {
+                Clause::For { var: var.clone(), at: at.clone(), seq: opt(seq) }
+            }
+            Clause::Let { var, expr } => Clause::Let { var: var.clone(), expr: opt(expr) },
+            Clause::Where(e) => Clause::Where(opt(e)),
+            Clause::OrderBy { keys } => Clause::OrderBy {
+                keys: keys
+                    .iter()
+                    .map(|k| OrderKeySpec { key: opt(&k.key), descending: k.descending })
+                    .collect(),
+            },
+        })
+        .collect()
 }
 
 fn opt_dir(d: &DirElem, r: &mut OptimizerReport) -> DirElem {
@@ -625,10 +624,10 @@ pub fn qexpr_summary(e: &QExpr) -> String {
 /// query's top-level environment to measure them. A path whose start
 /// cannot be evaluated there (it reads a FLWOR variable, say) reports
 /// `actual ?`.
-pub(crate) fn explain(
+pub(crate) fn explain<'q>(
     ev: &mut Evaluator<'_>,
-    env: &Env,
-    optimized: &QExpr,
+    env: &mut Env<'q>,
+    optimized: &'q QExpr,
     report: &OptimizerReport,
     src: &str,
     stats: &IndexStats,

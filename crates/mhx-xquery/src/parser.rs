@@ -7,6 +7,12 @@
 //! expressions, `if/then/else`, general/value/node comparisons, ranges
 //! (`1 to n`), arithmetic, unions, full path expressions with the extended
 //! axes, and direct element constructors with enclosed expressions.
+//!
+//! Binary operators are parsed by one precedence-climbing loop over one
+//! table (`OPERATORS`). The bindings of `for`, `let`, `some` and `every`
+//! share one loop, and each binding is a [`Clause`] of its own; since
+//! evaluation recurses once per clause, each clause after the first is
+//! parsed one nesting level deeper (see [`MAX_DEPTH`]).
 
 use crate::ast::{
     ArithOp, AttrPiece, Clause, Comp, Content, DirElem, OrderKeySpec, QExpr, QPathStart, QStep,
@@ -52,28 +58,6 @@ impl<'a> P<'a> {
 
     fn enter(&mut self) -> Result<()> {
         self.nesting.enter().then_some(()).ok_or_else(|| self.too_deep())
-    }
-
-    /// A left-associative chain `operand (op operand)*`: `op` consumes an
-    /// operator and returns how to join two operands, or `None` to stop.
-    fn chain<J: FnOnce(Box<QExpr>, Box<QExpr>) -> QExpr>(
-        &mut self,
-        operand: fn(&mut Self) -> Result<QExpr>,
-        op: impl Fn(&mut Self) -> Option<J>,
-    ) -> Result<QExpr> {
-        let outer = self.nesting.mark();
-        let mut lhs = operand(self)?;
-        let mut height = self.nesting.height_since(outer);
-        loop {
-            self.ws();
-            let Some(join) = op(self) else { return Ok(lhs) };
-            self.ws();
-            let outer = self.nesting.mark();
-            let rhs = operand(self)?;
-            let h = self.nesting.height_since(outer);
-            height = self.grow(height.max(h) + 1)?;
-            lhs = join(Box::new(lhs), Box::new(rhs));
-        }
     }
 
     fn ws(&mut self) {
@@ -158,25 +142,20 @@ impl<'a> P<'a> {
     fn expr_single(&mut self) -> Result<QExpr> {
         self.enter()?;
         self.ws();
-        let e = if (self.peek_kw("for") || self.peek_kw("let")) && self.next_after_kw_is_dollar() {
+        let e = if (self.peek_kw("for") || self.peek_kw("let")) && self.next_after_kw_is('$') {
             self.flwor()
-        } else if (self.peek_kw("some") || self.peek_kw("every")) && self.next_after_kw_is_dollar()
-        {
+        } else if (self.peek_kw("some") || self.peek_kw("every")) && self.next_after_kw_is('$') {
             self.quantified()
         } else if self.peek_kw("if") && self.next_after_kw_is('(') {
             self.if_expr()
         } else {
-            self.or_expr()
+            self.binary(1)
         };
         self.nesting.leave();
         e
     }
 
-    /// After a keyword at the cursor, is the next non-space char `$`?
-    fn next_after_kw_is_dollar(&self) -> bool {
-        self.next_after_kw_is('$')
-    }
-
+    /// After a keyword at the cursor, is the next non-space char `want`?
     fn next_after_kw_is(&self, want: char) -> bool {
         let rest = self.cur.rest();
         let Some(end) = rest.find(|c: char| !(c != ':' && mhx_xml::name::is_name_char(c))) else {
@@ -185,59 +164,36 @@ impl<'a> P<'a> {
         rest[end..].trim_start().starts_with(want)
     }
 
+    /// Enter the level of the clause after `clauses`. Evaluation recurses
+    /// once per FLWOR clause and quantifier binding, so each after the
+    /// first is parsed one level deeper than the one before it; the body
+    /// is parsed at the last clause's level, and then `leave_clauses`
+    /// leaves them all.
+    fn next_clause(&mut self, clauses: &[Clause]) -> Result<()> {
+        if clauses.is_empty() {
+            Ok(())
+        } else {
+            self.enter()
+        }
+    }
+
+    fn leave_clauses(&mut self, clauses: &[Clause]) {
+        for _ in 1..clauses.len() {
+            self.nesting.leave();
+        }
+    }
+
     fn flwor(&mut self) -> Result<QExpr> {
         let mut clauses = Vec::new();
         loop {
             self.ws();
-            if self.peek_kw("for") && self.next_after_kw_is_dollar() {
-                self.kw("for");
-                loop {
-                    self.ws();
-                    self.cur.expect("$").map_err(|_| self.err("expected `$var` after for"))?;
-                    let var = self.name()?;
-                    self.ws();
-                    let at = if self.kw("at") {
-                        self.ws();
-                        self.cur.expect("$").map_err(|_| self.err("expected `$var` after at"))?;
-                        Some(self.name()?)
-                    } else {
-                        None
-                    };
-                    self.ws();
-                    if !self.kw("in") {
-                        return Err(self.err("expected `in` in for clause"));
-                    }
-                    self.ws();
-                    let seq = self.expr_single()?;
-                    clauses.push(Clause::For { var, at, seq });
-                    self.ws();
-                    if !(self.cur.starts_with(",") && self.comma_starts_binding()) {
-                        break;
-                    }
-                    self.cur.eat(",");
-                }
-            } else if self.peek_kw("let") && self.next_after_kw_is_dollar() {
-                self.kw("let");
-                loop {
-                    self.ws();
-                    self.cur.expect("$").map_err(|_| self.err("expected `$var` after let"))?;
-                    let var = self.name()?;
-                    self.ws();
-                    if !self.cur.eat(":=") {
-                        return Err(self.err("expected `:=` in let clause"));
-                    }
-                    self.ws();
-                    let expr = self.expr_single()?;
-                    clauses.push(Clause::Let { var, expr });
-                    self.ws();
-                    if !(self.cur.starts_with(",") && self.comma_starts_binding()) {
-                        break;
-                    }
-                    self.cur.eat(",");
-                }
-            } else if self.peek_kw("where") {
-                self.kw("where");
+            let binding = ["for", "let"].into_iter().find(|k| self.peek_kw(k));
+            if let Some(kw) = binding.filter(|_| self.next_after_kw_is('$')) {
+                self.kw(kw);
+                self.bindings(kw, &mut clauses)?;
+            } else if self.kw("where") {
                 self.ws();
+                self.next_clause(&clauses)?;
                 clauses.push(Clause::Where(self.expr_single()?));
             } else if self.peek_kw("stable") || (self.peek_kw("order") && self.order_by_ahead()) {
                 self.kw("stable");
@@ -247,6 +203,7 @@ impl<'a> P<'a> {
                 if !self.kw("by") {
                     return Err(self.err("expected `by` after `order`"));
                 }
+                self.next_clause(&clauses)?;
                 let mut keys = Vec::new();
                 loop {
                     self.ws();
@@ -275,13 +232,53 @@ impl<'a> P<'a> {
         }
         self.ws();
         let ret = self.expr_single()?;
+        self.leave_clauses(&clauses);
         if !clauses.iter().any(|c| matches!(c, Clause::For { .. } | Clause::Let { .. })) {
             return Err(self.err("FLWOR needs at least one for/let clause"));
         }
         Ok(QExpr::Flwor { clauses, ret: Box::new(ret) })
     }
 
-    /// After a `,` in a for/let clause list, does a new `$var` binding
+    /// The comma-separated bindings after `kw`, each a clause of its own:
+    /// `$var := expr` after `let`, `$var at $pos in expr` after `for` (the
+    /// `at` optional), and `$var in expr` after `some` or `every`.
+    fn bindings(&mut self, kw: &str, clauses: &mut Vec<Clause>) -> Result<()> {
+        loop {
+            self.ws();
+            self.next_clause(clauses)?;
+            self.cur.expect("$").map_err(|_| self.err(format!("expected `$var` after {kw}")))?;
+            let var = self.name()?;
+            self.ws();
+            if kw == "let" {
+                if !self.cur.eat(":=") {
+                    return Err(self.err("expected `:=` in let clause"));
+                }
+                self.ws();
+                clauses.push(Clause::Let { var, expr: self.expr_single()? });
+            } else {
+                let at = if kw == "for" && self.kw("at") {
+                    self.ws();
+                    self.cur.expect("$").map_err(|_| self.err("expected `$var` after at"))?;
+                    Some(self.name()?)
+                } else {
+                    None
+                };
+                self.ws();
+                if !self.kw("in") {
+                    return Err(self.err(format!("expected `in` after `${var}`")));
+                }
+                self.ws();
+                clauses.push(Clause::For { var, at, seq: self.expr_single()? });
+            }
+            self.ws();
+            if !(self.cur.starts_with(",") && self.comma_starts_binding()) {
+                return Ok(());
+            }
+            self.cur.eat(",");
+        }
+    }
+
+    /// After a `,` in a list of bindings, does a new `$var` binding
     /// follow?
     fn comma_starts_binding(&self) -> bool {
         self.cur.rest()[1..].trim_start().starts_with('$')
@@ -299,27 +296,14 @@ impl<'a> P<'a> {
             self.kw("some");
         }
         let mut binds = Vec::new();
-        loop {
-            self.ws();
-            self.cur.expect("$").map_err(|_| self.err("expected `$var`"))?;
-            let var = self.name()?;
-            self.ws();
-            if !self.kw("in") {
-                return Err(self.err("expected `in` in quantified expression"));
-            }
-            self.ws();
-            binds.push((var, self.expr_single()?));
-            self.ws();
-            if !self.cur.eat(",") {
-                break;
-            }
-        }
+        self.bindings(if every { "every" } else { "some" }, &mut binds)?;
         self.ws();
         if !self.kw("satisfies") {
             return Err(self.err("expected `satisfies`"));
         }
         self.ws();
         let satisfies = Box::new(self.expr_single()?);
+        self.leave_clauses(&binds);
         Ok(QExpr::Quantified { every, binds, satisfies })
     }
 
@@ -345,109 +329,46 @@ impl<'a> P<'a> {
         Ok(QExpr::If { cond: Box::new(cond), then: Box::new(then), els: Box::new(els) })
     }
 
-    fn or_expr(&mut self) -> Result<QExpr> {
-        self.chain(Self::and_expr, |p| p.kw("or").then_some(QExpr::Or))
-    }
-
-    fn and_expr(&mut self) -> Result<QExpr> {
-        self.chain(Self::comparison_expr, |p| p.kw("and").then_some(QExpr::And))
-    }
-
-    fn comparison_expr(&mut self) -> Result<QExpr> {
+    /// Precedence climbing over [`OPERATORS`]: an operand, then each
+    /// operator at level `min` or above with its right operand, which holds
+    /// only operators that bind tighter. After a comparison or a range only
+    /// a looser operator may follow, so `1 = 2 = 3` is an error.
+    fn binary(&mut self, min: u8) -> Result<QExpr> {
         let outer = self.nesting.mark();
-        let lhs = self.range_expr()?;
-        let height = self.nesting.height_since(outer);
-        self.ws();
-        let op = if self.cur.eat("!=") {
-            Comp::Ne
-        } else if self.cur.eat("<<") {
-            Comp::Before
-        } else if self.cur.eat(">>") {
-            Comp::After
-        } else if self.cur.eat("<=") {
-            Comp::Le
-        } else if self.cur.eat(">=") {
-            Comp::Ge
-        } else if self.cur.eat("=") {
-            Comp::Eq
-        } else if self.cur.eat("<") {
-            Comp::Lt
-        } else if self.cur.eat(">") {
-            Comp::Gt
-        } else if self.kw("eq") {
-            Comp::VEq
-        } else if self.kw("ne") {
-            Comp::VNe
-        } else if self.kw("lt") {
-            Comp::VLt
-        } else if self.kw("le") {
-            Comp::VLe
-        } else if self.kw("gt") {
-            Comp::VGt
-        } else if self.kw("ge") {
-            Comp::VGe
-        } else if self.kw("is") {
-            Comp::Is
-        } else {
-            return Ok(lhs);
-        };
-        self.ws();
-        let outer = self.nesting.mark();
-        let rhs = self.range_expr()?;
-        let h = self.nesting.height_since(outer);
-        self.grow(height.max(h) + 1)?;
-        Ok(QExpr::Compare { op, lhs: Box::new(lhs), rhs: Box::new(rhs) })
-    }
-
-    fn range_expr(&mut self) -> Result<QExpr> {
-        let outer = self.nesting.mark();
-        let lo = self.additive_expr()?;
-        let height = self.nesting.height_since(outer);
-        self.ws();
-        if self.kw("to") {
+        let mut lhs = self.unary_expr()?;
+        let mut height = self.nesting.height_since(outer);
+        let mut max = u8::MAX;
+        loop {
+            self.ws();
+            let Some(&(spelling, op, level)) = OPERATORS.iter().find(|(spelling, ..)| {
+                if spelling.starts_with(|c: char| c.is_ascii_alphabetic()) {
+                    self.peek_kw(spelling)
+                } else {
+                    self.cur.starts_with(spelling)
+                }
+            }) else {
+                return Ok(lhs);
+            };
+            if !(min..=max).contains(&level) {
+                return Ok(lhs);
+            }
+            self.cur.eat(spelling);
             self.ws();
             let outer = self.nesting.mark();
-            let hi = self.additive_expr()?;
+            let rhs = self.binary(level + 1)?;
             let h = self.nesting.height_since(outer);
-            self.grow(height.max(h) + 1)?;
-            Ok(QExpr::Range { lo: Box::new(lo), hi: Box::new(hi) })
-        } else {
-            Ok(lo)
+            height = self.grow(height.max(h) + 1)?;
+            let (l, r) = (Box::new(lhs), Box::new(rhs));
+            lhs = match op {
+                Op::Or => QExpr::Or(l, r),
+                Op::And => QExpr::And(l, r),
+                Op::Compare(op) => QExpr::Compare { op, lhs: l, rhs: r },
+                Op::Range => QExpr::Range { lo: l, hi: r },
+                Op::Arith(op) => QExpr::Arith { op, lhs: l, rhs: r },
+                Op::Union => QExpr::Union(l, r),
+            };
+            max = if matches!(op, Op::Compare(_) | Op::Range) { level - 1 } else { level };
         }
-    }
-
-    fn additive_expr(&mut self) -> Result<QExpr> {
-        self.chain(Self::multiplicative_expr, |p| {
-            let op = if p.cur.eat("+") {
-                ArithOp::Add
-            } else if p.cur.eat("-") {
-                ArithOp::Sub
-            } else {
-                return None;
-            };
-            Some(move |lhs, rhs| QExpr::Arith { op, lhs, rhs })
-        })
-    }
-
-    fn multiplicative_expr(&mut self) -> Result<QExpr> {
-        self.chain(Self::union_expr, |p| {
-            let op = if p.cur.eat("*") {
-                ArithOp::Mul
-            } else if p.kw("idiv") {
-                ArithOp::IDiv
-            } else if p.kw("div") {
-                ArithOp::Div
-            } else if p.kw("mod") {
-                ArithOp::Mod
-            } else {
-                return None;
-            };
-            Some(move |lhs, rhs| QExpr::Arith { op, lhs, rhs })
-        })
-    }
-
-    fn union_expr(&mut self) -> Result<QExpr> {
-        self.chain(Self::unary_expr, |p| (p.cur.eat("|") || p.kw("union")).then_some(QExpr::Union))
     }
 
     fn unary_expr(&mut self) -> Result<QExpr> {
@@ -954,6 +875,50 @@ fn flush_text(text: &mut String, out: &mut Vec<Content>) {
         }
     }
 }
+
+/// A binary operator of [`OPERATORS`].
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Or,
+    And,
+    Compare(Comp),
+    Range,
+    Arith(ArithOp),
+    Union,
+}
+
+/// XQuery's binary operators and their levels: a higher level binds
+/// tighter. Comparisons and `to` take one operator; the rest associate to
+/// the left. A symbol is listed before its prefixes (`<=` before `<`), and
+/// a word matches only as a whole word.
+const OPERATORS: &[(&str, Op, u8)] = &[
+    ("or", Op::Or, 1),
+    ("and", Op::And, 2),
+    ("!=", Op::Compare(Comp::Ne), 3),
+    ("<<", Op::Compare(Comp::Before), 3),
+    (">>", Op::Compare(Comp::After), 3),
+    ("<=", Op::Compare(Comp::Le), 3),
+    (">=", Op::Compare(Comp::Ge), 3),
+    ("=", Op::Compare(Comp::Eq), 3),
+    ("<", Op::Compare(Comp::Lt), 3),
+    (">", Op::Compare(Comp::Gt), 3),
+    ("eq", Op::Compare(Comp::VEq), 3),
+    ("ne", Op::Compare(Comp::VNe), 3),
+    ("lt", Op::Compare(Comp::VLt), 3),
+    ("le", Op::Compare(Comp::VLe), 3),
+    ("gt", Op::Compare(Comp::VGt), 3),
+    ("ge", Op::Compare(Comp::VGe), 3),
+    ("is", Op::Compare(Comp::Is), 3),
+    ("to", Op::Range, 4),
+    ("+", Op::Arith(ArithOp::Add), 5),
+    ("-", Op::Arith(ArithOp::Sub), 5),
+    ("*", Op::Arith(ArithOp::Mul), 6),
+    ("idiv", Op::Arith(ArithOp::IDiv), 6),
+    ("div", Op::Arith(ArithOp::Div), 6),
+    ("mod", Op::Arith(ArithOp::Mod), 6),
+    ("|", Op::Union, 7),
+    ("union", Op::Union, 7),
+];
 
 fn dos_step() -> QStep {
     QStep::new(Axis::DescendantOrSelf, NodeTest::AnyNode { hierarchies: None }, vec![])

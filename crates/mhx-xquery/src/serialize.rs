@@ -99,7 +99,7 @@ mod tests {
     fn run(g: &mhx_goddag::Goddag, q: &str) -> String {
         let ast = parse_query(q).unwrap();
         let mut ev = Evaluator::new(g, EvalOptions::default());
-        let seq = ev.eval(&ast, &Env::default()).unwrap();
+        let seq = ev.eval(&ast, &mut Env::default()).unwrap();
         serialize_sequence(&ev, &seq)
     }
 
@@ -151,7 +151,7 @@ mod tests {
         let g = g();
         let mut ev =
             Evaluator::new(&g, EvalOptions { space_separator: true, ..Default::default() });
-        let seq = ev.eval(&ast, &Env::default()).unwrap();
+        let seq = ev.eval(&ast, &mut Env::default()).unwrap();
         assert_eq!(serialize_sequence(&ev, &seq), "a b<br/>c");
     }
 

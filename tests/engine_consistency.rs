@@ -169,3 +169,164 @@ fn explain_prints_one_plan_for_both_languages() {
         assert_eq!(xpath, catalog.explain(doc, QueryLang::XQuery, q).unwrap(), "`{q}`");
     }
 }
+
+/// The documents the binding-form tables run over, with the two element
+/// names their queries ask for: `a`, and `b`, which overlaps `a`.
+fn binding_documents() -> Vec<(&'static str, Goddag, &'static str, &'static str)> {
+    let doc = generate(&GeneratorConfig {
+        text_len: 500,
+        hierarchies: 3,
+        boundary_jitter: 0.8,
+        nested: true,
+        ..Default::default()
+    });
+    vec![
+        ("figure1", multihier_xquery::corpus::figure1::goddag(), "w", "line"),
+        ("generated", doc.build_goddag(), "e1", "e0"),
+    ]
+}
+
+/// Every binding form the evaluator has: FLWORs with `for`, `at`, `let`,
+/// `where` and `order by` (ascending, descending, ties kept in tuple
+/// order), quantifiers, and positional predicates. `{a}` and `{b}` are the
+/// document's element names.
+const BINDING_QUERIES: &[&str] = &[
+    "for $x in /descendant::{a} return concat(string($x), '|')",
+    "for $x at $i in /descendant::{a} return concat($i, ':', string-length(string($x)), ' ')",
+    "for $x in /descendant::{a} let $n := string-length(string($x)) where $n > 3 \
+     return concat($n, ' ')",
+    "for $x at $i in /descendant::{a} where $i mod 2 = 0 return concat($i, ' ')",
+    "for $x in /descendant::{a} order by string($x) return concat(string($x), '|')",
+    "for $x at $i in /descendant::{a} order by string-length(string($x)) descending \
+     return concat($i, ' ')",
+    "for $x at $i in /descendant::{a} order by string-length(string($x)) ascending, \
+     $i mod 3 descending return concat($i, ' ')",
+    "for $x at $i in /descendant::{a} let $s := string($x) order by $s descending \
+     for $j in 1 to 2 return concat($i, '.', $j, ' ')",
+    "for $x in /descendant::{a}, $y in $x/xancestor::{b} \
+     return concat(string-length(string($x)), '-', string-length(string($y)), ' ')",
+    "count(for $x in /descendant::{a} for $y in /descendant::{b} \
+     where exists($x/xancestor::{b}[. is $y]) return 1)",
+    "let $all := /descendant::{a} let $n := count($all) return $n * 2",
+    "for $y in /descendant::{b} return (for $x in $y/xdescendant::{a} \
+     return string-length(string($x)), '|')",
+    "for $x in (1, 2) return (for $x in ($x * 10, $x * 100) return $x, '|')",
+    "let $x := 1 let $x := $x + 1 return $x",
+    "for $y in /descendant::{b} return concat(count(/descendant::{a}\
+     [string-length(string(.)) > string-length(string($y)) div 8]), ' ')",
+    "some $x in /descendant::{a} satisfies string-length(string($x)) > 6",
+    "every $x in /descendant::{a} satisfies string-length(string($x)) > 0",
+    "every $x in /descendant::{a}, $y in $x/xancestor::{b} \
+     satisfies string-length(string($y)) > 3",
+    "some $x in /descendant::{a}, $y in /descendant::{b} satisfies $x << $y and $y << $x",
+    "for $y in /descendant::{b} where some $x in $y/xdescendant::{a} \
+     satisfies string-length(string($x)) > 4 return concat(string-length(string($y)), ' ')",
+    "(some $x in () satisfies false(), every $x in () satisfies false())",
+    "count(/descendant::{a}[position() > 1])",
+    "string((/descendant::{a})[last()])",
+    "for $y in /descendant::{b} \
+     return concat(count($y/xdescendant::{a}[position() mod 2 = 1]), ' ')",
+    "string-join(for $x in (/descendant::{a})[position() = (2, 3)] return string($x), '|')",
+    "/descendant::{a}[2]",
+    "string((/descendant::{a})[position() < 3][last()])",
+    "count(/descendant::{a}[preceding-sibling::{a}[1]])",
+    "for $i in 1 to 5 return $i * $i",
+    "sum(for $i in 1 to 100 where $i mod 7 = 0 return $i)",
+];
+
+/// One table row's answer as the fixture records it.
+fn answer(g: &Goddag, query: &str, optimize: bool) -> String {
+    let opts = EvalOptions { optimize, ..EvalOptions::default() };
+    format!("{:?}", run_query_with(g, query, &opts).map_err(|e| e.kind))
+}
+
+/// Every binding form reproduces the answers recorded in
+/// `tests/fixtures/binding_forms.txt` (one `doc<TAB>query<TAB>answer`
+/// line per row), with the optimizer on and off, and behind an unused
+/// `let` that must change nothing but the work done.
+#[test]
+fn binding_forms_reproduce_their_recorded_answers() {
+    let fixture = include_str!("fixtures/binding_forms.txt");
+    let recorded: std::collections::HashMap<(&str, &str), &str> = fixture
+        .lines()
+        .map(|line| {
+            let mut cols = line.splitn(3, '\t');
+            let mut col = || cols.next().expect("three tab-separated columns");
+            ((col(), col()), col())
+        })
+        .collect();
+    let mut wrong = Vec::new();
+    for (doc, g, a, b) in binding_documents() {
+        for template in BINDING_QUERIES {
+            let query = template.replace("{a}", a).replace("{b}", b);
+            let want = recorded.get(&(doc, query.as_str())).copied().unwrap_or("(not recorded)");
+            for unused in ["", "let $unused := /descendant::{a} return "] {
+                let full = format!("{}{query}", unused.replace("{a}", a));
+                for optimize in [true, false] {
+                    let got = answer(&g, &full, optimize);
+                    if got != want {
+                        wrong.push(format!("{doc}\t{full}\t{got} (optimize {optimize})"));
+                    }
+                }
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "answers differ from the fixture:\n{}", wrong.join("\n"));
+    let rows = binding_documents().len() * BINDING_QUERIES.len();
+    assert_eq!(recorded.len(), rows, "one fixture line per document and query");
+}
+
+/// Identities between the binding forms, on both documents with the
+/// optimizer on and off: a FLWOR's clauses may be split into nested
+/// FLWORs (a `where` becoming an `if`), and a quantifier is a FLWOR that
+/// stops at its first deciding tuple.
+#[test]
+fn binding_forms_agree_with_their_rewritten_forms() {
+    // Clause lists; each is also run nested, one clause per FLWOR.
+    let clause_lists: &[&[&str]] = &[
+        &["for $x in /descendant::{a}", "let $n := string-length(string($x))", "where $n > 3"],
+        &["for $x at $i in /descendant::{a}", "where $i mod 2 = 1", "for $y in $x/xancestor::{b}"],
+        &["let $all := /descendant::{b}", "for $x in /descendant::{a}", "where count($all) > 1"],
+        &["for $x in /descendant::{a}", "for $y in /descendant::{b}", "where $x << $y"],
+    ];
+    let body = "concat(string-length(string($x)), ' ')";
+    // (bindings, condition) for the quantifier identities.
+    let quantified: &[(&str, &str)] = &[
+        ("$x in /descendant::{a}", "string-length(string($x)) > 5"),
+        ("$x in /descendant::{a}", "string-length(string($x)) > 0"),
+        ("$x in /descendant::{a}, $y in $x/xancestor::{b}", "string($x) = string($y)"),
+        ("$x in /descendant::{a}, $y in /descendant::{b}", "$x << $y"),
+        ("$x in ()", "false()"),
+    ];
+    for (doc, g, a, b) in binding_documents() {
+        let fill = |t: &str| t.replace("{a}", a).replace("{b}", b);
+        let mut pairs = Vec::new();
+        for clauses in clause_lists {
+            let flat = format!("{} return {body}", clauses.join(" "));
+            let nested = clauses.iter().rev().fold(body.to_string(), |inner, clause| match clause
+                .strip_prefix("where ")
+            {
+                Some(cond) => format!("if ({cond}) then ({inner}) else ()"),
+                None => format!("{clause} return ({inner})"),
+            });
+            pairs.push((fill(&flat), fill(&nested)));
+        }
+        for (binds, cond) in quantified {
+            pairs.push((
+                fill(&format!("some {binds} satisfies {cond}")),
+                fill(&format!("exists(for {binds} where {cond} return 1)")),
+            ));
+            pairs.push((
+                fill(&format!("every {binds} satisfies {cond}")),
+                fill(&format!("empty(for {binds} where not({cond}) return 1)")),
+            ));
+        }
+        for (left, right) in pairs {
+            for optimize in [true, false] {
+                let got = answer(&g, &left, optimize);
+                assert!(got.starts_with("Ok("), "{doc}: `{left}` → {got}");
+                assert_eq!(got, answer(&g, &right, optimize), "{doc}: `{left}` vs `{right}`");
+            }
+        }
+    }
+}

@@ -194,14 +194,25 @@ fn check_status_table(client: &mut Client) {
     // typed error, and the connection answers the next request. Too deep
     // a query is `parse` (on `/prepare` too, which a router compiles
     // itself); too deep a document is `document`; a regex too deeply
-    // nested or too large to compile, and a range too long to build, fail
-    // evaluation.
+    // nested or too large to compile, and a range too long to build or
+    // with a bound that is not an integer, fail evaluation.
     let parens = |levels: usize| format!("{}1{}", "(".repeat(levels), ")".repeat(levels));
     for lang in ["xquery", "xpath"] {
         row("POST", "/query", Some(query(Some("ms-a"), lang, &parens(1_000))), 400, "parse");
         row("POST", "/prepare", Some(query(None, lang, &parens(1_000))), 400, "parse");
     }
     row("POST", "/query", Some(query(Some("ms-a"), "xquery", &parens(40))), 200, "");
+    // Evaluation recurses once per FLWOR clause and quantifier binding, so
+    // 10,000 of either are too deep a query as well.
+    let bindings: Vec<String> = (0..10_000).map(|i| format!("$x{i} in 1")).collect();
+    let clauses: String = (0..10_000).map(|i| format!("for $x{i} in 1 ")).collect();
+    for q in
+        [format!("some {} satisfies true()", bindings.join(", ")), format!("{clauses}return 1")]
+    {
+        row("POST", "/query", Some(query(Some("ms-a"), "xquery", &q)), 400, "parse");
+        let json = row("POST", "/query", Some(query(Some("ms-a"), "xquery", "1 + 1")), 200, "");
+        assert_eq!(serialized(&json).as_deref(), Some("2"));
+    }
     let deep_upload = body(vec![(
         "hierarchies",
         Json::Arr(vec![Json::Obj(vec![
@@ -220,6 +231,7 @@ fn check_status_table(client: &mut Client) {
         "matches('x', 'x{4294967295}')".to_string(),
         "tokenize('a', '(a{1000}){1000}')".to_string(),
         "count(1 to 100000000000)".to_string(),
+        "count('a' to 3)".to_string(),
     ] {
         row("POST", "/query", Some(query(Some("ms-a"), "xquery", &q)), 422, "eval");
     }
