@@ -1,22 +1,25 @@
 //! E15 — batched step evaluation against the per-node loop.
 //!
-//! `plan::resolve_step_batch` takes a whole document-ordered context set
-//! through the index in one pass; the baseline is exactly what the
-//! evaluators did before batching: one `resolve_step` call per context
-//! node, concatenated, then one document-order sort-dedup. Contexts are
-//! the `e0` elements of a ≥10k-node corpus (a `//e0/xfollowing::*`-shaped
-//! intermediate result) at several widths — the batch win grows with the
-//! context-set size, which is the point of set-at-a-time evaluation.
+//! `plan::resolve_step` takes a whole document-ordered context set through
+//! the index in one pass; the baseline is what the evaluator runs for a
+//! predicated step: `resolve_step` on each single context, concatenated,
+//! then one document-order sort-dedup. Contexts are the `e0` elements of a
+//! ≥10k-node corpus (a `//e0/xfollowing::*`-shaped intermediate result) at
+//! several widths — the batch win grows with the context-set size, which
+//! is the point of set-at-a-time evaluation — plus every element, whose
+//! overlapping windows take the wide sweeps where the 911 `e0` contexts
+//! take one scan per context. `xfollowing`/`xpreceding` skip that last
+//! width: their per-node union there is ~17M nodes per run.
 //!
 //! The machine-readable snapshot goes to `BENCH_batch.json` at the
-//! workspace root; its `wide_speedups` object (full-width contexts only)
+//! workspace root; its `wide_speedups` object (the full `e0` width only)
 //! is what the `bench-check` CI gate tracks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mhx_corpus::{generate, GeneratorConfig};
 use mhx_goddag::{Axis, Goddag, NodeId, StructIndex};
-use mhx_xpath::plan::{choose_strategy, resolve_step, resolve_step_batch};
 use mhx_xpath::NodeTest;
+use mhx_xquery::plan::{choose_strategy, resolve_step};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -55,7 +58,8 @@ fn steps() -> Vec<(&'static str, Axis, NodeTest)> {
     ]
 }
 
-/// Evenly spread context subsets of the full `e0` run, in document order.
+/// Evenly spread context subsets of the full `e0` run, in document order,
+/// then the full run itself.
 fn context_widths(full: &[NodeId]) -> Vec<Vec<NodeId>> {
     let mut out = Vec::new();
     for k in [4usize, 64] {
@@ -67,8 +71,8 @@ fn context_widths(full: &[NodeId]) -> Vec<Vec<NodeId>> {
     out
 }
 
-/// The pre-batching evaluator shape: per-node resolution, one final
-/// document-order sort-dedup per step.
+/// The evaluator's per-node shape: each context resolved as a batch of
+/// one, one final document-order sort-dedup per step.
 fn per_node_step(
     g: &Goddag,
     idx: &StructIndex,
@@ -79,7 +83,7 @@ fn per_node_step(
     let strategy = choose_strategy(axis, test);
     let mut out: Vec<NodeId> = Vec::new();
     for &n in ctxs {
-        out.extend(resolve_step(g, idx, strategy, axis, test, n));
+        out.extend(resolve_step(g, Some(idx), strategy, axis, test, &[n]));
     }
     g.sort_nodes(&mut out);
     out.dedup();
@@ -93,7 +97,7 @@ fn batch_step(
     test: &NodeTest,
     ctxs: &[NodeId],
 ) -> Vec<NodeId> {
-    resolve_step_batch(g, idx, choose_strategy(axis, test), axis, test, ctxs)
+    resolve_step(g, Some(idx), choose_strategy(axis, test), axis, test, ctxs)
 }
 
 /// E15 through criterion (full-width contexts only; the snapshot below
@@ -122,6 +126,7 @@ fn emit_snapshot(_c: &mut Criterion) {
     let g = large_corpus();
     let idx = StructIndex::build(&g);
     let full = idx.elements_named("e0").to_vec();
+    let every_element: Vec<NodeId> = g.all_nodes().into_iter().filter(|n| n.is_element()).collect();
     let node_count = g.all_nodes().len();
 
     let median_ns = |f: &dyn Fn()| -> f64 {
@@ -139,7 +144,11 @@ fn emit_snapshot(_c: &mut Criterion) {
     let mut rows = Vec::new();
     let mut wide = Vec::new();
     for (label, axis, test) in steps() {
-        for ctxs in context_widths(&full) {
+        let mut widths = context_widths(&full);
+        if !matches!(axis, Axis::XFollowing | Axis::XPreceding) {
+            widths.push(every_element.clone());
+        }
+        for ctxs in widths {
             // Differential safety net: the snapshot never reports a
             // speedup for results that disagree.
             assert_eq!(
@@ -164,15 +173,17 @@ fn emit_snapshot(_c: &mut Criterion) {
                  speedup {speedup:>8.2}x",
                 ctxs.len()
             );
-            if ctxs.len() == full.len() {
+            if ctxs == full {
                 wide.push(format!("    \"{label}\": {speedup:.2}"));
             }
         }
     }
     let json = format!(
         "{{\n  \"bench\": \"batch_vs_per_node\",\n  \"nodes\": {node_count},\n  \
-         \"wide_contexts\": {},\n  \"rows\": [\n{}\n  ],\n  \"wide_speedups\": {{\n{}\n  }}\n}}\n",
+         \"wide_contexts\": {},\n  \"every_element_contexts\": {},\n  \"rows\": [\n{}\n  ],\n  \
+         \"wide_speedups\": {{\n{}\n  }}\n}}\n",
         full.len(),
+        every_element.len(),
         rows.join(",\n"),
         wide.join(",\n")
     );

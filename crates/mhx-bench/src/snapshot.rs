@@ -287,11 +287,12 @@ pub fn tracked_metrics(file: &str, doc: &Json) -> Result<Vec<Metric>, String> {
         "bindings" => {
             // Binding-cost ratios from `benches/bindings.rs`: a query's time
             // over its time behind an unused `let`. Parity is the design
-            // (a binding is pushed once, never copied), so every row gates
-            // parity like the plan bench's positional rows; copying the
-            // variables per tuple reads ~0.01.
+            // (a binding is pushed once, never copied, and `order by` keeps
+            // no copy of a `let` before its first `for`), so every row
+            // gates parity like the plan bench's positional rows; copying
+            // the variables per tuple reads ~0.01.
             out = ratio_rows("bindings", "BENCH_bindings.json", doc, |name| {
-                matches!(name, "flwor" | "positional_predicate" | "quantifier")
+                matches!(name, "flwor" | "positional_predicate" | "quantifier" | "order_by")
                     .then_some((1.0, Some(0.6)))
             })?;
         }
@@ -762,22 +763,22 @@ mod tests {
 
     #[test]
     fn bindings_metrics_gate_parity_hard() {
-        let parity =
-            r#"{"ratios": {"flwor": 1.0, "positional_predicate": 0.97, "quantifier": 1.1}}"#;
+        let parity = r#"{"ratios": {"flwor": 1.0, "positional_predicate": 0.97,
+            "quantifier": 1.1, "order_by": 0.95}}"#;
         let base = tracked_metrics("bindings", &parse(parity).unwrap()).unwrap();
-        assert_eq!(base.len(), 3);
+        assert_eq!(base.len(), 4);
         assert!(base.iter().all(|m| m.hard_min == Some(0.6)), "{base:?}");
 
         // Bindings "are copied again": each ratio falls to a few hundredths.
-        let copied =
-            r#"{"ratios": {"flwor": 0.005, "positional_predicate": 0.022, "quantifier": 0.02}}"#;
+        let copied = r#"{"ratios": {"flwor": 0.005, "positional_predicate": 0.022,
+            "quantifier": 0.02, "order_by": 0.03}}"#;
         let fresh = tracked_metrics("bindings", &parse(copied).unwrap()).unwrap();
         let verdicts = compare(&base, &fresh, 0.25);
         assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
 
-        let drifted = r#"{"ratios": {"order_by": 1.0}}"#;
+        let drifted = r#"{"ratios": {"group_by": 1.0}}"#;
         let err = tracked_metrics("bindings", &parse(drifted).unwrap()).unwrap_err();
-        assert!(err.contains("order_by"), "{err}");
+        assert!(err.contains("group_by"), "{err}");
     }
 
     #[test]

@@ -128,6 +128,21 @@ impl Axis {
         })
     }
 
+    /// Is this one of Definition 1's seven extended axes, which relate
+    /// nodes by their leaf spans across hierarchies?
+    pub fn is_extended(self) -> bool {
+        matches!(
+            self,
+            Axis::XAncestor
+                | Axis::XDescendant
+                | Axis::XFollowing
+                | Axis::XPreceding
+                | Axis::PrecedingOverlapping
+                | Axis::FollowingOverlapping
+                | Axis::Overlapping
+        )
+    }
+
     /// Reverse axes deliver positions in reverse document order (XPath
     /// `position()` semantics).
     pub fn is_reverse(self) -> bool {

@@ -23,8 +23,10 @@
 //! bounds-checked, strings are UTF-8 validated, spans are checked against
 //! the text (bounds and char boundaries), every cross-array index
 //! (parent links, child links, index node ids) is validated before the
-//! structures are built, and both stored orders must be true permutations
-//! of `ordered` (as long as it, every position in range, each used once).
+//! structures are built, both stored orders must be true permutations
+//! of `ordered` (as long as it, every position in range, each used once),
+//! and each name run must be in Definition-3 order, which the name-indexed
+//! steps answer in and the chain join merges by.
 //! Malformed input yields a [`ColumnsError`].
 //!
 //! The payloads carry no magic, no checksums and no versioning — framing
@@ -35,6 +37,7 @@ use crate::goddag::Goddag;
 use crate::hierarchy::{ElemNode, Hierarchy, Kid, Parent, TextNode};
 use crate::index::{ChainEntry, IndexStats, SpanEntry, StructIndex, NO_PARENT};
 use crate::node::{HierarchyId, NodeId};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -361,18 +364,6 @@ pub fn dissect(g: &Goddag, idx: &StructIndex) -> Vec<Section> {
         }
     }
 
-    let mut names = W::default();
-    let mut by_name: Vec<(&String, &Vec<NodeId>)> = idx.name_map.iter().collect();
-    by_name.sort_by_key(|(k, _)| k.as_str());
-    names.u32(by_name.len() as u32);
-    for (name, nodes) in by_name {
-        names.str(name);
-        names.u32(nodes.len() as u32);
-        for &n in nodes {
-            names.node(n);
-        }
-    }
-
     let mut spans = W::default();
     spans.spans(&idx.ordered);
     let positions = Positions::of(g, &idx.ordered);
@@ -406,11 +397,27 @@ pub fn dissect(g: &Goddag, idx: &StructIndex) -> Vec<Section> {
     vec![
         Section { kind: SEC_META, bytes: meta.buf },
         Section { kind: SEC_HIERARCHIES, bytes: hs.buf },
-        Section { kind: SEC_NAMES, bytes: names.buf },
+        Section { kind: SEC_NAMES, bytes: names_payload(&idx.name_map) },
         Section { kind: SEC_SPANS, bytes: spans.buf },
         Section { kind: SEC_CHAINS, bytes: chains.buf },
         Section { kind: SEC_STATS, bytes: stats.buf },
     ]
+}
+
+/// The NAMES payload: each name, in sorted order, with its run of nodes.
+fn names_payload(name_map: &HashMap<String, Vec<NodeId>>) -> Vec<u8> {
+    let mut names = W::default();
+    let mut by_name: Vec<(&String, &Vec<NodeId>)> = name_map.iter().collect();
+    by_name.sort_by_key(|(k, _)| k.as_str());
+    names.u32(by_name.len() as u32);
+    for (name, nodes) in by_name {
+        names.str(name);
+        names.u32(nodes.len() as u32);
+        for &n in nodes {
+            names.node(n);
+        }
+    }
+    names.buf
 }
 
 /// Where each node sits in the index's `ordered` array: dense tables for
@@ -643,6 +650,11 @@ pub fn assemble(sections: &[Section]) -> Result<(Goddag, StructIndex), ColumnsEr
         for _ in 0..n {
             let node = r.node()?;
             check_node(node, &g, "name map")?;
+            // The name-indexed steps answer in run order, and the chain
+            // join merges runs as ascending preorder.
+            if nodes.last().is_some_and(|&prev| g.cmp_order(prev, node) != Ordering::Less) {
+                return Err(bad(format!("name map: run `{name}` is not in Definition-3 order")));
+            }
             nodes.push(node);
         }
         if name_map.insert(name, nodes).is_some() {
@@ -869,6 +881,20 @@ mod tests {
             let err = assemble(&bad).unwrap_err();
             assert!(err.detail.contains(want), "{want}: {}", err.detail);
         }
+    }
+
+    #[test]
+    fn misordered_name_runs_error() {
+        let (g, idx) = sample();
+        let sections = dissect(&g, &idx);
+        let at = sections.iter().position(|s| s.kind == SEC_NAMES).unwrap();
+        assert_eq!(sections[at].bytes, names_payload(&idx.name_map));
+        let mut swapped = idx.name_map.clone();
+        swapped.get_mut("w").unwrap().swap(0, 1);
+        let mut bad = sections.clone();
+        bad[at].bytes = names_payload(&swapped);
+        let err = assemble(&bad).unwrap_err();
+        assert!(err.detail.contains("run `w` is not in Definition-3 order"), "{}", err.detail);
     }
 
     #[test]

@@ -24,22 +24,36 @@
 //! naive scan stays in [`crate::axes`] as the reference oracle — the
 //! differential property suite asserts both agree on every axis.
 //!
-//! Besides the per-node lookups there is a **batch layer**
-//! ([`StructIndex::axis_nodes_batch`], [`StructIndex::elements_named_batch`])
-//! that evaluates one axis for a whole document-ordered context set in a
-//! single pass over the index structures — the set-at-a-time shape of
-//! holistic/structural-join evaluation. Per context set, not per context
-//! node: `xfollowing`/`xpreceding` collapse to one min/max reduction plus
-//! one filter of the ordered array, `xdescendant` is a merge sweep of the
-//! start-sorted spans against the sorted context spans, the overlap axes
-//! answer each candidate with an O(1) range-min/max query over the context
-//! spans, and `xancestor` shares one output buffer (and one final sort)
-//! across all containment-chain walks.
+//! Each extended axis has **one window scan**, [`StructIndex::scan`]: a
+//! binary-searched window of one span array plus an O(1) test per entry
+//! (for `xancestor`, one chain walk per hierarchy), visiting nodes until
+//! the visitor stops. The rest is built on it:
+//!
+//! * [`StructIndex::axis_exists`] is the scan stopped at the first
+//!   accepted node: the probe for boolean axis predicates, which
+//!   allocates nothing;
+//! * [`StructIndex::axis_nodes_batch`] answers a whole context set in
+//!   Definition-3 order, by one scan per context into one buffer and one
+//!   sort. It keeps two kinds of path that beat that on real inputs:
+//!   `xfollowing`/`xpreceding`, for any number of contexts, are one
+//!   min/max reduction over the context spans and one filter of the
+//!   Definition-3-ordered array, with no sort; and over a set of contexts
+//!   whose windows overlap, `xdescendant` and the overlap axes are one
+//!   sweep of the set's global window (a two-witness merge, resp. an O(1)
+//!   range-max/min query per candidate). The choice compares window sizes
+//!   the binary searches yield anyway;
+//! * [`StructIndex::axis_nodes`] — one context — is a batch of one.
+//!
+//! The name map answers `descendant::name` for a context set
+//! ([`StructIndex::elements_named_batch`]) and the two-step
+//! `descendant::a/descendant::b` ([`StructIndex::descendant_chain_batch`])
+//! from the preorder intervals the contexts reach, per hierarchy.
 
 use crate::axes::{axis_nodes, Axis};
 use crate::goddag::Goddag;
-use crate::node::{HierarchyId, NodeId};
+use crate::node::NodeId;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// One non-empty node span. `start`/`end` are byte offsets into `S`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -264,72 +278,17 @@ impl StructIndex {
         self.name_map.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Evaluate `axis` from `n` through the index. Results match
-    /// [`crate::axes::axis_nodes`] exactly (same order, same exclusions);
-    /// standard axes delegate to the tree walk, which is already local.
+    /// Evaluate `axis` from `n` through the index: a batch of one context
+    /// ([`StructIndex::axis_nodes_batch`]). Results match
+    /// [`crate::axes::axis_nodes`] exactly (same order, same exclusions).
     pub fn axis_nodes(&self, g: &Goddag, axis: Axis, n: NodeId) -> Vec<NodeId> {
-        self.axis_nodes_filtered(g, axis, n, |_| true)
+        self.axis_nodes_batch(g, axis, &[n], |_| true)
     }
 
-    /// [`StructIndex::axis_nodes`] with a post-filter applied *before* the
-    /// final Definition-3 sort, so name-selective steps avoid sorting
-    /// non-matching candidates.
-    pub fn axis_nodes_filtered(
-        &self,
-        g: &Goddag,
-        axis: Axis,
-        n: NodeId,
-        keep: impl Fn(NodeId) -> bool,
-    ) -> Vec<NodeId> {
-        match axis {
-            // Low selectivity: answered pre-sorted, no final sort needed.
-            Axis::XFollowing => self.xfollowing(g, n, &keep),
-            Axis::XPreceding => self.xpreceding(g, n, &keep),
-            _ => {
-                let mut out = self.axis_nodes_filtered_unsorted(g, axis, n, keep);
-                g.sort_nodes(&mut out);
-                out
-            }
-        }
-    }
-
-    /// [`StructIndex::axis_nodes_filtered`] without the per-node
-    /// Definition-3 sort. For callers that union the candidate sets of many
-    /// context nodes and sort once per *step* (the batched evaluators and
-    /// the per-node fallback of predicate-free steps), sorting each context
-    /// node's slice first is pure waste. Output order is unspecified,
-    /// except that standard (tree-walk) axes and
-    /// `xfollowing`/`xpreceding` happen to come back sorted already.
-    pub fn axis_nodes_filtered_unsorted(
-        &self,
-        g: &Goddag,
-        axis: Axis,
-        n: NodeId,
-        keep: impl Fn(NodeId) -> bool,
-    ) -> Vec<NodeId> {
-        match axis {
-            Axis::XAncestor => self.xancestor(g, n, &keep),
-            Axis::XDescendant => self.xdescendant(g, n, &keep),
-            Axis::XFollowing => self.xfollowing(g, n, &keep),
-            Axis::XPreceding => self.xpreceding(g, n, &keep),
-            Axis::PrecedingOverlapping => self.preceding_overlapping(g, n, &keep),
-            Axis::FollowingOverlapping => self.following_overlapping(g, n, &keep),
-            Axis::Overlapping => {
-                let mut v = self.preceding_overlapping(g, n, &keep);
-                v.extend(self.following_overlapping(g, n, &keep));
-                v
-            }
-            _ => axis_nodes(g, axis, n).into_iter().filter(|&m| keep(m)).collect(),
-        }
-    }
-
-    /// First-witness existential probe: does `axis` from `n` contain at
-    /// least one node accepted by `keep`? Equivalent to
-    /// `!axis_nodes_filtered(g, axis, n, keep).is_empty()` but stops at the
-    /// first witness instead of materializing the axis — the evaluation
-    /// shape for boolean axis predicates (`//a[xfollowing::b]` asks
-    /// *whether* a witness exists, never *which*), where the full per-node
-    /// lookup is pure waste.
+    /// First-witness existential probe: does `axis` from `n` hold a node
+    /// accepted by `keep`? The scan stopped at the first such node — the
+    /// evaluation shape of boolean axis predicates (`//a[xfollowing::b]`
+    /// asks *whether* a witness exists, never *which*).
     pub fn axis_exists(
         &self,
         g: &Goddag,
@@ -337,38 +296,56 @@ impl StructIndex {
         n: NodeId,
         keep: impl Fn(NodeId) -> bool,
     ) -> bool {
+        let mut first =
+            |m| if keep(m) { ControlFlow::Break(()) } else { ControlFlow::Continue(()) };
+        self.scan(g, axis, n, &mut first).is_break()
+    }
+
+    /// Visit the nodes on `axis` from `n`, each once and in window order
+    /// (not Definition-3 order), until `visit` breaks. This is the one
+    /// place each extended axis's window logic lives: a binary-searched
+    /// window of one span array plus an O(1) test per entry, or, for
+    /// `xancestor`, one containment-chain walk per hierarchy. Standard axes
+    /// visit the tree walk, which is already output-local. Generic over
+    /// `visit`, so a probe neither boxes nor allocates.
+    pub fn scan(
+        &self,
+        g: &Goddag,
+        axis: Axis,
+        n: NodeId,
+        visit: &mut impl FnMut(NodeId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if !axis.is_extended() {
+            return axis_nodes(g, axis, n).into_iter().try_for_each(visit);
+        }
+        let Some(ctx @ (a, b, _)) = ctx_span(g, n) else { return ControlFlow::Continue(()) };
         match axis {
-            Axis::XFollowing => {
-                let Some((_, b)) = self.ctx_span(g, n) else { return false };
-                let lo = self.by_start.partition_point(|e| e.start < b);
-                self.by_start[lo..].iter().any(|e| keep(e.node))
-            }
-            Axis::XPreceding => {
-                let Some((a, _)) = self.ctx_span(g, n) else { return false };
-                let hi = self.by_end.partition_point(|e| e.end <= a);
-                // Backward: witnesses cluster just before the span.
-                self.by_end[..hi].iter().rev().any(|e| keep(e.node))
-            }
-            Axis::XDescendant => {
-                let Some((a, b)) = self.ctx_span(g, n) else { return false };
-                let lo = self.by_start.partition_point(|e| e.start < a);
-                let hi = self.by_start.partition_point(|e| e.start < b);
-                self.by_start[lo..hi].iter().any(|e| {
-                    e.end <= b && e.node != n && !g.is_descendant(n, e.node) && keep(e.node)
-                })
+            Axis::Overlapping => {
+                let (p, f) = (Axis::PrecedingOverlapping, Axis::FollowingOverlapping);
+                scan_window(g, p, self.window(p, a, b), ctx, visit)?;
+                scan_window(g, f, self.window(f, a, b), ctx, visit)
             }
             Axis::XAncestor => {
-                let Some((a, b)) = self.ctx_span(g, n) else { return false };
-                let hit = |m: NodeId| m != n && !g.is_descendant(m, n) && keep(m);
-                if hit(NodeId::Root) {
-                    return true;
-                }
+                // Excluding `n` and its DOM descendants.
+                let mut hit = |m: NodeId| {
+                    if m != n && !g.is_descendant(m, n) {
+                        visit(m)
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                };
+                hit(NodeId::Root)?;
+                // Leaves are disjoint, so only the leaf containing `a` can
+                // cover the whole span.
                 let leaf = g.leaf_at(a);
                 let (ls, le) = g.span(leaf);
-                if ls <= a && b <= le && hit(leaf) {
-                    return true;
+                if ls <= a && b <= le {
+                    hit(leaf)?;
                 }
                 for chain in &self.chains {
+                    // Deepest candidate: the last chain node with start <= a.
+                    // Every container of [a, b) in this hierarchy is on its
+                    // parent chain (laminar family).
                     let idx = chain.partition_point(|e| e.start <= a);
                     if idx == 0 {
                         continue;
@@ -376,8 +353,8 @@ impl StructIndex {
                     let mut cur = (idx - 1) as u32;
                     loop {
                         let e = chain[cur as usize];
-                        if e.end >= b && hit(e.node) {
-                            return true;
+                        if e.end >= b {
+                            hit(e.node)?;
                         }
                         if e.parent == NO_PARENT {
                             break;
@@ -385,34 +362,148 @@ impl StructIndex {
                         cur = e.parent;
                     }
                 }
-                false
+                ControlFlow::Continue(())
             }
+            _ => scan_window(g, axis, self.window(axis, a, b), ctx, visit),
+        }
+    }
+
+    /// The span-array window holding `axis`'s answers for the context span
+    /// `[a, b)`, for the five axes with one window. With `a` the least
+    /// start and `b` the greatest end of a context set, it is the set's
+    /// global window.
+    fn window(&self, axis: Axis, a: u32, b: u32) -> &[SpanEntry] {
+        let (s, e) = (&self.by_start[..], &self.by_end[..]);
+        match axis {
+            // Starts at or after the span's end.
+            Axis::XFollowing => &s[s.partition_point(|x| x.start < b)..],
+            // Ends at or before its start.
+            Axis::XPreceding => &e[..e.partition_point(|x| x.end <= a)],
+            // Starts inside it; the scan's end test drops the overlap tail.
+            Axis::XDescendant => {
+                &s[s.partition_point(|x| x.start < a)..s.partition_point(|x| x.start < b)]
+            }
+            // Ends strictly inside it (c < a < d < b).
             Axis::PrecedingOverlapping => {
-                let Some((a, b)) = self.ctx_span(g, n) else { return false };
-                let lo = self.by_end.partition_point(|e| e.end <= a);
-                let hi = self.by_end.partition_point(|e| e.end < b);
-                self.by_end[lo..hi].iter().any(|e| e.start < a && keep(e.node))
+                &e[e.partition_point(|x| x.end <= a)..e.partition_point(|x| x.end < b)]
             }
+            // Starts strictly inside it (a < c < b < d).
             Axis::FollowingOverlapping => {
-                let Some((a, b)) = self.ctx_span(g, n) else { return false };
-                let lo = self.by_start.partition_point(|e| e.start <= a);
-                let hi = self.by_start.partition_point(|e| e.start < b);
-                self.by_start[lo..hi].iter().any(|e| e.end > b && keep(e.node))
+                &s[s.partition_point(|x| x.start <= a)..s.partition_point(|x| x.start < b)]
             }
+            _ => unreachable!("{} has no single window", axis.name()),
+        }
+    }
+
+    /// Evaluate `axis` for a whole context set: the union of its answers
+    /// over `ctxs` that `keep` accepts, in Definition-3 order,
+    /// deduplicated. `ctxs` should be in document order without
+    /// duplicates (the per-step invariant of the evaluators); the answer
+    /// is the same for any order.
+    ///
+    /// The path is picked from window sizes the binary searches yield:
+    /// * `xfollowing`/`xpreceding`, for one context or many — the union
+    ///   is the axis of the earliest-ending (latest-starting) context, so
+    ///   one min (max) over the context spans and one filter of the
+    ///   Definition-3-ordered span array answer it, already sorted;
+    /// * `xdescendant` and the two halves of `overlapping` over several
+    ///   contexts whose windows overlap, i.e. whose global window is no
+    ///   longer than their windows summed — one sweep of the global
+    ///   window: a merge against the start-sorted context spans with two
+    ///   containment witnesses for `xdescendant`, an O(1) range-max/min
+    ///   query (`Rmq`) over the context spans per candidate for the
+    ///   overlap axes;
+    /// * everything else, one context included — one
+    ///   [`StructIndex::scan`] per context into one buffer, each context's
+    ///   run sorted as it lands, so the final sort-dedup is a merge.
+    pub fn axis_nodes_batch(
+        &self,
+        g: &Goddag,
+        axis: Axis,
+        ctxs: &[NodeId],
+        keep: impl Fn(NodeId) -> bool,
+    ) -> Vec<NodeId> {
+        let spans = || ctxs.iter().filter_map(|&n| ctx_span(g, n));
+        let ordered = self.ordered.iter();
+        match axis {
+            Axis::XFollowing => {
+                let Some(min_end) = spans().map(|s| s.1).min() else { return Vec::new() };
+                return ordered
+                    .filter(|e| e.start >= min_end)
+                    .map(|e| e.node)
+                    .filter(|&m| keep(m))
+                    .collect();
+            }
+            Axis::XPreceding => {
+                let Some(max_start) = spans().map(|s| s.0).max() else { return Vec::new() };
+                return ordered
+                    .filter(|e| e.end <= max_start)
+                    .map(|e| e.node)
+                    .filter(|&m| keep(m))
+                    .collect();
+            }
+            _ => {}
+        }
+        let mut out = Vec::new();
+        match axis {
+            // A node can precede-overlap one context and follow-overlap
+            // another; the dedup below merges the halves.
             Axis::Overlapping => {
-                let Some((a, b)) = self.ctx_span(g, n) else { return false };
-                let plo = self.by_end.partition_point(|e| e.end <= a);
-                let phi = self.by_end.partition_point(|e| e.end < b);
-                if self.by_end[plo..phi].iter().any(|e| e.start < a && keep(e.node)) {
-                    return true;
-                }
-                let flo = self.by_start.partition_point(|e| e.start <= a);
-                let fhi = self.by_start.partition_point(|e| e.start < b);
-                self.by_start[flo..fhi].iter().any(|e| e.end > b && keep(e.node))
+                self.gather(g, Axis::PrecedingOverlapping, ctxs, &keep, &mut out);
+                self.gather(g, Axis::FollowingOverlapping, ctxs, &keep, &mut out);
             }
-            // Standard axes: the tree walk is already output-local; just
-            // stop at the first accepted node.
-            _ => axis_nodes(g, axis, n).into_iter().any(keep),
+            _ => self.gather(g, axis, ctxs, &keep, &mut out),
+        }
+        g.sort_nodes(&mut out);
+        out.dedup();
+        out
+    }
+
+    /// Push `axis`'s answers from every context that `keep` accepts onto
+    /// `out`, possibly repeated: one sweep of the global window where
+    /// [`StructIndex::axis_nodes_batch`] says so, else one scan per context,
+    /// each context's run sorted.
+    fn gather(
+        &self,
+        g: &Goddag,
+        axis: Axis,
+        ctxs: &[NodeId],
+        keep: &impl Fn(NodeId) -> bool,
+        out: &mut Vec<NodeId>,
+    ) {
+        let sweeps = matches!(
+            axis,
+            Axis::XDescendant | Axis::PrecedingOverlapping | Axis::FollowingOverlapping
+        );
+        if sweeps && ctxs.len() > 1 {
+            let mut spans: Vec<Ctx> = ctxs.iter().filter_map(|&n| ctx_span(g, n)).collect();
+            spans.sort_unstable_by_key(|&(a, b, _)| (a, b));
+            let Some(max_b) = spans.iter().map(|s| s.1).max() else { return };
+            let global = self.window(axis, spans[0].0, max_b);
+            let windows: Vec<&[SpanEntry]> =
+                spans.iter().map(|&(a, b, _)| self.window(axis, a, b)).collect();
+            if global.len() <= windows.iter().map(|w| w.len()).sum() {
+                match axis {
+                    Axis::XDescendant => xdescendant_sweep(g, &spans, global, keep, out),
+                    Axis::PrecedingOverlapping => {
+                        preceding_overlapping_sweep(&spans, global, keep, out)
+                    }
+                    _ => following_overlapping_sweep(&spans, global, keep, out),
+                }
+            } else {
+                for (&ctx, window) in spans.iter().zip(windows) {
+                    let run = out.len();
+                    let _ = scan_window(g, axis, window, ctx, &mut pushing(keep, out));
+                    g.sort_nodes(&mut out[run..]);
+                }
+            }
+            return;
+        }
+        for &n in ctxs {
+            let run = out.len();
+            let _ = self.scan(g, axis, n, &mut pushing(keep, out));
+            // Sorted runs leave the final sort a merge.
+            g.sort_nodes(&mut out[run..]);
         }
     }
 
@@ -422,12 +513,12 @@ impl StructIndex {
     /// descendant::inner` as one merge join over the preorder-numbered name
     /// runs, instead of materializing the intermediate `outer` node set and
     /// re-deriving its intervals step-at-a-time. The outer pass coalesces
-    /// nested `outer` occurrences on the fly (the name runs ascend in
-    /// preorder, so a nested occurrence lands inside the interval just
-    /// emitted), and the inner pass advances one run pointer per hierarchy
-    /// linearly instead of binary-searching per candidate. Matches
-    /// `elements_named_batch(inner, elements_named_batch(outer, ctxs))`
-    /// exactly, Definition-3 order included.
+    /// nested `outer` occurrences on the fly (a name run ascends in
+    /// preorder per hierarchy, so a nested occurrence lands inside the
+    /// interval just emitted), and the inner pass advances one run pointer
+    /// per hierarchy linearly instead of binary-searching per candidate.
+    /// Matches `elements_named_batch(inner, elements_named_batch(outer,
+    /// ctxs))` exactly, Definition-3 order included.
     pub fn descendant_chain_batch(
         &self,
         g: &Goddag,
@@ -440,103 +531,40 @@ impl StructIndex {
         if inner_entries.is_empty() || outer_entries.is_empty() || ctxs.is_empty() {
             return Vec::new();
         }
-        // Context intervals per hierarchy (strict descendant); any root
-        // context reaches every element. Hierarchy ids are small dense
-        // indices, so flat per-hierarchy tables keep the per-entry loops
-        // free of hashing.
-        let nh = g.hierarchy_count();
-        let root_ctx = ctxs.iter().any(|n| n.is_root());
-        let mut ctx_runs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nh];
-        if !root_ctx {
-            let mut any_ctx = false;
-            for &n in ctxs {
-                if let NodeId::Elem { h, i } = n {
-                    let e = g.hierarchy(h).elem(i);
-                    if e.order < e.subtree_last {
-                        ctx_runs[h.0 as usize].push((e.order + 1, e.subtree_last));
-                        any_ctx = true;
-                    }
-                }
-            }
-            if !any_ctx {
-                return Vec::new();
-            }
-            for runs in &mut ctx_runs {
-                runs.sort_unstable();
-                merge_runs(runs);
-            }
-        }
-        // An outer entry in a hierarchy with no context interval falls out
-        // of the binary search below (empty runs ⇒ idx == 0 ⇒ skip).
-        let in_ctx = |runs: &[(u32, u32)], order: u32| -> bool {
-            let idx = runs.partition_point(|&(lo, _)| lo <= order);
-            idx > 0 && order <= runs[idx - 1].1
-        };
+        let reach = reach(g, ctxs, false);
         // Outer pass: descendant intervals of the in-context `outer`
-        // elements, coalesced per hierarchy as they stream by in preorder.
-        let mut outer_runs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nh];
-        let mut preordered = true;
-        let mut any_outer = false;
+        // elements, coalesced per hierarchy as they stream by in preorder
+        // (`build` writes name runs in Definition-3 order, and
+        // `columns::assemble` refuses a snapshot whose runs are not).
+        let mut outer_runs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); g.hierarchy_count()];
         for &m in outer_entries {
             let NodeId::Elem { h, i } = m else { continue };
             let e = g.hierarchy(h).elem(i);
-            if !root_ctx && !in_ctx(&ctx_runs[h.0 as usize], e.order) {
-                continue;
+            let in_ctx = reach.as_ref().is_none_or(|runs| in_runs(&runs[h.index()], e.order));
+            if !in_ctx || e.order >= e.subtree_last {
+                continue; // out of reach, or no descendants
             }
-            if e.order + 1 > e.subtree_last {
-                continue; // no element descendants
-            }
-            let runs = &mut outer_runs[h.0 as usize];
-            any_outer = true;
+            let runs = &mut outer_runs[h.index()];
             match runs.last_mut() {
-                Some(last) if e.order + 1 < last.0 => preordered = false,
                 // A nested occurrence is absorbed by the covering interval.
                 Some(last) if e.order <= last.1 => last.1 = last.1.max(e.subtree_last),
                 _ => runs.push((e.order + 1, e.subtree_last)),
             }
         }
-        if !preordered {
-            // Name runs should ascend in preorder per hierarchy; if an
-            // input ever violates that, rebuild the intervals the safe way.
-            for runs in &mut outer_runs {
-                runs.clear();
-            }
-            for &m in outer_entries {
-                let NodeId::Elem { h, i } = m else { continue };
-                let e = g.hierarchy(h).elem(i);
-                if !root_ctx && !in_ctx(&ctx_runs[h.0 as usize], e.order) {
-                    continue;
-                }
-                if e.order < e.subtree_last {
-                    outer_runs[h.0 as usize].push((e.order + 1, e.subtree_last));
-                }
-            }
-            for runs in &mut outer_runs {
-                runs.sort_unstable();
-                merge_runs(runs);
-            }
-        }
-        if !any_outer {
-            return Vec::new();
-        }
         // Inner pass: one linear merge per hierarchy — name run and
         // interval list both ascend, so a single advancing pointer replaces
         // a binary search per candidate. Output inherits the name run's
         // Definition-3 order; no sort, no dedup.
-        let mut cursors: Vec<(usize, u32)> = vec![(0, 0); nh];
+        let mut cursors = vec![0usize; outer_runs.len()];
         let mut out = Vec::new();
         for &m in inner_entries {
             let NodeId::Elem { h, i } = m else { continue };
-            let runs = &outer_runs[h.0 as usize];
+            let runs = &outer_runs[h.index()];
             if runs.is_empty() {
                 continue;
             }
             let o = g.hierarchy(h).elem(i).order;
-            let (cur, last_o) = &mut cursors[h.0 as usize];
-            if o < *last_o {
-                *cur = 0; // out-of-order input: restart the pointer
-            }
-            *last_o = o;
+            let cur = &mut cursors[h.index()];
             while *cur < runs.len() && runs[*cur].1 < o {
                 *cur += 1;
             }
@@ -547,377 +575,10 @@ impl StructIndex {
         out
     }
 
-    /// Evaluate `axis` for a whole context set in one pass: the union of
-    /// [`StructIndex::axis_nodes_filtered`] over `ctxs`, in Definition-3
-    /// order, deduplicated. `ctxs` should be in document order (the
-    /// per-step invariant of the evaluators); the result is correct for any
-    /// order, but the merge sweeps assume sorted *spans*, which this method
-    /// derives itself.
-    ///
-    /// Where the win comes from, per axis:
-    /// * `xfollowing`/`xpreceding` — the union over contexts collapses to a
-    ///   single min (resp. max) reduction over the context spans and one
-    ///   filter of the Definition-3-ordered span array: O(contexts + N)
-    ///   instead of O(contexts × N), output already sorted;
-    /// * `xdescendant` — one merge sweep of the start-sorted span array
-    ///   against the start-sorted context spans, tracking the
-    ///   maximal-ending context seen so far as a containment witness;
-    /// * the overlap axes — one sweep of the relevant window answering each
-    ///   candidate with an O(1) range-max/min query over the context spans;
-    /// * `xancestor` — per-context containment-chain walks sharing one
-    ///   output buffer, so the document-order sort-dedup happens once for
-    ///   the whole context set instead of once per context node.
-    pub fn axis_nodes_batch(
-        &self,
-        g: &Goddag,
-        axis: Axis,
-        ctxs: &[NodeId],
-        keep: impl Fn(NodeId) -> bool,
-    ) -> Vec<NodeId> {
-        match axis {
-            Axis::XAncestor
-            | Axis::XDescendant
-            | Axis::XFollowing
-            | Axis::XPreceding
-            | Axis::PrecedingOverlapping
-            | Axis::FollowingOverlapping
-            | Axis::Overlapping => {}
-            // Standard axes are already output-local tree walks; batch them
-            // as the per-node walk with one hoisted sort-dedup.
-            _ => {
-                let mut out: Vec<NodeId> = ctxs
-                    .iter()
-                    .flat_map(|&n| axis_nodes(g, axis, n))
-                    .filter(|&m| keep(m))
-                    .collect();
-                g.sort_nodes(&mut out);
-                out.dedup();
-                return out;
-            }
-        }
-        // Empty-span contexts take part in no extended axis (same rule as
-        // the per-node path).
-        let mut spans: Vec<(u32, u32, NodeId)> = ctxs
-            .iter()
-            .filter_map(|&n| {
-                let (a, b) = g.span(n);
-                (a < b).then_some((a, b, n))
-            })
-            .collect();
-        if spans.is_empty() {
-            return Vec::new();
-        }
-        spans.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        match axis {
-            Axis::XFollowing => {
-                // m ∈ xfollowing(n) ⇔ start(m) ≥ end(n); the union over the
-                // context set is xfollowing of the earliest-ending context.
-                let min_end = spans.iter().map(|s| s.1).min().expect("non-empty");
-                self.ordered
-                    .iter()
-                    .filter(|e| e.start >= min_end)
-                    .map(|e| e.node)
-                    .filter(|&m| keep(m))
-                    .collect()
-            }
-            Axis::XPreceding => {
-                let max_start = spans.last().expect("non-empty").0;
-                self.ordered
-                    .iter()
-                    .filter(|e| e.end <= max_start)
-                    .map(|e| e.node)
-                    .filter(|&m| keep(m))
-                    .collect()
-            }
-            Axis::XDescendant => {
-                let mut out = self.xdescendant_batch(g, &spans, &keep);
-                g.sort_nodes(&mut out);
-                out.dedup();
-                out
-            }
-            Axis::XAncestor => {
-                let mut out = self.xancestor_batch(g, &spans, &keep);
-                g.sort_nodes(&mut out);
-                out.dedup();
-                out
-            }
-            Axis::PrecedingOverlapping => {
-                let mut out = self.preceding_overlapping_batch(&spans, &keep);
-                g.sort_nodes(&mut out);
-                out.dedup();
-                out
-            }
-            Axis::FollowingOverlapping => {
-                let mut out = self.following_overlapping_batch(&spans, &keep);
-                g.sort_nodes(&mut out);
-                out.dedup();
-                out
-            }
-            Axis::Overlapping => {
-                // A node can precede-overlap one context and follow-overlap
-                // another, so the union needs a dedup.
-                let mut out = self.preceding_overlapping_batch(&spans, &keep);
-                out.extend(self.following_overlapping_batch(&spans, &keep));
-                g.sort_nodes(&mut out);
-                out.dedup();
-                out
-            }
-            _ => unreachable!("outer match restricts to extended axes"),
-        }
-    }
-
-    /// Batch `xdescendant`. Two regimes, chosen by comparing the global
-    /// candidate window against the summed per-context windows (both known
-    /// from binary searches before any scanning):
-    ///
-    /// * **narrow contexts** (spans that tile the document, e.g. a
-    ///   `//w/...` context set) — the per-context windows are tiny and
-    ///   sum to less than the global window, so scan each into a shared
-    ///   buffer (the caller sorts and dedups once);
-    /// * **wide contexts** — one merge sweep of `by_start` against the
-    ///   start-sorted context spans. A candidate is contained by *some*
-    ///   context iff it is contained by the maximal-ending context whose
-    ///   span starts at or before the candidate's; a second witness covers
-    ///   the case where the first is excluded for this candidate (the
-    ///   candidate is the witness itself or one of its DOM ancestors), and
-    ///   only a double exclusion falls back to scanning the context set.
-    fn xdescendant_batch(
-        &self,
-        g: &Goddag,
-        spans: &[(u32, u32, NodeId)],
-        keep: &impl Fn(NodeId) -> bool,
-    ) -> Vec<NodeId> {
-        let min_a = spans[0].0;
-        let max_b = spans.iter().map(|s| s.1).max().expect("non-empty");
-        let lo = self.by_start.partition_point(|e| e.start < min_a);
-        let hi = self.by_start.partition_point(|e| e.start < max_b);
-        let windows: Vec<(usize, usize)> = spans
-            .iter()
-            .map(|&(a, b, _)| {
-                (
-                    self.by_start.partition_point(|e| e.start < a),
-                    self.by_start.partition_point(|e| e.start < b),
-                )
-            })
-            .collect();
-        let total: usize = windows.iter().map(|w| w.1 - w.0).sum();
-        let mut out = Vec::new();
-        if total < hi - lo {
-            for (&(_, b, n), &(wlo, whi)) in spans.iter().zip(&windows) {
-                for e in &self.by_start[wlo..whi] {
-                    let m = e.node;
-                    if e.end <= b && m != n && !g.is_descendant(n, m) && keep(m) {
-                        out.push(m);
-                    }
-                }
-            }
-            return out;
-        }
-        let mut j = 0;
-        // Top two contexts by end among those starting at or before the
-        // candidate; distinct nodes by construction (contexts are deduped).
-        let mut w1: Option<(u32, NodeId)> = None;
-        let mut w2: Option<(u32, NodeId)> = None;
-        for e in &self.by_start[lo..hi] {
-            while j < spans.len() && spans[j].0 <= e.start {
-                let cand = (spans[j].1, spans[j].2);
-                match w1 {
-                    None => w1 = Some(cand),
-                    Some(best) if cand.0 > best.0 => {
-                        w2 = Some(best);
-                        w1 = Some(cand);
-                    }
-                    Some(_) => {
-                        if w2.is_none_or(|second| cand.0 > second.0) {
-                            w2 = Some(cand);
-                        }
-                    }
-                }
-                j += 1;
-            }
-            let Some((end1, node1)) = w1 else { continue };
-            if e.end > end1 {
-                continue; // not contained by any context
-            }
-            let m = e.node;
-            let included = if m != node1 && !g.is_descendant(node1, m) {
-                true
-            } else {
-                match w2 {
-                    Some((end2, node2)) if e.end <= end2 && m != node2 => {
-                        !g.is_descendant(node2, m)
-                            || spans.iter().any(|&(a, b, n)| {
-                                a <= e.start && e.end <= b && m != n && !g.is_descendant(n, m)
-                            })
-                    }
-                    Some((end2, _)) if e.end <= end2 => spans.iter().any(|&(a, b, n)| {
-                        a <= e.start && e.end <= b && m != n && !g.is_descendant(n, m)
-                    }),
-                    // Only the first witness contains this candidate, and
-                    // it is excluded.
-                    _ => false,
-                }
-            };
-            if included && keep(m) {
-                out.push(m);
-            }
-        }
-        out
-    }
-
-    /// Batch `xancestor`: root and covering-leaf checks per context plus
-    /// one laminar chain walk per (hierarchy, context), all pushing into a
-    /// shared buffer; the caller sorts and dedups once.
-    fn xancestor_batch(
-        &self,
-        g: &Goddag,
-        spans: &[(u32, u32, NodeId)],
-        keep: &impl Fn(NodeId) -> bool,
-    ) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        // The root covers every span and is a DOM ancestor of nothing it
-        // needs excluding — it is an xancestor of every non-root context.
-        if spans.iter().any(|&(_, _, n)| n != NodeId::Root) && keep(NodeId::Root) {
-            out.push(NodeId::Root);
-        }
-        for &(a, b, n) in spans {
-            // Leaves are disjoint, so only the leaf containing `a` can
-            // cover the whole context span.
-            let leaf = g.leaf_at(a);
-            let (ls, le) = g.span(leaf);
-            if ls <= a && b <= le && leaf != n && !g.is_descendant(leaf, n) && keep(leaf) {
-                out.push(leaf);
-            }
-        }
-        for chain in &self.chains {
-            for &(a, b, n) in spans {
-                let idx = chain.partition_point(|e| e.start <= a);
-                if idx == 0 {
-                    continue;
-                }
-                let mut cur = (idx - 1) as u32;
-                loop {
-                    let e = chain[cur as usize];
-                    if e.end >= b && e.node != n && !g.is_descendant(e.node, n) && keep(e.node) {
-                        out.push(e.node);
-                    }
-                    if e.parent == NO_PARENT {
-                        break;
-                    }
-                    cur = e.parent;
-                }
-            }
-        }
-        out
-    }
-
-    /// Batch `preceding-overlapping`: candidate `[c, d)` qualifies iff some
-    /// context `[a, b)` has `c < a < d < b`. Two regimes, like
-    /// [`StructIndex::xdescendant_batch`]: narrow contexts scan their own
-    /// `by_end` windows into a shared buffer; wide contexts do one sweep of
-    /// the global window, answering each candidate with an O(1) range-max
-    /// query (among contexts starting inside `(c, d)`, does the maximal end
-    /// exceed `d`?) over the start-sorted context spans.
-    fn preceding_overlapping_batch(
-        &self,
-        spans: &[(u32, u32, NodeId)],
-        keep: &impl Fn(NodeId) -> bool,
-    ) -> Vec<NodeId> {
-        let min_a = spans[0].0;
-        let max_b = spans.iter().map(|s| s.1).max().expect("non-empty");
-        let lo = self.by_end.partition_point(|e| e.end <= min_a);
-        let hi = self.by_end.partition_point(|e| e.end < max_b);
-        let windows: Vec<(usize, usize)> = spans
-            .iter()
-            .map(|&(a, b, _)| {
-                (
-                    self.by_end.partition_point(|e| e.end <= a),
-                    self.by_end.partition_point(|e| e.end < b),
-                )
-            })
-            .collect();
-        let total: usize = windows.iter().map(|w| w.1 - w.0).sum();
-        if total < hi - lo {
-            let mut out = Vec::new();
-            for (&(a, _, _), &(wlo, whi)) in spans.iter().zip(&windows) {
-                for e in &self.by_end[wlo..whi] {
-                    if e.start < a && keep(e.node) {
-                        out.push(e.node);
-                    }
-                }
-            }
-            return out;
-        }
-        let starts: Vec<u32> = spans.iter().map(|s| s.0).collect();
-        let rmq = Rmq::max_over(spans.iter().map(|s| s.1).collect());
-        self.by_end[lo..hi]
-            .iter()
-            .filter(|e| {
-                let l = starts.partition_point(|&a| a <= e.start);
-                let r = starts.partition_point(|&a| a < e.end);
-                l < r && rmq.query(l, r) > e.end
-            })
-            .map(|e| e.node)
-            .filter(|&m| keep(m))
-            .collect()
-    }
-
-    /// Batch `following-overlapping`: candidate `[c, d)` qualifies iff some
-    /// context `[a, b)` has `a < c < b < d`. Same two regimes; the wide
-    /// sweep answers each candidate with an O(1) range-min query (among
-    /// contexts ending inside `(c, d)`, does the minimal start undercut
-    /// `c`?) over the end-sorted context spans.
-    fn following_overlapping_batch(
-        &self,
-        spans: &[(u32, u32, NodeId)],
-        keep: &impl Fn(NodeId) -> bool,
-    ) -> Vec<NodeId> {
-        let min_a = spans[0].0;
-        let max_b = spans.iter().map(|s| s.1).max().expect("non-empty");
-        let lo = self.by_start.partition_point(|e| e.start <= min_a);
-        let hi = self.by_start.partition_point(|e| e.start < max_b);
-        let windows: Vec<(usize, usize)> = spans
-            .iter()
-            .map(|&(a, b, _)| {
-                (
-                    self.by_start.partition_point(|e| e.start <= a),
-                    self.by_start.partition_point(|e| e.start < b),
-                )
-            })
-            .collect();
-        let total: usize = windows.iter().map(|w| w.1 - w.0).sum();
-        if total < hi - lo {
-            let mut out = Vec::new();
-            for (&(_, b, _), &(wlo, whi)) in spans.iter().zip(&windows) {
-                for e in &self.by_start[wlo..whi] {
-                    if e.end > b && keep(e.node) {
-                        out.push(e.node);
-                    }
-                }
-            }
-            return out;
-        }
-        let mut by_end: Vec<(u32, u32)> = spans.iter().map(|&(a, b, _)| (b, a)).collect();
-        by_end.sort_unstable();
-        let ends: Vec<u32> = by_end.iter().map(|s| s.0).collect();
-        let rmq = Rmq::min_over(by_end.iter().map(|s| s.1).collect());
-        self.by_start[lo..hi]
-            .iter()
-            .filter(|e| {
-                let l = ends.partition_point(|&b| b <= e.start);
-                let r = ends.partition_point(|&b| b < e.end);
-                l < r && rmq.query(l, r) < e.start
-            })
-            .map(|e| e.node)
-            .filter(|&m| keep(m))
-            .collect()
-    }
-
     /// Batch form of the `descendant::name` lookup: the name-map entries
     /// that are DOM descendants of (or, with `or_self`, equal to) at least
     /// one context node, in Definition-3 order. One pass over the name run
-    /// against merged per-hierarchy preorder intervals, instead of one
-    /// full-run filter per context node.
+    /// against the preorder intervals the contexts reach.
     pub fn elements_named_batch(
         &self,
         g: &Goddag,
@@ -929,176 +590,218 @@ impl StructIndex {
         if entries.is_empty() {
             return Vec::new();
         }
-        if ctxs.iter().any(|n| n.is_root()) {
+        let Some(reach) = reach(g, ctxs, or_self) else {
             // The root reaches every element; only itself needs `or_self`.
             return entries.iter().copied().filter(|&m| or_self || !m.is_root()).collect();
-        }
-        // Element contexts contribute a preorder interval per hierarchy
-        // (the `order`/`subtree_last` numbering); text, leaf, and attribute
-        // contexts have no element descendants.
-        let mut intervals: HashMap<HierarchyId, Vec<(u32, u32)>> = HashMap::new();
-        for &n in ctxs {
-            if let NodeId::Elem { h, i } = n {
-                let e = g.hierarchy(h).elem(i);
-                let lo = if or_self { e.order } else { e.order + 1 };
-                if lo <= e.subtree_last {
-                    intervals.entry(h).or_default().push((lo, e.subtree_last));
-                }
-            }
-        }
-        for runs in intervals.values_mut() {
-            runs.sort_unstable();
-            let mut merged: Vec<(u32, u32)> = Vec::with_capacity(runs.len());
-            for &(lo, hi) in runs.iter() {
-                match merged.last_mut() {
-                    Some(last) if lo <= last.1.saturating_add(1) => last.1 = last.1.max(hi),
-                    _ => merged.push((lo, hi)),
-                }
-            }
-            *runs = merged;
-        }
+        };
         entries
             .iter()
             .copied()
-            .filter(|&m| {
-                let NodeId::Elem { h, i } = m else { return false };
-                let Some(runs) = intervals.get(&h) else { return false };
-                let o = g.hierarchy(h).elem(i).order;
-                let idx = runs.partition_point(|&(lo, _)| lo <= o);
-                idx > 0 && o <= runs[idx - 1].1
+            .filter(|&m| match m {
+                NodeId::Elem { h, i } => in_runs(&reach[h.index()], g.hierarchy(h).elem(i).order),
+                _ => false,
             })
-            .collect()
-    }
-
-    /// Non-empty context span, or `None` (empty spans take part in no
-    /// extended axis — same rule as the naive path).
-    fn ctx_span(&self, g: &Goddag, n: NodeId) -> Option<(u32, u32)> {
-        let (a, b) = g.span(n);
-        (a < b).then_some((a, b))
-    }
-
-    /// `xancestor`: all `m` with `span(m) ⊇ span(n)`, excluding `n` and its
-    /// DOM descendants. Root, the one leaf that can contain the span, and
-    /// one laminar chain walk per hierarchy.
-    fn xancestor(&self, g: &Goddag, n: NodeId, keep: &impl Fn(NodeId) -> bool) -> Vec<NodeId> {
-        let Some((a, b)) = self.ctx_span(g, n) else { return Vec::new() };
-        let mut out = Vec::new();
-        let mut push = |m: NodeId| {
-            if m != n && !g.is_descendant(m, n) && keep(m) {
-                out.push(m);
-            }
-        };
-        push(NodeId::Root);
-        // Leaves are disjoint, so only the leaf containing `a` can cover
-        // the whole span.
-        let leaf = g.leaf_at(a);
-        let (ls, le) = g.span(leaf);
-        if ls <= a && b <= le {
-            push(leaf);
-        }
-        for chain in &self.chains {
-            // Deepest candidate: last chain node with start <= a. Every
-            // container of [a, b) in this hierarchy is on its parent chain
-            // (laminar family).
-            let idx = chain.partition_point(|e| e.start <= a);
-            if idx == 0 {
-                continue;
-            }
-            let mut cur = (idx - 1) as u32;
-            loop {
-                let e = chain[cur as usize];
-                if e.end >= b {
-                    push(e.node);
-                }
-                if e.parent == NO_PARENT {
-                    break;
-                }
-                cur = e.parent;
-            }
-        }
-        out
-    }
-
-    /// `xdescendant`: all `m` with `span(m) ⊆ span(n)`, excluding `n` and
-    /// its DOM ancestors. Candidates start inside the span; the end check
-    /// filters the overlap tail.
-    fn xdescendant(&self, g: &Goddag, n: NodeId, keep: &impl Fn(NodeId) -> bool) -> Vec<NodeId> {
-        let Some((a, b)) = self.ctx_span(g, n) else { return Vec::new() };
-        let lo = self.by_start.partition_point(|e| e.start < a);
-        let hi = self.by_start.partition_point(|e| e.start < b);
-        self.by_start[lo..hi]
-            .iter()
-            .filter(|e| e.end <= b)
-            .map(|e| e.node)
-            .filter(|&m| m != n && !g.is_descendant(n, m) && keep(m))
-            .collect()
-    }
-
-    /// `xfollowing`: all `m` starting at or after `n`'s end. The answer is
-    /// a constant fraction of the document, so it filters the
-    /// Definition-3-ordered array (output comes out sorted) instead of
-    /// binary-searching and re-sorting.
-    fn xfollowing(&self, g: &Goddag, n: NodeId, keep: &impl Fn(NodeId) -> bool) -> Vec<NodeId> {
-        let Some((_, b)) = self.ctx_span(g, n) else { return Vec::new() };
-        self.ordered.iter().filter(|e| e.start >= b).map(|e| e.node).filter(|&m| keep(m)).collect()
-    }
-
-    /// `xpreceding`: all `m` ending at or before `n`'s start; same
-    /// ordered-filter shape as [`StructIndex::xfollowing`].
-    fn xpreceding(&self, g: &Goddag, n: NodeId, keep: &impl Fn(NodeId) -> bool) -> Vec<NodeId> {
-        let Some((a, _)) = self.ctx_span(g, n) else { return Vec::new() };
-        self.ordered.iter().filter(|e| e.end <= a).map(|e| e.node).filter(|&m| keep(m)).collect()
-    }
-
-    /// `preceding-overlapping`: `c < a < d < b` — ends strictly inside the
-    /// span, starts strictly before it.
-    fn preceding_overlapping(
-        &self,
-        g: &Goddag,
-        n: NodeId,
-        keep: &impl Fn(NodeId) -> bool,
-    ) -> Vec<NodeId> {
-        let Some((a, b)) = self.ctx_span(g, n) else { return Vec::new() };
-        let lo = self.by_end.partition_point(|e| e.end <= a);
-        let hi = self.by_end.partition_point(|e| e.end < b);
-        self.by_end[lo..hi]
-            .iter()
-            .filter(|e| e.start < a)
-            .map(|e| e.node)
-            .filter(|&m| keep(m))
-            .collect()
-    }
-
-    /// `following-overlapping`: `a < c < b < d` — starts strictly inside
-    /// the span, ends strictly after it.
-    fn following_overlapping(
-        &self,
-        g: &Goddag,
-        n: NodeId,
-        keep: &impl Fn(NodeId) -> bool,
-    ) -> Vec<NodeId> {
-        let Some((a, b)) = self.ctx_span(g, n) else { return Vec::new() };
-        let lo = self.by_start.partition_point(|e| e.start <= a);
-        let hi = self.by_start.partition_point(|e| e.start < b);
-        self.by_start[lo..hi]
-            .iter()
-            .filter(|e| e.end > b)
-            .map(|e| e.node)
-            .filter(|&m| keep(m))
             .collect()
     }
 }
 
-/// Coalesce sorted, possibly overlapping/adjacent preorder runs in place.
-fn merge_runs(runs: &mut Vec<(u32, u32)>) {
-    let mut merged: Vec<(u32, u32)> = Vec::with_capacity(runs.len());
-    for &(lo, hi) in runs.iter() {
-        match merged.last_mut() {
-            Some(last) if lo <= last.1.saturating_add(1) => last.1 = last.1.max(hi),
-            _ => merged.push((lo, hi)),
+/// A scan visitor that pushes the nodes `keep` accepts onto `out`.
+fn pushing<'a>(
+    keep: &'a impl Fn(NodeId) -> bool,
+    out: &'a mut Vec<NodeId>,
+) -> impl FnMut(NodeId) -> ControlFlow<()> + 'a {
+    move |m| {
+        if keep(m) {
+            out.push(m);
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// A context of an extended-axis scan: its non-empty span and the node.
+type Ctx = (u32, u32, NodeId);
+
+/// `n`'s span if it is non-empty: an empty span takes part in no extended
+/// axis (the same rule as the naive path).
+fn ctx_span(g: &Goddag, n: NodeId) -> Option<Ctx> {
+    let (a, b) = g.span(n);
+    (a < b).then_some((a, b, n))
+}
+
+/// The nodes of `window`, the span-array window of a one-window `axis` for
+/// `ctx`, that are on that axis: the per-entry half of
+/// [`StructIndex::scan`].
+fn scan_window(
+    g: &Goddag,
+    axis: Axis,
+    window: &[SpanEntry],
+    (a, b, n): Ctx,
+    visit: &mut impl FnMut(NodeId) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    match axis {
+        Axis::XFollowing => window.iter().try_for_each(|e| visit(e.node)),
+        // Backward: witnesses cluster just before the span.
+        Axis::XPreceding => window.iter().rev().try_for_each(|e| visit(e.node)),
+        // The window holds the spans starting inside `[a, b)`; keep those
+        // ending inside it too, excluding `n` and its DOM ancestors.
+        Axis::XDescendant => window
+            .iter()
+            .filter(|e| e.end <= b && e.node != n && !g.is_descendant(n, e.node))
+            .try_for_each(|e| visit(e.node)),
+        // The overlap windows hold the spans with one end strictly inside
+        // `[a, b)`; keep those whose other end lies outside.
+        Axis::PrecedingOverlapping => {
+            window.iter().filter(|e| e.start < a).try_for_each(|e| visit(e.node))
+        }
+        Axis::FollowingOverlapping => {
+            window.iter().filter(|e| e.end > b).try_for_each(|e| visit(e.node))
+        }
+        _ => unreachable!("{} has no single window", axis.name()),
+    }
+}
+
+/// The wide `xdescendant` sweep: one pass of the global window against the
+/// start-sorted context spans. A candidate is contained by *some* context
+/// iff it is contained by the maximal-ending context whose span starts at
+/// or before the candidate's; a second witness covers the case where the
+/// first is excluded for this candidate (the candidate is the witness
+/// itself or one of its DOM ancestors), and only a double exclusion falls
+/// back to scanning the context set.
+fn xdescendant_sweep(
+    g: &Goddag,
+    spans: &[Ctx],
+    window: &[SpanEntry],
+    keep: &impl Fn(NodeId) -> bool,
+    out: &mut Vec<NodeId>,
+) {
+    let contains = |&(a, b, n): &Ctx, e: &SpanEntry| {
+        a <= e.start && e.end <= b && e.node != n && !g.is_descendant(n, e.node)
+    };
+    let mut j = 0;
+    // Top two contexts by end among those starting at or before the
+    // candidate; distinct nodes when the contexts are.
+    let mut w1: Option<(u32, NodeId)> = None;
+    let mut w2: Option<(u32, NodeId)> = None;
+    for e in window {
+        while j < spans.len() && spans[j].0 <= e.start {
+            let cand = (spans[j].1, spans[j].2);
+            match w1 {
+                None => w1 = Some(cand),
+                Some(best) if cand.0 > best.0 => {
+                    w2 = Some(best);
+                    w1 = Some(cand);
+                }
+                Some(_) => {
+                    if w2.is_none_or(|second| cand.0 > second.0) {
+                        w2 = Some(cand);
+                    }
+                }
+            }
+            j += 1;
+        }
+        let Some((end1, node1)) = w1 else { continue };
+        if e.end > end1 {
+            continue; // not contained by any context
+        }
+        let m = e.node;
+        let included = if m != node1 && !g.is_descendant(node1, m) {
+            true
+        } else {
+            match w2 {
+                Some((end2, node2)) if e.end <= end2 && m != node2 => {
+                    !g.is_descendant(node2, m) || spans.iter().any(|s| contains(s, e))
+                }
+                Some((end2, _)) if e.end <= end2 => spans.iter().any(|s| contains(s, e)),
+                // Only the first witness contains this candidate, and it
+                // is excluded.
+                _ => false,
+            }
+        };
+        if included && keep(m) {
+            out.push(m);
         }
     }
-    *runs = merged;
+}
+
+/// The wide `preceding-overlapping` sweep: candidate `[c, d)` qualifies
+/// iff some context `[a, b)` has `c < a < d < b`, i.e. among the contexts
+/// starting inside `(c, d)` the greatest end exceeds `d` — an O(1)
+/// range-max query over the start-sorted context spans.
+fn preceding_overlapping_sweep(
+    spans: &[Ctx],
+    window: &[SpanEntry],
+    keep: &impl Fn(NodeId) -> bool,
+    out: &mut Vec<NodeId>,
+) {
+    let starts: Vec<u32> = spans.iter().map(|s| s.0).collect();
+    let rmq = Rmq::max_over(spans.iter().map(|s| s.1).collect());
+    let hit = |e: &&SpanEntry| {
+        let l = starts.partition_point(|&a| a <= e.start);
+        let r = starts.partition_point(|&a| a < e.end);
+        l < r && rmq.query(l, r) > e.end
+    };
+    out.extend(window.iter().filter(hit).map(|e| e.node).filter(|&m| keep(m)));
+}
+
+/// The wide `following-overlapping` sweep: candidate `[c, d)` qualifies
+/// iff some context `[a, b)` has `a < c < b < d`, i.e. among the contexts
+/// ending inside `(c, d)` the least start undercuts `c` — an O(1)
+/// range-min query over the end-sorted context spans.
+fn following_overlapping_sweep(
+    spans: &[Ctx],
+    window: &[SpanEntry],
+    keep: &impl Fn(NodeId) -> bool,
+    out: &mut Vec<NodeId>,
+) {
+    let mut by_end: Vec<(u32, u32)> = spans.iter().map(|&(a, b, _)| (b, a)).collect();
+    by_end.sort_unstable();
+    let ends: Vec<u32> = by_end.iter().map(|s| s.0).collect();
+    let rmq = Rmq::min_over(by_end.iter().map(|s| s.1).collect());
+    let hit = |e: &&SpanEntry| {
+        let l = ends.partition_point(|&b| b <= e.start);
+        let r = ends.partition_point(|&b| b < e.end);
+        l < r && rmq.query(l, r) < e.start
+    };
+    out.extend(window.iter().filter(hit).map(|e| e.node).filter(|&m| keep(m)));
+}
+
+/// The preorder intervals the element contexts reach, per hierarchy,
+/// sorted and coalesced: each contributes `order + 1 ..= subtree_last`
+/// (from `order` with `or_self`). Text, leaf and attribute contexts reach
+/// no element. `None` when a context is the root, which reaches every
+/// element.
+fn reach(g: &Goddag, ctxs: &[NodeId], or_self: bool) -> Option<Vec<Vec<(u32, u32)>>> {
+    if ctxs.iter().any(|n| n.is_root()) {
+        return None;
+    }
+    let mut reach: Vec<Vec<(u32, u32)>> = vec![Vec::new(); g.hierarchy_count()];
+    for &n in ctxs {
+        if let NodeId::Elem { h, i } = n {
+            let e = g.hierarchy(h).elem(i);
+            let lo = if or_self { e.order } else { e.order + 1 };
+            if lo <= e.subtree_last {
+                reach[h.index()].push((lo, e.subtree_last));
+            }
+        }
+    }
+    for runs in &mut reach {
+        runs.sort_unstable();
+        let mut merged: Vec<(u32, u32)> = Vec::with_capacity(runs.len());
+        for &(lo, hi) in runs.iter() {
+            match merged.last_mut() {
+                Some(last) if lo <= last.1.saturating_add(1) => last.1 = last.1.max(hi),
+                _ => merged.push((lo, hi)),
+            }
+        }
+        *runs = merged;
+    }
+    Some(reach)
+}
+
+/// Does a sorted, coalesced interval list contain `order`?
+fn in_runs(runs: &[(u32, u32)], order: u32) -> bool {
+    let idx = runs.partition_point(|&(lo, _)| lo <= order);
+    idx > 0 && order <= runs[idx - 1].1
 }
 
 /// Sparse-table range max/min over a static `u32` array: O(n log n) build,
@@ -1237,17 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn filtered_lookup_prefilters() {
-        let g = figure1();
-        let idx = StructIndex::build(&g);
-        let line1 = NodeId::Elem { h: g.hierarchy_id("lines").unwrap(), i: 0 };
-        let only_w =
-            idx.axis_nodes_filtered(&g, Axis::Overlapping, line1, |m| g.name(m) == Some("w"));
-        assert_eq!(only_w.len(), 1);
-        assert_eq!(g.string_value(only_w[0]), "singallice");
-    }
-
-    #[test]
     fn staleness_on_virtual_hierarchy() {
         let mut g = figure1();
         let idx = StructIndex::build(&g);
@@ -1286,33 +978,64 @@ mod tests {
         assert!(!idx1.is_current(&clone));
     }
 
-    /// Batch evaluation over a context set equals the sorted, deduplicated
-    /// union of per-node lookups, for every axis.
-    fn assert_batch_matches_union(g: &Goddag, idx: &StructIndex, ctxs: &[NodeId]) {
-        for axis in ALL_AXES {
-            let batch = idx.axis_nodes_batch(g, axis, ctxs, |_| true);
-            let mut union: Vec<NodeId> =
-                ctxs.iter().flat_map(|&n| idx.axis_nodes(g, axis, n)).collect();
-            g.sort_nodes(&mut union);
-            union.dedup();
-            assert_eq!(batch, union, "axis {} over {} contexts", axis.name(), ctxs.len());
+    /// The context sets the batch suites run over: every node on its own,
+    /// every element, two pseudo-random subsets, every node, and none.
+    fn context_sets(g: &Goddag) -> Vec<Vec<NodeId>> {
+        let all = g.all_nodes();
+        let mut sets: Vec<Vec<NodeId>> = all.iter().map(|&n| vec![n]).collect();
+        sets.push(all.iter().copied().filter(|n| n.is_element()).collect());
+        for seed in [0x9e37_79b9_u32, 0x85eb_ca6b] {
+            let mut x = seed;
+            let mut coin = || {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x & 1 == 1
+            };
+            sets.push(all.iter().copied().filter(|_| coin()).collect());
         }
+        sets.push(all);
+        sets.push(Vec::new());
+        sets
+    }
+
+    /// The naive oracle over a context set: the sorted, deduplicated union
+    /// of [`axis_nodes`] from each context, filtered by `keep`.
+    fn naive_union(
+        g: &Goddag,
+        axis: Axis,
+        ctxs: &[NodeId],
+        keep: impl Fn(NodeId) -> bool,
+    ) -> Vec<NodeId> {
+        let mut union: Vec<NodeId> =
+            ctxs.iter().flat_map(|&n| axis_nodes(g, axis, n)).filter(|&m| keep(m)).collect();
+        g.sort_nodes(&mut union);
+        union.dedup();
+        union
+    }
+
+    /// Elements named `name` that descend from some context, by the naive
+    /// tree walk.
+    fn naive_named(g: &Goddag, name: &str, ctxs: &[NodeId], or_self: bool) -> Vec<NodeId> {
+        let axis = if or_self { Axis::DescendantOrSelf } else { Axis::Descendant };
+        naive_union(g, axis, ctxs, |m| m.is_element() && g.name(m) == Some(name))
     }
 
     #[test]
-    fn batch_matches_per_node_union_on_figure1() {
+    fn batch_matches_naive_union_on_figure1() {
         let g = figure1();
         let idx = StructIndex::build(&g);
-        let all = g.all_nodes();
-        // Every third node, the full set, singletons, and the empty set.
-        let every_third: Vec<NodeId> = all.iter().copied().step_by(3).collect();
-        assert_batch_matches_union(&g, &idx, &every_third);
-        assert_batch_matches_union(&g, &idx, &all);
-        assert_batch_matches_union(&g, &idx, &[NodeId::Root]);
-        assert_batch_matches_union(&g, &idx, &[]);
-        let elems: Vec<NodeId> =
-            all.iter().copied().filter(|n| matches!(n, NodeId::Elem { .. })).collect();
-        assert_batch_matches_union(&g, &idx, &elems);
+        for ctxs in context_sets(&g) {
+            for axis in ALL_AXES {
+                assert_eq!(
+                    idx.axis_nodes_batch(&g, axis, &ctxs, |_| true),
+                    naive_union(&g, axis, &ctxs, |_| true),
+                    "axis {} over {:?}",
+                    axis.name(),
+                    ctxs
+                );
+            }
+        }
     }
 
     #[test]
@@ -1323,47 +1046,48 @@ mod tests {
             let h = g.hierarchy_id("lines").unwrap();
             vec![NodeId::Elem { h, i: 0 }, NodeId::Elem { h, i: 1 }]
         };
-        let only_w =
-            idx.axis_nodes_batch(&g, Axis::Overlapping, &lines, |m| g.name(m) == Some("w"));
         // "singallice" overlaps both lines — once in the union.
-        assert_eq!(only_w.len(), 1);
-        assert_eq!(g.string_value(only_w[0]), "singallice");
+        for ctxs in [&lines[..1], &lines[..]] {
+            let only_w =
+                idx.axis_nodes_batch(&g, Axis::Overlapping, ctxs, |m| g.name(m) == Some("w"));
+            assert_eq!(only_w.len(), 1);
+            assert_eq!(g.string_value(only_w[0]), "singallice");
+        }
     }
 
     #[test]
-    fn named_batch_matches_per_node_union() {
+    fn named_batch_matches_naive_union() {
         let g = figure1();
         let idx = StructIndex::build(&g);
-        let all = g.all_nodes();
         for name in ["w", "vline", "res", "dmg", "r", "nope"] {
             for or_self in [false, true] {
-                for ctxs in [&all[..], &all[..all.len() / 2], &all[2..5], &[]] {
-                    let batch = idx.elements_named_batch(&g, name, ctxs, or_self);
-                    let mut union: Vec<NodeId> = idx
-                        .elements_named(name)
-                        .iter()
-                        .copied()
-                        .filter(|&m| {
-                            ctxs.iter().any(|&n| g.is_descendant(m, n) || (or_self && m == n))
-                        })
-                        .collect();
-                    g.sort_nodes(&mut union);
-                    union.dedup();
-                    assert_eq!(batch, union, "name {name}, or_self {or_self}");
+                for ctxs in context_sets(&g) {
+                    assert_eq!(
+                        idx.elements_named_batch(&g, name, &ctxs, or_self),
+                        naive_named(&g, name, &ctxs, or_self),
+                        "name {name}, or_self {or_self} over {ctxs:?}"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn unsorted_variant_matches_as_a_set() {
+    fn scan_visits_each_naive_answer_once() {
         let g = figure1();
         let idx = StructIndex::build(&g);
         for &n in &g.all_nodes() {
             for axis in ALL_AXES {
-                let mut unsorted = idx.axis_nodes_filtered_unsorted(&g, axis, n, |_| true);
-                g.sort_nodes(&mut unsorted);
-                assert_eq!(unsorted, idx.axis_nodes(&g, axis, n), "axis {}", axis.name());
+                let mut seen = Vec::new();
+                let _ = idx.scan(&g, axis, n, &mut |m| {
+                    seen.push(m);
+                    ControlFlow::Continue(())
+                });
+                let visits = seen.len();
+                g.sort_nodes(&mut seen);
+                seen.dedup();
+                assert_eq!(seen.len(), visits, "axis {} from {n} repeats a node", axis.name());
+                assert_eq!(seen, axis_nodes(&g, axis, n), "axis {} from {n}", axis.name());
             }
         }
     }
@@ -1375,10 +1099,11 @@ mod tests {
         let names = ["w", "vline", "res", "dmg", "line", "r", "nope"];
         for &n in &g.all_nodes() {
             for axis in ALL_AXES {
+                let naive = axis_nodes(&g, axis, n);
                 // Unfiltered, name-filtered, and never-true probes.
                 assert_eq!(
                     idx.axis_exists(&g, axis, n, |_| true),
-                    !idx.axis_nodes(&g, axis, n).is_empty(),
+                    !naive.is_empty(),
                     "axis {} from {}",
                     axis.name(),
                     n
@@ -1387,7 +1112,7 @@ mod tests {
                     let keep = |m: NodeId| g.name(m) == Some(name);
                     assert_eq!(
                         idx.axis_exists(&g, axis, n, keep),
-                        !idx.axis_nodes_filtered(&g, axis, n, keep).is_empty(),
+                        naive.iter().any(|&m| keep(m)),
                         "axis {} from {} name {}",
                         axis.name(),
                         n,
@@ -1403,15 +1128,14 @@ mod tests {
     fn chain_join_matches_sequential_scans() {
         let g = figure1();
         let idx = StructIndex::build(&g);
-        let all = g.all_nodes();
         let names = ["r", "vline", "w", "res", "dmg", "line", "nope"];
+        let sets = context_sets(&g);
         for outer in names {
             for inner in names {
-                for ctxs in [&all[..], &all[..all.len() / 2], &all[2..5], &[NodeId::Root], &[]] {
-                    let mid = idx.elements_named_batch(&g, outer, ctxs, false);
-                    let seq = idx.elements_named_batch(&g, inner, &mid, false);
+                for ctxs in &sets {
+                    let seq = naive_named(&g, inner, &naive_named(&g, outer, ctxs, false), false);
                     let joined = idx.descendant_chain_batch(&g, outer, inner, ctxs);
-                    assert_eq!(joined, seq, "{outer}//{inner} over {} ctxs", ctxs.len());
+                    assert_eq!(joined, seq, "{outer}//{inner} over {ctxs:?}");
                 }
             }
         }

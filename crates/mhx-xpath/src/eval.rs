@@ -125,10 +125,7 @@ fn eval_path(g: &Goddag, p: &PathExpr, ctx: &Context) -> Result<Value> {
 fn eval_step(g: &Goddag, input: &[NodeId], step: &Step, outer: &Context) -> Result<Vec<NodeId>> {
     let mut out: Vec<NodeId> = Vec::new();
     for &n in input {
-        let mut candidates: Vec<NodeId> = axis_nodes(g, step.axis, n)
-            .into_iter()
-            .filter(|&m| node_test_matches(g, step.axis, m, &step.test))
-            .collect();
+        let mut candidates = walk_step(g, step.axis, &step.test, n);
         for pred in &step.predicates {
             candidates = apply_predicate(g, &candidates, pred, outer, step.axis.is_reverse())?;
         }
@@ -137,6 +134,13 @@ fn eval_step(g: &Goddag, input: &[NodeId], step: &Step, outer: &Context) -> Resu
     g.sort_nodes(&mut out);
     out.dedup();
     Ok(out)
+}
+
+/// One step from context node `n` by the plain axis walk, node test
+/// applied, in Definition-3 order: the naive interpreter's step, and the
+/// oracle the compiled pipeline's step resolution is tested against.
+pub fn walk_step(g: &Goddag, axis: Axis, test: &NodeTest, n: NodeId) -> Vec<NodeId> {
+    axis_nodes(g, axis, n).into_iter().filter(|&m| node_test_matches(g, axis, m, test)).collect()
 }
 
 /// Apply one predicate to a candidate list. `reverse` flips `position()`

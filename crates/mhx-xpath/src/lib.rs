@@ -15,11 +15,11 @@
 //!   `mhx-regex`;
 //! * KyGODDAG helper functions `leaves()`, `hierarchy()`, `leaf-count()`.
 //!
-//! The crate also holds the index-backed step resolvers ([`plan`]) that
-//! compiled path steps run through. Compiled evaluation itself lives in
-//! `mhx-xquery`: an XPath expression is lowered into an XQuery plan and
-//! shares that crate's optimizer and evaluator, with the interpreter here
-//! as the oracle it is tested against.
+//! Compiled evaluation lives in `mhx-xquery`: an XPath expression is
+//! lowered into an XQuery plan and shares that crate's optimizer, step
+//! resolution over the structural index, and evaluator. The interpreter
+//! here, whose step is [`walk_step`], knows no index; it is the oracle the
+//! compiled pipeline is tested against.
 //!
 //! ```
 //! use mhx_goddag::GoddagBuilder;
@@ -47,14 +47,12 @@ pub mod eval;
 pub mod functions;
 pub mod lexer;
 pub mod parser;
-pub mod plan;
 pub mod value;
 
 pub use ast::{BinOp, Expr, NodeTest, PathExpr, PathStart, Step};
 pub use error::{Result, XPathError};
-pub use eval::{evaluate_expr, evaluate_xpath_naive, node_test_matches, Context};
+pub use eval::{evaluate_expr, evaluate_xpath_naive, node_test_matches, walk_step, Context};
 pub use parser::parse;
-pub use plan::{choose_strategy, resolve_step, resolve_step_batch, walk_step, StepStrategy};
 pub use value::Value;
 
 #[cfg(test)]

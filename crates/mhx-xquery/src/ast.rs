@@ -3,8 +3,9 @@
 //! Path steps reuse the XPath layer's [`NodeTest`] and [`Axis`]; predicates
 //! and all other sub-expressions are full XQuery expressions.
 
+use crate::plan::{choose_strategy, StepStrategy};
 use mhx_goddag::Axis;
-use mhx_xpath::{choose_strategy, NodeTest, StepStrategy};
+use mhx_xpath::NodeTest;
 
 /// Comparison operators: XPath general comparisons, XQuery value
 /// comparisons, and node comparisons.
@@ -56,8 +57,8 @@ pub struct OrderKeySpec {
 }
 
 /// A path step with XQuery predicates, compiled at parse time: `strategy`
-/// records how the shared plan layer ([`mhx_xpath::plan`]) resolves the
-/// axis — through the structural index or the plain walk.
+/// records how step resolution ([`crate::plan`]) answers the axis —
+/// through the structural index or the plain walk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QStep {
     pub axis: Axis,

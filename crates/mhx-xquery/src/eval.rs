@@ -22,11 +22,11 @@ use crate::analyze::AnalyzeMode;
 use crate::ast::{ArithOp, AttrPiece, Clause, Comp, Content, DirElem, QExpr, QPathStart, QStep};
 use crate::error::{Result, XQueryError};
 use crate::item::{Item, Sequence};
+use crate::plan;
 use mhx_goddag::index::StructIndex;
 use mhx_goddag::{Axis, Goddag, NodeId};
 use mhx_xml::{Document, NodeId as OutId, NodeKind};
-use mhx_xpath::plan;
-use mhx_xpath::{NodeTest, StepStrategy};
+use mhx_xpath::NodeTest;
 use std::borrow::Cow;
 
 /// The longest sequence `lo to hi` may build. A range is materialized, so
@@ -181,41 +181,19 @@ impl<'g> Evaluator<'g> {
         }
     }
 
-    /// Candidate nodes for one compiled step from a KyGODDAG context node,
-    /// resolved through the shared plan layer. Computed per context node so
-    /// a predicate that mutates the goddag (nested `analyze-string()`) is
-    /// seen by subsequent context nodes, exactly like the naive walk.
-    fn step_candidates(&mut self, step: &QStep, n: NodeId) -> Vec<NodeId> {
-        if step.strategy == StepStrategy::AxisWalk {
-            // The plain walk never touches the index; skip (re)builds.
-            return plan::walk_step(self.g.as_ref(), step.axis, &step.test, n);
-        }
-        self.ensure_index();
-        let idx = self.index.get().expect("ensure_index populated the slot");
-        plan::resolve_step(self.g.as_ref(), idx, step.strategy, step.axis, &step.test, n)
-    }
-
-    /// Set-at-a-time form of [`Evaluator::step_candidates`]: one index pass
-    /// for the whole context set (sorted, deduplicated output). Only taken
-    /// for predicate-free steps, where no expression — hence no
-    /// `analyze-string()` mutation — can run between context nodes.
-    fn step_candidates_batch(&mut self, step: &QStep, ctxs: &[NodeId]) -> Vec<NodeId> {
-        if step.strategy == StepStrategy::AxisWalk {
-            // The plain walk never touches the index; skip (re)builds and
-            // hoist the document-order sort-dedup to once per step.
-            let g = self.g.as_ref();
-            let mut out = Vec::new();
-            for &n in ctxs {
-                out.extend(plan::walk_step(g, step.axis, &step.test, n));
-            }
-            g.sort_nodes(&mut out);
-            out.dedup();
-            return out;
-        }
-        self.ensure_index();
-        let g = self.g.as_ref();
-        let idx = self.index.get().expect("ensure_index populated the slot");
-        plan::resolve_step_batch(g, idx, step.strategy, step.axis, &step.test, ctxs)
+    /// Candidate nodes for one compiled step from a set of KyGODDAG
+    /// context nodes (sorted, deduplicated output), through
+    /// [`plan::resolve_step`]. The index is (re)built only for the
+    /// strategies that read it, so a tree walk after an `analyze-string()`
+    /// pays no rebuild.
+    fn step_candidates(&mut self, step: &QStep, ctxs: &[NodeId]) -> Vec<NodeId> {
+        let idx = if step.strategy.reads_index() {
+            self.ensure_index();
+            self.index.get()
+        } else {
+            None
+        };
+        plan::resolve_step(self.g.as_ref(), idx, step.strategy, step.axis, &step.test, ctxs)
     }
 
     pub fn goddag(&self) -> &Goddag {
@@ -519,8 +497,10 @@ impl<'g> Evaluator<'g> {
     /// stop the loop, and then so does this. Each clause is one level of
     /// recursion (the parsers count it as one level of nesting); an
     /// `order by` first collects the tuples of the clauses before it, with
-    /// copies of their bindings, and sorts them stably. Every binding is
-    /// popped again before this returns, on the error path too.
+    /// copies of their bindings, and sorts them stably. The `let` and
+    /// `where` clauses before the first `for` bind once, outside those
+    /// tuples, as they do without `order by`. Every binding is popped
+    /// again before this returns, on the error path too.
     fn tuples<'q>(
         &mut self,
         clauses: &'q [Clause],
@@ -528,7 +508,11 @@ impl<'g> Evaluator<'g> {
         body: &mut dyn FnMut(&mut Self, &mut Env<'q>) -> Result<bool>,
     ) -> Result<bool> {
         let outer = env.vars.len();
-        if let Some(k) = clauses.iter().rposition(|c| matches!(c, Clause::OrderBy { .. })) {
+        let order_by = match clauses.first() {
+            Some(Clause::Let { .. } | Clause::Where(_)) => None,
+            _ => clauses.iter().rposition(|c| matches!(c, Clause::OrderBy { .. })),
+        };
+        if let Some(k) = order_by {
             let Clause::OrderBy { keys } = &clauses[k] else { unreachable!("found above") };
             let mut sorted = Vec::new();
             self.tuples(&clauses[..k], env, &mut |ev, env| {
@@ -693,7 +677,7 @@ impl<'g> Evaluator<'g> {
                 self.stats.rewritten_steps += 1;
             }
             let items: Sequence =
-                self.step_candidates_batch(step, &ctxs).into_iter().map(Item::Node).collect();
+                self.step_candidates(step, &ctxs).into_iter().map(Item::Node).collect();
             return self.apply_free_predicates(items, step, env);
         }
         if step.rewritten {
@@ -702,8 +686,11 @@ impl<'g> Evaluator<'g> {
         let mut out: Sequence = Vec::new();
         for item in input {
             let candidates: Sequence = match item {
+                // One context at a time, the index re-checked each time: a
+                // predicate's `analyze-string()` mutates the goddag, and the
+                // next context must see it, exactly like the naive walk.
                 Item::Node(n) => {
-                    self.step_candidates(step, *n).into_iter().map(Item::Node).collect()
+                    self.step_candidates(step, &[*n]).into_iter().map(Item::Node).collect()
                 }
                 Item::ONode(o) => self.onode_axis(*o, step.axis, &step.test)?,
                 _ => {

@@ -50,6 +50,7 @@ pub mod functions;
 pub mod item;
 pub mod opt;
 pub mod parser;
+pub mod plan;
 pub mod serialize;
 pub mod xpath;
 
@@ -574,6 +575,19 @@ mod engine_tests {
         assert_eq!(v.len(), 6);
         assert_eq!(v[0], "gesceaftum");
         assert_eq!(v[5], "þa");
+        // A lone `.` is the context item, atomic or not; `./…` and `$x/.`
+        // stay steps from a node.
+        for (q, want) in [
+            ("(1, 2, 3)[. > 1]", &["2", "3"][..]),
+            ("for $x in (1, 2, 3) return $x[. > 1]", &["2", "3"]),
+            ("count(/descendant::vline[./child::w])", &["3"]),
+            (
+                "for $w in (/descendant::w)[position() < 3] return string($w/.)",
+                &["gesceaftum", "unawendendne"],
+            ),
+        ] {
+            assert_eq!(run_query_sequence(&g, q, &EvalOptions::default()).unwrap(), want, "{q}");
+        }
     }
 
     #[test]

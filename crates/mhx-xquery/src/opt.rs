@@ -24,9 +24,10 @@
 //!    predicate. At evaluation time [`stats_order`] refines the order with
 //!    the document's real name frequencies.
 //! 3. **Batch routing**: a step whose predicates are *all* position-free is
-//!    flagged for the evaluator to resolve through `resolve_step_batch`
-//!    (one index pass for the whole context set) and filter the
-//!    deduplicated union once — filtering commutes with union.
+//!    flagged for the evaluator to resolve its whole context set in one
+//!    [`crate::plan::resolve_step`] call (one index pass) and filter the
+//!    deduplicated union once — filtering commutes with union. Any other
+//!    predicated step resolves one context at a time, as a batch of one.
 //! 4. **Step fusion**: the parsers desugar `//x` to
 //!    `descendant-or-self::node()/child::x` — two index-free axis walks.
 //!    When the following step's predicates are all position-free, the pair
@@ -42,8 +43,9 @@
 //!
 //! XQuery predicates can also mutate the copy-on-write KyGODDAG through
 //! `analyze-string()` (temporary hierarchies installed mid-query), and the
-//! per-node path makes that mutation visible to *subsequent context nodes*
-//! of the same step. Every rewrite therefore also requires the predicates
+//! per-node path (a batch of one context, the index re-checked per context)
+//! makes that mutation visible to *subsequent context nodes* of the same
+//! step. Every rewrite therefore also requires the predicates
 //! to be **pure** ([`QExpr::uses_analyze_string`] is false) — an impure
 //! predicate pins the step to the per-node path so the mutation
 //! interleaving stays exactly as written.
@@ -60,8 +62,9 @@ use crate::ast::{
 use crate::eval::{Env, Evaluator};
 use crate::functions::{lookup, Reads};
 use crate::item::{Item, Sequence};
+use crate::plan::StepStrategy;
 use mhx_goddag::{Axis, IndexStats, NodeId};
-use mhx_xpath::{NodeTest, StepStrategy};
+use mhx_xpath::NodeTest;
 
 /// The optimizer's verdict on one predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -560,7 +563,9 @@ pub fn qexpr_summary(e: &QExpr) -> String {
         QExpr::Literal(s) => format!("'{s}'"),
         QExpr::Number(n) => format!("{n}"),
         QExpr::Var(v) => format!("${v}"),
+        // XPath's `.` is a step from the context node; both print alike.
         QExpr::ContextItem => ".".to_string(),
+        QExpr::Path { .. } if *e == crate::xpath::dot() => ".".to_string(),
         QExpr::Neg(inner) => format!("-{}", qexpr_summary(inner)),
         QExpr::Or(a, b) => format!("{} or {}", qexpr_summary(a), qexpr_summary(b)),
         QExpr::And(a, b) => format!("{} and {}", qexpr_summary(a), qexpr_summary(b)),
@@ -747,7 +752,7 @@ fn reorder_free_runs(preds: &mut [QExpr]) -> u32 {
 mod tests {
     use super::*;
     use crate::parser::parse_query;
-    use mhx_xpath::StepStrategy;
+    use crate::plan::StepStrategy;
 
     fn path_steps(e: &QExpr) -> &[QStep] {
         match e {

@@ -403,12 +403,21 @@ impl<'a> P<'a> {
             return Ok(QExpr::Path { start: QPathStart::Root, steps: vec![] });
         }
         // Relative: first step-expr, then /-chain.
+        let dot = self.cur.starts_with(".") && !self.cur.starts_with("..");
         let outer = self.nesting.mark();
         let first = self.step_expr()?;
         let height = self.nesting.height_since(outer);
         self.ws();
         if !self.cur.starts_with("/") || self.cur.starts_with("/>") {
-            return Ok(first);
+            // A lone `.` is the context item, which may be atomic:
+            // `(1, 2, 3)[. > 1]`. Before a `/` it stays the `self::node()`
+            // step a path starts from.
+            return Ok(match first {
+                QExpr::Path { steps, .. } if dot && steps[0].predicates.is_empty() => {
+                    QExpr::ContextItem
+                }
+                first => first,
+            });
         }
         self.grow(height + 1)?;
         let start = QPathStart::Expr(Box::new(first));

@@ -1,31 +1,29 @@
-//! Index-backed step resolution: the core every compiled path step runs
-//! through, resolving axes with [`StructIndex`] lookups instead of
-//! `all_nodes()` scans.
+//! Step resolution: how every compiled path step, in both query
+//! languages, obtains its candidate nodes.
 //!
 //! [`choose_strategy`] picks a [`StepStrategy`] per location step from
 //! `(axis, node test)` alone, so a compiled plan stays document-independent
-//! and cacheable. [`resolve_step`] answers one context node;
-//! [`resolve_step_batch`] answers a whole context set in one index pass,
-//! so the document-order sort-dedup happens once per step instead of once
-//! per context node. Predicates are the caller's business: the compiled
-//! pipeline (`mhx-xquery`, which runs both query languages) applies them.
-//! The naive interpreter in [`crate::eval`] stays index-free as the
-//! reference oracle for differential testing.
+//! and cacheable. [`resolve_step`] answers a whole context set, and one
+//! context node is a set of one: the index strategies are set-at-a-time
+//! [`StructIndex`] lookups (one pass for the set, one sort-dedup per step),
+//! and the tree walk is the one loop over contexts. Predicates are the
+//! caller's business: the evaluator ([`crate::eval`]) applies them. The
+//! naive interpreter in `mhx-xpath`, whose step is [`walk_step`], stays
+//! index-free as the reference oracle for differential testing.
 
-use crate::ast::NodeTest;
-use crate::eval::node_test_matches;
 use mhx_goddag::index::StructIndex;
-use mhx_goddag::{axis_nodes, Axis, Goddag, NodeId};
+use mhx_goddag::{Axis, Goddag, NodeId};
+use mhx_xpath::{node_test_matches, walk_step, NodeTest};
 
 /// How one location step obtains its candidate nodes. Chosen at compile
 /// time from the axis and node test only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepStrategy {
     /// `descendant::name` / `descendant-or-self::name` — look the name up
-    /// in the index and keep descendants of the context node (O(1) per
+    /// in the index and keep the entries the contexts reach (O(1) per
     /// candidate via the pre/post numbering).
     NameIndex,
-    /// `descendant::leaf()` — the context node's covered leaf run, straight
+    /// `descendant::leaf()` — the contexts' covered leaf runs, straight
     /// from the leaf layer.
     LeafRange,
     /// The seven Definition-1 axes — interval lookups on the span index.
@@ -34,94 +32,49 @@ pub enum StepStrategy {
     AxisWalk,
 }
 
+impl StepStrategy {
+    /// Does the strategy read a [`StructIndex`]? The others need none
+    /// built.
+    pub fn reads_index(self) -> bool {
+        matches!(self, StepStrategy::NameIndex | StepStrategy::IndexedExtended)
+    }
+}
+
 /// Pick the strategy for a step (the compiled pipeline calls this when it
 /// builds each step).
 pub fn choose_strategy(axis: Axis, test: &NodeTest) -> StepStrategy {
-    match axis {
-        Axis::XAncestor
-        | Axis::XDescendant
-        | Axis::XFollowing
-        | Axis::XPreceding
-        | Axis::PrecedingOverlapping
-        | Axis::FollowingOverlapping
-        | Axis::Overlapping => StepStrategy::IndexedExtended,
-        Axis::Descendant | Axis::DescendantOrSelf => match test {
-            NodeTest::Name { .. } => StepStrategy::NameIndex,
-            NodeTest::Leaf if axis == Axis::Descendant => StepStrategy::LeafRange,
-            _ => StepStrategy::AxisWalk,
-        },
+    if axis.is_extended() {
+        return StepStrategy::IndexedExtended;
+    }
+    match (axis, test) {
+        (Axis::Descendant | Axis::DescendantOrSelf, NodeTest::Name { .. }) => {
+            StepStrategy::NameIndex
+        }
+        (Axis::Descendant, NodeTest::Leaf) => StepStrategy::LeafRange,
         _ => StepStrategy::AxisWalk,
     }
 }
 
-/// Candidate nodes for one step from context node `n`, node test already
-/// applied, in Definition-3 order. This is the index-backed core compiled
-/// path steps evaluate through.
-pub fn resolve_step(
-    g: &Goddag,
-    idx: &StructIndex,
-    strategy: StepStrategy,
-    axis: Axis,
-    test: &NodeTest,
-    n: NodeId,
-) -> Vec<NodeId> {
-    match strategy {
-        StepStrategy::NameIndex => {
-            let NodeTest::Name { name, .. } = test else {
-                unreachable!("NameIndex is only chosen for name tests");
-            };
-            let or_self = axis == Axis::DescendantOrSelf;
-            idx.elements_named(name)
-                .iter()
-                .copied()
-                .filter(|&m| g.is_descendant(m, n) || (or_self && m == n))
-                .filter(|&m| node_test_matches(g, axis, m, test))
-                .collect()
-        }
-        StepStrategy::LeafRange => match n {
-            // Only nodes with DOM children can reach leaves; for those the
-            // descendant leaf set is exactly the covered leaf run.
-            NodeId::Root | NodeId::Elem { .. } | NodeId::Text { .. } => g.leaves_of(n),
-            NodeId::Attr { .. } | NodeId::Leaf { .. } => Vec::new(),
-        },
-        StepStrategy::IndexedExtended => {
-            idx.axis_nodes_filtered(g, axis, n, |m| node_test_matches(g, axis, m, test))
-        }
-        StepStrategy::AxisWalk => walk_step(g, axis, test, n),
-    }
-}
-
-/// The plain (index-free) axis walk with the node test applied — the
-/// [`StepStrategy::AxisWalk`] resolver, callable without an index.
-pub fn walk_step(g: &Goddag, axis: Axis, test: &NodeTest, n: NodeId) -> Vec<NodeId> {
-    axis_nodes(g, axis, n).into_iter().filter(|&m| node_test_matches(g, axis, m, test)).collect()
-}
-
-/// Set-at-a-time step resolution: the union of [`resolve_step`] over a
-/// whole context set, in Definition-3 order, deduplicated — computed in
-/// one pass over the index structures instead of one lookup per context
-/// node (see [`StructIndex::axis_nodes_batch`] for the per-axis
-/// algorithms). Predicates are the caller's business: they need
-/// per-context positions, so predicated steps stay on the per-node path.
+/// Candidate nodes for one step from every node of `ctxs`, node test
+/// applied: the union of their answers, in Definition-3 order,
+/// deduplicated. One context is a batch of one.
 ///
 /// `ctxs` is expected in document order without duplicates (the per-step
 /// invariant the evaluator maintains); anything else — e.g. a `(//b,
 /// //a)` path start — is renormalized here first, which is semantics-
 /// preserving because the result is an order-independent union.
-pub fn resolve_step_batch(
+///
+/// The strategies that [read an index](StepStrategy::reads_index) take
+/// `idx`, which must then be current for `g`; given `None`, they fall back
+/// to the tree walk, which answers every axis.
+pub fn resolve_step(
     g: &Goddag,
-    idx: &StructIndex,
+    idx: Option<&StructIndex>,
     strategy: StepStrategy,
     axis: Axis,
     test: &NodeTest,
     ctxs: &[NodeId],
 ) -> Vec<NodeId> {
-    match ctxs {
-        [] => return Vec::new(),
-        // A singleton batch is exactly the per-node lookup.
-        &[n] => return resolve_step(g, idx, strategy, axis, test, n),
-        _ => {}
-    }
     let normalized: Vec<NodeId>;
     let ctxs = if is_doc_ordered(g, ctxs) {
         ctxs
@@ -132,21 +85,21 @@ pub fn resolve_step_batch(
         normalized = v;
         &normalized
     };
-    match strategy {
-        StepStrategy::NameIndex => {
+    let keep = |m| node_test_matches(g, axis, m, test);
+    match (strategy, idx) {
+        (StepStrategy::NameIndex, Some(idx)) => {
             let NodeTest::Name { name, .. } = test else {
                 unreachable!("NameIndex is only chosen for name tests");
             };
-            let or_self = axis == Axis::DescendantOrSelf;
-            idx.elements_named_batch(g, name, ctxs, or_self)
-                .into_iter()
-                .filter(|&m| node_test_matches(g, axis, m, test))
-                .collect()
+            let mut out = idx.elements_named_batch(g, name, ctxs, axis == Axis::DescendantOrSelf);
+            out.retain(|&m| keep(m));
+            out
         }
-        StepStrategy::LeafRange => {
+        (StepStrategy::IndexedExtended, Some(idx)) => idx.axis_nodes_batch(g, axis, ctxs, keep),
+        (StepStrategy::LeafRange, _) => {
             // Merge the (leaf-aligned) context spans, then emit each merged
             // run's leaves once — sorted and duplicate-free by
-            // construction.
+            // construction. Only nodes with DOM children reach leaves.
             let mut spans: Vec<(u32, u32)> = ctxs
                 .iter()
                 .filter(|n| matches!(n, NodeId::Root | NodeId::Elem { .. } | NodeId::Text { .. }))
@@ -172,18 +125,18 @@ pub fn resolve_step_batch(
             }
             out
         }
-        StepStrategy::IndexedExtended => {
-            idx.axis_nodes_batch(g, axis, ctxs, |m| node_test_matches(g, axis, m, test))
-        }
-        StepStrategy::AxisWalk => {
-            // No set-at-a-time index form for the tree-walk axes; still
-            // hoist the document-order sort-dedup to once per step.
+        // The tree walk, which is also what an index strategy falls back
+        // to without an index.
+        _ => {
             let mut out = Vec::new();
             for &n in ctxs {
                 out.extend(walk_step(g, axis, test, n));
             }
-            g.sort_nodes(&mut out);
-            out.dedup();
+            // One context's walk is already in order.
+            if ctxs.len() > 1 {
+                g.sort_nodes(&mut out);
+                out.dedup();
+            }
             out
         }
     }
@@ -234,17 +187,19 @@ mod tests {
         );
     }
 
+    /// Every strategy, with the index and without, equals the naive union
+    /// of [`walk_step`] over single contexts, every element, a sparse
+    /// subset, every node, and no context.
     #[test]
-    fn batch_matches_per_node_union_for_every_strategy() {
+    fn resolve_step_matches_naive_union_for_every_strategy() {
         let g = figure1();
         let idx = StructIndex::build(&g);
         let all = g.all_nodes();
-        let ctx_sets: Vec<Vec<NodeId>> = vec![
-            all.clone(),
-            all.iter().copied().step_by(4).collect(),
-            vec![NodeId::Root],
-            Vec::new(),
-        ];
+        let mut ctx_sets: Vec<Vec<NodeId>> = all.iter().map(|&n| vec![n]).collect();
+        ctx_sets.push(all.iter().copied().filter(|n| n.is_element()).collect());
+        ctx_sets.push(all.iter().copied().step_by(4).collect());
+        ctx_sets.push(all.clone());
+        ctx_sets.push(Vec::new());
         let tests = [
             NodeTest::Name { name: "w".into(), hierarchies: None },
             NodeTest::Name { name: "w".into(), hierarchies: Some(vec!["words".into()]) },
@@ -269,21 +224,21 @@ mod tests {
             for test in &tests {
                 let strategy = choose_strategy(axis, test);
                 for ctxs in &ctx_sets {
-                    let batch = resolve_step_batch(&g, &idx, strategy, axis, test, ctxs);
-                    let mut union: Vec<NodeId> = ctxs
-                        .iter()
-                        .flat_map(|&n| resolve_step(&g, &idx, strategy, axis, test, n))
-                        .collect();
-                    g.sort_nodes(&mut union);
-                    union.dedup();
-                    assert_eq!(
-                        batch,
-                        union,
-                        "axis {} test {:?} over {} contexts",
-                        axis.name(),
-                        test,
-                        ctxs.len()
-                    );
+                    let mut naive: Vec<NodeId> =
+                        ctxs.iter().flat_map(|&n| walk_step(&g, axis, test, n)).collect();
+                    g.sort_nodes(&mut naive);
+                    naive.dedup();
+                    for index in [Some(&idx), None] {
+                        assert_eq!(
+                            resolve_step(&g, index, strategy, axis, test, ctxs),
+                            naive,
+                            "axis {} test {:?} over {:?} (index {})",
+                            axis.name(),
+                            test,
+                            ctxs,
+                            index.is_some()
+                        );
+                    }
                 }
             }
         }
@@ -293,25 +248,13 @@ mod tests {
     fn batch_renormalizes_unordered_contexts() {
         let g = figure1();
         let idx = StructIndex::build(&g);
+        let any = NodeTest::AnyNode { hierarchies: None };
+        let strategy = StepStrategy::IndexedExtended;
         let mut ctxs = idx.elements_named("w").to_vec();
-        let sorted = resolve_step_batch(
-            &g,
-            &idx,
-            StepStrategy::IndexedExtended,
-            Axis::XFollowing,
-            &NodeTest::AnyNode { hierarchies: None },
-            &ctxs,
-        );
+        let sorted = resolve_step(&g, Some(&idx), strategy, Axis::XFollowing, &any, &ctxs);
         ctxs.reverse();
         ctxs.push(ctxs[0]); // duplicate, out of order
-        let renormalized = resolve_step_batch(
-            &g,
-            &idx,
-            StepStrategy::IndexedExtended,
-            Axis::XFollowing,
-            &NodeTest::AnyNode { hierarchies: None },
-            &ctxs,
-        );
+        let renormalized = resolve_step(&g, Some(&idx), strategy, Axis::XFollowing, &any, &ctxs);
         assert_eq!(sorted, renormalized);
         assert!(!sorted.is_empty());
     }

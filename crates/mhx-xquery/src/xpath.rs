@@ -189,8 +189,9 @@ fn call(name: &str, args: Vec<QExpr>) -> QExpr {
     QExpr::Call { name: name.to_string(), args }
 }
 
-/// `.` — the context node, as both parsers write it.
-fn dot() -> QExpr {
+/// `.` — the context node, as the XPath parser writes it (and the XQuery
+/// parser before a `/`).
+pub(crate) fn dot() -> QExpr {
     QExpr::Path {
         start: QPathStart::Context,
         steps: vec![QStep::new(Axis::SelfAxis, NodeTest::AnyNode { hierarchies: None }, vec![])],

@@ -283,16 +283,9 @@ impl Catalog {
         }
     }
 
-    /// Builder-style capacity override. Preserves any already-cached plans
-    /// up to the new capacity and all cumulative counters — resizing never
-    /// silently discards a warm cache.
-    pub fn with_plan_cache_capacity(self, capacity: usize) -> Catalog {
-        self.set_plan_cache_capacity(capacity);
-        self
-    }
-
     /// Change the plan-cache capacity in place (min 1), keeping the most
-    /// recently used entries and the cumulative stats.
+    /// recently used entries and all cumulative counters — resizing never
+    /// silently discards a warm cache.
     pub fn set_plan_cache_capacity(&self, capacity: usize) {
         self.cache.set_capacity(capacity);
     }

@@ -21,8 +21,9 @@
 //!   [`EngineError`]s that keep the source stage (parse / compile / eval /
 //!   unknown document) instead of flattening to a string.
 //! * Evaluation under the facade is **batched**: cached plans feed whole
-//!   intermediate node sets through `resolve_step_batch` (one index pass
-//!   per predicate-free step), so wide results — the common shape for
+//!   intermediate node sets through `mhx_xquery::plan::resolve_step` (one
+//!   index pass per predicate-free step; a predicated step resolves each
+//!   context as a batch of one), so wide results — the common shape for
 //!   corpus-level extended-axis queries — cost one sort-dedup per step,
 //!   not one per context node (see `BENCH_batch.json`).
 
@@ -116,7 +117,8 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest() {
-        let e = catalog().with_plan_cache_capacity(2);
+        let e = catalog();
+        e.set_plan_cache_capacity(2);
         e.xpath(DOC, "/descendant::w[1]").unwrap();
         e.xpath(DOC, "/descendant::w[2]").unwrap();
         // Touch the first so the second is now least recent.
@@ -141,7 +143,7 @@ mod tests {
         e.xpath(DOC, "/descendant::w[1]").unwrap();
         assert_eq!(e.cache_stats().hits, 1);
 
-        let e = e.with_plan_cache_capacity(1);
+        e.set_plan_cache_capacity(1);
         let stats = e.cache_stats();
         assert_eq!(stats.hits, 1, "cumulative stats survive the resize");
         assert_eq!(stats.misses, 2);

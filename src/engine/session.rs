@@ -91,13 +91,8 @@ impl<'c> Session<'c> {
         &self.opts
     }
 
-    /// Mutate this session's evaluation options (other sessions and the
-    /// catalog defaults are unaffected).
-    pub fn options_mut(&mut self) -> &mut EvalOptions {
-        &mut self.opts
-    }
-
-    /// Builder-style options override.
+    /// Builder-style options override (other sessions and the catalog
+    /// defaults are unaffected).
     pub fn with_options(mut self, opts: EvalOptions) -> Session<'c> {
         self.opts = opts;
         self
@@ -154,8 +149,8 @@ mod tests {
     fn session_options_are_per_connection() {
         let c = catalog();
         let paper = c.session("ms").unwrap();
-        let mut xslt = c.session("ms").unwrap();
-        xslt.options_mut().analyze_mode = AnalyzeMode::Xslt;
+        let xslt_opts = EvalOptions { analyze_mode: AnalyzeMode::Xslt, ..c.options().clone() };
+        let xslt = c.session("ms").unwrap().with_options(xslt_opts);
 
         let q = "serialize(analyze-string((/descendant::w)[1], '.*unawe.*'))";
         // Paper-compat mode: shortest-match semantics tag just `unawe`.
@@ -169,7 +164,8 @@ mod tests {
 
     #[test]
     fn prepared_survives_eviction() {
-        let c = catalog().with_plan_cache_capacity(1);
+        let c = catalog();
+        c.set_plan_cache_capacity(1);
         let q = c.prepare(QueryLang::XQuery, "count(/descendant::w)").unwrap();
         assert_eq!(q.lang(), QueryLang::XQuery);
         assert_eq!(q.source(), "count(/descendant::w)");

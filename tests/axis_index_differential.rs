@@ -3,16 +3,17 @@
 //! spec-built and `analyze-string()`-built), index-backed axis evaluation
 //! must equal the naive `all_nodes()` scan for every axis, XPath compiled
 //! onto the XQuery pipeline must equal the naive interpreter on random
-//! extended paths, and batched step resolution must equal the per-node
-//! union on random context sets for every axis × node-test pair. The naive
-//! side is the reference oracle.
+//! extended paths, and step resolution must equal the naive per-node union
+//! (`walk_step`) on random context sets for every axis × node-test pair.
+//! The naive side is the reference oracle.
 
 use multihier_xquery::corpus::{generate, GeneratorConfig};
 use multihier_xquery::goddag::axes::{axis_nodes, setsem, Axis};
 use multihier_xquery::goddag::{FragmentSpec, Goddag, NodeId, StructIndex};
 use multihier_xquery::xpath::eval::evaluate_xpath_naive;
-use multihier_xquery::xpath::{choose_strategy, resolve_step, resolve_step_batch, NodeTest, Value};
+use multihier_xquery::xpath::{walk_step, NodeTest, Value};
 use multihier_xquery::xquery::evaluate_xpath;
+use multihier_xquery::xquery::plan::{choose_strategy, resolve_step};
 use proptest::prelude::*;
 
 const ALL_AXES: [Axis; 19] = [
@@ -132,24 +133,31 @@ proptest! {
         }
     }
 
-    /// Batched step resolution equals the per-node union — sorted, deduped
-    /// — on random context sets, for every axis × node test. This is the
-    /// contract the evaluators rely on when they switch predicate-free
-    /// steps to `resolve_step_batch`.
+    /// Step resolution over a context set equals the naive per-node union
+    /// — `walk_step` from each context, sorted, deduped — for every axis ×
+    /// node test, on a random subset, one random context, every element
+    /// and no context. This is the contract the evaluator relies on for
+    /// whole context sets and for one context at a time.
     #[test]
     fn batch_step_equals_per_node_union(cfg in arb_config(), mask_lo in 0u32..u32::MAX, mask_hi in 0u32..u32::MAX, shift in 0usize..64) {
         let mask = (mask_hi as u64) << 32 | mask_lo as u64;
         let g = generate(&cfg).build_goddag();
         let idx = StructIndex::build(&g);
+        let all = g.all_nodes();
         // A pseudo-random document-ordered context subset from the mask
         // bits (rotated so every region of the document gets picked).
-        let ctxs: Vec<NodeId> = g
-            .all_nodes()
-            .into_iter()
+        let subset: Vec<NodeId> = all
+            .iter()
             .enumerate()
             .filter(|(i, _)| mask >> ((i + shift) % 64) & 1 == 1)
-            .map(|(_, n)| n)
+            .map(|(_, &n)| n)
             .collect();
+        let ctx_sets = [
+            subset,
+            vec![all[(mask as usize).wrapping_add(shift) % all.len()]],
+            all.iter().copied().filter(|n| n.is_element()).collect(),
+            Vec::new(),
+        ];
         let tests = [
             NodeTest::Name { name: "e0".into(), hierarchies: None },
             NodeTest::Name { name: "s0".into(), hierarchies: None },
@@ -161,17 +169,17 @@ proptest! {
         for axis in ALL_AXES {
             for test in &tests {
                 let strategy = choose_strategy(axis, test);
-                let batch = resolve_step_batch(&g, &idx, strategy, axis, test, &ctxs);
-                let mut union: Vec<NodeId> = ctxs
-                    .iter()
-                    .flat_map(|&n| resolve_step(&g, &idx, strategy, axis, test, n))
-                    .collect();
-                g.sort_nodes(&mut union);
-                union.dedup();
-                prop_assert_eq!(
-                    batch, union,
-                    "axis {} test {:?} over {} contexts", axis.name(), test, ctxs.len()
-                );
+                for ctxs in &ctx_sets {
+                    let resolved = resolve_step(&g, Some(&idx), strategy, axis, test, ctxs);
+                    let mut union: Vec<NodeId> =
+                        ctxs.iter().flat_map(|&n| walk_step(&g, axis, test, n)).collect();
+                    g.sort_nodes(&mut union);
+                    union.dedup();
+                    prop_assert_eq!(
+                        resolved, union,
+                        "axis {} test {:?} over {} contexts", axis.name(), test, ctxs.len()
+                    );
+                }
             }
         }
     }

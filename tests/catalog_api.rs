@@ -118,7 +118,8 @@ fn eviction_pressure_with_mixed_languages() {
     // Capacity 2, two documents, one query text valid in both languages:
     // four distinct (language, document) evaluations must stay four
     // distinct semantics while occupying at most two cache entries.
-    let catalog = corpus(2).with_plan_cache_capacity(2);
+    let catalog = corpus(2);
+    catalog.set_plan_cache_capacity(2);
     let q = "count(/descendant::w)"; // valid XPath *and* XQuery
 
     for id in ["ms-0", "ms-1"] {
@@ -294,8 +295,8 @@ fn prepared_queries_respect_the_per_session_optimize_knob() {
     let q = catalog.prepare(QueryLang::XPath, "//w[overlapping::line]").unwrap();
 
     let on = catalog.session("ms-0").unwrap();
-    let mut off = catalog.session("ms-0").unwrap();
-    off.options_mut().optimize = false;
+    let off_opts = EvalOptions { optimize: false, ..catalog.options().clone() };
+    let off = catalog.session("ms-0").unwrap().with_options(off_opts);
 
     // Same answer either way — the knob may never change results.
     let expected = on.run(&q).unwrap().into_string();
@@ -330,12 +331,14 @@ fn flipping_the_knob_on_a_live_session_reresolves_behavior() {
 
     // Flip the knob mid-session: the very next execution of the *same*
     // prepared handle must use the as-written plan (no stale plan reuse).
-    session.options_mut().optimize = false;
+    let off = EvalOptions { optimize: false, ..session.options().clone() };
+    session = session.with_options(off);
     assert_eq!(session.run(&q).unwrap().serialize(), optimized);
     assert_eq!(catalog.eval_stats().rewritten_steps, rewritten_after_on);
 
     // And back on: rewrites resume, still without recompiling.
-    session.options_mut().optimize = true;
+    let on = EvalOptions { optimize: true, ..session.options().clone() };
+    session = session.with_options(on);
     assert_eq!(session.run(&q).unwrap().serialize(), optimized);
     assert!(catalog.eval_stats().rewritten_steps > rewritten_after_on);
     assert_eq!(catalog.cache_stats().misses, 1, "one parse served every knob flip");

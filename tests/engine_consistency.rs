@@ -100,8 +100,8 @@ fn engine_counts_batched_and_rewritten_steps() {
 
     // Optimize off: predicate-free steps still batch, but nothing is
     // "rewritten" — the knob really selects the as-written plan.
-    let mut session = catalog.session("doc").unwrap();
-    session.options_mut().optimize = false;
+    let off = EvalOptions { optimize: false, ..catalog.options().clone() };
+    let session = catalog.session("doc").unwrap().with_options(off);
     session.xpath("/descendant::e0/xfollowing::e1").unwrap();
     let after_off = catalog.eval_stats();
     assert!(after_off.batched_steps > after_xquery.batched_steps, "{after_off:?}");
@@ -203,6 +203,8 @@ const BINDING_QUERIES: &[&str] = &[
      $i mod 3 descending return concat($i, ' ')",
     "for $x at $i in /descendant::{a} let $s := string($x) order by $s descending \
      for $j in 1 to 2 return concat($i, '.', $j, ' ')",
+    "let $big := 1 to 3000 for $x in /descendant::{a} order by string-length(string($x)) \
+     return $x",
     "for $x in /descendant::{a}, $y in $x/xancestor::{b} \
      return concat(string-length(string($x)), '-', string-length(string($y)), ' ')",
     "count(for $x in /descendant::{a} for $y in /descendant::{b} \
