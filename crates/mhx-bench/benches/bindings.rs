@@ -17,10 +17,10 @@
 //!   each.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mhx_bench::time_pair;
 use mhx_corpus::{generate, GeneratorConfig};
 use mhx_goddag::StructIndex;
 use mhx_xquery::{CompiledXQuery, EvalOptions};
-use std::time::Instant;
 
 /// Each row: its name, the query, and the query behind the unused `let`
 /// (`{q}` stands for the query).
@@ -51,26 +51,23 @@ fn emit_snapshot(_c: &mut Criterion) {
     let g = doc.build_goddag();
     let idx = StructIndex::build(&g);
     let opts = EvalOptions::default();
-    // Median of 9 timed runs after one warm-up run, and the answer.
-    let time = |query: &str| {
-        let plan = CompiledXQuery::compile(query).unwrap();
-        let run = || plan.run_with_index(&g, Some(&idx), &opts).unwrap().0;
-        let answer = run();
-        let mut ns: Vec<f64> = (0..9)
-            .map(|_| {
-                let t0 = Instant::now();
-                std::hint::black_box(run());
-                t0.elapsed().as_secs_f64() * 1e9
-            })
-            .collect();
-        ns.sort_by(f64::total_cmp);
-        (ns[4], answer)
-    };
     let mut rows = Vec::new();
     for (name, query, with_let) in ROWS {
-        let (bare_ns, answer) = time(query);
-        let (let_ns, let_answer) = time(&with_let.replace("{q}", query));
-        assert_eq!(answer, let_answer, "{name}: the unused let changes nothing");
+        let bare = CompiledXQuery::compile(query).unwrap();
+        let behind = CompiledXQuery::compile(&with_let.replace("{q}", query)).unwrap();
+        let run = |plan: &CompiledXQuery| plan.run_with_index(&g, Some(&idx), &opts).unwrap().0;
+        let answer = run(&bare);
+        assert_eq!(answer, run(&behind), "{name}: the unused let changes nothing");
+        // Fastest of 9 runs per side, the two sides' runs interleaved.
+        let (bare_ns, let_ns) = time_pair(
+            9,
+            || {
+                std::hint::black_box(run(&bare));
+            },
+            || {
+                std::hint::black_box(run(&behind));
+            },
+        );
         println!(
             "{name}: {bare_ns:.0} ns vs {let_ns:.0} ns behind the let ({} bytes)",
             answer.len()

@@ -17,12 +17,13 @@
 //! gate tracks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mhx_bench::time_pair;
 use mhx_corpus::{generate, GeneratorConfig};
 use mhx_goddag::{Goddag, StructIndex};
 use mhx_xpath::Value;
 use mhx_xquery::{xpath_value, CompiledXQuery, EvalOptions};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Same ≥10k-node corpus as the batch bench (counted, not assumed).
 fn large_corpus() -> Goddag {
@@ -99,24 +100,12 @@ fn optimized_vs_as_written(c: &mut Criterion) {
     grp.finish();
 }
 
-/// E16 snapshot — per-query medians, speedups and rewrite counts, written
+/// E16 snapshot — per-query timings, speedups and rewrite counts, written
 /// to `BENCH_plan.json` at the workspace root.
 fn emit_snapshot(_c: &mut Criterion) {
     let g = large_corpus();
     let idx = StructIndex::build(&g);
     let node_count = g.all_nodes().len();
-
-    let median_ns = |f: &dyn Fn()| -> f64 {
-        f(); // warm
-        let mut samples = Vec::with_capacity(9);
-        for _ in 0..9 {
-            let t0 = Instant::now();
-            f();
-            samples.push(t0.elapsed().as_secs_f64() * 1e9);
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        samples[samples.len() / 2]
-    };
 
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
@@ -129,12 +118,16 @@ fn emit_snapshot(_c: &mut Criterion) {
             eval(&g, &idx, &q, true),
             "optimized disagrees with as-written on {label}"
         );
-        let as_written = median_ns(&|| {
-            black_box(eval(&g, &idx, &q, false));
-        });
-        let optimized = median_ns(&|| {
-            black_box(eval(&g, &idx, &q, true));
-        });
+        // Fastest of 9 runs per plan, the two plans' runs interleaved.
+        let (as_written, optimized) = time_pair(
+            9,
+            || {
+                black_box(eval(&g, &idx, &q, false));
+            },
+            || {
+                black_box(eval(&g, &idx, &q, true));
+            },
+        );
         let speedup = as_written / optimized;
         let rewrites = q.report().total();
         rows.push(format!(

@@ -28,7 +28,7 @@ use mhx_bench::snapshot::{compare, override_floor, parse, tracked_metrics, Metri
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const SNAPSHOTS: [(&str, &str); 9] = [
+const SNAPSHOTS: [(&str, &str); 10] = [
     ("axes", "BENCH_axes.json"),
     ("catalog", "BENCH_catalog.json"),
     ("batch", "BENCH_batch.json"),
@@ -38,6 +38,7 @@ const SNAPSHOTS: [(&str, &str); 9] = [
     ("store", "BENCH_store.json"),
     ("analyze_string", "BENCH_analyze.json"),
     ("bindings", "BENCH_bindings.json"),
+    ("serialize", "BENCH_serialize.json"),
 ];
 
 struct Args {

@@ -17,7 +17,9 @@
 //!   worker-pool scaling, keep-alive vs fresh connections, prepared vs
 //!   ad-hoc, `BENCH_serve.json`);
 //! * `goddag_scaling` — E10 (construction scaling);
-//! * `analyze_string` — E11 (Definition-4 machinery).
+//! * `analyze_string` — E11 (Definition-4 machinery);
+//! * `serialize` — E19 (the answer writer against copying the answer's
+//!   text, `BENCH_serialize.json`).
 //!
 //! Run with `cargo bench -p mhx-bench`; results feed EXPERIMENTS.md.
 //!
@@ -26,5 +28,49 @@
 //! snapshots against the committed baselines ([`snapshot`] holds the
 //! std-only JSON parser, the tracked-ratio extraction, and the pass/fail
 //! rule) and exits nonzero when a tracked ratio regresses.
+//!
+//! [`time_pair`] is the timer of the ratio rows whose two sides run the
+//! same kind of work (`plan`, `bindings`, `serialize`).
+
+use std::time::Instant;
 
 pub mod snapshot;
+
+/// Time the two sides of a ratio: one warm-up run each, then `samples`
+/// runs of each with the sides interleaved (`a`, `b`, `a`, `b`, …), so a
+/// slow spell of the machine falls on both. Returns each side's fastest
+/// run in nanoseconds: the minimum is the run least disturbed by noise.
+pub fn time_pair(samples: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    a();
+    b();
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..samples {
+        best_a = best_a.min(time(&mut a));
+        best_b = best_b.min(time(&mut b));
+    }
+    (best_a, best_b)
+}
+
+fn time(f: &mut impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64() * 1e9
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn time_pair_interleaves_the_sides_and_keeps_each_minimum() {
+        let order = std::cell::RefCell::new(String::new());
+        let (a, b) = super::time_pair(
+            3,
+            || order.borrow_mut().push('a'),
+            || {
+                order.borrow_mut().push('b');
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            },
+        );
+        assert_eq!(order.into_inner(), "abababab");
+        assert!(a < b && b >= 2e6, "{a} vs {b}");
+    }
+}

@@ -296,6 +296,23 @@ pub fn tracked_metrics(file: &str, doc: &Json) -> Result<Vec<Metric>, String> {
                     .then_some((1.0, Some(0.6)))
             })?;
         }
+        "serialize" => {
+            // Writer ratios from `benches/serialize.rs`: copying an answer's
+            // text over serializing the same nodes, on three `eval-large`
+            // answers. Each hard floor sits between the writer that
+            // allocated per node and escaped a `char` at a time (overlap
+            // 0.036–0.045, xfollowing 0.052–0.067, chain 0.087–0.103) and
+            // the one-pass, one-buffer writer (0.157–0.189, 0.232–0.269,
+            // 0.351–0.376), in 12 and 6 runs on one 2-vCPU VM.
+            out = ratio_rows("serialize", "BENCH_serialize.json", doc, |name| {
+                Some(match name {
+                    "overlap" => (0.14, Some(0.1)),
+                    "xfollowing" => (0.2, Some(0.15)),
+                    "chain" => (0.3, Some(0.2)),
+                    _ => return None,
+                })
+            })?;
+        }
         other => return Err(format!("unknown snapshot kind `{other}`")),
     }
     Ok(out)
@@ -757,6 +774,33 @@ mod tests {
 
         let mut metrics = base.clone();
         override_floor(&mut metrics, "analyze_string:", 1_000_000.0);
+        let verdicts = compare(&metrics.clone(), &metrics, 0.25);
+        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
+    }
+
+    #[test]
+    fn serialize_metrics_gate_the_one_pass_writer_hard() {
+        let one_pass = r#"{"ratios": {"overlap": 0.17, "xfollowing": 0.26, "chain": 0.36}}"#;
+        let base = tracked_metrics("serialize", &parse(one_pass).unwrap()).unwrap();
+        assert_eq!(base.len(), 3);
+        let floor = |name: &str| base.iter().find(|m| m.name == name).unwrap().hard_min;
+        assert_eq!(floor("serialize:overlap:ratio"), Some(0.1));
+        assert_eq!(floor("serialize:xfollowing:ratio"), Some(0.15));
+        assert_eq!(floor("serialize:chain:ratio"), Some(0.2));
+
+        // The writer "allocates per node again": every row falls to what
+        // the per-item, char-at-a-time writer read.
+        let per_node = r#"{"ratios": {"overlap": 0.045, "xfollowing": 0.067, "chain": 0.103}}"#;
+        let fresh = tracked_metrics("serialize", &parse(per_node).unwrap()).unwrap();
+        let verdicts = compare(&base, &fresh, 0.25);
+        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
+
+        let drifted = r#"{"ratios": {"flwor": 0.5}}"#;
+        let err = tracked_metrics("serialize", &parse(drifted).unwrap()).unwrap_err();
+        assert!(err.contains("flwor"), "{err}");
+
+        let mut metrics = base.clone();
+        override_floor(&mut metrics, "serialize:", 1_000_000.0);
         let verdicts = compare(&metrics.clone(), &metrics, 0.25);
         assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
     }

@@ -1,5 +1,5 @@
 //! Export: serialize one hierarchy of a KyGODDAG back to its standalone
-//! XML encoding.
+//! XML encoding, and the one KyGODDAG node writer.
 //!
 //! This closes the round trip `encodings → KyGODDAG → encodings`: an
 //! editor can load a multihierarchical document, manipulate it (including
@@ -7,41 +7,45 @@
 //! the separate XML files the EPPT-style workflow stores. Virtual
 //! hierarchies export too — that is how a search result can be saved as a
 //! persistent annotation layer.
+//!
+//! [`write_node`] is the only code that turns KyGODDAG nodes into markup:
+//! the export below and the query result serializer
+//! (`mhx_xquery::serialize`) both call it. It appends to the caller's
+//! buffer, walks an element's children where the hierarchy stores them
+//! (no list is collected per element), and escapes text in runs straight
+//! into the buffer, so a query's whole answer is written in one pass into
+//! one `String`.
 
 use crate::goddag::Goddag;
+use crate::hierarchy::{Hierarchy, Kid};
 use crate::node::{HierarchyId, NodeId};
-use mhx_xml::escape::{escape_attr, escape_text};
-use std::fmt::Write;
+use mhx_xml::escape::{escape_attr_into, escape_text_into};
 
 /// Serialize hierarchy `h` of `g` as a standalone XML document with the
 /// shared root element. Text regions not covered by the hierarchy's
 /// markup (possible for virtual hierarchies) are emitted as plain text,
 /// so the output always spells the complete base text `S`.
 pub fn hierarchy_to_xml(g: &Goddag, h: HierarchyId) -> String {
-    let mut out = String::with_capacity(g.text().len() * 2);
+    let text = g.text();
+    let hier = g.hierarchy(h);
+    let mut out = String::with_capacity(text.len() * 2);
     out.push('<');
     out.push_str(g.root_name());
-    for (k, v) in g.attrs(NodeId::Root) {
-        let _ = write!(out, " {k}=\"{}\"", escape_attr(v));
-    }
+    write_attrs(g.attrs(NodeId::Root), &mut out);
     out.push('>');
-    // Children of the root restricted to this hierarchy, with gap text
-    // filled from S (virtual hierarchies may not cover everything).
-    let kids: Vec<NodeId> =
-        g.children(NodeId::Root).into_iter().filter(|n| n.hierarchy() == Some(h)).collect();
-    let mut cursor = 0u32;
-    for k in kids {
-        let (s, e) = g.span(k);
-        if s > cursor {
-            out.push_str(&escape_text(&g.text()[cursor as usize..s as usize]));
-        }
-        write_node(g, k, &mut out);
+    // The hierarchy's top-level nodes, with gap text filled from S
+    // (virtual hierarchies may not cover everything).
+    let mut cursor = 0;
+    for &k in &hier.root_children {
+        let (s, e) = match k {
+            Kid::Elem(i) => hier.elem(i).span,
+            Kid::Text(i) => hier.text(i).span,
+        };
+        escape_text_into(&text[cursor as usize..s as usize], &mut out);
+        write_kid(text, hier, k, &mut out);
         cursor = e;
     }
-    let end = g.text().len() as u32;
-    if cursor < end {
-        out.push_str(&escape_text(&g.text()[cursor as usize..end as usize]));
-    }
+    escape_text_into(&text[cursor as usize..], &mut out);
     out.push_str("</");
     out.push_str(g.root_name());
     out.push('>');
@@ -53,32 +57,52 @@ pub fn all_hierarchies_to_xml(g: &Goddag) -> Vec<(String, String)> {
     g.hierarchies().map(|(h, hier)| (hier.name.clone(), hierarchy_to_xml(g, h))).collect()
 }
 
-fn write_node(g: &Goddag, n: NodeId, out: &mut String) {
+/// Append node `n` of `g` to `out` as markup. An element writes its own
+/// hierarchy's markup: its attributes in document order, then its
+/// children, or `<e/>` when it has none. The root, a text node, a leaf or
+/// an attribute writes its string value, escaped as text.
+pub fn write_node(g: &Goddag, n: NodeId, out: &mut String) {
     match n {
-        NodeId::Elem { .. } => {
-            let name = g.name(n).unwrap_or("?");
-            out.push('<');
-            out.push_str(name);
-            for (k, v) in g.attrs(n) {
-                let _ = write!(out, " {k}=\"{}\"", escape_attr(v));
-            }
-            let kids = g.children(n);
-            if kids.is_empty() {
-                out.push_str("/>");
-                return;
-            }
-            out.push('>');
-            for c in kids {
-                write_node(g, c, out);
-            }
-            out.push_str("</");
-            out.push_str(name);
-            out.push('>');
+        NodeId::Elem { h, i } => write_elem(g.text(), g.hierarchy(h), i, out),
+        other => escape_text_into(g.string_value(other), out),
+    }
+}
+
+fn write_kid(text: &str, hier: &Hierarchy, k: Kid, out: &mut String) {
+    match k {
+        Kid::Elem(i) => write_elem(text, hier, i, out),
+        Kid::Text(i) => {
+            let (s, e) = hier.text(i).span;
+            escape_text_into(&text[s as usize..e as usize], out);
         }
-        NodeId::Text { .. } => out.push_str(&escape_text(g.string_value(n))),
-        // Leaves are reached only through text nodes; attributes are
-        // emitted with their elements.
-        _ => {}
+    }
+}
+
+fn write_elem(text: &str, hier: &Hierarchy, i: u32, out: &mut String) {
+    let elem = hier.elem(i);
+    out.push('<');
+    out.push_str(&elem.name);
+    write_attrs(&elem.attrs, out);
+    if elem.children.is_empty() {
+        out.push_str("/>");
+        return;
+    }
+    out.push('>');
+    for &k in &elem.children {
+        write_kid(text, hier, k, out);
+    }
+    out.push_str("</");
+    out.push_str(&elem.name);
+    out.push('>');
+}
+
+fn write_attrs(attrs: &[(String, String)], out: &mut String) {
+    for (k, v) in attrs {
+        out.push(' ');
+        out.push_str(k);
+        out.push_str("=\"");
+        escape_attr_into(v, out);
+        out.push('"');
     }
 }
 

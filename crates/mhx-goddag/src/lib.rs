@@ -75,8 +75,15 @@ mod proptests {
     #[derive(Debug, Clone)]
     struct RandomDoc {
         text_len: usize,
+        /// The base text: one ASCII character per byte, among them every
+        /// character markup escapes.
+        text: Vec<u8>,
         hierarchies: Vec<Vec<(usize, usize)>>, // flat element spans per hierarchy
     }
+
+    /// The base text's alphabet: letters, the characters escaped in text
+    /// and attribute values, and `'`, which neither escapes.
+    const ALPHABET: &[u8] = b"ab&<>\"'";
 
     fn arb_doc() -> impl Strategy<Value = RandomDoc> {
         (4usize..24)
@@ -106,14 +113,30 @@ mod proptests {
                     }
                     kept
                 });
-                (Just(len), proptest::collection::vec(hier, 1..4))
+                let text = proptest::collection::vec(0..ALPHABET.len(), len)
+                    .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect());
+                (Just(len), text, proptest::collection::vec(hier, 1..4))
             })
-            .prop_map(|(text_len, hierarchies)| RandomDoc { text_len, hierarchies })
+            .prop_map(|(text_len, text, hierarchies)| RandomDoc { text_len, text, hierarchies })
     }
 
-    /// Render one hierarchy's spans as nested XML over text "ab…".
+    /// `c` as the canonical serialization writes it: `&`, `<` and `>`
+    /// always escaped, `"` only in an attribute value.
+    fn escaped(c: u8, attr: bool) -> String {
+        match c {
+            b'&' => "&amp;".into(),
+            b'<' => "&lt;".into(),
+            b'>' => "&gt;".into(),
+            b'"' if attr => "&quot;".into(),
+            c => (c as char).to_string(),
+        }
+    }
+
+    /// Render one hierarchy's spans as nested XML over the document's
+    /// text. An element whose span starts on an even offset carries its
+    /// own text as an attribute `k`.
     fn render(doc: &RandomDoc, spans: &[(usize, usize)]) -> String {
-        let text: String = (0..doc.text_len).map(|i| (b'a' + (i % 26) as u8) as char).collect();
+        let text = &doc.text;
         // Opens at s (longer spans first), closes at e (shorter first).
         let mut out = String::from("<r>");
         for i in 0..=doc.text_len {
@@ -124,11 +147,16 @@ mod proptests {
             }
             let mut opens: Vec<&(usize, usize)> = spans.iter().filter(|&&(s, _)| s == i).collect();
             opens.sort_by_key(|&&(_, e)| std::cmp::Reverse(e));
-            for _ in opens {
-                out.push_str("<x>");
+            for &(s, e) in opens {
+                if s % 2 == 0 {
+                    let value: String = text[s..e].iter().map(|&c| escaped(c, true)).collect();
+                    out.push_str(&format!("<x k=\"{value}\">"));
+                } else {
+                    out.push_str("<x>");
+                }
             }
             if i < doc.text_len {
-                out.push(text.as_bytes()[i] as char);
+                out.push_str(&escaped(text[i], false));
             }
         }
         out.push_str("</r>");

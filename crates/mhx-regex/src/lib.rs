@@ -144,14 +144,15 @@ impl Regex {
     }
 
     /// Iterator over non-overlapping matches, left to right. Empty matches
-    /// advance by one character so the iteration always terminates.
+    /// advance by one character so the iteration always terminates. One
+    /// VM, with its buffers, serves every match.
     pub fn find_iter<'r, 'h>(&'r self, hay: &'h str) -> FindIter<'r, 'h> {
-        FindIter { re: self, hay, at: 0, done: false }
+        FindIter(self.captures_iter(hay))
     }
 
     /// Iterator over non-overlapping [`Captures`].
     pub fn captures_iter<'r, 'h>(&'r self, hay: &'h str) -> CapturesIter<'r, 'h> {
-        CapturesIter { re: self, hay, at: 0, done: false }
+        CapturesIter { vm: PikeVm::new(&self.prog), hay, at: 0, done: false }
     }
 
     /// Replace every match with `rep`, where `$0`..`$9` in `rep` refer to
@@ -210,28 +211,18 @@ fn expand(rep: &str, caps: &Captures<'_>, out: &mut String) {
     }
 }
 
-pub struct FindIter<'r, 'h> {
-    re: &'r Regex,
-    hay: &'h str,
-    at: usize,
-    done: bool,
-}
+pub struct FindIter<'r, 'h>(CapturesIter<'r, 'h>);
 
 impl<'h> Iterator for FindIter<'_, 'h> {
     type Item = Match<'h>;
 
     fn next(&mut self) -> Option<Match<'h>> {
-        if self.done {
-            return None;
-        }
-        let m = self.re.find_at(self.hay, self.at)?;
-        advance_after(&m, self.hay, &mut self.at, &mut self.done);
-        Some(m)
+        Some(self.0.next()?.get(0).expect("group 0 present"))
     }
 }
 
 pub struct CapturesIter<'r, 'h> {
-    re: &'r Regex,
+    vm: PikeVm<'r>,
     hay: &'h str,
     at: usize,
     done: bool,
@@ -244,25 +235,21 @@ impl<'h> Iterator for CapturesIter<'_, 'h> {
         if self.done {
             return None;
         }
-        let caps = self.re.captures_at(self.hay, self.at)?;
+        let caps = Captures { haystack: self.hay, slots: self.vm.run_search(self.hay, self.at)? };
         let m = caps.get(0).expect("group 0 present");
-        advance_after(&m, self.hay, &mut self.at, &mut self.done);
-        Some(caps)
-    }
-}
-
-fn advance_after(m: &Match<'_>, hay: &str, at: &mut usize, done: &mut bool) {
-    if m.is_empty() {
-        // Step one char past an empty match.
-        match hay[m.end..].chars().next() {
-            Some(c) => *at = m.end + c.len_utf8(),
-            None => *done = true,
+        if m.is_empty() {
+            // Step one char past an empty match.
+            match self.hay[m.end..].chars().next() {
+                Some(c) => self.at = m.end + c.len_utf8(),
+                None => self.done = true,
+            }
+        } else {
+            self.at = m.end;
         }
-    } else {
-        *at = m.end;
-    }
-    if *at > hay.len() {
-        *done = true;
+        if self.at > self.hay.len() {
+            self.done = true;
+        }
+        Some(caps)
     }
 }
 

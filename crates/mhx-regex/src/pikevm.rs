@@ -38,31 +38,48 @@ impl ThreadList {
     }
 }
 
-/// Execution over one haystack. `pos` values are byte offsets.
+/// Execution of one program. The thread lists, the work stack and the
+/// initial capture slots are allocated once, by [`PikeVm::new`], and
+/// reused by every run: an iterator runs the VM once per match. The
+/// `seen` stamps make clearing a list O(1). `pos` values are byte offsets.
 pub struct PikeVm<'p> {
     prog: &'p Program,
+    clist: ThreadList,
+    nlist: ThreadList,
+    stack: Vec<(usize, Slots)>,
+    init_slots: Slots,
 }
 
 impl<'p> PikeVm<'p> {
     pub fn new(prog: &'p Program) -> PikeVm<'p> {
-        PikeVm { prog }
+        // A literal program never enters the VM.
+        let n = if prog.literal { 0 } else { prog.insts.len() };
+        PikeVm {
+            prog,
+            clist: ThreadList::new(n),
+            nlist: ThreadList::new(n),
+            stack: Vec::new(),
+            init_slots: Rc::new(vec![None; prog.n_slots]),
+        }
     }
 
     /// Run an anchored-at-`start` match attempt: the match must begin
     /// exactly at `start`. Returns the capture slots of the best
     /// (leftmost-first) match.
-    pub fn run_anchored(&self, hay: &str, start: usize) -> Option<Vec<Option<usize>>> {
+    pub fn run_anchored(&mut self, hay: &str, start: usize) -> Option<Vec<Option<usize>>> {
         self.run(hay, start, true)
     }
 
     /// Unanchored search from `start`: earliest-starting match wins.
-    pub fn run_search(&self, hay: &str, start: usize) -> Option<Vec<Option<usize>>> {
+    pub fn run_search(&mut self, hay: &str, start: usize) -> Option<Vec<Option<usize>>> {
         self.run(hay, start, false)
     }
 
-    fn run(&self, hay: &str, start: usize, anchored: bool) -> Option<Vec<Option<usize>>> {
-        let prefix = self.prog.prefix.as_str();
-        if self.prog.literal {
+    fn run(&mut self, hay: &str, start: usize, anchored: bool) -> Option<Vec<Option<usize>>> {
+        let PikeVm { prog, clist, nlist, stack, init_slots } = self;
+        let prog: &Program = prog;
+        let prefix = prog.prefix.as_str();
+        if prog.literal {
             let tail = &hay[start..];
             let at = if anchored {
                 tail.starts_with(prefix).then_some(start)?
@@ -71,14 +88,9 @@ impl<'p> PikeVm<'p> {
             };
             return Some(vec![Some(at), Some(at + prefix.len())]);
         }
-        let n = self.prog.insts.len();
-        let mut clist = ThreadList::new(n);
-        let mut nlist = ThreadList::new(n);
-        let mut stack = Vec::new();
         let mut best: Option<Vec<Option<usize>>> = None;
-
-        let init_slots: Slots = Rc::new(vec![None; self.prog.n_slots]);
         clist.clear();
+        stack.clear();
 
         let mut pos = start;
         loop {
@@ -94,7 +106,7 @@ impl<'p> PikeVm<'p> {
             // searching and nothing matched yet.
             if pos == start || searching {
                 stack.push((0, init_slots.clone()));
-                add_threads(self.prog, &mut clist, &mut stack, pos, hay);
+                add_threads(prog, clist, stack, pos, hay);
             }
 
             if clist.threads.is_empty() && best.is_some() {
@@ -102,8 +114,8 @@ impl<'p> PikeVm<'p> {
             }
 
             nlist.clear();
-            for t in std::mem::take(&mut clist.threads) {
-                let advances = match (&self.prog.insts[t.pc], next_char) {
+            for t in clist.threads.drain(..) {
+                let advances = match (&prog.insts[t.pc], next_char) {
                     (Inst::Char(c), Some(ch)) => ch == *c,
                     (Inst::Class(cs), Some(ch)) => cs.contains(ch),
                     (Inst::Any, Some(_)) => true,
@@ -119,10 +131,10 @@ impl<'p> PikeVm<'p> {
                 };
                 if let (true, Some(ch)) = (advances, next_char) {
                     stack.push((t.pc + 1, t.slots));
-                    add_threads(self.prog, &mut nlist, &mut stack, pos + ch.len_utf8(), hay);
+                    add_threads(prog, nlist, stack, pos + ch.len_utf8(), hay);
                 }
             }
-            std::mem::swap(&mut clist, &mut nlist);
+            std::mem::swap(clist, nlist);
             match next_char {
                 Some(c) => pos += c.len_utf8(),
                 None => break,
@@ -247,7 +259,7 @@ mod tests {
     fn anchored_run_requires_start() {
         let p = parse("ab").unwrap();
         let prog = compile(&p.ast, p.group_count).unwrap();
-        let vm = PikeVm::new(&prog);
+        let mut vm = PikeVm::new(&prog);
         assert!(vm.run_anchored("xab", 0).is_none());
         assert!(vm.run_anchored("xab", 1).is_some());
     }

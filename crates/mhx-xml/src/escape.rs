@@ -88,35 +88,67 @@ pub fn unescape<'a>(raw: &'a str, entities: &EntityMap, pos: Pos) -> Result<Cow<
     Ok(Cow::Owned(out))
 }
 
-/// Escape text content: `&`, `<`, and `>` (the latter for `]]>` safety).
+/// Append `s` to `out` escaped as text content: `&`, `<`, and `>` (the
+/// latter for `]]>` safety). The escaped characters are all ASCII, so the
+/// scan runs over bytes and each unescaped run goes out in one piece.
+pub fn escape_text_into(s: &str, out: &mut String) {
+    escape_into(s, out, &TEXT);
+}
+
+/// Append `s` to `out` escaped as a double-quoted attribute value: `&`,
+/// `<`, `>`, and `"`.
+pub fn escape_attr_into(s: &str, out: &mut String) {
+    escape_into(s, out, &ATTR);
+}
+
+/// Escape text content: [`escape_text_into`], borrowing `s` when nothing
+/// needs escaping.
 pub fn escape_text(s: &str) -> Cow<'_, str> {
-    escape_with(s, |c| matches!(c, '&' | '<' | '>'))
+    escape_cow(s, &TEXT)
 }
 
-/// Escape an attribute value for double-quoted serialization.
+/// Escape an attribute value for double-quoted serialization:
+/// [`escape_attr_into`], borrowing `s` when nothing needs escaping.
 pub fn escape_attr(s: &str) -> Cow<'_, str> {
-    escape_with(s, |c| matches!(c, '&' | '<' | '>' | '"'))
+    escape_cow(s, &ATTR)
 }
 
-fn escape_with(s: &str, needs: impl Fn(char) -> bool) -> Cow<'_, str> {
-    if !s.chars().any(&needs) {
+/// Which bytes need escaping: `&`, `<` and `>` in text, and `"` too in a
+/// double-quoted attribute value. A table lookup per byte keeps the scan
+/// as cheap as a plain copy loop.
+const fn escapes(quote: bool) -> [bool; 256] {
+    let mut t = [false; 256];
+    t[b'&' as usize] = true;
+    t[b'<' as usize] = true;
+    t[b'>' as usize] = true;
+    t[b'"' as usize] = quote;
+    t
+}
+
+static TEXT: [bool; 256] = escapes(false);
+static ATTR: [bool; 256] = escapes(true);
+
+fn escape_into(s: &str, out: &mut String, table: &[bool; 256]) {
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| table[b as usize]) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            _ => "&quot;",
+        });
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
+}
+
+fn escape_cow<'a>(s: &'a str, table: &[bool; 256]) -> Cow<'a, str> {
+    if !s.bytes().any(|b| table[b as usize]) {
         return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        if needs(c) {
-            match c {
-                '&' => out.push_str("&amp;"),
-                '<' => out.push_str("&lt;"),
-                '>' => out.push_str("&gt;"),
-                '"' => out.push_str("&quot;"),
-                '\'' => out.push_str("&apos;"),
-                _ => unreachable!("escape_with predicate only selects markup chars"),
-            }
-        } else {
-            out.push(c);
-        }
-    }
+    escape_into(s, &mut out, table);
     Cow::Owned(out)
 }
 
@@ -187,5 +219,15 @@ mod tests {
     #[test]
     fn escape_borrows_when_clean() {
         assert!(matches!(escape_text("clean"), Cow::Borrowed(_)));
+        assert!(matches!(escape_attr("it's"), Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn escaping_appends_to_the_buffer() {
+        let mut out = String::from("<a k=\"");
+        escape_attr_into("þ\"&'", &mut out);
+        out.push_str("\">");
+        escape_text_into("x<\"y\">&þ", &mut out);
+        assert_eq!(out, "<a k=\"þ&quot;&amp;'\">x&lt;\"y\"&gt;&amp;þ");
     }
 }

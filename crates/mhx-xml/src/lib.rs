@@ -33,7 +33,7 @@ pub mod serialize;
 pub use dom::{Attr, Document, Node, NodeId, NodeKind};
 pub use error::{ErrorKind, Pos, Result, XmlError};
 pub use parse::{parse, parse_with, ParseOptions};
-pub use serialize::{node_to_string, to_string, to_string_with, SerializeOptions};
+pub use serialize::{node_to_string, to_string, to_string_with, write_node, SerializeOptions};
 
 #[cfg(test)]
 mod proptests {

@@ -1,7 +1,7 @@
 //! Serialization of [`Document`] subtrees back to XML text.
 
 use crate::dom::{Document, NodeId, NodeKind};
-use crate::escape::{escape_attr, escape_text};
+use crate::escape::{escape_attr_into, escape_text_into};
 use std::fmt::Write;
 
 /// Serialization knobs.
@@ -26,18 +26,22 @@ impl Default for SerializeOptions {
 /// Serialize the whole document (children of the document node).
 pub fn to_string(doc: &Document) -> String {
     let mut out = String::new();
-    let opts = SerializeOptions::default();
-    for c in doc.children(NodeId::DOCUMENT) {
-        write_node(doc, c, &opts, 0, &mut out);
-    }
+    write_node(doc, NodeId::DOCUMENT, &mut out);
     out
 }
 
 /// Serialize a single node (and its subtree).
 pub fn node_to_string(doc: &Document, id: NodeId) -> String {
     let mut out = String::new();
-    write_node(doc, id, &SerializeOptions::default(), 0, &mut out);
+    write_node(doc, id, &mut out);
     out
+}
+
+/// Append a single node (and its subtree) to `out` with the default
+/// options: the writer behind [`node_to_string`], for callers that
+/// assemble one buffer from many nodes.
+pub fn write_node(doc: &Document, id: NodeId, out: &mut String) {
+    write_with(doc, id, &SerializeOptions::default(), 0, out);
 }
 
 /// Serialize with options.
@@ -50,7 +54,7 @@ pub fn to_string_with(doc: &Document, opts: &SerializeOptions) -> String {
         }
     }
     for c in doc.children(NodeId::DOCUMENT) {
-        write_node(doc, c, opts, 0, &mut out);
+        write_with(doc, c, opts, 0, &mut out);
         if opts.indent.is_some() {
             out.push('\n');
         }
@@ -58,11 +62,11 @@ pub fn to_string_with(doc: &Document, opts: &SerializeOptions) -> String {
     out
 }
 
-fn write_node(doc: &Document, id: NodeId, opts: &SerializeOptions, depth: usize, out: &mut String) {
+fn write_with(doc: &Document, id: NodeId, opts: &SerializeOptions, depth: usize, out: &mut String) {
     match doc.kind(id) {
         NodeKind::Document => {
             for c in doc.children(id) {
-                write_node(doc, c, opts, depth, out);
+                write_with(doc, c, opts, depth, out);
             }
         }
         NodeKind::Element { name, attrs } => {
@@ -70,7 +74,11 @@ fn write_node(doc: &Document, id: NodeId, opts: &SerializeOptions, depth: usize,
             out.push('<');
             out.push_str(name);
             for a in attrs {
-                let _ = write!(out, " {}=\"{}\"", a.name, escape_attr(&a.value));
+                out.push(' ');
+                out.push_str(&a.name);
+                out.push_str("=\"");
+                escape_attr_into(&a.value, out);
+                out.push('"');
             }
             let mut kids = doc.children(id).peekable();
             if kids.peek().is_none() && opts.self_close_empty {
@@ -84,7 +92,7 @@ fn write_node(doc: &Document, id: NodeId, opts: &SerializeOptions, depth: usize,
                 if element_only {
                     out.push('\n');
                 }
-                write_node(doc, c, opts, depth + 1, out);
+                write_with(doc, c, opts, depth + 1, out);
             }
             if element_only {
                 out.push('\n');
@@ -94,9 +102,7 @@ fn write_node(doc: &Document, id: NodeId, opts: &SerializeOptions, depth: usize,
             out.push_str(name);
             out.push('>');
         }
-        NodeKind::Text(t) => {
-            out.push_str(&escape_text(t));
-        }
+        NodeKind::Text(t) => escape_text_into(t, out),
         NodeKind::Comment(t) => {
             indent(opts, depth, out);
             let _ = write!(out, "<!--{t}-->");

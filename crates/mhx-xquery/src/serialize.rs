@@ -3,17 +3,21 @@
 //! The paper notes that "the output of such an XQuery expression evaluation
 //! is either a string or a sequence of strings": query results are
 //! flattened to markup text. KyGODDAG element nodes serialize the markup of
-//! their own hierarchy; leaves and text nodes serialize their text;
-//! constructed nodes serialize from the output arena. By default items are
-//! concatenated without separators, matching the paper's printed outputs
-//! (`EvalOptions::space_separator` restores standard XQuery spacing
-//! between adjacent atomic values).
+//! their own hierarchy; the root, leaves, text and attribute nodes
+//! serialize their text; constructed nodes serialize from the output
+//! arena. By default items are concatenated without separators, matching
+//! the paper's printed outputs (`EvalOptions::space_separator` restores
+//! standard XQuery spacing between adjacent atomic values).
+//!
+//! A sequence is written in one pass into one `String`: KyGODDAG nodes
+//! through [`mhx_goddag::export::write_node`] (the one KyGODDAG node
+//! writer, shared with hierarchy export), constructed nodes through
+//! [`mhx_xml::write_node`], atomics directly. Nothing is allocated per
+//! node written.
 
 use crate::eval::Evaluator;
 use crate::item::Item;
-use mhx_goddag::NodeId;
-use mhx_xml::escape::escape_text;
-use std::fmt::Write;
+use mhx_goddag::export::write_node;
 
 /// Serialize a whole sequence.
 pub fn serialize_sequence(ev: &Evaluator<'_>, items: &[Item]) -> String {
@@ -24,7 +28,7 @@ pub fn serialize_sequence(ev: &Evaluator<'_>, items: &[Item]) -> String {
         if prev_atomic && atomic && ev.opts.space_separator {
             out.push(' ');
         }
-        out.push_str(&serialize_item(ev, item));
+        write_item(ev, item, &mut out);
         prev_atomic = atomic;
     }
     out
@@ -41,52 +45,19 @@ pub fn serialize_items(ev: &Evaluator<'_>, items: &[Item]) -> Vec<String> {
 /// results print as-is. Text *inside* constructed elements is still
 /// escaped when the element serializes.
 pub fn serialize_item(ev: &Evaluator<'_>, item: &Item) -> String {
+    let mut out = String::new();
+    write_item(ev, item, &mut out);
+    out
+}
+
+fn write_item(ev: &Evaluator<'_>, item: &Item, out: &mut String) {
     match item {
-        Item::Str(s) => s.clone(),
-        Item::Num(n) => mhx_xpath::value::format_number(*n),
-        Item::Bool(b) => b.to_string(),
-        Item::ONode(o) => mhx_xml::node_to_string(ev.output_doc(), *o),
-        Item::Node(n) => serialize_goddag_node(ev, *n),
+        Item::Str(s) => out.push_str(s),
+        Item::Num(n) => out.push_str(&mhx_xpath::value::format_number(*n)),
+        Item::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Item::ONode(o) => mhx_xml::write_node(ev.output_doc(), *o, out),
+        Item::Node(n) => write_node(ev.goddag(), *n, out),
     }
-}
-
-fn serialize_goddag_node(ev: &Evaluator<'_>, n: NodeId) -> String {
-    let g = ev.goddag();
-    match n {
-        NodeId::Elem { .. } => {
-            let mut out = String::new();
-            write_elem(ev, n, &mut out);
-            out
-        }
-        // Root, text, leaf, attribute: text content (escaped).
-        other => escape_text(g.string_value(other)).into_owned(),
-    }
-}
-
-fn write_elem(ev: &Evaluator<'_>, n: NodeId, out: &mut String) {
-    let g = ev.goddag();
-    let name = g.name(n).unwrap_or("?");
-    out.push('<');
-    out.push_str(name);
-    for (k, v) in g.attrs(n) {
-        let _ = write!(out, " {k}=\"{}\"", mhx_xml::escape::escape_attr(v));
-    }
-    let kids = g.children(n);
-    if kids.is_empty() {
-        out.push_str("/>");
-        return;
-    }
-    out.push('>');
-    for c in kids {
-        match c {
-            NodeId::Elem { .. } => write_elem(ev, c, out),
-            NodeId::Text { .. } => out.push_str(&escape_text(g.string_value(c))),
-            _ => {}
-        }
-    }
-    out.push_str("</");
-    out.push_str(name);
-    out.push('>');
 }
 
 #[cfg(test)]

@@ -10,10 +10,16 @@
 //! Serializing eagerly is a deliberate trade-off: it makes the outcome
 //! self-contained (valid after the document mutates or is removed, safe to
 //! ship across threads) at the cost of rendering markup the caller may
-//! never read. Node-set queries pay per result-subtree — for bulk node
-//! *enumeration* on large documents (`/descendant::*`), prefer the
-//! unserialized one-shot layer ([`mhx_xquery::evaluate_xpath`]) over the
-//! catalog facade.
+//! never read. The whole answer is written in one pass into one `String`,
+//! with nothing allocated per node, so a node set costs time in
+//! proportion to its markup: on a ~100k-char document, 1.9k overlapping
+//! elements (120 KB) serialize in ~0.16–0.25 ms (release build, 2-vCPU
+//! VM), against ~1.0–1.3 ms when each node went into a string of its own
+//! (`BENCH_serialize.json`). For bulk node
+//! *enumeration* on large documents (`/descendant::*`), the unserialized
+//! one-shot layer ([`mhx_xquery::evaluate_xpath`]) still skips that cost.
+//! The server moves the text into its reply envelope with
+//! [`QueryOutcome::into_string`] rather than copying it.
 
 use crate::engine::error::QueryLang;
 use mhx_goddag::NodeId;

@@ -246,7 +246,7 @@ fn with_session(
     let result = f(&session, &*state);
     state.totals.absorb(&session.eval_stats());
     match result {
-        Ok(out) => (200, wire::outcome_body(&out)),
+        Ok(out) => (200, wire::outcome_body(out)),
         Err(e) => engine_failure(&e),
     }
 }

@@ -120,8 +120,9 @@ pub(crate) fn protocol_error_body(kind: &str, message: &str) -> Json {
     ])
 }
 
-/// Serialize a [`QueryOutcome`] into the success envelope.
-pub(crate) fn outcome_body(out: &QueryOutcome) -> Json {
+/// Serialize a [`QueryOutcome`] into the success envelope. The outcome's
+/// serialized text moves into the envelope uncopied.
+pub(crate) fn outcome_body(out: QueryOutcome) -> Json {
     let mut entries = vec![
         ("ok".to_string(), Json::Bool(true)),
         ("lang".to_string(), Json::Str(out.lang().name().into())),
@@ -143,7 +144,7 @@ pub(crate) fn outcome_body(out: &QueryOutcome) -> Json {
         QueryValue::Markup(_) => "markup",
     };
     entries.insert(2, ("kind".into(), Json::Str(kind.into())));
-    entries.push(("serialized".into(), Json::Str(out.serialize().into())));
+    entries.push(("serialized".into(), Json::Str(out.into_string())));
     Json::Obj(entries)
 }
 
@@ -314,19 +315,19 @@ mod tests {
             GoddagBuilder::new().hierarchy("w", "<r><w>a</w><w>b</w></r>").build().unwrap(),
         );
         let nodes = catalog.xpath("ms", "/descendant::w").unwrap();
-        let body = outcome_body(&nodes);
+        let body = outcome_body(nodes);
         let wire = WireOutcome::from_json(&body).unwrap();
         assert_eq!(wire.kind, "nodes");
         assert_eq!(wire.count, Some(2));
         assert_eq!(wire.serialized, "<w>a</w><w>b</w>");
 
         let n = catalog.xquery("ms", "count(/descendant::w)").unwrap();
-        let wire = WireOutcome::from_json(&outcome_body(&n)).unwrap();
+        let wire = WireOutcome::from_json(&outcome_body(n)).unwrap();
         assert_eq!(wire.kind, "markup");
         assert_eq!(wire.serialized, "2");
 
         let b = catalog.xpath("ms", "count(/descendant::w) > 1").unwrap();
-        let wire = WireOutcome::from_json(&outcome_body(&b)).unwrap();
+        let wire = WireOutcome::from_json(&outcome_body(b)).unwrap();
         assert_eq!(wire.kind, "boolean");
         assert_eq!(wire.boolean, Some(true));
     }
