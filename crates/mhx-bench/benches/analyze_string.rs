@@ -10,13 +10,17 @@
 //!   `sceaft` (answered by `str::find` alone);
 //! * `prefix_speedup` — `[s]ce(af)t` over `sce(af)t` (the VM seeded only
 //!   at occurrences of the prefix `sceaft`).
+//!
+//! Both sides of a ratio are timed interleaved, each keeping its fastest
+//! of 9 runs ([`mhx_bench::time_pair`]).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mhx_bench::time_pair;
 use mhx_corpus::{generate, GeneratorConfig};
 use mhx_regex::Regex;
 use mhx_xquery::{run_query, run_query_with, AnalyzeMode, EvalOptions};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn by_text_size(c: &mut Criterion) {
     let mut grp = c.benchmark_group("e11_analyze_by_size");
@@ -105,20 +109,6 @@ fn temp_hierarchy_cycle(c: &mut Criterion) {
     grp.finish();
 }
 
-/// Median of 9 timed runs of `f`, after one warm-up run.
-fn median_ns(f: &mut dyn FnMut()) -> f64 {
-    f();
-    let mut samples: Vec<f64> = (0..9)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e9
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
-}
-
 /// Snapshot rows written to `BENCH_analyze.json` at the workspace root.
 fn emit_snapshot(_c: &mut Criterion) {
     let doc =
@@ -135,12 +125,15 @@ fn emit_snapshot(_c: &mut Criterion) {
         matches = count(&fast);
         assert!(matches > 0, "the generated text must contain `sceaft`");
         assert_eq!(count(&slow), matches, "{name}: both patterns find the same matches");
-        let slow_ns = median_ns(&mut || {
-            black_box(count(&slow));
-        });
-        let fast_ns = median_ns(&mut || {
-            black_box(count(&fast));
-        });
+        let (slow_ns, fast_ns) = time_pair(
+            9,
+            || {
+                black_box(count(&slow));
+            },
+            || {
+                black_box(count(&fast));
+            },
+        );
         println!("{name}: {slow_ns:.0} ns vs {fast_ns:.0} ns ({:.1}x)", slow_ns / fast_ns);
         rows.push(format!("    \"{name}_speedup\": {:.2}", slow_ns / fast_ns));
     }

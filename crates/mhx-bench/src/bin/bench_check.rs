@@ -28,7 +28,7 @@ use mhx_bench::snapshot::{compare, override_floor, parse, tracked_metrics, Metri
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const SNAPSHOTS: [(&str, &str); 10] = [
+const SNAPSHOTS: [(&str, &str); 11] = [
     ("axes", "BENCH_axes.json"),
     ("catalog", "BENCH_catalog.json"),
     ("batch", "BENCH_batch.json"),
@@ -39,6 +39,7 @@ const SNAPSHOTS: [(&str, &str); 10] = [
     ("analyze_string", "BENCH_analyze.json"),
     ("bindings", "BENCH_bindings.json"),
     ("serialize", "BENCH_serialize.json"),
+    ("probe", "BENCH_probe.json"),
 ];
 
 struct Args {

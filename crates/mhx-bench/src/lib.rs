@@ -19,7 +19,9 @@
 //! * `goddag_scaling` — E10 (construction scaling);
 //! * `analyze_string` — E11 (Definition-4 machinery);
 //! * `serialize` — E19 (the answer writer against copying the answer's
-//!   text, `BENCH_serialize.json`).
+//!   text, `BENCH_serialize.json`);
+//! * `probe` — E20 (extended-axis lookups under a name test against their
+//!   candidate steps, `BENCH_probe.json`).
 //!
 //! Run with `cargo bench -p mhx-bench`; results feed EXPERIMENTS.md.
 //!
@@ -30,7 +32,8 @@
 //! rule) and exits nonzero when a tracked ratio regresses.
 //!
 //! [`time_pair`] is the timer of the ratio rows whose two sides run the
-//! same kind of work (`plan`, `bindings`, `serialize`).
+//! same kind of work (`plan`, `bindings`, `serialize`, `analyze_string`,
+//! `probe`).
 
 use std::time::Instant;
 

@@ -313,6 +313,24 @@ pub fn tracked_metrics(file: &str, doc: &Json) -> Result<Vec<Metric>, String> {
                 })
             })?;
         }
+        "probe" => {
+            // Name-keyed lookup ratios from `benches/probe.rs`: a candidate
+            // step's time over the same step with an extended-axis lookup,
+            // on one `eval-large` document. Each hard floor sits between
+            // lookups that test every node's span, one probe per candidate
+            // (xdescendant 0.087–0.093, overlapping 0.092–0.101, xfollowing
+            // 0.131–0.139), and lookups that read only the named elements'
+            // spans, one pass per predicate (0.267–0.296, 0.234–0.252,
+            // 0.353–0.390), in 7 and 8 runs on one 2-vCPU VM.
+            out = ratio_rows("probe", "BENCH_probe.json", doc, |name| {
+                Some(match name {
+                    "xdescendant" => (0.25, Some(0.2)),
+                    "overlapping" => (0.22, Some(0.18)),
+                    "xfollowing" => (0.3, Some(0.25)),
+                    _ => return None,
+                })
+            })?;
+        }
         other => return Err(format!("unknown snapshot kind `{other}`")),
     }
     Ok(out)
@@ -801,6 +819,34 @@ mod tests {
 
         let mut metrics = base.clone();
         override_floor(&mut metrics, "serialize:", 1_000_000.0);
+        let verdicts = compare(&metrics.clone(), &metrics, 0.25);
+        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
+    }
+
+    #[test]
+    fn probe_metrics_gate_the_name_keyed_lookups_hard() {
+        let named = r#"{"ratios": {"xdescendant": 0.29, "overlapping": 0.25, "xfollowing": 0.38}}"#;
+        let base = tracked_metrics("probe", &parse(named).unwrap()).unwrap();
+        assert_eq!(base.len(), 3);
+        let floor = |name: &str| base.iter().find(|m| m.name == name).unwrap().hard_min;
+        assert_eq!(floor("probe:xdescendant:ratio"), Some(0.2));
+        assert_eq!(floor("probe:overlapping:ratio"), Some(0.18));
+        assert_eq!(floor("probe:xfollowing:ratio"), Some(0.25));
+
+        // The lookups "test every node again": each row falls to what a
+        // scan of every node's spans, one probe per candidate, read.
+        let every_node =
+            r#"{"ratios": {"xdescendant": 0.09, "overlapping": 0.1, "xfollowing": 0.14}}"#;
+        let fresh = tracked_metrics("probe", &parse(every_node).unwrap()).unwrap();
+        let verdicts = compare(&base, &fresh, 0.25);
+        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
+
+        let drifted = r#"{"ratios": {"xancestor": 0.5}}"#;
+        let err = tracked_metrics("probe", &parse(drifted).unwrap()).unwrap_err();
+        assert!(err.contains("xancestor"), "{err}");
+
+        let mut metrics = base.clone();
+        override_floor(&mut metrics, "probe:", 1_000_000.0);
         let verdicts = compare(&metrics.clone(), &metrics, 0.25);
         assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
     }

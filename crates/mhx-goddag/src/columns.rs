@@ -17,7 +17,9 @@
 //! leaf boundaries and `base_count`/`version` by installing each
 //! hierarchy as the builder does (one sort-and-merge of its endpoints
 //! into the leaf layer), each hierarchy's `text_starts`, and the spans of
-//! the containment-chain entries, which are their nodes' own spans.
+//! the containment-chain entries, which are their nodes' own spans, and
+//! the index's per-name span sets, cut from the two stored orders in one
+//! pass (`index::spans_by_name`, as [`StructIndex::build`] does).
 //!
 //! `assemble` never panics on malformed input: every read is
 //! bounds-checked, strings are UTF-8 validated, spans are checked against
@@ -35,7 +37,9 @@
 
 use crate::goddag::Goddag;
 use crate::hierarchy::{ElemNode, Hierarchy, Kid, Parent, TextNode};
-use crate::index::{ChainEntry, IndexStats, SpanEntry, StructIndex, NO_PARENT};
+use crate::index::{
+    spans_by_name, ChainEntry, IndexStats, SpanEntry, Spans, StructIndex, NO_PARENT,
+};
 use crate::node::{HierarchyId, NodeId};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -367,8 +371,8 @@ pub fn dissect(g: &Goddag, idx: &StructIndex) -> Vec<Section> {
     let mut spans = W::default();
     spans.spans(&idx.ordered);
     let positions = Positions::of(g, &idx.ordered);
-    spans.positions(positions.permutation(&idx.by_start));
-    spans.positions(positions.permutation(&idx.by_end));
+    spans.positions(positions.permutation(&idx.spans.by_start));
+    spans.positions(positions.permutation(&idx.spans.by_end));
 
     let mut chains = W::default();
     chains.u32(idx.chains.len() as u32);
@@ -675,6 +679,8 @@ pub fn assemble(sections: &[Section]) -> Result<(Goddag, StructIndex), ColumnsEr
     let by_start = r.permutation(&ordered, "by-start order")?;
     let by_end = r.permutation(&ordered, "by-end order")?;
     r.finish()?;
+    let spans = Spans { by_start, by_end };
+    let named = spans_by_name(&g, &name_map, &spans);
 
     // CHAINS: node and parent link; each span comes from the arenas.
     let mut r = R::new(section(sections, SEC_CHAINS, "chains")?);
@@ -726,8 +732,8 @@ pub fn assemble(sections: &[Section]) -> Result<(Goddag, StructIndex), ColumnsEr
         doc_id: g.doc_id(),
         name_map,
         ordered,
-        by_start,
-        by_end,
+        spans,
+        named,
         chains,
         stats: IndexStats { element_count, span_count, text_len, avg_fanout, names: stat_names },
     };
@@ -754,8 +760,8 @@ mod tests {
     /// not merely arrays that answer the same axis queries.
     fn assert_same_arrays(built: &StructIndex, reloaded: &StructIndex) {
         assert_eq!(built.ordered, reloaded.ordered);
-        assert_eq!(built.by_start, reloaded.by_start);
-        assert_eq!(built.by_end, reloaded.by_end);
+        assert_eq!(built.spans, reloaded.spans);
+        assert_eq!(built.named, reloaded.named);
         assert_eq!(built.chains, reloaded.chains);
         assert_eq!(built.name_map, reloaded.name_map);
     }
@@ -858,8 +864,8 @@ mod tests {
         let sections = dissect(&g, &idx);
         let at = sections.iter().position(|s| s.kind == SEC_SPANS).unwrap();
         let positions = Positions::of(&g, &idx.ordered);
-        let by_start: Vec<u32> = positions.permutation(&idx.by_start).collect();
-        let by_end: Vec<u32> = positions.permutation(&idx.by_end).collect();
+        let by_start: Vec<u32> = positions.permutation(&idx.spans.by_start).collect();
+        let by_end: Vec<u32> = positions.permutation(&idx.spans.by_end).collect();
         assert_eq!(sections[at].bytes, with_positions(&idx, &by_start, &by_end));
         let n = idx.ordered.len() as u32;
 

@@ -9,10 +9,13 @@
 //!   for `descendant::name` steps (the per-hierarchy pre/post numbering
 //!   already stored on [`crate::hierarchy::ElemNode`] — `order` /
 //!   `subtree_last` — makes the per-candidate descendant check O(1));
-//! * **leaf-span interval arrays** — every non-empty-span node sorted by
-//!   span start and by span end, for `xfollowing` / `xpreceding` /
-//!   `following-overlapping` / `preceding-overlapping` / `overlapping` /
-//!   `xdescendant`;
+//! * **span sets** — non-empty node spans sorted by span start and by span
+//!   end, for `xfollowing` / `xpreceding` / `following-overlapping` /
+//!   `preceding-overlapping` / `overlapping` / `xdescendant`: one set of
+//!   every node, and one per element name, which a step whose node test
+//!   names an element reads instead. The per-name sets are cut from the
+//!   all-node set in one pass whenever an index is built or loaded; a
+//!   snapshot does not store them;
 //! * **per-hierarchy containment chains** — element/text spans of one
 //!   hierarchy form a laminar (nesting) family, so the nodes containing a
 //!   given interval are one parent-chain walk from a binary-searched start,
@@ -25,24 +28,30 @@
 //! differential property suite asserts both agree on every axis.
 //!
 //! Each extended axis has **one window scan**, [`StructIndex::scan`]: a
-//! binary-searched window of one span array plus an O(1) test per entry
-//! (for `xancestor`, one chain walk per hierarchy), visiting nodes until
-//! the visitor stops. The rest is built on it:
+//! window of one span set (the name's, given a name) plus an O(1) test
+//! per entry (for `xancestor`, one chain walk per hierarchy), visiting
+//! nodes until the visitor stops. The window rules are written once, and
+//! a window's bounds are sought from where the previous window's fell. The
+//! rest is built on it:
 //!
-//! * [`StructIndex::axis_exists`] is the scan stopped at the first
-//!   accepted node: the probe for boolean axis predicates, which
-//!   allocates nothing;
-//! * [`StructIndex::axis_nodes_batch`] answers a whole context set in
-//!   Definition-3 order, by one scan per context into one buffer and one
-//!   sort. It keeps two kinds of path that beat that on real inputs:
+//! * [`StructIndex::retain_witnessed`] runs the scan, stopped at the first
+//!   accepted node, over a whole candidate list in one pass: the boolean
+//!   axis predicate (`[xdescendant::e0]`) of a step, which allocates
+//!   nothing. While the candidates' spans ascend, as one hierarchy's
+//!   Definition-3 order has them, each bound only moves forward;
+//! * [`StructIndex::axis_nodes_batch_named`] answers a whole context set
+//!   in Definition-3 order, by one scan per context into one buffer and
+//!   one sort. It keeps two kinds of path that beat that on real inputs:
 //!   `xfollowing`/`xpreceding`, for any number of contexts, are one
 //!   min/max reduction over the context spans and one filter of the
-//!   Definition-3-ordered array, with no sort; and over a set of contexts
-//!   whose windows overlap, `xdescendant` and the overlap axes are one
-//!   sweep of the set's global window (a two-witness merge, resp. an O(1)
-//!   range-max/min query per candidate). The choice compares window sizes
-//!   the binary searches yield anyway;
-//! * [`StructIndex::axis_nodes`] — one context — is a batch of one.
+//!   Definition-3-ordered spans (all nodes, or the name's run of the name
+//!   map), with no sort; and over a set of contexts whose windows overlap,
+//!   `xdescendant` and the overlap axes are one sweep of the set's global
+//!   window (a two-witness merge, resp. an O(1) range-max/min query per
+//!   candidate). The choice compares window sizes the searches yield
+//!   anyway;
+//! * [`StructIndex::axis_nodes_batch`] is that with no name, and
+//!   [`StructIndex::axis_nodes`] — one context — a batch of one.
 //!
 //! The name map answers `descendant::name` for a context set
 //! ([`StructIndex::elements_named_batch`]) and the two-step
@@ -74,6 +83,18 @@ pub(crate) struct ChainEntry {
 }
 
 pub(crate) const NO_PARENT: u32 = u32::MAX;
+
+/// Non-empty spans in the two orders every window is cut from: by
+/// `(start, end)` and by `(end, start)`, ties in Definition-3 order. The
+/// index keeps one set of every node and one per element name.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Spans {
+    pub(crate) by_start: Vec<SpanEntry>,
+    pub(crate) by_end: Vec<SpanEntry>,
+}
+
+/// The span set of a name no element carries.
+static NO_SPANS: Spans = Spans { by_start: Vec::new(), by_end: Vec::new() };
 
 /// Document statistics computed once at [`StructIndex::build`] time — the
 /// selectivity side-channel for the plan optimizer's cost model. Everything
@@ -149,11 +170,13 @@ pub struct StructIndex {
     /// this directly, producing sorted output with no re-sort and no
     /// per-node span recomputation.
     pub(crate) ordered: Vec<SpanEntry>,
-    /// The same entries sorted by `(start, end)`; ties keep Definition-3
-    /// order (stable sort over `all_nodes()`).
-    pub(crate) by_start: Vec<SpanEntry>,
-    /// The same entries sorted by `(end, start)`.
-    pub(crate) by_end: Vec<SpanEntry>,
+    /// The same entries by `(start, end)` and by `(end, start)`; ties keep
+    /// Definition-3 order (stable sorts over `all_nodes()`).
+    pub(crate) spans: Spans,
+    /// Per element name, its entries of `spans`, in the same two orders:
+    /// what an extended-axis step with a name test reads. Derived by
+    /// [`spans_by_name`], never stored.
+    pub(crate) named: HashMap<String, Spans>,
     /// Laminar containment chain per hierarchy, in span preorder
     /// (start asc, end desc, node order asc).
     pub(crate) chains: Vec<Vec<ChainEntry>>,
@@ -194,6 +217,8 @@ impl StructIndex {
         by_start.sort_by_key(|e| (e.start, e.end));
         let mut by_end = by_start.clone();
         by_end.sort_by_key(|e| (e.end, e.start));
+        let spans = Spans { by_start, by_end };
+        let named = spans_by_name(g, &name_map, &spans);
 
         let mut chains = Vec::with_capacity(g.hierarchy_count());
         for (h, hier) in g.hierarchies() {
@@ -246,8 +271,8 @@ impl StructIndex {
             doc_id: g.doc_id(),
             name_map,
             ordered,
-            by_start,
-            by_end,
+            spans,
+            named,
             chains,
             stats,
         }
@@ -278,6 +303,16 @@ impl StructIndex {
         self.name_map.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
+    /// The windows an extended-axis lookup cuts: from every node's span
+    /// set, or, given a name, from that name's elements'.
+    fn windows(&self, name: Option<&str>) -> Windows<'_> {
+        let spans = match name {
+            None => &self.spans,
+            Some(name) => self.named.get(name).unwrap_or(&NO_SPANS),
+        };
+        Windows { spans, at: [Cursor::default(); 2] }
+    }
+
     /// Evaluate `axis` from `n` through the index: a batch of one context
     /// ([`StructIndex::axis_nodes_batch`]). Results match
     /// [`crate::axes::axis_nodes`] exactly (same order, same exclusions).
@@ -285,50 +320,70 @@ impl StructIndex {
         self.axis_nodes_batch(g, axis, &[n], |_| true)
     }
 
-    /// First-witness existential probe: does `axis` from `n` hold a node
-    /// accepted by `keep`? The scan stopped at the first such node — the
-    /// evaluation shape of boolean axis predicates (`//a[xfollowing::b]`
-    /// asks *whether* a witness exists, never *which*).
-    pub fn axis_exists(
+    /// Keep the nodes of `nodes` from which `axis` reaches a node that
+    /// `keep` accepts and, given `name`, that is an element of that name:
+    /// a boolean axis predicate (`//a[xfollowing::b]` asks *whether* a
+    /// witness exists, never *which*) over a whole candidate list, in one
+    /// pass that allocates nothing. Each candidate's scan stops at its
+    /// first witness, and its window bounds are sought from where the
+    /// previous candidate's fell: forward while the candidates' spans
+    /// ascend, as one hierarchy's Definition-3 order has them, and by
+    /// binary search when one falls back, as at the start of the next
+    /// hierarchy's run. Any order of `nodes` gives the same answer.
+    pub fn retain_witnessed(
         &self,
         g: &Goddag,
         axis: Axis,
-        n: NodeId,
+        name: Option<&str>,
+        nodes: &mut Vec<NodeId>,
         keep: impl Fn(NodeId) -> bool,
-    ) -> bool {
+    ) {
         let mut first =
             |m| if keep(m) { ControlFlow::Break(()) } else { ControlFlow::Continue(()) };
-        self.scan(g, axis, n, &mut first).is_break()
+        let mut windows = self.windows(name);
+        nodes.retain(|&n| self.scan_from(g, axis, name, n, &mut windows, &mut first).is_break());
     }
 
-    /// Visit the nodes on `axis` from `n`, each once and in window order
-    /// (not Definition-3 order), until `visit` breaks. This is the one
-    /// place each extended axis's window logic lives: a binary-searched
-    /// window of one span array plus an O(1) test per entry, or, for
-    /// `xancestor`, one containment-chain walk per hierarchy. Standard axes
-    /// visit the tree walk, which is already output-local. Generic over
-    /// `visit`, so a probe neither boxes nor allocates.
+    /// Visit the nodes on `axis` from `n` — given `name`, only the elements
+    /// of that name — each once and in window order (not Definition-3
+    /// order), until `visit` breaks. This is the one place each extended
+    /// axis's window logic lives: a window of one span set (the name's,
+    /// given a name) plus an O(1) test per entry, or, for `xancestor`, one
+    /// containment-chain walk per hierarchy. Standard axes visit the tree
+    /// walk, which is already output-local. Generic over `visit`, so a
+    /// probe neither boxes nor allocates.
     pub fn scan(
         &self,
         g: &Goddag,
         axis: Axis,
+        name: Option<&str>,
         n: NodeId,
         visit: &mut impl FnMut(NodeId) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
+        self.scan_from(g, axis, name, n, &mut self.windows(name), visit)
+    }
+
+    /// [`StructIndex::scan`] cutting its windows from `windows` (those of
+    /// `name`), which keeps where their bounds fell for the next context.
+    fn scan_from(
+        &self,
+        g: &Goddag,
+        axis: Axis,
+        name: Option<&str>,
+        n: NodeId,
+        windows: &mut Windows<'_>,
+        visit: &mut impl FnMut(NodeId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let named = |m: NodeId| name.is_none_or(|name| m.is_element() && g.name(m) == Some(name));
         if !axis.is_extended() {
-            return axis_nodes(g, axis, n).into_iter().try_for_each(visit);
+            return axis_nodes(g, axis, n).into_iter().filter(|&m| named(m)).try_for_each(visit);
         }
         let Some(ctx @ (a, b, _)) = ctx_span(g, n) else { return ControlFlow::Continue(()) };
         match axis {
-            Axis::Overlapping => {
-                let (p, f) = (Axis::PrecedingOverlapping, Axis::FollowingOverlapping);
-                scan_window(g, p, self.window(p, a, b), ctx, visit)?;
-                scan_window(g, f, self.window(f, a, b), ctx, visit)
-            }
             Axis::XAncestor => {
                 // Excluding `n` and its DOM descendants.
                 let mut hit = |m: NodeId| {
-                    if m != n && !g.is_descendant(m, n) {
+                    if named(m) && m != n && !g.is_descendant(m, n) {
                         visit(m)
                     } else {
                         ControlFlow::Continue(())
@@ -364,48 +419,41 @@ impl StructIndex {
                 }
                 ControlFlow::Continue(())
             }
-            _ => scan_window(g, axis, self.window(axis, a, b), ctx, visit),
-        }
-    }
-
-    /// The span-array window holding `axis`'s answers for the context span
-    /// `[a, b)`, for the five axes with one window. With `a` the least
-    /// start and `b` the greatest end of a context set, it is the set's
-    /// global window.
-    fn window(&self, axis: Axis, a: u32, b: u32) -> &[SpanEntry] {
-        let (s, e) = (&self.by_start[..], &self.by_end[..]);
-        match axis {
-            // Starts at or after the span's end.
-            Axis::XFollowing => &s[s.partition_point(|x| x.start < b)..],
-            // Ends at or before its start.
-            Axis::XPreceding => &e[..e.partition_point(|x| x.end <= a)],
-            // Starts inside it; the scan's end test drops the overlap tail.
-            Axis::XDescendant => {
-                &s[s.partition_point(|x| x.start < a)..s.partition_point(|x| x.start < b)]
+            _ => {
+                for (k, &half) in halves(&axis).iter().enumerate() {
+                    scan_window(g, half, windows.cut(k, half, a, b), ctx, visit)?;
+                }
+                ControlFlow::Continue(())
             }
-            // Ends strictly inside it (c < a < d < b).
-            Axis::PrecedingOverlapping => {
-                &e[e.partition_point(|x| x.end <= a)..e.partition_point(|x| x.end < b)]
-            }
-            // Starts strictly inside it (a < c < b < d).
-            Axis::FollowingOverlapping => {
-                &s[s.partition_point(|x| x.start <= a)..s.partition_point(|x| x.start < b)]
-            }
-            _ => unreachable!("{} has no single window", axis.name()),
         }
     }
 
     /// Evaluate `axis` for a whole context set: the union of its answers
     /// over `ctxs` that `keep` accepts, in Definition-3 order,
-    /// deduplicated. `ctxs` should be in document order without
-    /// duplicates (the per-step invariant of the evaluators); the answer
-    /// is the same for any order.
+    /// deduplicated — [`StructIndex::axis_nodes_batch_named`] with no name.
+    pub fn axis_nodes_batch(
+        &self,
+        g: &Goddag,
+        axis: Axis,
+        ctxs: &[NodeId],
+        keep: impl Fn(NodeId) -> bool,
+    ) -> Vec<NodeId> {
+        self.axis_nodes_batch_named(g, axis, None, ctxs, keep)
+    }
+
+    /// Evaluate `axis` for a whole context set: the union of its answers
+    /// over `ctxs` that `keep` accepts and, given `name`, that are elements
+    /// of that name, in Definition-3 order, deduplicated. A name makes the
+    /// extended axes read that name's span set and name-map run instead of
+    /// every node's. `ctxs` should be in document order without duplicates
+    /// (the per-step invariant of the evaluators); the answer is the same
+    /// for any order.
     ///
-    /// The path is picked from window sizes the binary searches yield:
+    /// The path is picked from window sizes the searches yield:
     /// * `xfollowing`/`xpreceding`, for one context or many — the union
     ///   is the axis of the earliest-ending (latest-starting) context, so
     ///   one min (max) over the context spans and one filter of the
-    ///   Definition-3-ordered span array answer it, already sorted;
+    ///   Definition-3-ordered spans answer it, already sorted;
     /// * `xdescendant` and the two halves of `overlapping` over several
     ///   contexts whose windows overlap, i.e. whose global window is no
     ///   longer than their windows summed — one sweep of the global
@@ -416,43 +464,48 @@ impl StructIndex {
     /// * everything else, one context included — one
     ///   [`StructIndex::scan`] per context into one buffer, each context's
     ///   run sorted as it lands, so the final sort-dedup is a merge.
-    pub fn axis_nodes_batch(
+    pub fn axis_nodes_batch_named(
         &self,
         g: &Goddag,
         axis: Axis,
+        name: Option<&str>,
         ctxs: &[NodeId],
         keep: impl Fn(NodeId) -> bool,
     ) -> Vec<NodeId> {
-        let spans = || ctxs.iter().filter_map(|&n| ctx_span(g, n));
-        let ordered = self.ordered.iter();
-        match axis {
-            Axis::XFollowing => {
-                let Some(min_end) = spans().map(|s| s.1).min() else { return Vec::new() };
-                return ordered
-                    .filter(|e| e.start >= min_end)
+        if let Axis::XFollowing | Axis::XPreceding = axis {
+            // The union is the axis of one extreme context: every span
+            // starting at or after the least end, or ending at or before
+            // the greatest start.
+            let following = axis == Axis::XFollowing;
+            let spans = ctxs.iter().filter_map(|&n| ctx_span(g, n));
+            let extreme =
+                if following { spans.map(|s| s.1).min() } else { spans.map(|s| s.0).max() };
+            let Some(at) = extreme else { return Vec::new() };
+            let on_axis = |start: u32, end: u32| if following { start >= at } else { end <= at };
+            return match name {
+                None => self
+                    .ordered
+                    .iter()
+                    .filter(|e| on_axis(e.start, e.end))
                     .map(|e| e.node)
                     .filter(|&m| keep(m))
-                    .collect();
-            }
-            Axis::XPreceding => {
-                let Some(max_start) = spans().map(|s| s.0).max() else { return Vec::new() };
-                return ordered
-                    .filter(|e| e.end <= max_start)
-                    .map(|e| e.node)
-                    .filter(|&m| keep(m))
-                    .collect();
-            }
-            _ => {}
+                    .collect(),
+                Some(name) => self
+                    .elements_named(name)
+                    .iter()
+                    .copied()
+                    .filter(|&m| {
+                        let (start, end) = g.span(m);
+                        start < end && on_axis(start, end) && keep(m)
+                    })
+                    .collect(),
+            };
         }
         let mut out = Vec::new();
-        match axis {
-            // A node can precede-overlap one context and follow-overlap
-            // another; the dedup below merges the halves.
-            Axis::Overlapping => {
-                self.gather(g, Axis::PrecedingOverlapping, ctxs, &keep, &mut out);
-                self.gather(g, Axis::FollowingOverlapping, ctxs, &keep, &mut out);
-            }
-            _ => self.gather(g, axis, ctxs, &keep, &mut out),
+        // A node can precede-overlap one context and follow-overlap
+        // another; the dedup below merges the halves.
+        for &half in halves(&axis) {
+            self.gather(g, half, name, ctxs, &keep, &mut out);
         }
         g.sort_nodes(&mut out);
         out.dedup();
@@ -461,16 +514,18 @@ impl StructIndex {
 
     /// Push `axis`'s answers from every context that `keep` accepts onto
     /// `out`, possibly repeated: one sweep of the global window where
-    /// [`StructIndex::axis_nodes_batch`] says so, else one scan per context,
-    /// each context's run sorted.
+    /// [`StructIndex::axis_nodes_batch_named`] says so, else one scan per
+    /// context, each context's run sorted.
     fn gather(
         &self,
         g: &Goddag,
         axis: Axis,
+        name: Option<&str>,
         ctxs: &[NodeId],
         keep: &impl Fn(NodeId) -> bool,
         out: &mut Vec<NodeId>,
     ) {
+        let mut windows = self.windows(name);
         let sweeps = matches!(
             axis,
             Axis::XDescendant | Axis::PrecedingOverlapping | Axis::FollowingOverlapping
@@ -479,10 +534,10 @@ impl StructIndex {
             let mut spans: Vec<Ctx> = ctxs.iter().filter_map(|&n| ctx_span(g, n)).collect();
             spans.sort_unstable_by_key(|&(a, b, _)| (a, b));
             let Some(max_b) = spans.iter().map(|s| s.1).max() else { return };
-            let global = self.window(axis, spans[0].0, max_b);
-            let windows: Vec<&[SpanEntry]> =
-                spans.iter().map(|&(a, b, _)| self.window(axis, a, b)).collect();
-            if global.len() <= windows.iter().map(|w| w.len()).sum() {
+            let global = windows.spans.window(axis, spans[0].0, max_b, &mut Cursor::default());
+            let per_ctx: Vec<&[SpanEntry]> =
+                spans.iter().map(|&(a, b, _)| windows.cut(0, axis, a, b)).collect();
+            if global.len() <= per_ctx.iter().map(|w| w.len()).sum() {
                 match axis {
                     Axis::XDescendant => xdescendant_sweep(g, &spans, global, keep, out),
                     Axis::PrecedingOverlapping => {
@@ -491,7 +546,7 @@ impl StructIndex {
                     _ => following_overlapping_sweep(&spans, global, keep, out),
                 }
             } else {
-                for (&ctx, window) in spans.iter().zip(windows) {
+                for (&ctx, window) in spans.iter().zip(per_ctx) {
                     let run = out.len();
                     let _ = scan_window(g, axis, window, ctx, &mut pushing(keep, out));
                     g.sort_nodes(&mut out[run..]);
@@ -501,7 +556,7 @@ impl StructIndex {
         }
         for &n in ctxs {
             let run = out.len();
-            let _ = self.scan(g, axis, n, &mut pushing(keep, out));
+            let _ = self.scan_from(g, axis, name, n, &mut windows, &mut pushing(keep, out));
             // Sorted runs leave the final sort a merge.
             g.sort_nodes(&mut out[run..]);
         }
@@ -626,6 +681,137 @@ type Ctx = (u32, u32, NodeId);
 fn ctx_span(g: &Goddag, n: NodeId) -> Option<Ctx> {
     let (a, b) = g.span(n);
     (a < b).then_some((a, b, n))
+}
+
+/// Each name's elements among `all`, in `all`'s two orders: one pass over
+/// each of its arrays, which leaves every name's entries in the order they
+/// have there, so nothing is sorted. Called wherever an index is made
+/// ([`StructIndex::build`] and `columns::assemble`); the per-name sets are
+/// never stored.
+pub(crate) fn spans_by_name(
+    g: &Goddag,
+    name_map: &HashMap<String, Vec<NodeId>>,
+    all: &Spans,
+) -> HashMap<String, Spans> {
+    const NONE: u32 = u32::MAX;
+    // Each element's name, as its position in `names`.
+    let mut slots: Vec<Vec<u32>> =
+        g.hierarchies().map(|(_, h)| vec![NONE; h.element_count()]).collect();
+    let mut root = NONE;
+    let mut names = Vec::with_capacity(name_map.len());
+    let mut sets = Vec::with_capacity(name_map.len());
+    for (slot, (name, nodes)) in name_map.iter().enumerate() {
+        for &n in nodes {
+            match n {
+                NodeId::Root => root = slot as u32,
+                NodeId::Elem { h, i } => slots[h.index()][i as usize] = slot as u32,
+                _ => {}
+            }
+        }
+        names.push(name.clone());
+        let cap = nodes.len();
+        sets.push(Spans { by_start: Vec::with_capacity(cap), by_end: Vec::with_capacity(cap) });
+    }
+    let slot = |n: NodeId| match n {
+        NodeId::Root => root,
+        NodeId::Elem { h, i } => slots[h.index()][i as usize],
+        _ => NONE,
+    };
+    for e in &all.by_start {
+        if let Some(set) = sets.get_mut(slot(e.node) as usize) {
+            set.by_start.push(*e);
+        }
+    }
+    for e in &all.by_end {
+        if let Some(set) = sets.get_mut(slot(e.node) as usize) {
+            set.by_end.push(*e);
+        }
+    }
+    names.into_iter().zip(sets).collect()
+}
+
+/// Where each bound of a window fell last, so that the next window's
+/// bounds are sought from there: a bound at or past its last place (the
+/// contexts' spans ascend) gallops forward from it in steps of 1, 2, 4, …,
+/// and one before it (a span that falls back) is a binary search. A fresh
+/// cursor gallops from the start.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor([usize; 2]);
+
+/// The windows of one lookup: the span set it reads, and one [`Cursor`]
+/// per window of its axis (`overlapping` has two), which one context's
+/// scan hands the next.
+struct Windows<'a> {
+    spans: &'a Spans,
+    at: [Cursor; 2],
+}
+
+impl<'a> Windows<'a> {
+    /// The `k`-th window of a one-window `axis` for the context span
+    /// `[a, b)` ([`Spans::window`]), sought from where the last one fell.
+    fn cut(&mut self, k: usize, axis: Axis, a: u32, b: u32) -> &'a [SpanEntry] {
+        self.spans.window(axis, a, b, &mut self.at[k])
+    }
+}
+
+impl Cursor {
+    /// `arr.partition_point(pred)`, for the window's `k`-th bound.
+    fn seek(&mut self, k: usize, arr: &[SpanEntry], pred: impl Fn(&SpanEntry) -> bool) -> usize {
+        let from = self.0[k];
+        let at = if from <= arr.len() && (from == 0 || pred(&arr[from - 1])) {
+            let (mut lo, mut step) = (from, 1);
+            while lo + step <= arr.len() && pred(&arr[lo + step - 1]) {
+                lo += step;
+                step *= 2;
+            }
+            lo + arr[lo..(lo + step - 1).min(arr.len())].partition_point(&pred)
+        } else {
+            arr.partition_point(&pred)
+        };
+        self.0[k] = at;
+        at
+    }
+}
+
+/// The one-window axes whose windows hold `axis`'s answers: `overlapping`
+/// is its two halves, every other axis itself.
+fn halves(axis: &Axis) -> &[Axis] {
+    match axis {
+        Axis::Overlapping => &[Axis::PrecedingOverlapping, Axis::FollowingOverlapping],
+        one => std::slice::from_ref(one),
+    }
+}
+
+impl Spans {
+    /// The window of this set holding a one-window `axis`'s answers for
+    /// the context span `[a, b)`, its bounds sought through `at`. With `a`
+    /// the least start and `b` the greatest end of a context set, it is the
+    /// set's global window.
+    fn window(&self, axis: Axis, a: u32, b: u32, at: &mut Cursor) -> &[SpanEntry] {
+        let (s, e) = (&self.by_start[..], &self.by_end[..]);
+        let (arr, lo, hi) = match axis {
+            // Starts at or after the span's end.
+            Axis::XFollowing => (s, at.seek(0, s, |x| x.start < b), s.len()),
+            // Ends at or before its start.
+            Axis::XPreceding => (e, 0, at.seek(0, e, |x| x.end <= a)),
+            // Starts inside it; the scan's end test drops the overlap tail.
+            Axis::XDescendant => {
+                (s, at.seek(0, s, |x| x.start < a), at.seek(1, s, |x| x.start < b))
+            }
+            // Ends strictly inside it (c < a < d < b).
+            Axis::PrecedingOverlapping => {
+                (e, at.seek(0, e, |x| x.end <= a), at.seek(1, e, |x| x.end < b))
+            }
+            // Starts strictly inside it (a < c < b < d).
+            Axis::FollowingOverlapping => {
+                (s, at.seek(0, s, |x| x.start <= a), at.seek(1, s, |x| x.start < b))
+            }
+            _ => unreachable!("{} has no single window", axis.name()),
+        };
+        // Sorted arrays give `lo <= hi`; the clamp keeps a corrupt one from
+        // panicking.
+        &arr[lo..hi.max(lo)]
+    }
 }
 
 /// The nodes of `window`, the span-array window of a one-window `axis` for
@@ -1078,49 +1264,101 @@ mod tests {
         let idx = StructIndex::build(&g);
         for &n in &g.all_nodes() {
             for axis in ALL_AXES {
-                let mut seen = Vec::new();
-                let _ = idx.scan(&g, axis, n, &mut |m| {
-                    seen.push(m);
-                    ControlFlow::Continue(())
-                });
-                let visits = seen.len();
-                g.sort_nodes(&mut seen);
-                seen.dedup();
-                assert_eq!(seen.len(), visits, "axis {} from {n} repeats a node", axis.name());
-                assert_eq!(seen, axis_nodes(&g, axis, n), "axis {} from {n}", axis.name());
+                for name in [None, Some("w"), Some("r"), Some("nope")] {
+                    let mut seen = Vec::new();
+                    let _ = idx.scan(&g, axis, name, n, &mut |m| {
+                        seen.push(m);
+                        ControlFlow::Continue(())
+                    });
+                    let visits = seen.len();
+                    g.sort_nodes(&mut seen);
+                    seen.dedup();
+                    let what = format!("axis {} from {n}, name {name:?}", axis.name());
+                    assert_eq!(seen.len(), visits, "{what} repeats a node");
+                    let mut naive = axis_nodes(&g, axis, n);
+                    naive.retain(|&m| name.is_none_or(|name| named(&g, name)(m)));
+                    assert_eq!(seen, naive, "{what}");
+                }
+            }
+        }
+    }
+
+    /// Elements named `name`: all a named lookup may answer.
+    fn named<'a>(g: &'a Goddag, name: &'a str) -> impl Fn(NodeId) -> bool + 'a {
+        move |m| m.is_element() && g.name(m) == Some(name)
+    }
+
+    /// The naive oracle of [`StructIndex::retain_witnessed`]: the nodes of
+    /// `ctxs`, in their order, with a node on `axis` that `keep` accepts.
+    fn naive_witnessed(
+        g: &Goddag,
+        axis: Axis,
+        ctxs: &[NodeId],
+        keep: impl Fn(NodeId) -> bool,
+    ) -> Vec<NodeId> {
+        ctxs.iter().copied().filter(|&n| axis_nodes(g, axis, n).into_iter().any(&keep)).collect()
+    }
+
+    /// Every lookup that takes a name, for each of `names` and for none,
+    /// against the naive oracles, over every [`context_sets`] set: the
+    /// batch step, and the one-pass probe with a filter that keeps every
+    /// node, one that keeps none and one that keeps the first hierarchy's —
+    /// over each set and, so that the cursors re-seed, over each set in
+    /// reverse Definition-3 order.
+    fn assert_named_lookups_match_naive(g: &Goddag, axes: &[Axis], names: &[&str]) {
+        let idx = StructIndex::build(g);
+        let sets = context_sets(g);
+        let reversed: Vec<Vec<NodeId>> = sets
+            .iter()
+            .filter(|s| s.len() > 1)
+            .map(|s| s.iter().rev().copied().collect())
+            .collect();
+        let (first, _) = g.hierarchies().next().expect("a hierarchy");
+        let keeps: [&dyn Fn(NodeId) -> bool; 3] =
+            [&|_| true, &|_| false, &|m| g.in_hierarchy(m, first)];
+        for &axis in axes {
+            for name in names.iter().map(|&name| Some(name)).chain([None]) {
+                let allowed = |m: NodeId| name.is_none_or(|name| named(g, name)(m));
+                let what =
+                    |ctxs: &[NodeId]| format!("axis {}, name {name:?}, {ctxs:?}", axis.name());
+                for ctxs in &sets {
+                    assert_eq!(
+                        idx.axis_nodes_batch_named(g, axis, name, ctxs, |_| true),
+                        naive_union(g, axis, ctxs, allowed),
+                        "batch: {}",
+                        what(ctxs)
+                    );
+                }
+                for ctxs in sets.iter().chain(&reversed) {
+                    for (k, keep) in keeps.iter().enumerate() {
+                        let mut kept = ctxs.clone();
+                        idx.retain_witnessed(g, axis, name, &mut kept, keep);
+                        let want = naive_witnessed(g, axis, ctxs, |m| allowed(m) && keep(m));
+                        assert_eq!(kept, want, "witnessed, filter {k}: {}", what(ctxs));
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn axis_exists_matches_materialized_nonemptiness() {
+    fn retain_witnessed_matches_materialized_nonemptiness() {
         let g = figure1();
-        let idx = StructIndex::build(&g);
         let names = ["w", "vline", "res", "dmg", "line", "r", "nope"];
-        for &n in &g.all_nodes() {
-            for axis in ALL_AXES {
-                let naive = axis_nodes(&g, axis, n);
-                // Unfiltered, name-filtered, and never-true probes.
-                assert_eq!(
-                    idx.axis_exists(&g, axis, n, |_| true),
-                    !naive.is_empty(),
-                    "axis {} from {}",
-                    axis.name(),
-                    n
-                );
-                for name in names {
-                    let keep = |m: NodeId| g.name(m) == Some(name);
-                    assert_eq!(
-                        idx.axis_exists(&g, axis, n, keep),
-                        naive.iter().any(|&m| keep(m)),
-                        "axis {} from {} name {}",
-                        axis.name(),
-                        n,
-                        name
-                    );
-                }
-                assert!(!idx.axis_exists(&g, axis, n, |_| false));
-            }
+        assert_named_lookups_match_naive(&g, &ALL_AXES, &names);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Named lookups where every element is an `x`: the name nests in
+        /// itself and is shared by every hierarchy, which no generated
+        /// corpus document does.
+        #[test]
+        fn named_lookups_match_naive_on_random_docs(doc in crate::proptests::arb_doc()) {
+            let g = crate::proptests::build(&doc);
+            let extended: Vec<Axis> = ALL_AXES.into_iter().filter(|a| a.is_extended()).collect();
+            assert_named_lookups_match_naive(&g, &extended, &["x", "nope"]);
         }
     }
 

@@ -73,7 +73,7 @@ mod proptests {
     /// `len` and several hierarchies, each a random segmentation of the
     /// text into (possibly nested) elements.
     #[derive(Debug, Clone)]
-    struct RandomDoc {
+    pub(crate) struct RandomDoc {
         text_len: usize,
         /// The base text: one ASCII character per byte, among them every
         /// character markup escapes.
@@ -85,7 +85,7 @@ mod proptests {
     /// and attribute values, and `'`, which neither escapes.
     const ALPHABET: &[u8] = b"ab&<>\"'";
 
-    fn arb_doc() -> impl Strategy<Value = RandomDoc> {
+    pub(crate) fn arb_doc() -> impl Strategy<Value = RandomDoc> {
         (4usize..24)
             .prop_flat_map(|len| {
                 let hier = proptest::collection::vec(
@@ -163,7 +163,7 @@ mod proptests {
         out
     }
 
-    fn build(doc: &RandomDoc) -> Goddag {
+    pub(crate) fn build(doc: &RandomDoc) -> Goddag {
         let mut b = GoddagBuilder::new();
         if doc.hierarchies.is_empty() {
             b = b.hierarchy("h0", render(doc, &[]));

@@ -75,8 +75,9 @@ pub struct QStep {
     pub rewritten: bool,
     /// Per-predicate existential-probe annotation (parallel to
     /// `predicates`): a boolean single-step extended-axis predicate
-    /// answers through `StructIndex::axis_exists` — first witness, no
-    /// materialization. Optimizer-only; as-written plans leave it empty.
+    /// answers through `StructIndex::retain_witnessed` — one pass over the
+    /// candidates, first witness each, no materialization. Optimizer-only;
+    /// as-written plans leave it empty.
     pub pred_probes: Vec<Option<(Axis, NodeTest)>>,
     /// Per-predicate hoist annotation (parallel to `predicates`):
     /// context-independent pure predicates are evaluated once per step

@@ -708,15 +708,25 @@ impl<'g> Evaluator<'g> {
     }
 
     /// Predicate application with position()/last() focus; numeric
-    /// predicate = position shorthand.
+    /// predicate = position shorthand. A numeric literal keeps the item at
+    /// its position without evaluating anything per item: the `k`-th, or on
+    /// a reverse axis the `k`-th from the end; nothing unless `k` is a whole
+    /// number in `1..=size`.
     pub(crate) fn apply_predicate<'q>(
         &mut self,
-        items: Sequence,
+        mut items: Sequence,
         pred: &'q QExpr,
         env: &mut Env<'q>,
         reverse: bool,
     ) -> Result<Sequence> {
         let size = items.len();
+        if let QExpr::Number(k) = *pred {
+            if k.fract() != 0.0 || !(1.0..=size as f64).contains(&k) {
+                return Ok(Vec::new());
+            }
+            let k = k as usize;
+            return Ok(vec![items.swap_remove(if reverse { size - k } else { k - 1 })]);
+        }
         let outer = env.focus.take();
         let out = Vec::with_capacity(size);
         let kept = items.into_iter().enumerate().try_fold(out, |mut out, (i, item)| {
@@ -742,8 +752,9 @@ impl<'g> Evaluator<'g> {
     /// * predicates run in [`crate::opt::stats_order`] (per-document name
     ///   frequencies, not the fixed weight table);
     /// * hoistable (context-independent) predicates evaluate **once**;
-    /// * probe-annotated predicates answer per candidate through
-    ///   `StructIndex::axis_exists` — first witness, no materialization;
+    /// * probe-annotated predicates answer for the whole candidate list in
+    ///   one `StructIndex::retain_witnessed` pass — first witness per
+    ///   candidate, no materialization;
     /// * everything else falls back to [`Evaluator::apply_predicate`].
     ///
     /// Free predicates are pure (no `analyze-string()`), so the index
@@ -786,12 +797,17 @@ impl<'g> Evaluator<'g> {
                 let axis = *axis;
                 let g = self.g.as_ref();
                 let idx = self.index.get().expect("ensure_index populated the slot");
-                items.retain(|it| match it {
-                    Item::Node(n) => idx.axis_exists(g, axis, *n, |w| {
-                        mhx_xpath::node_test_matches(g, axis, w, test)
-                    }),
-                    _ => unreachable!("the batched paths only carry goddag nodes"),
+                let mut nodes: Vec<NodeId> = items
+                    .iter()
+                    .map(|it| match it {
+                        Item::Node(n) => *n,
+                        _ => unreachable!("the batched paths only carry goddag nodes"),
+                    })
+                    .collect();
+                idx.retain_witnessed(g, axis, plan::element_name(test), &mut nodes, |w| {
+                    mhx_xpath::node_test_matches(g, axis, w, test)
                 });
+                items = nodes.into_iter().map(Item::Node).collect();
                 used_probe = true;
                 continue;
             }

@@ -5,8 +5,9 @@
 //! `(axis, node test)` alone, so a compiled plan stays document-independent
 //! and cacheable. [`resolve_step`] answers a whole context set, and one
 //! context node is a set of one: the index strategies are set-at-a-time
-//! [`StructIndex`] lookups (one pass for the set, one sort-dedup per step),
-//! and the tree walk is the one loop over contexts. Predicates are the
+//! [`StructIndex`] lookups (one pass for the set, one sort-dedup per step;
+//! an extended axis under a name test reads only that name's spans), and
+//! the tree walk is the one loop over contexts. Predicates are the
 //! caller's business: the evaluator ([`crate::eval`]) applies them. The
 //! naive interpreter in `mhx-xpath`, whose step is [`walk_step`], stays
 //! index-free as the reference oracle for differential testing.
@@ -95,7 +96,9 @@ pub fn resolve_step(
             out.retain(|&m| keep(m));
             out
         }
-        (StepStrategy::IndexedExtended, Some(idx)) => idx.axis_nodes_batch(g, axis, ctxs, keep),
+        (StepStrategy::IndexedExtended, Some(idx)) => {
+            idx.axis_nodes_batch_named(g, axis, element_name(test), ctxs, keep)
+        }
         (StepStrategy::LeafRange, _) => {
             // Merge the (leaf-aligned) context spans, then emit each merged
             // run's leaves once — sorted and duplicate-free by
@@ -139,6 +142,15 @@ pub fn resolve_step(
             }
             out
         }
+    }
+}
+
+/// The element name a node test names, if it names one: an extended-axis
+/// lookup then reads only that name's elements.
+pub(crate) fn element_name(test: &NodeTest) -> Option<&str> {
+    match test {
+        NodeTest::Name { name, .. } => Some(name),
+        _ => None,
     }
 }
 

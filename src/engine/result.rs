@@ -71,6 +71,8 @@ pub enum QueryValue {
 pub struct QueryOutcome {
     lang: QueryLang,
     value: QueryValue,
+    /// The serialized form, except for [`QueryValue::Markup`], which is its
+    /// own serialized form and is held once (this is then empty).
     serialized: String,
 }
 
@@ -80,14 +82,17 @@ impl QueryOutcome {
     /// serializer so the languages print identically.
     pub(crate) fn new(lang: QueryLang, ev: &Evaluator<'_>, seq: &[Item]) -> QueryOutcome {
         let serialized = serialize::serialize_sequence(ev, seq);
-        let value = match lang {
-            QueryLang::XPath => match xpath_value(seq) {
-                Value::Nodes(ns) => QueryValue::Nodes(ns),
-                Value::Str(s) => QueryValue::Str(s),
-                Value::Num(n) => QueryValue::Num(n),
-                Value::Bool(b) => QueryValue::Bool(b),
-            },
-            QueryLang::XQuery => QueryValue::Markup(serialized.clone()),
+        let (value, serialized) = match lang {
+            QueryLang::XPath => {
+                let value = match xpath_value(seq) {
+                    Value::Nodes(ns) => QueryValue::Nodes(ns),
+                    Value::Str(s) => QueryValue::Str(s),
+                    Value::Num(n) => QueryValue::Num(n),
+                    Value::Bool(b) => QueryValue::Bool(b),
+                };
+                (value, serialized)
+            }
+            QueryLang::XQuery => (QueryValue::Markup(serialized), String::new()),
         };
         QueryOutcome { lang, value, serialized }
     }
@@ -100,12 +105,18 @@ impl QueryOutcome {
     /// The paper-style serialized form ("the output … is either a string
     /// or a sequence of strings").
     pub fn serialize(&self) -> &str {
-        &self.serialized
+        match &self.value {
+            QueryValue::Markup(s) => s,
+            _ => &self.serialized,
+        }
     }
 
     /// Consume into the serialized form without cloning.
     pub fn into_string(self) -> String {
-        self.serialized
+        match self.value {
+            QueryValue::Markup(s) => s,
+            _ => self.serialized,
+        }
     }
 
     /// Borrow the typed value.
@@ -155,6 +166,32 @@ impl QueryOutcome {
 
 impl std::fmt::Display for QueryOutcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.serialized)
+        f.write_str(self.serialize())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::prelude::*;
+
+    #[test]
+    fn an_xquery_outcome_holds_its_markup_once_and_reads_it_every_way() {
+        let catalog = Catalog::new();
+        catalog.insert(
+            "ms",
+            GoddagBuilder::new().hierarchy("w", "<r><w>a</w><w>b&amp;c</w></r>").build().unwrap(),
+        );
+        let query = "(<out>{count(/descendant::w)}</out>, /descendant::w)";
+        let want = "<out>2</out><w>a</w><w>b&amp;c</w>";
+        let outcome = catalog.xquery("ms", query).unwrap();
+        assert_eq!(outcome.serialize(), want);
+        assert_eq!(outcome.to_string(), want);
+        assert!(!outcome.is_empty());
+        assert_eq!(outcome.clone().into_string(), want);
+        assert_eq!(outcome.into_value(), QueryValue::Markup(want.into()));
+        // An XPath outcome keeps its typed value beside its text.
+        let nodes = catalog.xpath("ms", "/descendant::w").unwrap();
+        assert_eq!(nodes.nodes().map(<[_]>::len), Some(2));
+        assert_eq!(nodes.clone().into_string(), "<w>a</w><w>b&amp;c</w>");
     }
 }

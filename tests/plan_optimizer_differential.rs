@@ -508,6 +508,81 @@ fn positional_semantics_pinned() {
     }
 }
 
+/// A numeric literal predicate keeps the item at that position, counted
+/// from the end on a reverse axis and from the start in a filter
+/// expression, and nothing for `0`, a fraction or a position past the end.
+#[test]
+fn literal_positions_select_one_item_or_none() {
+    let g = paged();
+    let paths = [
+        // forward axes
+        "/descendant::w[K]",
+        "/descendant::w[1]/xfollowing::node()[K]",
+        "/descendant::w[2]/following-overlapping::node()[K]",
+        // reverse axes
+        "/descendant::w[3]/xpreceding::node()[K]",
+        "/descendant::leaf()[4]/ancestor::node()[K]",
+        "/descendant::w[2]/preceding-overlapping::node()[K]",
+        // filter expressions
+        "(/descendant::w)[K]",
+        "(/descendant::w[3]/xpreceding::node())[K]",
+    ];
+    for path in paths {
+        for k in ["1", "2", "3", "4", "0", "1.5", "99", "-1", "2.0"] {
+            assert_matches_naive(&g, &path.replace('K', k));
+        }
+    }
+    for optimize in [false, true] {
+        let opts = EvalOptions { optimize, ..Default::default() };
+        for (q, want) in [("(5, 6, 7)[2]", "6"), ("(5, 6, 7)[0]", ""), ("(5, 6, 7)[1.5]", "")] {
+            assert_eq!(run_query_with(&g, q, &opts).unwrap(), want, "{q} optimize={optimize}");
+        }
+        assert_eq!(run_query_with(&g, "(5, 6, 7)[4]", &opts).unwrap(), "");
+    }
+}
+
+/// Two hierarchies sharing the name `x`, nested in itself, with empty
+/// `<x/>` elements, which take part in no extended axis on either side.
+fn shared_x() -> Goddag {
+    GoddagBuilder::new()
+        .hierarchy("h1", "<r><x>ab<x/>c</x><x>d<x>e</x></x>f<x/></r>")
+        .hierarchy("h2", "<r>a<x>bcd<x/></x><x>ef</x></r>")
+        .build()
+        .unwrap()
+}
+
+/// Named extended-axis lookups, as probes and as steps, over a name that
+/// both hierarchies carry (so one candidate list spans both), over its
+/// empty elements, and under hierarchy-qualified tests.
+#[test]
+fn named_lookups_over_shared_empty_and_qualified_elements() {
+    let g = shared_x();
+    let idx = StructIndex::build(&g);
+    let axes = [
+        "xancestor",
+        "xdescendant",
+        "xfollowing",
+        "xpreceding",
+        "preceding-overlapping",
+        "following-overlapping",
+        "overlapping",
+    ];
+    for axis in axes {
+        for test in ["x", "x(\"h1\")", "x(\"h2\")", "*", "node()", "nope"] {
+            for src in [
+                format!("/descendant::x[{axis}::{test}]"),
+                format!("/descendant::node()[{axis}::{test}]"),
+                format!("/descendant::x/{axis}::{test}"),
+            ] {
+                assert_matches_naive(&g, &src);
+            }
+        }
+    }
+    let probed = CompiledXQuery::compile_xpath("/descendant::x[xdescendant::x(\"h1\")]").unwrap();
+    let (_, _, k) = run_xpath(&g, &idx, &probed, true).unwrap();
+    assert!(k.early_exit_steps >= 1, "the one-pass probe answered the predicate");
+}
+
 /// The fusion rewrite really fires on this corpus and stays invisible:
 /// `//w` (two desugared walks) equals `/descendant::w`, and the engine
 /// counters prove the optimized run used a rewritten plan.
