@@ -34,9 +34,10 @@
 //! a window's bounds are sought from where the previous window's fell. The
 //! rest is built on it:
 //!
-//! * [`StructIndex::retain_witnessed`] runs the scan, stopped at the first
-//!   accepted node, over a whole candidate list in one pass: the boolean
-//!   axis predicate (`[xdescendant::e0]`) of a step, which allocates
+//! * [`StructIndex::witnessed`] is the scan, stopped at the first
+//!   accepted node, as one predicate over a whole candidate list, whose
+//!   window bounds carry from one candidate to the next: the boolean axis
+//!   predicate (`[xdescendant::e0]`) of a step, in one pass that allocates
 //!   nothing. While the candidates' spans ascend, as one hierarchy's
 //!   Definition-3 order has them, each bound only moves forward;
 //! * [`StructIndex::axis_nodes_batch_named`] answers a whole context set
@@ -320,28 +321,28 @@ impl StructIndex {
         self.axis_nodes_batch(g, axis, &[n], |_| true)
     }
 
-    /// Keep the nodes of `nodes` from which `axis` reaches a node that
-    /// `keep` accepts and, given `name`, that is an element of that name:
-    /// a boolean axis predicate (`//a[xfollowing::b]` asks *whether* a
-    /// witness exists, never *which*) over a whole candidate list, in one
-    /// pass that allocates nothing. Each candidate's scan stops at its
-    /// first witness, and its window bounds are sought from where the
-    /// previous candidate's fell: forward while the candidates' spans
-    /// ascend, as one hierarchy's Definition-3 order has them, and by
-    /// binary search when one falls back, as at the start of the next
-    /// hierarchy's run. Any order of `nodes` gives the same answer.
-    pub fn retain_witnessed(
-        &self,
-        g: &Goddag,
+    /// Whether `axis` reaches, from a node, a node that `keep` accepts and,
+    /// given `name`, that is an element of that name: a boolean axis
+    /// predicate (`//a[xfollowing::b]` asks *whether* a witness exists,
+    /// never *which*), as one predicate to run over a whole candidate list
+    /// (`nodes.retain(|&n| has(n))`) in one pass that allocates nothing.
+    /// Each candidate's scan stops at its first witness, and its window
+    /// bounds are sought from where the previous candidate's fell: forward
+    /// while the candidates' spans ascend, as one hierarchy's Definition-3
+    /// order has them, and by binary search when one falls back, as at the
+    /// start of the next hierarchy's run. Any order of candidates gives the
+    /// same answers.
+    pub fn witnessed<'a>(
+        &'a self,
+        g: &'a Goddag,
         axis: Axis,
-        name: Option<&str>,
-        nodes: &mut Vec<NodeId>,
-        keep: impl Fn(NodeId) -> bool,
-    ) {
+        name: Option<&'a str>,
+        keep: impl Fn(NodeId) -> bool + 'a,
+    ) -> impl FnMut(NodeId) -> bool + 'a {
         let mut first =
-            |m| if keep(m) { ControlFlow::Break(()) } else { ControlFlow::Continue(()) };
+            move |m| if keep(m) { ControlFlow::Break(()) } else { ControlFlow::Continue(()) };
         let mut windows = self.windows(name);
-        nodes.retain(|&n| self.scan_from(g, axis, name, n, &mut windows, &mut first).is_break());
+        move |n| self.scan_from(g, axis, name, n, &mut windows, &mut first).is_break()
     }
 
     /// Visit the nodes on `axis` from `n` — given `name`, only the elements
@@ -1288,7 +1289,7 @@ mod tests {
         move |m| m.is_element() && g.name(m) == Some(name)
     }
 
-    /// The naive oracle of [`StructIndex::retain_witnessed`]: the nodes of
+    /// The naive oracle of [`StructIndex::witnessed`]: the nodes of
     /// `ctxs`, in their order, with a node on `axis` that `keep` accepts.
     fn naive_witnessed(
         g: &Goddag,
@@ -1332,7 +1333,8 @@ mod tests {
                 for ctxs in sets.iter().chain(&reversed) {
                     for (k, keep) in keeps.iter().enumerate() {
                         let mut kept = ctxs.clone();
-                        idx.retain_witnessed(g, axis, name, &mut kept, keep);
+                        let mut has = idx.witnessed(g, axis, name, keep);
+                        kept.retain(|&n| has(n));
                         let want = naive_witnessed(g, axis, ctxs, |m| allowed(m) && keep(m));
                         assert_eq!(kept, want, "witnessed, filter {k}: {}", what(ctxs));
                     }
@@ -1342,7 +1344,7 @@ mod tests {
     }
 
     #[test]
-    fn retain_witnessed_matches_materialized_nonemptiness() {
+    fn witnessed_matches_materialized_nonemptiness() {
         let g = figure1();
         let names = ["w", "vline", "res", "dmg", "line", "r", "nope"];
         assert_named_lookups_match_naive(&g, &ALL_AXES, &names);

@@ -75,7 +75,7 @@ pub struct QStep {
     pub rewritten: bool,
     /// Per-predicate existential-probe annotation (parallel to
     /// `predicates`): a boolean single-step extended-axis predicate
-    /// answers through `StructIndex::retain_witnessed` — one pass over the
+    /// answers through `StructIndex::witnessed` — one pass over the
     /// candidates, first witness each, no materialization. Optimizer-only;
     /// as-written plans leave it empty.
     pub pred_probes: Vec<Option<(Axis, NodeTest)>>,

@@ -753,8 +753,8 @@ impl<'g> Evaluator<'g> {
     ///   frequencies, not the fixed weight table);
     /// * hoistable (context-independent) predicates evaluate **once**;
     /// * probe-annotated predicates answer for the whole candidate list in
-    ///   one `StructIndex::retain_witnessed` pass — first witness per
-    ///   candidate, no materialization;
+    ///   one pass of a `StructIndex::witnessed` predicate — first witness
+    ///   per candidate, no materialization;
     /// * everything else falls back to [`Evaluator::apply_predicate`].
     ///
     /// Free predicates are pure (no `analyze-string()`), so the index
@@ -797,17 +797,13 @@ impl<'g> Evaluator<'g> {
                 let axis = *axis;
                 let g = self.g.as_ref();
                 let idx = self.index.get().expect("ensure_index populated the slot");
-                let mut nodes: Vec<NodeId> = items
-                    .iter()
-                    .map(|it| match it {
-                        Item::Node(n) => *n,
-                        _ => unreachable!("the batched paths only carry goddag nodes"),
-                    })
-                    .collect();
-                idx.retain_witnessed(g, axis, plan::element_name(test), &mut nodes, |w| {
+                let mut has = idx.witnessed(g, axis, plan::element_name(test), |w| {
                     mhx_xpath::node_test_matches(g, axis, w, test)
                 });
-                items = nodes.into_iter().map(Item::Node).collect();
+                items.retain(|it| match it {
+                    Item::Node(n) => has(*n),
+                    _ => unreachable!("the batched paths only carry goddag nodes"),
+                });
                 used_probe = true;
                 continue;
             }

@@ -35,7 +35,7 @@
 //! 5. **Chain joins, existential probes, hoisting**: `descendant::a/
 //!    descendant::b` becomes one containment-chain merge join; a boolean
 //!    single-step extended-axis predicate answers from the first witness,
-//!    for all candidates in one pass (`StructIndex::retain_witnessed`); a
+//!    for all candidates in one pass (`StructIndex::witnessed`); a
 //!    context-independent predicate is evaluated once per step.
 //!
 //! Types, focus use, purity and call costs come from the function registry
@@ -89,7 +89,7 @@ pub struct OptimizerReport {
     /// Predicated steps routed through the set-at-a-time batch path.
     pub batch_routed_steps: u32,
     /// Boolean single-step extended-axis predicates annotated to answer
-    /// through a first-witness probe (`StructIndex::retain_witnessed`)
+    /// through a first-witness probe (`StructIndex::witnessed`)
     /// instead of materializing the axis.
     pub existential_probes: u32,
     /// Context-independent predicates annotated for once-per-step
@@ -507,7 +507,7 @@ fn is_plain_descendant_name(s: &QStep) -> bool {
 /// The existential-probe shape: a relative single-step extended-axis path
 /// with no predicates of its own — `[xfollowing::e1]`, `[overlapping::p]`.
 /// Its effective boolean value is "does the axis hold a matching node",
-/// which `StructIndex::retain_witnessed` answers from the first witness. Only
+/// which `StructIndex::witnessed` answers from the first witness. Only
 /// the seven extended (span-indexed) axes are probed: the tree-walk axes
 /// are already output-local, and materializing them is cheap.
 fn probe_of(pred: &QExpr) -> Option<(Axis, NodeTest)> {
