@@ -4,13 +4,14 @@
 //! Writes `BENCH_serialize.json` at the workspace root: for three of
 //! e2ebench's `eval-large` query classes on one ~100k-char generated
 //! document (that workload's settings, seed 1), the time to copy each
-//! answer node's string value into one `String`, over the time to
-//! serialize the same nodes. The copy is the text any serializer must
+//! answer node's string value into one `String`, presized to their total
+//! length so the allocator's growth stays out of the ratio, over the time
+//! to serialize the same nodes. The copy is the text any serializer must
 //! write, so the ratio is the share of serializing spent on the text
-//! itself. A writer that collects each element's children, formats each
-//! attribute and escapes text a `char` at a time, into a fresh `String`
-//! per item, reads 0.04–0.10; one that writes the answer in one pass into
-//! one buffer reads 0.16–0.38 (release build, 2-vCPU VM).
+//! itself. A writer that walks each answer element's subtree, in one pass
+//! into one buffer, reads 0.14–0.32; one that copies each element's range
+//! of its hierarchy's markup, written once, reads 0.73–1.06 (release
+//! build, 2-vCPU VM).
 //!
 //! * `overlap` — ~1.9k elements (121 KB of markup on the bench document);
 //! * `xfollowing` — ~3.1k elements (171 KB);
@@ -50,8 +51,15 @@ fn emit_snapshot(_c: &mut Criterion) {
         let plan = CompiledXQuery::compile_xpath(query).unwrap();
         let items = plan.evaluate(&g, Some(&idx), &opts, |_, seq| seq).unwrap().0;
         assert!(items.iter().all(|item| matches!(item, Item::Node(_))), "{name}: a node set");
+        let text_len: usize = items
+            .iter()
+            .map(|item| match item {
+                Item::Node(n) => g.string_value(*n).len(),
+                _ => 0,
+            })
+            .sum();
         let copy = || {
-            let mut text = String::new();
+            let mut text = String::with_capacity(text_len);
             for item in &items {
                 if let Item::Node(n) = item {
                     text.push_str(g.string_value(*n));

@@ -298,17 +298,18 @@ pub fn tracked_metrics(file: &str, doc: &Json) -> Result<Vec<Metric>, String> {
         }
         "serialize" => {
             // Writer ratios from `benches/serialize.rs`: copying an answer's
-            // text over serializing the same nodes, on three `eval-large`
-            // answers. Each hard floor sits between the writer that
-            // allocated per node and escaped a `char` at a time (overlap
-            // 0.036–0.045, xfollowing 0.052–0.067, chain 0.087–0.103) and
-            // the one-pass, one-buffer writer (0.157–0.189, 0.232–0.269,
-            // 0.351–0.376), in 12 and 6 runs on one 2-vCPU VM.
+            // text into a presized `String` over serializing the same
+            // nodes, on three `eval-large` answers. Each hard floor sits
+            // between the writer that walked every answer element's
+            // subtree (overlap 0.138–0.149, xfollowing 0.202–0.230, chain
+            // 0.300–0.323) and the one that slices each hierarchy's
+            // markup, written once (0.732–0.809, 0.970–1.055,
+            // 0.928–0.965), in 6 alternating runs each on one 2-vCPU VM.
             out = ratio_rows("serialize", "BENCH_serialize.json", doc, |name| {
                 Some(match name {
-                    "overlap" => (0.14, Some(0.1)),
-                    "xfollowing" => (0.2, Some(0.15)),
-                    "chain" => (0.3, Some(0.2)),
+                    "overlap" => (0.5, Some(0.3)),
+                    "xfollowing" => (0.65, Some(0.4)),
+                    "chain" => (0.7, Some(0.5)),
                     _ => return None,
                 })
             })?;
@@ -797,21 +798,27 @@ mod tests {
     }
 
     #[test]
-    fn serialize_metrics_gate_the_one_pass_writer_hard() {
-        let one_pass = r#"{"ratios": {"overlap": 0.17, "xfollowing": 0.26, "chain": 0.36}}"#;
-        let base = tracked_metrics("serialize", &parse(one_pass).unwrap()).unwrap();
+    fn serialize_metrics_gate_the_markup_slices_hard() {
+        let slices = r#"{"ratios": {"overlap": 0.78, "xfollowing": 1.0, "chain": 0.95}}"#;
+        let base = tracked_metrics("serialize", &parse(slices).unwrap()).unwrap();
         assert_eq!(base.len(), 3);
         let floor = |name: &str| base.iter().find(|m| m.name == name).unwrap().hard_min;
-        assert_eq!(floor("serialize:overlap:ratio"), Some(0.1));
-        assert_eq!(floor("serialize:xfollowing:ratio"), Some(0.15));
-        assert_eq!(floor("serialize:chain:ratio"), Some(0.2));
+        assert_eq!(floor("serialize:overlap:ratio"), Some(0.3));
+        assert_eq!(floor("serialize:xfollowing:ratio"), Some(0.4));
+        assert_eq!(floor("serialize:chain:ratio"), Some(0.5));
 
-        // The writer "allocates per node again": every row falls to what
-        // the per-item, char-at-a-time writer read.
-        let per_node = r#"{"ratios": {"overlap": 0.045, "xfollowing": 0.067, "chain": 0.103}}"#;
-        let fresh = tracked_metrics("serialize", &parse(per_node).unwrap()).unwrap();
+        // The writer "walks every answer element again": every row falls
+        // to what the highest run of the subtree walk read.
+        let walk = r#"{"ratios": {"overlap": 0.149, "xfollowing": 0.230, "chain": 0.323}}"#;
+        let fresh = tracked_metrics("serialize", &parse(walk).unwrap()).unwrap();
         let verdicts = compare(&base, &fresh, 0.25);
         assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
+
+        // The lowest run of the slices clears every row.
+        let low = r#"{"ratios": {"overlap": 0.732, "xfollowing": 0.970, "chain": 0.928}}"#;
+        let fresh = tracked_metrics("serialize", &parse(low).unwrap()).unwrap();
+        let verdicts = compare(&base, &fresh, 0.25);
+        assert!(verdicts.iter().all(|v| v.passed), "{verdicts:?}");
 
         let drifted = r#"{"ratios": {"flwor": 0.5}}"#;
         let err = tracked_metrics("serialize", &parse(drifted).unwrap()).unwrap_err();

@@ -44,6 +44,7 @@ use crate::node::{HierarchyId, NodeId};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Section kinds. The container stores the kind tag next to each payload;
 /// unknown kinds are ignored by [`assemble`] (forward compatibility).
@@ -634,8 +635,15 @@ pub fn assemble(sections: &[Section]) -> Result<(Goddag, StructIndex), ColumnsEr
         for &k in &root_children {
             check_kid(k, elems.len(), texts.len(), "root")?;
         }
-        let mut h =
-            Hierarchy { name, elems, texts, root_children, is_virtual, text_starts: Vec::new() };
+        let mut h = Hierarchy {
+            name,
+            elems,
+            texts,
+            root_children,
+            is_virtual,
+            text_starts: Vec::new(),
+            markup: OnceLock::new(),
+        };
         h.finish();
         hierarchies.push(h);
     }

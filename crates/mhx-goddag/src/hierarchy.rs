@@ -6,14 +6,17 @@
 //! `root_children`.
 
 use crate::error::{GoddagError, Result};
+use crate::export::Markup;
 use mhx_xml::{Document, NodeId as XmlId, NodeKind};
+use std::sync::OnceLock;
 
 /// The deepest nesting of elements a hierarchy may hold, counted from the
 /// children of the root. Building a hierarchy, and several later passes
-/// over it (serializing an element, exporting a hierarchy), recurse once
-/// per level, so the cap keeps a hostile upload within a worker's stack.
-/// It leaves room for an `analyze-string` hierarchy over the deepest
-/// pattern `mhx-regex` accepts (its groups, inside `<res>` and `<m>`).
+/// over it (writing its markup, which every element answer and export
+/// reads), recurse once per level, so the cap keeps a hostile upload
+/// within a worker's stack. It leaves room for an `analyze-string`
+/// hierarchy over the deepest pattern `mhx-regex` accepts (its groups,
+/// inside `<res>` and `<m>`).
 pub const MAX_DEPTH: usize = 512;
 
 /// Parent link within a hierarchy.
@@ -74,6 +77,14 @@ impl FragmentSpec {
     }
 }
 
+/// One hierarchy of a KyGODDAG.
+///
+/// A hierarchy is immutable once built: a [`crate::Goddag`] holds it
+/// behind an `Arc` that nothing mutates through (no `Arc::make_mut`), so
+/// clones of the document, the copy-on-write evaluator's among them, share
+/// it whole. Its markup relies on that: written once, on the first
+/// serialization of one of its elements, it stays valid for the
+/// hierarchy's lifetime and is shared by every holder of the `Arc`.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     pub name: String,
@@ -84,6 +95,9 @@ pub struct Hierarchy {
     /// `(span.0, text index)` sorted by start, for "which text node covers
     /// offset x" lookups (leaf → parent edges).
     pub(crate) text_starts: Vec<(u32, u32)>,
+    /// The hierarchy's markup, written on first use
+    /// ([`crate::export::write_node`]); never stored in a snapshot.
+    pub(crate) markup: OnceLock<Markup>,
 }
 
 impl Hierarchy {
@@ -145,6 +159,7 @@ impl Hierarchy {
             root_children: Vec::new(),
             is_virtual: false,
             text_starts: Vec::new(),
+            markup: OnceLock::new(),
         };
         let mut text = String::new();
         let mut order = 0u32;
@@ -234,6 +249,7 @@ impl Hierarchy {
             root_children: Vec::new(),
             is_virtual: true,
             text_starts: Vec::new(),
+            markup: OnceLock::new(),
         };
         check_siblings(name, frags, (0, text.len() as u32), text, 1)?;
         let mut order = 0u32;

@@ -169,50 +169,78 @@ pub fn escape_into(s: &str, out: &mut String) {
 
 /// [`escape_into`] onto any writer. The text between two bytes that need
 /// escaping goes out in one piece; those bytes are all ASCII, so every
-/// piece is a whole UTF-8 slice. Clean text is skipped a word (8 bytes) at
-/// a time, and only a word holding a byte to escape is read byte by byte.
+/// piece is a whole UTF-8 slice. The text is read a word (8 bytes) at a
+/// time: a clean word is skipped, and a word holding a byte to escape
+/// jumps straight to the first such byte, the scan resuming after it.
 fn escape_to<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
     let bytes = s.as_bytes();
     let mut start = 0;
     let mut i = 0;
     while i < bytes.len() {
-        if let Some(word) = bytes.get(i..i + 8) {
-            if !word_needs_escape(u64::from_le_bytes(word.try_into().expect("8 bytes"))) {
+        let j = match escape_mask(word_at(bytes, i)) {
+            0 => {
                 i += 8;
                 continue;
             }
-        }
-        let end = bytes.len().min(i + 8);
-        for (k, &b) in bytes[i..end].iter().enumerate() {
-            let j = i + k;
-            if b >= 0x20 && b != b'"' && b != b'\\' {
-                continue;
-            }
-            out.write_str(&s[start..j])?;
-            match b {
-                b'"' => out.write_str("\\\""),
-                b'\\' => out.write_str("\\\\"),
-                b'\n' => out.write_str("\\n"),
-                b'\r' => out.write_str("\\r"),
-                b'\t' => out.write_str("\\t"),
-                _ => write!(out, "\\u{b:04x}"),
-            }?;
-            start = j + 1;
-        }
-        i = end;
+            mask => i + first_flagged(mask),
+        };
+        out.write_str(&s[start..j])?;
+        match bytes[j] {
+            b'"' => out.write_str("\\\""),
+            b'\\' => out.write_str("\\\\"),
+            b'\n' => out.write_str("\\n"),
+            b'\r' => out.write_str("\\r"),
+            b'\t' => out.write_str("\\t"),
+            b => write!(out, "\\u{b:04x}"),
+        }?;
+        start = j + 1;
+        i = j + 1;
     }
     out.write_str(&s[start..])
 }
 
-/// Does the little-endian word `w` hold a `"`, a `\` or a byte below
-/// 0x20? Exact, by the SWAR tests for a zero byte (`x ^ c` is zero where
-/// `x == c`) and for a byte below `n` (valid for `n <= 0x80`), which never
-/// fire on a word without such a byte.
-fn word_needs_escape(w: u64) -> bool {
-    const ONES: u64 = 0x0101_0101_0101_0101;
-    const HIGH: u64 = ONES << 7;
-    let below = |v: u64, n: u64| v.wrapping_sub(ONES * n) & !v & HIGH != 0;
-    below(w, 0x20) || below(w ^ (ONES * b'"' as u64), 1) || below(w ^ (ONES * b'\\' as u64), 1)
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGH: u64 = ONES << 7;
+
+/// The high bit of each byte of the little-endian word `w` that is below
+/// `n` (for `n <= 0x80`), by the SWAR test for a byte below `n`. A borrow
+/// only propagates upward, from a byte that is below `n`, so the lowest
+/// flagged byte is always a true hit; bytes above it may be flagged
+/// falsely.
+fn below(w: u64, n: u8) -> u64 {
+    w.wrapping_sub(ONES * n as u64) & !w & HIGH
+}
+
+/// Flags for a `"` or a `\` in `w`, where a JSON string's run of plain
+/// text ends: [`below`]'s flags for a zero byte of `w ^ c`, which is zero
+/// where a byte equals `c`.
+fn quote_mask(w: u64) -> u64 {
+    below(w ^ (ONES * b'"' as u64), 1) | below(w ^ (ONES * b'\\' as u64), 1)
+}
+
+/// Flags for a byte of `w` that JSON must escape: a `"`, a `\` or a byte
+/// below 0x20. Zero exactly when there is none.
+fn escape_mask(w: u64) -> u64 {
+    below(w, 0x20) | quote_mask(w)
+}
+
+/// The index of the lowest flagged byte of a non-zero mask: the first
+/// true hit in the word.
+fn first_flagged(mask: u64) -> usize {
+    (mask.trailing_zeros() / 8) as usize
+}
+
+/// The little-endian word of `bytes` at `i`, padded past their end with
+/// spaces, which no mask flags.
+fn word_at(bytes: &[u8], i: usize) -> u64 {
+    match bytes.get(i..i + 8) {
+        Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")),
+        None => {
+            let mut word = [b' '; 8];
+            word[..bytes.len() - i].copy_from_slice(&bytes[i..]);
+            u64::from_le_bytes(word)
+        }
+    }
 }
 
 /// [`escape_into`] returning a fresh `String` (no surrounding quotes).
@@ -233,7 +261,7 @@ pub const MAX_DEPTH: usize = 128;
 pub fn parse(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
+    let value = parse_value(src, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -248,7 +276,8 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 }
 
 /// Parse one value at `pos`, inside `depth` enclosing arrays and objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_value(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
@@ -265,7 +294,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
             }
             loop {
                 skip_ws(bytes, pos);
-                let Json::Str(key) = parse_value(bytes, pos, depth + 1)? else {
+                let Json::Str(key) = parse_value(src, pos, depth + 1)? else {
                     return Err(format!("object key must be a string at byte {pos}"));
                 };
                 skip_ws(bytes, pos);
@@ -273,7 +302,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                entries.push((key, parse_value(bytes, pos, depth + 1)?));
+                entries.push((key, parse_value(src, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -294,7 +323,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(src, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -306,7 +335,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                 }
             }
         }
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(src, pos).map(Json::Str),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
@@ -334,7 +363,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     text.parse::<f64>().map(Json::Num).map_err(|_| format!("invalid number at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = src.as_bytes();
     debug_assert_eq!(bytes[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
@@ -396,17 +426,27 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy the whole UTF-8 run up to the next quote/backslash.
+                // Copy the whole run up to the next quote or backslash. It
+                // starts and ends beside ASCII bytes (or at the input's
+                // end), so it is a whole UTF-8 slice of `src`.
                 let start = *pos;
-                while *pos < bytes.len() && bytes[*pos] != b'"' && bytes[*pos] != b'\\' {
-                    *pos += 1;
-                }
-                out.push_str(
-                    std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid UTF-8")?,
-                );
+                *pos = run_end(bytes, start);
+                out.push_str(&src[start..*pos]);
             }
         }
     }
+}
+
+/// The first `"` or `\` in `bytes` at or after `i`, or their end, found
+/// a word at a time.
+fn run_end(bytes: &[u8], mut i: usize) -> usize {
+    while i < bytes.len() {
+        match quote_mask(word_at(bytes, i)) {
+            0 => i += 8,
+            mask => return i + first_flagged(mask),
+        }
+    }
+    bytes.len()
 }
 
 #[cfg(test)]
@@ -507,6 +547,89 @@ mod tests {
             let text = Json::Str(s.clone()).to_string();
             proptest::prop_assert_eq!(parse(&text), Ok(Json::Str(s)));
         }
+    }
+
+    /// Every placement of one or two bytes to escape, or of a multi-byte
+    /// character, in a 16-byte string: each word-aligned and unaligned
+    /// jump, two hits in one word, and hits in the partial last word.
+    #[test]
+    fn escaping_matches_the_oracle_at_every_placement() {
+        let specials = ['"', '\\', '\n', '\u{1}', 'é', '😀'];
+        for a in specials {
+            for b in specials {
+                for i in 0..16 {
+                    for j in i..16 {
+                        let mut s = String::new();
+                        for k in 0..16 {
+                            s.push(if k == i {
+                                a
+                            } else if k == j {
+                                b
+                            } else {
+                                'x'
+                            });
+                        }
+                        assert_eq!(escape(&s), escape_by_char(&s), "{s:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The byte-at-a-time string decoder the word-at-a-time one replaced,
+    /// for the escapes [`decoding_matches_the_reference_at_every_offset`]
+    /// writes: the oracle.
+    fn decode_by_byte(literal: &str) -> String {
+        let bytes = literal.as_bytes();
+        let hex = |i: usize| u32::from_str_radix(&literal[i..i + 4], 16).unwrap();
+        let (mut out, mut i) = (Vec::new(), 1);
+        while bytes[i] != b'"' {
+            let (c, len) = match bytes[i..i + 2] {
+                [b'\\', b'n'] => ('\n', 2),
+                [b'\\', b'u'] if (0xD800..0xDC00).contains(&hex(i + 2)) => {
+                    let pair = 0x10000 + ((hex(i + 2) - 0xD800) << 10) + (hex(i + 8) - 0xDC00);
+                    (char::from_u32(pair).unwrap(), 12)
+                }
+                [b'\\', b'u'] => (char::from_u32(hex(i + 2)).unwrap(), 6),
+                [b'\\', other] => (other as char, 2),
+                _ => {
+                    out.push(bytes[i]);
+                    i += 1;
+                    continue;
+                }
+            };
+            out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+            i += len;
+        }
+        String::from_utf8(out).unwrap()
+    }
+
+    /// `\"`, `\\`, `\n`, a raw `é` and a surrogate pair, each at every
+    /// offset of a 16-byte window, and all of them together.
+    #[test]
+    fn decoding_matches_the_reference_at_every_offset() {
+        let pieces = [r#"\""#, r"\\", r"\n", "é", r"\ud83d\ude00"];
+        let mut literals: Vec<String> = Vec::new();
+        for piece in pieces {
+            for i in 0..16 {
+                literals.push(format!("\"{}{piece}{}\"", "a".repeat(i), "b".repeat(16 - i)));
+            }
+        }
+        literals.push(format!("\"{}\"", pieces.concat().repeat(3)));
+        for literal in &literals {
+            assert_eq!(parse(literal), Ok(Json::Str(decode_by_byte(literal))), "{literal}");
+        }
+    }
+
+    #[test]
+    fn malformed_strings_fail_with_their_messages() {
+        let err = |text: &str| parse(text).unwrap_err();
+        assert_eq!(err(r#""unterminated and longer than a word"#), "unterminated string");
+        assert_eq!(err(r#"["a", "bcdefghijk"#), "unterminated string");
+        assert_eq!(err(r#""abcdefghij\q""#), "invalid escape at byte 12");
+        assert_eq!(err(r#""abcdefghij\"#), "invalid escape at byte 12");
+        assert_eq!(err(r#""abcdefghij\u12""#), "truncated \\u escape");
+        assert_eq!(err(r#""abcdefghij\u12zz""#), "invalid \\u escape");
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! A sequence is written in one pass into one `String`: KyGODDAG nodes
 //! through [`mhx_goddag::export::write_node`] (the one KyGODDAG node
 //! writer, shared with hierarchy export), constructed nodes through
-//! [`mhx_xml::write_node`], atomics directly. Nothing is allocated per
-//! node written.
+//! [`mhx_xml::write_node`], atomics directly. An element is one copy of
+//! its range of its hierarchy's markup, which the first element written
+//! from that hierarchy writes whole. Nothing is allocated per node
+//! written.
 
 use crate::eval::Evaluator;
 use crate::item::Item;

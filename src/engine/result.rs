@@ -11,11 +11,12 @@
 //! self-contained (valid after the document mutates or is removed, safe to
 //! ship across threads) at the cost of rendering markup the caller may
 //! never read. The whole answer is written in one pass into one `String`,
-//! with nothing allocated per node, so a node set costs time in
-//! proportion to its markup: on a ~100k-char document, 1.9k overlapping
-//! elements (120 KB) serialize in ~0.16–0.25 ms (release build, 2-vCPU
-//! VM), against ~1.0–1.3 ms when each node went into a string of its own
-//! (`BENCH_serialize.json`). For bulk node
+//! with nothing allocated per node, and an element is one copy of its
+//! range of its hierarchy's markup (written once, on first use), so a
+//! node set costs about a copy of its markup: on a ~100k-char document,
+//! 1.9k overlapping elements (120 KB) serialize in ~0.04 ms (release
+//! build, 2-vCPU VM), against ~0.28 ms when each element's subtree was
+//! walked (`BENCH_serialize.json`). For bulk node
 //! *enumeration* on large documents (`/descendant::*`), the unserialized
 //! one-shot layer ([`mhx_xquery::evaluate_xpath`]) still skips that cost.
 //! The server moves the text into its reply envelope with

@@ -152,7 +152,9 @@ pub(crate) fn route(
         }
         path => (404, wire::protocol_error_body("not_found", &format!("no route for `{path}`"))),
     };
-    (status, reply.to_string())
+    let mut body = String::new();
+    reply.write_into(&mut body);
+    (status, body)
 }
 
 /// Parse the request body as a JSON object; protocol error otherwise.

@@ -360,3 +360,63 @@ fn plan_cache_does_not_collide_across_optimize_settings() {
     assert!(on.eval_stats().rewritten_steps > 0);
     assert_eq!(off.eval_stats().rewritten_steps, 0);
 }
+
+/// `n` words of a line-broken text, each word carrying an attribute and
+/// text that need escaping, so every answer has markup of its own to
+/// write.
+fn escaped_words(n: usize) -> (String, String) {
+    let words: Vec<String> = (0..n).map(|i| format!("w{i}&amp;&lt;")).collect();
+    let text = words.join(" ");
+    let half = words[..n / 2].join(" ").len() + 1;
+    let lines = format!("<r><line>{}</line><line>{}</line></r>", &text[..half], &text[half..]);
+    let marked: Vec<String> =
+        words.iter().enumerate().map(|(i, w)| format!("<w n=\"{i}&quot;\">{w}</w>")).collect();
+    (lines, format!("<r>{}</r>", marked.join(" ")))
+}
+
+/// Four threads held at a barrier then serialize elements of hierarchies
+/// no query has written yet, each starting on a different one: every
+/// answer is the one a single thread gets from an identical document.
+#[test]
+fn racing_first_answers_equal_one_threads() {
+    let (lines, words) = escaped_words(600);
+    let build = || GoddagBuilder::new().hierarchy("lines", &lines).hierarchy("words", &words);
+    let catalog = Catalog::new();
+    catalog.insert("raced", build().build().unwrap());
+    catalog.insert("alone", build().build().unwrap());
+    let queries = ["/descendant::w", "/descendant::line", "/descendant::w[overlapping::line]"];
+    let expected: Vec<String> =
+        queries.iter().map(|q| catalog.xpath("alone", q).unwrap().into_string()).collect();
+    assert!(expected[0].starts_with("<w n=\"0&quot;\">w0&amp;&lt;</w>"), "{}", expected[0]);
+    let barrier = std::sync::Barrier::new(4);
+    thread::scope(|s| {
+        for t in 0..4 {
+            let (catalog, barrier, expected) = (&catalog, &barrier, &expected);
+            s.spawn(move || {
+                barrier.wait();
+                for k in 0..queries.len() {
+                    let q = (t + k) % queries.len();
+                    let answer = catalog.xpath("raced", queries[q]).unwrap().into_string();
+                    assert_eq!(answer, expected[q], "thread {t}, {}", queries[q]);
+                }
+            });
+        }
+    });
+}
+
+/// A hierarchy added to a document whose answers were already written
+/// answers with markup of its own, and the written ones are unchanged.
+#[test]
+fn answers_after_add_hierarchy_are_each_hierarchys_markup() {
+    let catalog = Catalog::new();
+    let lines = "<r><line>a &lt; b</line><line> c</line></r>";
+    catalog.insert("ms", GoddagBuilder::new().hierarchy("lines", lines).build().unwrap());
+    let line_answer = "<line>a &lt; b</line><line> c</line>";
+    assert_eq!(catalog.xpath("ms", "/descendant::line").unwrap().serialize(), line_answer);
+    catalog.add_hierarchy("ms", "words", r#"<r><w k="&quot;">a</w> &lt; <w/>b c</r>"#).unwrap();
+    let w = catalog.xpath("ms", "/descendant::w").unwrap();
+    assert_eq!(w.serialize(), r#"<w k="&quot;">a</w><w/>"#);
+    assert_eq!(catalog.xpath("ms", "/descendant::line").unwrap().serialize(), line_answer);
+    let lines_then_words = catalog.xquery("ms", "(/descendant::line[2], /descendant::w[1])");
+    assert_eq!(lines_then_words.unwrap().serialize(), r#"<line> c</line><w k="&quot;">a</w>"#);
+}
