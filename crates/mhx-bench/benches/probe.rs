@@ -16,9 +16,10 @@
 //!   `count(/descendant::e2[7]/xfollowing::e0)`, whose first step keeps
 //!   its literal position without evaluating the literal per candidate.
 //!
-//! Lookups that test every node's span, one probe per candidate, read
-//! 0.087–0.139; name-keyed, one-pass ones read 0.234–0.390 (release build,
-//! 2-vCPU VM).
+//! The candidate steps read the name index's runs without testing each
+//! node's name. Beside them, lookups that test every node's span, one
+//! probe per candidate, read 0.079–0.174; name-keyed, one-pass ones read
+//! 0.131–0.408 (release build, 2-vCPU VM).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mhx_bench::time_pair;

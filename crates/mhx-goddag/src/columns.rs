@@ -662,6 +662,11 @@ pub fn assemble(sections: &[Section]) -> Result<(Goddag, StructIndex), ColumnsEr
         for _ in 0..n {
             let node = r.node()?;
             check_node(node, &g, "name map")?;
+            // A name-keyed lookup answers an unqualified name test without
+            // testing what it reads: a run holds only elements of its name.
+            if !node.is_element() || g.name(node) != Some(name.as_str()) {
+                return Err(bad(format!("name map: run `{name}` holds {node}, not a `{name}`")));
+            }
             // The name-indexed steps answer in run order, and the chain
             // join merges runs as ascending preorder.
             if nodes.last().is_some_and(|&prev| g.cmp_order(prev, node) != Ordering::Less) {
@@ -909,6 +914,30 @@ mod tests {
         bad[at].bytes = names_payload(&swapped);
         let err = assemble(&bad).unwrap_err();
         assert!(err.detail.contains("run `w` is not in Definition-3 order"), "{}", err.detail);
+    }
+
+    /// A name run holding anything but elements of its name is refused at
+    /// load: the name-keyed steps trust every entry of a run.
+    #[test]
+    fn foreign_nodes_in_name_runs_error() {
+        let g = GoddagBuilder::new()
+            .hierarchy("h", "<r><e0>ab</e0><e1>cd</e1><e1>ef</e1></r>")
+            .build()
+            .unwrap();
+        let idx = StructIndex::build(&g);
+        let sections = dissect(&g, &idx);
+        let at = sections.iter().position(|s| s.kind == SEC_NAMES).unwrap();
+        let e0 = idx.elements_named("e0")[0];
+        let text = g.all_nodes().into_iter().find(|n| n.is_text()).unwrap();
+        for (foreign, shown) in [(e0, e0.to_string()), (text, text.to_string())] {
+            let mut corrupt = idx.name_map.clone();
+            // First in the run, so the run stays in Definition-3 order.
+            corrupt.get_mut("e1").unwrap()[0] = foreign;
+            let mut bad = sections.clone();
+            bad[at].bytes = names_payload(&corrupt);
+            let err = assemble(&bad).unwrap_err();
+            assert!(err.detail.contains(&format!("run `e1` holds {shown}")), "{}", err.detail);
+        }
     }
 
     #[test]

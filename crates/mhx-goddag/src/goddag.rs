@@ -157,6 +157,15 @@ impl Goddag {
         }
     }
 
+    /// The attribute node of element `n` named `name`, if it has one: the
+    /// attribute axis under a name test, found by name. The root's
+    /// attributes are not addressable, as for [`Goddag::attr_nodes`].
+    pub fn attr_node(&self, n: NodeId, name: &str) -> Option<NodeId> {
+        let NodeId::Elem { h, i } = n else { return None };
+        let a = self.hierarchy(h).elem(i).attrs.iter().position(|(k, _)| k == name)?;
+        Some(NodeId::Attr { h, elem: i, a: a as u16 })
+    }
+
     /// Does node `n` belong to hierarchy `h`? Root belongs to all; a leaf
     /// belongs to every hierarchy whose text covers it.
     pub fn in_hierarchy(&self, n: NodeId, h: HierarchyId) -> bool {
@@ -864,6 +873,21 @@ mod tests {
         assert_eq!(g.string_value(attrs[0]), "I");
         assert_eq!(g.attr(w, "id"), Some("x"));
         assert_eq!(g.parents(attrs[0]), vec![w]);
+    }
+
+    #[test]
+    fn attr_node_finds_one_attribute_by_name() {
+        let g = GoddagBuilder::new()
+            .hierarchy("a", r#"<r id="root"><w part="I" id="x">ab</w></r>"#)
+            .build()
+            .unwrap();
+        let h = g.hierarchy_id("a").unwrap();
+        let w = NodeId::Elem { h, i: 0 };
+        assert_eq!(g.attr_node(w, "id"), Some(g.attr_nodes(w)[1]));
+        assert_eq!(g.attr_node(w, "part"), Some(g.attr_nodes(w)[0]));
+        assert_eq!(g.attr_node(w, "nope"), None);
+        assert_eq!(g.attr_node(NodeId::Root, "id"), None, "the root's attributes stay hidden");
+        assert_eq!(g.attr_node(g.leaf_at(0), "id"), None);
     }
 
     #[test]

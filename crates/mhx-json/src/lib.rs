@@ -96,6 +96,26 @@ impl Json {
         }
     }
 
+    /// The length of this value's compact encoding before any escaping:
+    /// its strings and keys plus their quotes and punctuation, a number
+    /// counted as one digit. A writer sizes its buffer from it once.
+    pub fn len_hint(&self) -> usize {
+        let commas = |n: usize| n.saturating_sub(1);
+        match self {
+            Json::Null | Json::Bool(true) => 4,
+            Json::Bool(false) => 5,
+            Json::Num(_) => 1,
+            Json::Str(s) => s.len() + 2,
+            Json::Arr(items) => {
+                2 + commas(items.len()) + items.iter().map(Json::len_hint).sum::<usize>()
+            }
+            Json::Obj(entries) => {
+                let members = entries.iter().map(|(k, v)| k.len() + 3 + v.len_hint());
+                2 + commas(entries.len()) + members.sum::<usize>()
+            }
+        }
+    }
+
     /// Write this value as compact JSON onto `out`.
     pub fn write_into(&self, out: &mut String) {
         self.write_to(out).expect("writing to a String cannot fail");
@@ -366,8 +386,12 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
     let bytes = src.as_bytes();
     debug_assert_eq!(bytes[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
+    // The first run, up to the first quote or backslash, sizes the string:
+    // most strings are that run alone.
+    let start = *pos + 1;
+    *pos = run_end(bytes, start);
+    let mut out = String::with_capacity(*pos - start);
+    out.push_str(&src[start..*pos]);
     loop {
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
@@ -452,6 +476,30 @@ fn run_end(bytes: &[u8], mut i: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The hint is the encoding's exact length when nothing needs escaping
+    /// and no number is written, and never more than it otherwise.
+    #[test]
+    fn len_hint_sizes_the_encoding_from_below() {
+        let clean = Json::Obj(vec![
+            ("ok".into(), Json::Bool(true)),
+            ("serialized".into(), Json::Str("<w n=\u{27}1\u{27}>gesceaftum</w>".into())),
+            ("items".into(), Json::Arr(vec![Json::Str("a".into()), Json::Null, Json::Bool(false)])),
+            ("empty".into(), Json::Obj(vec![])),
+        ]);
+        let mut out = String::new();
+        clean.write_into(&mut out);
+        assert_eq!(clean.len_hint(), out.len(), "{out}");
+        for v in [
+            Json::Str("a \"quoted\"\n\\ line".into()),
+            Json::Arr(vec![Json::Num(12345.678), Json::Num(-1e300), Json::Num(0.0)]),
+            Json::Obj(vec![("k\"ey".into(), Json::Num(7.0))]),
+        ] {
+            let mut out = String::new();
+            v.write_into(&mut out);
+            assert!(v.len_hint() <= out.len(), "{} > {} for {out}", v.len_hint(), out.len());
+        }
+    }
 
     #[test]
     fn parser_handles_all_value_shapes() {

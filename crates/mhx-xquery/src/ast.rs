@@ -3,6 +3,7 @@
 //! Path steps reuse the XPath layer's [`NodeTest`] and [`Axis`]; predicates
 //! and all other sub-expressions are full XQuery expressions.
 
+use crate::functions::Callee;
 use crate::plan::{choose_strategy, StepStrategy};
 use mhx_goddag::Axis;
 use mhx_xpath::NodeTest;
@@ -181,9 +182,12 @@ pub enum QExpr {
     Number(f64),
     Var(String),
     ContextItem,
+    /// A function call; build one with [`QExpr::call`], which looks its
+    /// registry entry up once.
     Call {
         name: String,
         args: Vec<QExpr>,
+        callee: Callee,
     },
     Path {
         start: QPathStart,
@@ -198,14 +202,20 @@ pub enum QExpr {
 }
 
 impl QExpr {
+    /// A call of `name`, its registry entry resolved here, at compile time.
+    pub fn call(name: impl Into<String>, args: Vec<QExpr>) -> QExpr {
+        let name = name.into();
+        QExpr::Call { callee: Callee::of(&name), name, args }
+    }
+
     /// Does this expression (recursively) call a function that installs
     /// a temporary hierarchy (`analyze-string`)? Such an expression needs
     /// a mutable KyGODDAG and must not be reordered.
     pub fn uses_analyze_string(&self) -> bool {
         let mut found = false;
         self.walk(&mut |e| {
-            if let QExpr::Call { name, .. } = e {
-                found |= crate::functions::lookup(name).is_some_and(|f| f.installs_hierarchy);
+            if let QExpr::Call { callee, .. } = e {
+                found |= callee.entry().is_some_and(|f| f.installs_hierarchy);
             }
         });
         found
@@ -300,9 +310,9 @@ mod tests {
 
     #[test]
     fn uses_analyze_string_detection() {
-        let plain = QExpr::Call { name: "string".into(), args: vec![QExpr::ContextItem] };
+        let plain = QExpr::call("string", vec![QExpr::ContextItem]);
         assert!(!plain.uses_analyze_string());
-        let inner = QExpr::Call { name: "analyze-string".into(), args: vec![] };
+        let inner = QExpr::call("analyze-string", vec![]);
         let nested = QExpr::Flwor {
             clauses: vec![Clause::Let { var: "res".into(), expr: inner }],
             ret: Box::new(QExpr::Var("res".into())),
@@ -315,10 +325,7 @@ mod tests {
         let d = DirElem {
             name: "b".into(),
             attrs: vec![("k".into(), vec![AttrPiece::Expr(QExpr::Var("a".into()))])],
-            content: vec![Content::Expr(QExpr::Call {
-                name: "analyze-string".into(),
-                args: vec![],
-            })],
+            content: vec![Content::Expr(QExpr::call("analyze-string", vec![]))],
         };
         assert!(QExpr::DirElem(d).uses_analyze_string());
     }

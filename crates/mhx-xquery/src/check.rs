@@ -1,6 +1,7 @@
 //! XQuery's static check, run by [`CompiledXQuery::compile`]: every
-//! function call names a function of the registry ([`crate::functions`])
-//! with an argument count it takes, and every variable reference is bound
+//! function call names a function of the registry ([`crate::functions`]),
+//! whose entry the call holds since it was built ([`QExpr::call`]), with
+//! an argument count it takes, and every variable reference is bound
 //! by an enclosing clause — a FLWOR's `for` or `let`, or a quantifier's
 //! binding, which is a `for` clause too, so one arm checks both forms.
 //! Queries start from an empty variable environment. A failure is a
@@ -14,7 +15,6 @@
 
 use crate::ast::{Clause, QExpr};
 use crate::error::{Result, XQueryError, XQueryErrorKind};
-use crate::functions;
 
 /// The first static error of `ast`, in document order.
 pub(crate) fn check(ast: &QExpr) -> Result<()> {
@@ -29,8 +29,8 @@ fn expr<'a>(e: &'a QExpr, scope: &mut Vec<&'a str>) -> Result<()> {
         QExpr::Var(v) if !scope.contains(&v.as_str()) => {
             return Err(XQueryError::new(format!("unbound variable ${v}")));
         }
-        QExpr::Call { name, args } => {
-            functions::resolve(name, args.len())?;
+        QExpr::Call { name, args, callee } => {
+            callee.resolve(name, args.len())?;
         }
         QExpr::Flwor { clauses, ret: body }
         | QExpr::Quantified { binds: clauses, satisfies: body, .. } => {

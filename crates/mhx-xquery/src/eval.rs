@@ -9,6 +9,17 @@
 //! `order by` keeps tuples, those of the clauses before it. A predicate
 //! swaps each candidate in as the focus and the outer focus back after.
 //!
+//! Expressions evaluate into their caller's sequence
+//! ([`Evaluator::eval_into`]; [`Evaluator::eval`] wraps it), so an item is
+//! written once, where it ends up. Whatever needs a sequence of its own —
+//! an operand, a call's arguments, a step's answer — borrows one of the
+//! evaluator's spare sequences and gives it back emptied, on the error
+//! path too. A `for` binding is a one-item sequence that each tuple of its
+//! clause refills, a step from one node reads it as `&[n]`, and a call
+//! runs the registry entry its plan holds. Per tuple, `string($x/@n)`
+//! allocates the attribute step's candidate list and the answer's
+//! `String`, nothing else.
+//!
 //! Evaluation owns a clone-on-write handle to the KyGODDAG: read-only
 //! queries never copy; the first `analyze-string()` call clones so it can
 //! install temporary hierarchies, which die with the evaluator — the
@@ -136,13 +147,20 @@ impl IndexState<'_> {
 }
 
 /// The evaluator. Holds the (copy-on-write) KyGODDAG, the structural index
-/// over it, and the output arena for constructed nodes.
+/// over it, the output arena for constructed nodes, and the buffers it
+/// evaluates sub-expressions and call arguments into, reused from item to
+/// item.
 pub struct Evaluator<'g> {
     pub(crate) g: Cow<'g, Goddag>,
     pub(crate) out: Document,
     pub(crate) opts: EvalOptions,
     pub(crate) stats: EvalStats,
     index: IndexState<'g>,
+    /// Empty sequences with their capacity kept, a stack: an expression
+    /// that needs an intermediate sequence takes one and gives it back.
+    spare: Vec<Sequence>,
+    /// Argument lists, a stack like `spare`, every sequence in them empty.
+    pub(crate) spare_args: Vec<Vec<Sequence>>,
 }
 
 impl<'g> Evaluator<'g> {
@@ -153,6 +171,8 @@ impl<'g> Evaluator<'g> {
             opts,
             stats: EvalStats::default(),
             index: IndexState::None,
+            spare: Vec::new(),
+            spare_args: Vec::new(),
         }
     }
 
@@ -248,55 +268,60 @@ impl<'g> Evaluator<'g> {
     /// Evaluate an expression to a sequence. `env` is left as it was
     /// found, whether evaluation succeeds or fails.
     pub fn eval<'q>(&mut self, e: &'q QExpr, env: &mut Env<'q>) -> Result<Sequence> {
+        let mut out = Vec::new();
+        self.eval_into(e, env, &mut out)?;
+        Ok(out)
+    }
+
+    /// Evaluate an expression, appending its items to `out`, which may
+    /// already hold the caller's. On an error `out` may have gained part of
+    /// the answer, and the caller drops or empties it. `env` is left as it
+    /// was found either way.
+    pub fn eval_into<'q>(
+        &mut self,
+        e: &'q QExpr,
+        env: &mut Env<'q>,
+        out: &mut Sequence,
+    ) -> Result<()> {
         match e {
-            QExpr::Literal(s) => Ok(vec![Item::Str(s.clone())]),
-            QExpr::Number(n) => Ok(vec![Item::Num(*n)]),
-            QExpr::Var(v) => env
-                .get(v)
-                .cloned()
-                .ok_or_else(|| XQueryError::new(format!("unbound variable ${v}"))),
+            QExpr::Literal(s) => out.push(Item::Str(s.clone())),
+            QExpr::Number(n) => out.push(Item::Num(*n)),
+            QExpr::Var(v) => match env.get(v) {
+                Some(value) => out.extend_from_slice(value),
+                None => return Err(XQueryError::new(format!("unbound variable ${v}"))),
+            },
             QExpr::ContextItem => match &env.focus {
-                Some((item, _, _)) => Ok(vec![item.clone()]),
-                None => Err(XQueryError::new("no context item")),
+                Some((item, _, _)) => out.push(item.clone()),
+                None => return Err(XQueryError::new("no context item")),
             },
             QExpr::Sequence(es) => {
-                let mut out = Vec::new();
                 for e in es {
-                    out.extend(self.eval(e, env)?);
+                    self.eval_into(e, env, out)?;
                 }
-                Ok(out)
             }
             QExpr::Or(a, b) => {
-                let l = self.eval(a, env)?;
-                if self.ebv(&l)? {
-                    return Ok(vec![Item::Bool(true)]);
-                }
-                let r = self.eval(b, env)?;
-                Ok(vec![Item::Bool(self.ebv(&r)?)])
+                let v = self.ebv_of(a, env)? || self.ebv_of(b, env)?;
+                out.push(Item::Bool(v));
             }
             QExpr::And(a, b) => {
-                let l = self.eval(a, env)?;
-                if !self.ebv(&l)? {
-                    return Ok(vec![Item::Bool(false)]);
-                }
-                let r = self.eval(b, env)?;
-                Ok(vec![Item::Bool(self.ebv(&r)?)])
+                let v = self.ebv_of(a, env)? && self.ebv_of(b, env)?;
+                out.push(Item::Bool(v));
             }
             QExpr::Neg(e) => {
-                let v = self.eval(e, env)?;
-                match v.len() {
-                    0 => Ok(vec![]),
-                    1 => Ok(vec![Item::Num(-self.item_number(&v[0]))]),
-                    _ => Err(XQueryError::new("unary minus on a multi-item sequence")),
-                }
+                let n = self.eval_singleton_num(e, env, "unary minus on a multi-item sequence")?;
+                out.extend(n.map(|n| Item::Num(-n)));
             }
             QExpr::Arith { op, lhs, rhs } => {
-                arith(*op, self.eval_singleton_num(lhs, env)?, self.eval_singleton_num(rhs, env)?)
+                let what = "expected a singleton numeric operand";
+                let l = self.eval_singleton_num(lhs, env, what)?;
+                let r = self.eval_singleton_num(rhs, env, what)?;
+                out.extend(arith(*op, l, r)?.map(Item::Num));
             }
             QExpr::Range { lo, hi } => {
-                let l = self.eval_singleton_num(lo, env)?;
-                let h = self.eval_singleton_num(hi, env)?;
-                let (Some(l), Some(h)) = (l, h) else { return Ok(vec![]) };
+                let what = "expected a singleton numeric operand";
+                let l = self.eval_singleton_num(lo, env, what)?;
+                let h = self.eval_singleton_num(hi, env, what)?;
+                let (Some(l), Some(h)) = (l, h) else { return Ok(()) };
                 // NaN and the infinities have no whole part either.
                 if let Some(b) = [l, h].into_iter().find(|b| b.fract() != 0.0) {
                     let b = mhx_xpath::value::format_number(b);
@@ -308,94 +333,116 @@ impl<'g> Evaluator<'g> {
                         "range {l} to {h} is longer than {MAX_RANGE} items"
                     )));
                 }
-                Ok((l..=h).map(|i| Item::Num(i as f64)).collect())
+                out.extend((l..=h).map(|i| Item::Num(i as f64)));
             }
             QExpr::Compare { op, lhs, rhs } => {
-                let (l, r) = (self.eval(lhs, env)?, self.eval(rhs, env)?);
-                self.compare(*op, &l, &r)
+                let v = self.with_buf(|ev, l| {
+                    ev.eval_into(lhs, env, l)?;
+                    ev.with_buf(|ev, r| {
+                        ev.eval_into(rhs, env, r)?;
+                        ev.compare(*op, l, r)
+                    })
+                })?;
+                out.extend(v.map(Item::Bool));
             }
-            QExpr::Union(a, b) => {
-                let mut l = self.eval(a, env)?;
-                let r = self.eval(b, env)?;
-                l.extend(r);
-                if l.iter().any(|i| !i.is_node()) {
+            QExpr::Union(a, b) => self.with_buf(|ev, both| {
+                ev.eval_into(a, env, both)?;
+                ev.eval_into(b, env, both)?;
+                if both.iter().any(|i| !i.is_node()) {
                     return Err(XQueryError::new("`|` requires node operands"));
                 }
-                self.sort_dedup_items(&mut l);
-                Ok(l)
-            }
+                ev.sort_dedup_items(both);
+                out.append(both);
+                Ok(())
+            })?,
             QExpr::If { cond, then, els } => {
-                let c = self.eval(cond, env)?;
-                if self.ebv(&c)? {
-                    self.eval(then, env)
-                } else {
-                    self.eval(els, env)
-                }
+                let branch = if self.ebv_of(cond, env)? { then } else { els };
+                self.eval_into(branch, env, out)?;
             }
             QExpr::Quantified { every, binds, satisfies } => {
                 // The answer unless some tuple decides otherwise.
                 let mut answer = *every;
                 self.tuples(binds, env, &mut |ev, env| {
-                    let v = ev.eval(satisfies, env)?;
-                    if ev.ebv(&v)? == *every {
+                    if ev.ebv_of(satisfies, env)? == *every {
                         return Ok(true);
                     }
                     answer = !*every;
                     Ok(false)
                 })?;
-                Ok(vec![Item::Bool(answer)])
+                out.push(Item::Bool(answer));
             }
             QExpr::Flwor { clauses, ret } => {
-                let mut out = Vec::new();
                 self.tuples(clauses, env, &mut |ev, env| {
-                    out.extend(ev.eval(ret, env)?);
+                    ev.eval_into(ret, env, out)?;
                     Ok(true)
                 })?;
-                Ok(out)
             }
-            QExpr::Call { name, args } => crate::functions::call(self, name, args, env),
-            QExpr::Filter { base, predicates } => {
-                let mut items = self.eval(base, env)?;
+            QExpr::Call { name, args, callee } => {
+                crate::functions::call_into(self, name, *callee, args, env, out)?
+            }
+            QExpr::Filter { base, predicates } => self.with_buf(|ev, items| {
+                ev.eval_into(base, env, items)?;
                 for p in predicates {
-                    items = self.apply_predicate(items, p, env, false)?;
+                    ev.apply_predicate(items, p, env, false)?;
                 }
-                Ok(items)
-            }
-            QExpr::Path { start, steps } => self.eval_path(start, steps, env),
+                out.append(items);
+                Ok(())
+            })?,
+            QExpr::Path { start, steps } => self.eval_path(start, steps, env, out)?,
             QExpr::DirElem(d) => {
                 let o = self.eval_constructor(d, env)?;
-                Ok(vec![Item::ONode(o)])
+                out.push(Item::ONode(o));
             }
         }
+        Ok(())
     }
 
-    fn eval_singleton_num<'q>(&mut self, e: &'q QExpr, env: &mut Env<'q>) -> Result<Option<f64>> {
-        let v = self.eval(e, env)?;
-        match v.len() {
-            0 => Ok(None),
-            1 => Ok(Some(self.item_number(&v[0]))),
-            _ => Err(XQueryError::new("expected a singleton numeric operand")),
-        }
+    /// Run `f` on an empty sequence from the evaluator's spares, and give
+    /// the sequence back emptied, whether `f` succeeds or fails.
+    fn with_buf<T>(&mut self, f: impl FnOnce(&mut Self, &mut Sequence) -> Result<T>) -> Result<T> {
+        let mut buf = self.spare.pop().unwrap_or_default();
+        let result = f(self, &mut buf);
+        buf.clear();
+        self.spare.push(buf);
+        result
     }
 
-    fn compare(&self, op: Comp, l: &[Item], r: &[Item]) -> Result<Sequence> {
+    /// The effective boolean value of `e`.
+    fn ebv_of<'q>(&mut self, e: &'q QExpr, env: &mut Env<'q>) -> Result<bool> {
+        self.with_buf(|ev, v| {
+            ev.eval_into(e, env, v)?;
+            ev.ebv(v)
+        })
+    }
+
+    /// `e` as at most one number; `what` is the error for more items.
+    fn eval_singleton_num<'q>(
+        &mut self,
+        e: &'q QExpr,
+        env: &mut Env<'q>,
+        what: &str,
+    ) -> Result<Option<f64>> {
+        self.with_buf(|ev, v| {
+            ev.eval_into(e, env, v)?;
+            match v.as_slice() {
+                [] => Ok(None),
+                [item] => Ok(Some(ev.item_number(item))),
+                _ => Err(XQueryError::new(what)),
+            }
+        })
+    }
+
+    /// `l op r`: a boolean, or nothing for a value or node comparison with
+    /// an empty operand.
+    fn compare(&self, op: Comp, l: &[Item], r: &[Item]) -> Result<Option<bool>> {
         match op {
             Comp::Eq | Comp::Ne | Comp::Lt | Comp::Le | Comp::Gt | Comp::Ge => {
                 // General comparison: existential over atomized pairs.
-                let mut found = false;
-                'outer: for a in l {
-                    for b in r {
-                        if self.compare_pair(op, a, b) {
-                            found = true;
-                            break 'outer;
-                        }
-                    }
-                }
-                Ok(vec![Item::Bool(found)])
+                Ok(Some(l.iter().any(|a| r.iter().any(|b| self.compare_pair(op, a, b)))))
             }
             Comp::VEq | Comp::VNe | Comp::VLt | Comp::VLe | Comp::VGt | Comp::VGe => {
                 if l.is_empty() || r.is_empty() {
-                    return Ok(vec![]);
+                    return Ok(None);
                 }
                 if l.len() > 1 || r.len() > 1 {
                     return Err(XQueryError::new("value comparison on multi-item sequence"));
@@ -409,11 +456,11 @@ impl<'g> Evaluator<'g> {
                     Comp::VGe => Comp::Ge,
                     _ => unreachable!("value comparisons only"),
                 };
-                Ok(vec![Item::Bool(self.compare_pair(g, &l[0], &r[0]))])
+                Ok(Some(self.compare_pair(g, &l[0], &r[0])))
             }
             Comp::Is | Comp::Before | Comp::After => {
                 if l.is_empty() || r.is_empty() {
-                    return Ok(vec![]);
+                    return Ok(None);
                 }
                 if l.len() > 1 || r.len() > 1 {
                     return Err(XQueryError::new("node comparison on multi-item sequence"));
@@ -441,7 +488,7 @@ impl<'g> Evaluator<'g> {
                     (Item::ONode(_), Item::Node(_)) => matches!(op, Comp::After),
                     _ => return Err(XQueryError::new("node comparison on non-node items")),
                 };
-                Ok(vec![Item::Bool(result)])
+                Ok(Some(result))
             }
         }
     }
@@ -499,8 +546,10 @@ impl<'g> Evaluator<'g> {
     /// `order by` first collects the tuples of the clauses before it, with
     /// copies of their bindings, and sorts them stably. The `let` and
     /// `where` clauses before the first `for` bind once, outside those
-    /// tuples, as they do without `order by`. Every binding is popped
-    /// again before this returns, on the error path too.
+    /// tuples, as they do without `order by`. A `for` binding is one
+    /// one-item sequence that every tuple of its clause reuses, so binding
+    /// an item allocates nothing. Every binding is popped again before
+    /// this returns, on the error path too.
     fn tuples<'q>(
         &mut self,
         clauses: &'q [Clause],
@@ -550,20 +599,27 @@ impl<'g> Evaluator<'g> {
         }
         let Some((clause, rest)) = clauses.split_first() else { return body(self, env) };
         match clause {
-            Clause::For { var, at, seq } => {
-                for (i, item) in self.eval(seq, env)?.into_iter().enumerate() {
-                    env.vars.push((var, vec![item]));
+            Clause::For { var, at, seq } => self.with_buf(|ev, items| {
+                ev.eval_into(seq, env, items)?;
+                let (mut item_buf, mut at_buf) = (Vec::new(), Vec::new());
+                for (i, item) in items.drain(..).enumerate() {
+                    item_buf.push(item);
+                    env.vars.push((var, item_buf));
                     if let Some(at) = at {
-                        env.vars.push((at, vec![Item::Num((i + 1) as f64)]));
+                        at_buf.push(Item::Num((i + 1) as f64));
+                        env.vars.push((at, at_buf));
                     }
-                    let go_on = self.tuples(rest, env, body);
+                    let go_on = ev.tuples(rest, env, body);
+                    // Take the one-item sequences back for the next tuple.
+                    at_buf = if at.is_some() { pop_binding(env) } else { Vec::new() };
+                    item_buf = pop_binding(env);
                     env.vars.truncate(outer);
                     if !go_on? {
                         return Ok(false);
                     }
                 }
                 Ok(true)
-            }
+            }),
             Clause::Let { var, expr } => {
                 let v = self.eval(expr, env)?;
                 env.vars.push((var, v));
@@ -572,8 +628,7 @@ impl<'g> Evaluator<'g> {
                 go_on
             }
             Clause::Where(cond) => {
-                let v = self.eval(cond, env)?;
-                if self.ebv(&v)? {
+                if self.ebv_of(cond, env)? {
                     self.tuples(rest, env, body)
                 } else {
                     Ok(true)
@@ -585,38 +640,58 @@ impl<'g> Evaluator<'g> {
 
     // ---------- paths ----------
 
+    /// A path's answer onto `out`: the start, then each step from the
+    /// previous step's answer, which is the tail of `out` being replaced.
     fn eval_path<'q>(
         &mut self,
         start: &'q QPathStart,
         steps: &'q [QStep],
         env: &mut Env<'q>,
-    ) -> Result<Sequence> {
-        let mut current: Sequence = match start {
-            QPathStart::Root => vec![Item::Node(NodeId::Root)],
+        out: &mut Sequence,
+    ) -> Result<()> {
+        let mark = out.len();
+        match start {
+            QPathStart::Root => out.push(Item::Node(NodeId::Root)),
             QPathStart::Context => match &env.focus {
-                Some((item, _, _)) => vec![item.clone()],
+                Some((item, _, _)) => out.push(item.clone()),
                 None => return Err(XQueryError::new("relative path with no context item")),
             },
-            QPathStart::Expr(e) => self.eval(e, env)?,
-        };
-        for step in steps {
-            current = self.eval_step(&current, step, env)?;
+            QPathStart::Expr(e) => self.eval_into(e, env, out)?,
         }
-        Ok(current)
+        for step in steps {
+            self.with_buf(|ev, next| {
+                ev.eval_step(&out[mark..], step, env, next)?;
+                if mark == 0 {
+                    // The step's answer is all of `out`: trade buffers.
+                    std::mem::swap(out, next);
+                } else {
+                    out.truncate(mark);
+                    out.append(next);
+                }
+                Ok(())
+            })?;
+        }
+        Ok(())
     }
 
+    /// One step from `input` into `out`, which must be empty: its answer
+    /// in document order, duplicates dropped.
     pub(crate) fn eval_step<'q>(
         &mut self,
         input: &[Item],
         step: &'q QStep,
         env: &mut Env<'q>,
-    ) -> Result<Sequence> {
+        out: &mut Sequence,
+    ) -> Result<()> {
+        debug_assert!(out.is_empty(), "a step answers into an empty sequence");
         // Containment-chain join: this step absorbed a predicate-free
         // `descendant::<outer>` step. Over pure KyGODDAG input the pair
         // resolves as one merge join over the laminar containment chains;
         // anything else (constructed nodes in the context) falls back to
         // the two steps the join stands for.
-        let Some(outer_name) = &step.chain_outer else { return self.plain_step(input, step, env) };
+        let Some(outer_name) = &step.chain_outer else {
+            return self.plain_step(input, step, env, out);
+        };
         let Some(ctxs) = goddag_nodes(input) else {
             let outer = QStep::new(
                 Axis::Descendant,
@@ -624,8 +699,9 @@ impl<'g> Evaluator<'g> {
                 Vec::new(),
             );
             // Predicate-free: the outer step reads no environment.
-            let mid = self.plain_step(input, &outer, &mut Env::default())?;
-            return self.plain_step(&mid, step, env);
+            let mut mid = Vec::new();
+            self.plain_step(input, &outer, &mut Env::default(), &mut mid)?;
+            return self.plain_step(&mid, step, env, out);
         };
         let NodeTest::Name { name, .. } = &step.test else {
             unreachable!("chain joins are only planned for plain name tests");
@@ -636,21 +712,21 @@ impl<'g> Evaluator<'g> {
         self.ensure_index();
         let g = self.g.as_ref();
         let idx = self.index.get().expect("ensure_index populated the slot");
-        let items: Sequence = idx
-            .descendant_chain_batch(g, outer_name, name, &ctxs)
-            .into_iter()
-            .map(Item::Node)
-            .collect();
-        self.apply_free_predicates(items, step, env)
+        out.extend(
+            idx.descendant_chain_batch(g, outer_name, name, &ctxs).into_iter().map(Item::Node),
+        );
+        self.apply_free_predicates(out, step, env)
     }
 
-    /// One step as written, leaving aside any chain join it absorbed.
+    /// One step as written, leaving aside any chain join it absorbed, into
+    /// `out`, which is empty.
     fn plain_step<'q>(
         &mut self,
         input: &[Item],
         step: &'q QStep,
         env: &mut Env<'q>,
-    ) -> Result<Sequence> {
+        out: &mut Sequence,
+    ) -> Result<()> {
         // `.` — a predicate-free `self::node()` step from one node — is that
         // node: the hot case of per-candidate predicates such as
         // `[contains(string(.), 'x')]`, answered without a step pass.
@@ -660,7 +736,8 @@ impl<'g> Evaluator<'g> {
                 && step.test == (NodeTest::AnyNode { hierarchies: None })
                 && step.predicates.is_empty()
             {
-                return Ok(vec![item.clone()]);
+                out.push(item.clone());
+                return Ok(());
             }
         }
         // Batched fast path: a pure KyGODDAG node set and either no
@@ -676,78 +753,98 @@ impl<'g> Evaluator<'g> {
             if step.rewritten {
                 self.stats.rewritten_steps += 1;
             }
-            let items: Sequence =
-                self.step_candidates(step, &ctxs).into_iter().map(Item::Node).collect();
-            return self.apply_free_predicates(items, step, env);
+            out.extend(self.step_candidates(step, &ctxs).into_iter().map(Item::Node));
+            return self.apply_free_predicates(out, step, env);
         }
         if step.rewritten {
             self.stats.rewritten_steps += 1;
         }
-        let mut out: Sequence = Vec::new();
         for item in input {
-            let candidates: Sequence = match item {
-                // One context at a time, the index re-checked each time: a
-                // predicate's `analyze-string()` mutates the goddag, and the
-                // next context must see it, exactly like the naive walk.
-                Item::Node(n) => {
-                    self.step_candidates(step, &[*n]).into_iter().map(Item::Node).collect()
+            self.with_buf(|ev, candidates| {
+                match item {
+                    // One context at a time, the index re-checked each
+                    // time: a predicate's `analyze-string()` mutates the
+                    // goddag, and the next context must see it, exactly
+                    // like the naive walk.
+                    Item::Node(n) => {
+                        let nodes = ev.step_candidates(step, std::slice::from_ref(n));
+                        candidates.extend(nodes.into_iter().map(Item::Node));
+                    }
+                    Item::ONode(o) => ev.onode_axis(*o, step.axis, &step.test, candidates)?,
+                    _ => return Err(XQueryError::new("path step applied to an atomic value")),
                 }
-                Item::ONode(o) => self.onode_axis(*o, step.axis, &step.test)?,
-                _ => {
-                    return Err(XQueryError::new("path step applied to an atomic value"));
+                for p in &step.predicates {
+                    ev.apply_predicate(candidates, p, env, step.axis.is_reverse())?;
                 }
-            };
-            let mut candidates = candidates;
-            for p in &step.predicates {
-                candidates = self.apply_predicate(candidates, p, env, step.axis.is_reverse())?;
-            }
-            out.extend(candidates);
+                out.append(candidates);
+                Ok(())
+            })?;
         }
-        self.sort_dedup_items(&mut out);
-        Ok(out)
+        self.sort_dedup_items(out);
+        Ok(())
     }
 
-    /// Predicate application with position()/last() focus; numeric
-    /// predicate = position shorthand. A numeric literal keeps the item at
-    /// its position without evaluating anything per item: the `k`-th, or on
-    /// a reverse axis the `k`-th from the end; nothing unless `k` is a whole
-    /// number in `1..=size`.
+    /// Predicate application with position()/last() focus, in place;
+    /// numeric predicate = position shorthand. A numeric literal keeps the
+    /// item at its position without evaluating anything per item: the
+    /// `k`-th, or on a reverse axis the `k`-th from the end; nothing unless
+    /// `k` is a whole number in `1..=size`. On an error `items` holds no
+    /// particular items.
     pub(crate) fn apply_predicate<'q>(
         &mut self,
-        mut items: Sequence,
+        items: &mut Sequence,
         pred: &'q QExpr,
         env: &mut Env<'q>,
         reverse: bool,
-    ) -> Result<Sequence> {
+    ) -> Result<()> {
         let size = items.len();
         if let QExpr::Number(k) = *pred {
             if k.fract() != 0.0 || !(1.0..=size as f64).contains(&k) {
-                return Ok(Vec::new());
+                items.clear();
+                return Ok(());
             }
             let k = k as usize;
-            return Ok(vec![items.swap_remove(if reverse { size - k } else { k - 1 })]);
+            let kept = items.swap_remove(if reverse { size - k } else { k - 1 });
+            items.clear();
+            items.push(kept);
+            return Ok(());
         }
         let outer = env.focus.take();
-        let out = Vec::with_capacity(size);
-        let kept = items.into_iter().enumerate().try_fold(out, |mut out, (i, item)| {
+        // The kept items move to the front, in order.
+        let mut kept = 0;
+        let mut result = Ok(());
+        for i in 0..size {
             let position = if reverse { size - i } else { i + 1 };
+            let item = std::mem::replace(&mut items[i], Item::Bool(false));
             env.focus = Some((item, position, size));
-            let keep = self.eval(pred, env).and_then(|v| match v.as_slice() {
-                [Item::Num(n)] => Ok((position as f64) == *n),
-                other => self.ebv(other),
+            let keep = self.with_buf(|ev, v| {
+                ev.eval_into(pred, env, v)?;
+                match v.as_slice() {
+                    [Item::Num(n)] => Ok((position as f64) == *n),
+                    other => ev.ebv(other),
+                }
             });
             let (item, _, _) = env.focus.take().expect("evaluation restores the focus");
-            if keep? {
-                out.push(item);
+            items[i] = item;
+            match keep {
+                Ok(true) => {
+                    items.swap(kept, i);
+                    kept += 1;
+                }
+                Ok(false) => {}
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
             }
-            Ok(out)
-        });
+        }
+        items.truncate(kept);
         env.focus = outer;
-        kept
+        result
     }
 
     /// Apply an all-free (position-free, pure) predicate list to a batched
-    /// candidate set, honouring the optimizer's annotations:
+    /// candidate set in place, honouring the optimizer's annotations:
     ///
     /// * predicates run in [`crate::opt::stats_order`] (per-document name
     ///   frequencies, not the fixed weight table);
@@ -761,12 +858,12 @@ impl<'g> Evaluator<'g> {
     /// stays current across the whole list.
     fn apply_free_predicates<'q>(
         &mut self,
-        mut items: Sequence,
+        items: &mut Sequence,
         step: &'q QStep,
         env: &mut Env<'q>,
-    ) -> Result<Sequence> {
+    ) -> Result<()> {
         if step.predicates.is_empty() {
-            return Ok(items);
+            return Ok(());
         }
         self.ensure_index();
         let order = {
@@ -780,13 +877,19 @@ impl<'g> Evaluator<'g> {
             }
             let pred = &step.predicates[pi];
             if step.pred_hoistable.get(pi).copied().unwrap_or(false) {
-                let v = self.eval(pred, env)?;
                 // Hoisted predicates are statically never numeric; keep
                 // the positional shorthand safe anyway by falling through
                 // to the per-candidate rule if a number shows up.
-                if !matches!(v.as_slice(), [Item::Num(_)]) {
+                let hoisted = self.with_buf(|ev, v| {
+                    ev.eval_into(pred, env, v)?;
+                    match v.as_slice() {
+                        [Item::Num(_)] => Ok(None),
+                        v => ev.ebv(v).map(Some),
+                    }
+                })?;
+                if let Some(keep) = hoisted {
                     self.stats.hoisted_preds += 1;
-                    if !self.ebv(&v)? {
+                    if !keep {
                         items.clear();
                         break;
                     }
@@ -794,12 +897,10 @@ impl<'g> Evaluator<'g> {
                 }
             }
             if let Some(Some((axis, test))) = step.pred_probes.get(pi) {
-                let axis = *axis;
                 let g = self.g.as_ref();
                 let idx = self.index.get().expect("ensure_index populated the slot");
-                let mut has = idx.witnessed(g, axis, plan::element_name(test), |w| {
-                    mhx_xpath::node_test_matches(g, axis, w, test)
-                });
+                let keep = plan::lookup_test(g, *axis, test);
+                let mut has = idx.witnessed(g, *axis, plan::element_name(test), keep);
                 items.retain(|it| match it {
                     Item::Node(n) => has(*n),
                     _ => unreachable!("the batched paths only carry goddag nodes"),
@@ -807,17 +908,18 @@ impl<'g> Evaluator<'g> {
                 used_probe = true;
                 continue;
             }
-            items = self.apply_predicate(items, pred, env, step.axis.is_reverse())?;
+            self.apply_predicate(items, pred, env, step.axis.is_reverse())?;
         }
         if used_probe {
             self.stats.early_exit_steps += 1;
         }
-        Ok(items)
+        Ok(())
     }
 
-    /// Standard axes over constructed nodes (output arena). Extended axes
-    /// and hierarchy-parameterized tests make no sense there and error.
-    fn onode_axis(&self, o: OutId, axis: Axis, test: &NodeTest) -> Result<Sequence> {
+    /// Standard axes over constructed nodes (output arena), onto `out`.
+    /// Extended axes and hierarchy-parameterized tests make no sense there
+    /// and error.
+    fn onode_axis(&self, o: OutId, axis: Axis, test: &NodeTest, out: &mut Sequence) -> Result<()> {
         let nodes: Vec<OutId> = match axis {
             Axis::Child => self.out.children(o).collect(),
             Axis::Descendant => self.out.descendants(o).collect(),
@@ -865,7 +967,8 @@ impl<'g> Evaluator<'g> {
                 )));
             }
         };
-        Ok(nodes.into_iter().filter(|&m| self.onode_test(m, test)).map(Item::ONode).collect())
+        out.extend(nodes.into_iter().filter(|&m| self.onode_test(m, test)).map(Item::ONode));
+        Ok(())
     }
 
     fn onode_test(&self, o: OutId, test: &NodeTest) -> bool {
@@ -1023,9 +1126,20 @@ impl<'g> Evaluator<'g> {
     }
 }
 
-/// The items of `input` as KyGODDAG nodes, if they all are.
-fn goddag_nodes(input: &[Item]) -> Option<Vec<NodeId>> {
-    input.iter().map(Item::as_goddag_node).collect()
+/// The items of `input` as KyGODDAG nodes, if they all are; one node is
+/// read in place, as `&[n]`.
+fn goddag_nodes(input: &[Item]) -> Option<Cow<'_, [NodeId]>> {
+    match input {
+        [Item::Node(n)] => Some(Cow::Borrowed(std::slice::from_ref(n))),
+        _ => input.iter().map(Item::as_goddag_node).collect::<Option<_>>().map(Cow::Owned),
+    }
+}
+
+/// The innermost binding's sequence, popped and emptied for reuse.
+fn pop_binding(env: &mut Env<'_>) -> Sequence {
+    let (_, mut v) = env.vars.pop().expect("a tuple leaves its bindings as it found them");
+    v.clear();
+    v
 }
 
 #[derive(Debug, Clone)]
@@ -1068,10 +1182,10 @@ fn cmp_ord(op: Comp, a: &bool, b: &bool) -> bool {
     }
 }
 
-/// `a op b`, or the empty sequence if an operand is empty.
-fn arith(op: ArithOp, a: Option<f64>, b: Option<f64>) -> Result<Sequence> {
-    let (Some(a), Some(b)) = (a, b) else { return Ok(vec![]) };
-    let v = match op {
+/// `a op b`, or nothing if an operand is empty.
+fn arith(op: ArithOp, a: Option<f64>, b: Option<f64>) -> Result<Option<f64>> {
+    let (Some(a), Some(b)) = (a, b) else { return Ok(None) };
+    Ok(Some(match op {
         ArithOp::Add => a + b,
         ArithOp::Sub => a - b,
         ArithOp::Mul => a * b,
@@ -1079,8 +1193,7 @@ fn arith(op: ArithOp, a: Option<f64>, b: Option<f64>) -> Result<Sequence> {
         ArithOp::IDiv if b == 0.0 => return Err(XQueryError::new("integer division by zero")),
         ArithOp::IDiv => (a / b).trunc(),
         ArithOp::Mod => a % b,
-    };
-    Ok(vec![Item::Num(v)])
+    }))
 }
 
 #[cfg(test)]
@@ -1134,6 +1247,71 @@ mod tests {
                 }
                 assert_eq!(env, outer(), "`{q}`");
             }
+        }
+    }
+
+    /// An evaluator reuses its argument and scratch sequences: after a
+    /// call or an operand fails part-way through filling one, the next
+    /// expression that reuses it answers exactly as a fresh evaluator does.
+    #[test]
+    fn reused_buffers_start_empty_after_an_error() {
+        let g = GoddagBuilder::new()
+            .hierarchy("w", r#"<r><w n="1">a</w><w n="2">b</w></r>"#)
+            .build()
+            .unwrap();
+        let failing = [
+            "concat('a', (1, 1 idiv 0))",
+            "concat(string(/descendant::w[1]/@n), ('b', 1 idiv 0))",
+            "string-join((/descendant::w, 1 idiv 0), '-')",
+            "count((1, 2, 3)[. idiv 0])",
+            "(1, 2) = (3, 4 idiv 0)",
+            "for $x in (1, 2) return concat('x', ($x, $x idiv 0))",
+            "/descendant::w[string(@n) = string(1 idiv 0)]",
+            "(/descendant::w, /descendant::w/@n, 1 idiv 0) | /descendant::w",
+        ];
+        let reusing = [
+            "concat('x', 'y')",
+            "concat(string(/descendant::w[2]/@n), 'z')",
+            "string-join(/descendant::w/@n, '-')",
+            "count((1, 2, 3)[. > 1])",
+            "(1, 2) = (2, 3)",
+            "for $x in /descendant::w return concat(string($x), string($x/@n))",
+            "/descendant::w[string(@n) = '2']",
+            "count(/descendant::w | /descendant::w/@n)",
+        ];
+        let fresh = |q: &str| {
+            let ast = parse_query(q).unwrap();
+            Evaluator::new(&g, EvalOptions::default()).eval(&ast, &mut Env::default()).unwrap()
+        };
+        let mut ev = Evaluator::new(&g, EvalOptions::default());
+        for bad in failing {
+            let ast = parse_query(bad).unwrap();
+            let err = ev.eval(&ast, &mut Env::default()).unwrap_err();
+            assert!(err.msg.contains("division by zero"), "`{bad}`: {err}");
+            for q in reusing {
+                let ast = parse_query(q).unwrap();
+                let got = ev.eval(&ast, &mut Env::default()).unwrap();
+                assert_eq!(got, fresh(q), "`{q}` after `{bad}`");
+            }
+        }
+    }
+
+    /// A call the registry does not offer, or with an argument count its
+    /// entry refuses, fails at evaluation when the plan was never
+    /// compiled, before any argument is evaluated.
+    #[test]
+    fn uncompiled_calls_fail_cleanly() {
+        let g = GoddagBuilder::new().hierarchy("w", "<r><w>a</w></r>").build().unwrap();
+        for (q, want) in [
+            ("nosuch(1 idiv 0)", "unknown function nosuch()"),
+            ("count((1, 2), 1 idiv 0)", "count() expects 1..1 arguments, got 2"),
+            ("concat('a')", "concat() needs at least 2 arguments"),
+        ] {
+            let ast = parse_query(q).unwrap();
+            let err = Evaluator::new(&g, EvalOptions::default())
+                .eval(&ast, &mut Env::default())
+                .unwrap_err();
+            assert_eq!(err.msg, want, "`{q}`");
         }
     }
 }

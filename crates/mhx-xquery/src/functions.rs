@@ -33,7 +33,9 @@ pub(crate) enum Reads {
     Focus,
 }
 
-type Imp = fn(&mut Evaluator<'_>, &[Sequence], &Env<'_>) -> Result<Sequence>;
+/// An implementation: the evaluated arguments in, the answer appended to
+/// the last parameter, which may already hold the caller's items.
+type Imp = fn(&mut Evaluator<'_>, &[Sequence], &Env<'_>, &mut Sequence) -> Result<()>;
 
 /// One function: everything the pipeline knows about it.
 pub(crate) struct Function {
@@ -109,31 +111,37 @@ impl Function {
 /// Every argument converts to a string.
 const STRINGS: &[Ty] = &[Str];
 
-/// Sorted by name, for [`lookup`].
+/// Sorted by name, for [`Callee::of`].
 static REGISTRY: &[Function] = &[
-    xq("abs", (1, 1), Num, |ev, v, _| num(one_number(ev, &v[0], "abs")?.abs())),
+    xq("abs", (1, 1), Num, |ev, v, _, out| num(out, one_number(ev, &v[0], "abs")?.abs())),
     Function {
         installs_hierarchy: true,
         ..xq("analyze-string", (2, 2), Nodes, analyze_string).regex()
     },
-    xq("avg", (1, 1), Num, |ev, v, _| {
+    xq("avg", (1, 1), Num, |ev, v, _, out| {
         let total: f64 = v[0].iter().map(|i| ev.item_number(i)).sum();
-        Ok(if v[0].is_empty() { vec![] } else { vec![Item::Num(total / v[0].len() as f64)] })
+        if !v[0].is_empty() {
+            out.push(Item::Num(total / v[0].len() as f64));
+        }
+        Ok(())
     }),
-    xp("boolean", (1, 1), &[Bool], Bool, |ev, v, _| boolean(ev.ebv(&v[0])?)),
-    xp("ceiling", (1, 1), &[Num], Num, |ev, v, _| num(one_number(ev, &v[0], "ceiling")?.ceil())),
-    xp("concat", (2, usize::MAX), STRINGS, Str, |ev, v, _| {
-        string(v.iter().map(|seq| one_string(ev, seq, "concat")).collect::<Result<_>>()?)
+    xp("boolean", (1, 1), &[Bool], Bool, |ev, v, _, out| boolean(out, ev.ebv(&v[0])?)),
+    xp("ceiling", (1, 1), &[Num], Num, |ev, v, _, out| {
+        num(out, one_number(ev, &v[0], "ceiling")?.ceil())
     }),
-    xp("contains", (2, 2), STRINGS, Bool, |ev, v, _| {
+    xp("concat", (2, usize::MAX), STRINGS, Str, |ev, v, _, out| {
+        string(out, v.iter().map(|seq| one_string(ev, seq, "concat")).collect::<Result<_>>()?)
+    }),
+    xp("contains", (2, 2), STRINGS, Bool, |ev, v, _, out| {
         let [s, part] = strings(ev, v, "contains")?;
-        boolean(s.contains(&part))
+        boolean(out, s.contains(&part))
     }),
-    xp("count", (1, 1), &[Nodes], Num, |_, v, _| num(v[0].len() as f64)),
-    xq("data", (1, 1), Unknown, |ev, v, _| {
-        Ok(v[0].iter().map(|i| Item::Str(ev.item_string(i))).collect())
+    xp("count", (1, 1), &[Nodes], Num, |_, v, _, out| num(out, v[0].len() as f64)),
+    xq("data", (1, 1), Unknown, |ev, v, _, out| {
+        out.extend(v[0].iter().map(|i| Item::Str(ev.item_string(i))));
+        Ok(())
     }),
-    xq("distinct-values", (1, 1), Unknown, |ev, v, _| {
+    xq("distinct-values", (1, 1), Unknown, |ev, v, _, out| {
         let mut seen: Vec<String> = Vec::new();
         for item in &v[0] {
             let s = ev.item_string(item);
@@ -141,146 +149,163 @@ static REGISTRY: &[Function] = &[
                 seen.push(s);
             }
         }
-        Ok(seen.into_iter().map(Item::Str).collect())
+        out.extend(seen.into_iter().map(Item::Str));
+        Ok(())
     }),
-    xq("empty", (1, 1), Bool, |_, v, _| boolean(v[0].is_empty())),
-    xp("ends-with", (2, 2), STRINGS, Bool, |ev, v, _| {
+    xq("empty", (1, 1), Bool, |_, v, _, out| boolean(out, v[0].is_empty())),
+    xp("ends-with", (2, 2), STRINGS, Bool, |ev, v, _, out| {
         let [s, part] = strings(ev, v, "ends-with")?;
-        boolean(s.ends_with(&part))
+        boolean(out, s.ends_with(&part))
     }),
-    xq("exists", (1, 1), Bool, |_, v, _| boolean(!v[0].is_empty())),
-    xp("false", (0, 0), &[], Bool, |_, _, _| boolean(false)),
-    xp("floor", (1, 1), &[Num], Num, |ev, v, _| num(one_number(ev, &v[0], "floor")?.floor())),
-    xq("hierarchies", (0, 0), Unknown, |ev, _, _| {
-        Ok(ev.goddag().hierarchies().map(|(_, h)| Item::Str(h.name.clone())).collect())
+    xq("exists", (1, 1), Bool, |_, v, _, out| boolean(out, !v[0].is_empty())),
+    xp("false", (0, 0), &[], Bool, |_, _, _, out| boolean(out, false)),
+    xp("floor", (1, 1), &[Num], Num, |ev, v, _, out| {
+        num(out, one_number(ev, &v[0], "floor")?.floor())
     }),
-    xp("hierarchy", (0, 1), &[Nodes], Str, |ev, v, env| {
-        string(match arg_or_context(v, env)?.first() {
+    xq("hierarchies", (0, 0), Unknown, |ev, _, _, out| {
+        out.extend(ev.goddag().hierarchies().map(|(_, h)| Item::Str(h.name.clone())));
+        Ok(())
+    }),
+    xp("hierarchy", (0, 1), &[Nodes], Str, |ev, v, env, out| {
+        let name = match arg_or_context(v, env)?.first() {
             Some(Item::Node(n)) => {
                 n.hierarchy().map(|h| ev.goddag().hierarchy(h).name.clone()).unwrap_or_default()
             }
             _ => String::new(),
-        })
+        };
+        string(out, name)
     })
     .reading(Reads::ContextItem),
-    xq("insert-before", (3, 3), Unknown, |ev, v, _| {
+    xq("insert-before", (3, 3), Unknown, |ev, v, _, out| {
         let pos = round(one_number(ev, &v[1], "insert-before")?).max(1.0) as usize;
-        let mut out = v[0].clone();
-        let at = (pos - 1).min(out.len());
-        out.splice(at..at, v[2].iter().cloned());
-        Ok(out)
+        let at = (pos - 1).min(v[0].len());
+        out.extend(v[0][..at].iter().chain(&v[2]).chain(&v[0][at..]).cloned());
+        Ok(())
     }),
-    xp("last", (0, 0), &[], Num, |_, _, env| match &env.focus {
-        Some((_, _, size)) => num(*size as f64),
+    xp("last", (0, 0), &[], Num, |_, _, env, out| match &env.focus {
+        Some((_, _, size)) => num(out, *size as f64),
         None => Err(XQueryError::new("last() outside a predicate")),
     })
     .reading(Reads::Focus),
-    xp("leaf-count", (0, 0), &[], Num, |ev, _, _| num(ev.goddag().leaf_count() as f64)),
-    xp("leaves", (0, 1), &[Nodes], Nodes, |ev, v, env| {
-        let mut out = Vec::new();
+    xp("leaf-count", (0, 0), &[], Num, |ev, _, _, out| num(out, ev.goddag().leaf_count() as f64)),
+    xp("leaves", (0, 1), &[Nodes], Nodes, |ev, v, env, out| {
+        let mut leaves = Vec::new();
         for item in arg_or_context(v, env)? {
             let Item::Node(n) = item else {
                 return Err(XQueryError::new("leaves() requires KyGODDAG nodes"));
             };
-            out.extend(ev.goddag().leaves_of(*n).into_iter().map(Item::Node));
+            leaves.extend(ev.goddag().leaves_of(*n).into_iter().map(Item::Node));
         }
-        ev.sort_dedup_items(&mut out);
-        Ok(out)
+        ev.sort_dedup_items(&mut leaves);
+        out.append(&mut leaves);
+        Ok(())
     })
     .reading(Reads::ContextItem),
     xp("local-name", (0, 1), &[Nodes], Str, name).reading(Reads::ContextItem),
-    xp("lower-case", (1, 1), STRINGS, Str, |ev, v, _| {
-        string(one_string(ev, &v[0], "lower-case")?.to_lowercase())
+    xp("lower-case", (1, 1), STRINGS, Str, |ev, v, _, out| {
+        string(out, one_string(ev, &v[0], "lower-case")?.to_lowercase())
     }),
-    xp("matches", (2, 2), STRINGS, Bool, |ev, v, _| {
+    xp("matches", (2, 2), STRINGS, Bool, |ev, v, _, out| {
         let [s, pattern] = strings(ev, v, "matches")?;
-        boolean(compile(&pattern)?.is_match(&s))
+        boolean(out, compile(&pattern)?.is_match(&s))
     })
     .regex(),
-    xq("max", (1, 1), Num, |ev, v, _| Ok(fold(ev, &v[0], f64::max))),
-    xq("min", (1, 1), Num, |ev, v, _| Ok(fold(ev, &v[0], f64::min))),
+    xq("max", (1, 1), Num, |ev, v, _, out| fold(ev, &v[0], f64::max, out)),
+    xq("min", (1, 1), Num, |ev, v, _, out| fold(ev, &v[0], f64::min, out)),
     xp("name", (0, 1), &[Nodes], Str, name).reading(Reads::ContextItem),
-    xp("normalize-space", (0, 1), STRINGS, Str, |ev, v, env| {
+    xp("normalize-space", (0, 1), STRINGS, Str, |ev, v, env, out| {
         let s = one_string(ev, arg_or_context(v, env)?, "normalize-space")?;
-        string(s.split_whitespace().collect::<Vec<_>>().join(" "))
+        string(out, s.split_whitespace().collect::<Vec<_>>().join(" "))
     })
     .reading(Reads::ContextItem),
-    xp("not", (1, 1), &[Bool], Bool, |ev, v, _| boolean(!ev.ebv(&v[0])?)),
-    xp("number", (0, 1), &[Num], Num, |ev, v, env| {
-        num(one_number(ev, arg_or_context(v, env)?, "number").unwrap_or(f64::NAN))
+    xp("not", (1, 1), &[Bool], Bool, |ev, v, _, out| boolean(out, !ev.ebv(&v[0])?)),
+    xp("number", (0, 1), &[Num], Num, |ev, v, env, out| {
+        num(out, one_number(ev, arg_or_context(v, env)?, "number").unwrap_or(f64::NAN))
     })
     .reading(Reads::ContextItem),
-    xp("position", (0, 0), &[], Num, |_, _, env| match &env.focus {
-        Some((_, position, _)) => num(*position as f64),
+    xp("position", (0, 0), &[], Num, |_, _, env, out| match &env.focus {
+        Some((_, position, _)) => num(out, *position as f64),
         None => Err(XQueryError::new("position() outside a predicate")),
     })
     .reading(Reads::Focus),
-    xq("remove", (2, 2), Unknown, |ev, v, _| {
+    xq("remove", (2, 2), Unknown, |ev, v, _, out| {
         let pos = round(one_number(ev, &v[1], "remove")?) as usize;
-        Ok(v[0]
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i + 1 != pos)
-            .map(|(_, item)| item.clone())
-            .collect())
+        out.extend(
+            v[0].iter().enumerate().filter(|(i, _)| i + 1 != pos).map(|(_, item)| item.clone()),
+        );
+        Ok(())
     }),
-    xp("replace", (3, 3), STRINGS, Str, |ev, v, _| {
+    xp("replace", (3, 3), STRINGS, Str, |ev, v, _, out| {
         let [s, pattern, with] = strings(ev, v, "replace")?;
-        string(compile(&pattern)?.replace_all(&s, &with))
+        string(out, compile(&pattern)?.replace_all(&s, &with))
     })
     .regex(),
-    xq("reverse", (1, 1), Unknown, |_, v, _| Ok(v[0].iter().rev().cloned().collect())),
-    xq("root", (0, 0), Nodes, |_, _, _| Ok(vec![Item::Node(mhx_goddag::NodeId::Root)])),
-    xp("round", (1, 1), &[Num], Num, |ev, v, _| num(round(one_number(ev, &v[0], "round")?))),
-    xq("serialize", (1, 1), Str, |ev, v, _| {
-        string(crate::serialize::serialize_sequence(ev, &v[0]))
+    xq("reverse", (1, 1), Unknown, |_, v, _, out| {
+        out.extend(v[0].iter().rev().cloned());
+        Ok(())
     }),
-    xp("starts-with", (2, 2), STRINGS, Bool, |ev, v, _| {
+    xq("root", (0, 0), Nodes, |_, _, _, out| {
+        out.push(Item::Node(mhx_goddag::NodeId::Root));
+        Ok(())
+    }),
+    xp("round", (1, 1), &[Num], Num, |ev, v, _, out| {
+        num(out, round(one_number(ev, &v[0], "round")?))
+    }),
+    xq("serialize", (1, 1), Str, |ev, v, _, out| {
+        string(out, crate::serialize::serialize_sequence(ev, &v[0]))
+    }),
+    xp("starts-with", (2, 2), STRINGS, Bool, |ev, v, _, out| {
         let [s, part] = strings(ev, v, "starts-with")?;
-        boolean(s.starts_with(&part))
+        boolean(out, s.starts_with(&part))
     }),
-    xp("string", (0, 1), STRINGS, Str, |ev, v, env| {
-        string(one_string(ev, arg_or_context(v, env)?, "string")?)
+    xp("string", (0, 1), STRINGS, Str, |ev, v, env, out| {
+        string(out, one_string(ev, arg_or_context(v, env)?, "string")?)
     })
     .reading(Reads::ContextItem),
-    xq("string-join", (1, 2), Str, |ev, v, _| {
+    xq("string-join", (1, 2), Str, |ev, v, _, out| {
         let sep = match v.get(1) {
             Some(seq) => one_string(ev, seq, "string-join")?,
             None => String::new(),
         };
-        string(v[0].iter().map(|i| ev.item_string(i)).collect::<Vec<_>>().join(&sep))
+        string(out, v[0].iter().map(|i| ev.item_string(i)).collect::<Vec<_>>().join(&sep))
     }),
-    xp("string-length", (0, 1), STRINGS, Num, |ev, v, env| {
-        num(one_string(ev, arg_or_context(v, env)?, "string-length")?.chars().count() as f64)
+    xp("string-length", (0, 1), STRINGS, Num, |ev, v, env, out| {
+        let s = one_string(ev, arg_or_context(v, env)?, "string-length")?;
+        num(out, s.chars().count() as f64)
     })
     .reading(Reads::ContextItem),
-    xq("subsequence", (2, 3), Unknown, |ev, v, _| {
+    xq("subsequence", (2, 3), Unknown, |ev, v, _, out| {
         let keep = positions(ev, v, "subsequence")?;
-        Ok(v[0].iter().zip(1..).filter(|&(_, p)| keep(p)).map(|(item, _)| item.clone()).collect())
+        out.extend(v[0].iter().zip(1..).filter(|&(_, p)| keep(p)).map(|(item, _)| item.clone()));
+        Ok(())
     }),
-    xp("substring", (2, 3), &[Str, Num, Num], Str, |ev, v, _| {
+    xp("substring", (2, 3), &[Str, Num, Num], Str, |ev, v, _, out| {
         let s = one_string(ev, &v[0], "substring")?;
         let keep = positions(ev, v, "substring")?;
-        string(s.chars().zip(1..).filter(|&(_, p)| keep(p)).map(|(c, _)| c).collect())
+        string(out, s.chars().zip(1..).filter(|&(_, p)| keep(p)).map(|(c, _)| c).collect())
     }),
-    xp("substring-after", (2, 2), STRINGS, Str, |ev, v, _| {
+    xp("substring-after", (2, 2), STRINGS, Str, |ev, v, _, out| {
         let [s, part] = strings(ev, v, "substring-after")?;
-        string(s.find(&part).map(|i| s[i + part.len()..].to_string()).unwrap_or_default())
+        string(out, s.find(&part).map(|i| s[i + part.len()..].to_string()).unwrap_or_default())
     }),
-    xp("substring-before", (2, 2), STRINGS, Str, |ev, v, _| {
+    xp("substring-before", (2, 2), STRINGS, Str, |ev, v, _, out| {
         let [s, part] = strings(ev, v, "substring-before")?;
-        string(s.find(&part).map(|i| s[..i].to_string()).unwrap_or_default())
+        string(out, s.find(&part).map(|i| s[..i].to_string()).unwrap_or_default())
     }),
-    xp("sum", (1, 1), &[Nodes], Num, |ev, v, _| num(v[0].iter().map(|i| ev.item_number(i)).sum())),
-    xp("tokenize", (2, 2), STRINGS, Unknown, |ev, v, _| {
+    xp("sum", (1, 1), &[Nodes], Num, |ev, v, _, out| {
+        num(out, v[0].iter().map(|i| ev.item_number(i)).sum())
+    }),
+    xp("tokenize", (2, 2), STRINGS, Unknown, |ev, v, _, out| {
         let [s, pattern] = strings(ev, v, "tokenize")?;
-        Ok(compile(&pattern)?.split(&s).into_iter().map(|t| Item::Str(t.to_string())).collect())
+        out.extend(compile(&pattern)?.split(&s).into_iter().map(|t| Item::Str(t.to_string())));
+        Ok(())
     })
     .regex(),
-    xp("translate", (3, 3), STRINGS, Str, |ev, v, _| {
+    xp("translate", (3, 3), STRINGS, Str, |ev, v, _, out| {
         let [s, from, to] = strings(ev, v, "translate")?;
         let (from, to): (Vec<char>, Vec<char>) = (from.chars().collect(), to.chars().collect());
         string(
+            out,
             s.chars()
                 .filter_map(|c| match from.iter().position(|&f| f == c) {
                     Some(i) => to.get(i).copied(),
@@ -289,48 +314,76 @@ static REGISTRY: &[Function] = &[
                 .collect(),
         )
     }),
-    xp("true", (0, 0), &[], Bool, |_, _, _| boolean(true)),
-    xp("upper-case", (1, 1), STRINGS, Str, |ev, v, _| {
-        string(one_string(ev, &v[0], "upper-case")?.to_uppercase())
+    xp("true", (0, 0), &[], Bool, |_, _, _, out| boolean(out, true)),
+    xp("upper-case", (1, 1), STRINGS, Str, |ev, v, _, out| {
+        string(out, one_string(ev, &v[0], "upper-case")?.to_uppercase())
     }),
 ];
 
-/// The registry entry named `name`. The evaluator looks up every call it
-/// runs, so the search compares first bytes, then only the few names
-/// that share the first byte.
-pub(crate) fn lookup(name: &str) -> Option<&'static Function> {
-    let first = |f: &Function| f.name.as_bytes()[0];
-    let byte = *name.as_bytes().first()?;
-    let from = REGISTRY.partition_point(|f| first(f) < byte);
-    REGISTRY[from..].iter().take_while(|f| first(f) == byte).find(|f| f.name == name)
+/// A call's registry entry, found once when the call is built
+/// ([`QExpr::call`]) and never searched for by the evaluator: its place in
+/// the registry, or `None` for a name the registry does not offer, which
+/// the static check and the evaluator refuse.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Callee(Option<usize>);
+
+impl Callee {
+    /// The entry named `name`: the search compares first bytes, then only
+    /// the few names that share the first byte.
+    pub fn of(name: &str) -> Callee {
+        let first = |f: &Function| f.name.as_bytes()[0];
+        let Some(&byte) = name.as_bytes().first() else { return Callee(None) };
+        let from = REGISTRY.partition_point(|f| first(f) < byte);
+        let mut same_first = REGISTRY[from..].iter().take_while(|f| first(f) == byte);
+        Callee(same_first.position(|f| f.name == name).map(|i| from + i))
+    }
+
+    pub(crate) fn entry(self) -> Option<&'static Function> {
+        self.0.map(|i| &REGISTRY[i])
+    }
+
+    /// The entry a call of `name` with `argc` arguments runs, or the error
+    /// saying why there is none. Searches nothing.
+    pub(crate) fn resolve(self, name: &str, argc: usize) -> Result<&'static Function> {
+        let unknown = || XQueryError::new(format!("unknown function {name}()"));
+        let f = self.entry().ok_or_else(unknown)?;
+        f.check_arity(argc)?;
+        Ok(f)
+    }
 }
 
-/// The entry a call of `name` with `argc` arguments runs, or the error
-/// saying why there is none.
-pub(crate) fn resolve(name: &str, argc: usize) -> Result<&'static Function> {
-    let f = lookup(name).ok_or_else(|| XQueryError::new(format!("unknown function {name}()")))?;
-    f.check_arity(argc)?;
-    Ok(f)
-}
-
-/// Evaluate a call: the arguments in order, then the implementation. A
-/// compiled plan only holds calls the registry offers; the check here is
-/// for an AST handed to [`Evaluator::eval`] without compiling.
-pub fn call<'q>(
+/// Evaluate a call onto `out`: the arguments in order, each into a buffer
+/// the evaluator reuses, then the implementation. A compiled plan only
+/// holds calls the registry offers; the check here is for an AST handed
+/// to [`Evaluator::eval`] without compiling.
+pub(crate) fn call_into<'q>(
     ev: &mut Evaluator<'_>,
     name: &str,
+    callee: Callee,
     args: &'q [QExpr],
     env: &mut Env<'q>,
-) -> Result<Sequence> {
-    let f = resolve(name, args.len())?;
-    let mut vals = Vec::with_capacity(args.len());
-    for a in args {
-        vals.push(ev.eval(a, env)?);
-    }
-    (f.imp)(ev, &vals, env)
+    out: &mut Sequence,
+) -> Result<()> {
+    let f = callee.resolve(name, args.len())?;
+    let mut vals = ev.spare_args.pop().unwrap_or_default();
+    vals.resize_with(vals.len().max(args.len()), Vec::new);
+    let result = args
+        .iter()
+        .zip(&mut vals)
+        .try_for_each(|(a, val)| ev.eval_into(a, env, val))
+        .and_then(|()| (f.imp)(ev, &vals[..args.len()], env, out));
+    // Emptied on every path, the error path too.
+    vals.iter_mut().for_each(Vec::clear);
+    ev.spare_args.push(vals);
+    result
 }
 
-fn analyze_string(ev: &mut Evaluator<'_>, v: &[Sequence], _: &Env<'_>) -> Result<Sequence> {
+fn analyze_string(
+    ev: &mut Evaluator<'_>,
+    v: &[Sequence],
+    _: &Env<'_>,
+    out: &mut Sequence,
+) -> Result<()> {
     let pattern = one_string(ev, &v[1], "analyze-string pattern")?;
     let node = match v[0].as_slice() {
         [Item::Node(n)] => *n,
@@ -342,17 +395,19 @@ fn analyze_string(ev: &mut Evaluator<'_>, v: &[Sequence], _: &Env<'_>) -> Result
         _ => return Err(XQueryError::new("analyze-string requires a single node")),
     };
     let mode = ev.opts.analyze_mode;
-    Ok(vec![Item::Node(crate::analyze::analyze_string(ev.g.to_mut(), node, &pattern, mode)?)])
+    out.push(Item::Node(crate::analyze::analyze_string(ev.g.to_mut(), node, &pattern, mode)?));
+    Ok(())
 }
 
 /// `name()` and `local-name()`: `""` without a node, or without a focus.
-fn name(ev: &mut Evaluator<'_>, v: &[Sequence], env: &Env<'_>) -> Result<Sequence> {
-    string(match arg_or_context(v, env).unwrap_or_default().first() {
+fn name(ev: &mut Evaluator<'_>, v: &[Sequence], env: &Env<'_>, out: &mut Sequence) -> Result<()> {
+    let name = match arg_or_context(v, env).unwrap_or_default().first() {
         Some(Item::Node(n)) => ev.goddag().name(*n).unwrap_or("").to_string(),
         Some(Item::ONode(o)) => ev.output_doc().name(*o).unwrap_or("").to_string(),
         Some(_) => return Err(XQueryError::new("name() requires a node")),
         None => String::new(),
-    })
+    };
+    string(out, name)
 }
 
 /// The positions `substring` and `subsequence` keep: XPath 1.0 §4.2 and
@@ -402,21 +457,29 @@ fn one_number(ev: &Evaluator<'_>, seq: &[Item], what: &str) -> Result<f64> {
 }
 
 /// `min`/`max`: the fold of the items' numbers, empty for no items.
-fn fold(ev: &Evaluator<'_>, seq: &[Item], pick: fn(f64, f64) -> f64) -> Sequence {
-    let numbers = seq.iter().map(|i| ev.item_number(i));
-    numbers.reduce(pick).map(|n| vec![Item::Num(n)]).unwrap_or_default()
+fn fold(
+    ev: &Evaluator<'_>,
+    seq: &[Item],
+    pick: fn(f64, f64) -> f64,
+    out: &mut Sequence,
+) -> Result<()> {
+    out.extend(seq.iter().map(|i| ev.item_number(i)).reduce(pick).map(Item::Num));
+    Ok(())
 }
 
-fn num(n: f64) -> Result<Sequence> {
-    Ok(vec![Item::Num(n)])
+fn num(out: &mut Sequence, n: f64) -> Result<()> {
+    out.push(Item::Num(n));
+    Ok(())
 }
 
-fn string(s: String) -> Result<Sequence> {
-    Ok(vec![Item::Str(s)])
+fn string(out: &mut Sequence, s: String) -> Result<()> {
+    out.push(Item::Str(s));
+    Ok(())
 }
 
-fn boolean(b: bool) -> Result<Sequence> {
-    Ok(vec![Item::Bool(b)])
+fn boolean(out: &mut Sequence, b: bool) -> Result<()> {
+    out.push(Item::Bool(b));
+    Ok(())
 }
 
 fn compile(pattern: &str) -> Result<Regex> {

@@ -60,7 +60,7 @@ use crate::ast::{
     AttrPiece, Clause, Comp, Content, DirElem, OrderKeySpec, QExpr, QPathStart, QStep,
 };
 use crate::eval::{Env, Evaluator};
-use crate::functions::{lookup, Reads};
+use crate::functions::Reads;
 use crate::item::{Item, Sequence};
 use crate::plan::StepStrategy;
 use mhx_goddag::{Axis, IndexStats, NodeId};
@@ -120,6 +120,8 @@ pub fn step_cost(strategy: StepStrategy, axis: Axis) -> u64 {
         StepStrategy::IndexedExtended => 64,
         // One name-run / leaf-run intersection.
         StepStrategy::NameIndex | StepStrategy::LeafRange => 24,
+        // One attribute lookup per context.
+        StepStrategy::Attribute => 2,
         StepStrategy::AxisWalk => match axis {
             Axis::SelfAxis | Axis::Attribute | Axis::Parent => 2,
             Axis::Child
@@ -159,7 +161,7 @@ fn uses_focus(e: &QExpr) -> bool {
 }
 
 fn is_focus_call(e: &QExpr) -> bool {
-    matches!(e, QExpr::Call { name, .. } if lookup(name).is_some_and(|f| f.reads == Reads::Focus))
+    matches!(e, QExpr::Call { callee, .. } if callee.entry().is_some_and(|f| f.reads == Reads::Focus))
 }
 
 /// Coarse static type lattice — what classification and the XPath
@@ -208,7 +210,7 @@ pub(crate) fn static_type(e: &QExpr) -> Ty {
             Ty::Nodes => Ty::Nodes,
             _ => Ty::Unknown,
         },
-        QExpr::Call { name, .. } => lookup(name).map_or(Ty::Unknown, |f| f.result),
+        QExpr::Call { callee, .. } => callee.entry().map_or(Ty::Unknown, |f| f.result),
     }
 }
 
@@ -244,8 +246,8 @@ fn cost(e: &QExpr, stats: Option<&IndexStats>) -> u64 {
         | QExpr::Arith { lhs: a, rhs: b, .. }
         | QExpr::Range { lo: a, hi: b } => 1 + c(a) + c(b),
         QExpr::Neg(inner) => 1 + c(inner),
-        QExpr::Call { name, args } => {
-            lookup(name).map_or(2, |f| f.cost) + args.iter().map(c).sum::<u64>()
+        QExpr::Call { args, callee, .. } => {
+            callee.entry().map_or(2, |f| f.cost) + args.iter().map(c).sum::<u64>()
         }
         QExpr::Path { start, steps } => {
             let start_cost = match start {
@@ -317,9 +319,11 @@ fn opt_expr(e: &QExpr, r: &mut OptimizerReport) -> QExpr {
             rhs: Box::new(opt_expr(rhs, r)),
         },
         QExpr::Neg(inner) => QExpr::Neg(Box::new(opt_expr(inner, r))),
-        QExpr::Call { name, args } => {
-            QExpr::Call { name: name.clone(), args: args.iter().map(|a| opt_expr(a, r)).collect() }
-        }
+        QExpr::Call { name, args, callee } => QExpr::Call {
+            name: name.clone(),
+            args: args.iter().map(|a| opt_expr(a, r)).collect(),
+            callee: *callee,
+        },
         QExpr::Filter { base, predicates } => {
             let mut preds: Vec<QExpr> = predicates.iter().map(|p| opt_expr(p, r)).collect();
             r.reordered_predicate_runs += reorder_free_runs(&mut preds);
@@ -532,7 +536,9 @@ pub fn is_context_independent(e: &QExpr) -> bool {
         dependent |= match x {
             QExpr::ContextItem | QExpr::DirElem(_) => true,
             QExpr::Path { start: QPathStart::Context, .. } => true,
-            QExpr::Call { name, args } => lookup(name).is_none_or(|f| f.reads_focus(args.len())),
+            QExpr::Call { args, callee, .. } => {
+                callee.entry().is_none_or(|f| f.reads_focus(args.len()))
+            }
             _ => false,
         }
     });
@@ -577,7 +583,7 @@ pub fn qexpr_summary(e: &QExpr) -> String {
             format!("{} {op:?} {}", qexpr_summary(lhs), qexpr_summary(rhs))
         }
         QExpr::Range { lo, hi } => format!("{} to {}", qexpr_summary(lo), qexpr_summary(hi)),
-        QExpr::Call { name, args } => {
+        QExpr::Call { name, args, .. } => {
             let args: Vec<String> = args.iter().map(qexpr_summary).collect();
             format!("{name}({})", args.join(", "))
         }
@@ -676,7 +682,10 @@ pub(crate) fn explain<'q>(
             actual(&current)
         ));
         for (i, step) in steps.iter().enumerate() {
-            current = current.and_then(|input| ev.eval_step(&input, step, env).ok());
+            current = current.and_then(|input| {
+                let mut next = Vec::new();
+                ev.eval_step(&input, step, env, &mut next).ok().map(|()| next)
+            });
             let estimate = match &step.test {
                 NodeTest::Name { name, .. } => format!("{}", stats.name_count(name)),
                 NodeTest::AnyElement { .. } => format!("{}", stats.element_count()),

@@ -693,7 +693,7 @@ impl<'a> P<'a> {
                     }
                 }
                 self.cur.expect(")").map_err(|_| self.err("expected `)` after arguments"))?;
-                Ok(QExpr::Call { name, args })
+                Ok(QExpr::call(name, args))
             }
             Some(c) => Err(self.err(format!("unexpected character `{c}`"))),
             None => Err(self.err("unexpected end of query")),

@@ -6,11 +6,16 @@
 //! and cacheable. [`resolve_step`] answers a whole context set, and one
 //! context node is a set of one: the index strategies are set-at-a-time
 //! [`StructIndex`] lookups (one pass for the set, one sort-dedup per step;
-//! an extended axis under a name test reads only that name's spans), and
-//! the tree walk is the one loop over contexts. Predicates are the
-//! caller's business: the evaluator ([`crate::eval`]) applies them. The
-//! naive interpreter in `mhx-xpath`, whose step is [`walk_step`], stays
-//! index-free as the reference oracle for differential testing.
+//! an extended axis under a name test reads only that name's spans),
+//! `attribute::name` reads each context's attribute by name, and the tree
+//! walk is the one loop over contexts. A lookup that reads a name's own
+//! entries answers an unqualified name test by itself (`lookup_test`):
+//! every entry of a name's run is an element carrying that name, which
+//! [`StructIndex::build`] guarantees and the snapshot loader checks.
+//! Predicates are the caller's business: the evaluator ([`crate::eval`])
+//! applies them. The naive interpreter in `mhx-xpath`, whose step is
+//! [`walk_step`], stays index-free as the reference oracle for
+//! differential testing.
 
 use mhx_goddag::index::StructIndex;
 use mhx_goddag::{Axis, Goddag, NodeId};
@@ -29,6 +34,9 @@ pub enum StepStrategy {
     LeafRange,
     /// The seven Definition-1 axes — interval lookups on the span index.
     IndexedExtended,
+    /// `attribute::name` — each context's attribute of that name, found
+    /// by name, one pass over the contexts.
+    Attribute,
     /// Everything else — the ordinary (already output-local) axis walk.
     AxisWalk,
 }
@@ -52,6 +60,7 @@ pub fn choose_strategy(axis: Axis, test: &NodeTest) -> StepStrategy {
             StepStrategy::NameIndex
         }
         (Axis::Descendant, NodeTest::Leaf) => StepStrategy::LeafRange,
+        (Axis::Attribute, NodeTest::Name { .. }) => StepStrategy::Attribute,
         _ => StepStrategy::AxisWalk,
     }
 }
@@ -86,7 +95,7 @@ pub fn resolve_step(
         normalized = v;
         &normalized
     };
-    let keep = |m| node_test_matches(g, axis, m, test);
+    let keep = lookup_test(g, axis, test);
     match (strategy, idx) {
         (StepStrategy::NameIndex, Some(idx)) => {
             let NodeTest::Name { name, .. } = test else {
@@ -98,6 +107,14 @@ pub fn resolve_step(
         }
         (StepStrategy::IndexedExtended, Some(idx)) => {
             idx.axis_nodes_batch_named(g, axis, element_name(test), ctxs, keep)
+        }
+        (StepStrategy::Attribute, _) => {
+            let NodeTest::Name { name, .. } = test else {
+                unreachable!("Attribute is only chosen for name tests");
+            };
+            // Distinct contexts in document order hold distinct
+            // attributes in that order: no sort, no dedup.
+            ctxs.iter().filter_map(|&n| g.attr_node(n, name)).filter(|&m| keep(m)).collect()
         }
         (StepStrategy::LeafRange, _) => {
             // Merge the (leaf-aligned) context spans, then emit each merged
@@ -154,6 +171,20 @@ pub(crate) fn element_name(test: &NodeTest) -> Option<&str> {
     }
 }
 
+/// The part of `test` still to apply per node to what a lookup returned —
+/// the index arms, the attribute arm and the evaluator's `witnessed`
+/// probe. An unqualified name test is already answered, since the lookup
+/// read only that name's entries; every other test (a hierarchy-qualified
+/// name, `*`, `text()`, `node()`, `leaf()`) is applied per node.
+pub(crate) fn lookup_test<'a>(
+    g: &'a Goddag,
+    axis: Axis,
+    test: &'a NodeTest,
+) -> impl Fn(NodeId) -> bool + 'a {
+    let answered = matches!(test, NodeTest::Name { hierarchies: None, .. });
+    move |m| answered || node_test_matches(g, axis, m, test)
+}
+
 fn is_doc_ordered(g: &Goddag, ns: &[NodeId]) -> bool {
     ns.windows(2).all(|w| g.cmp_order(w[0], w[1]) == std::cmp::Ordering::Less)
 }
@@ -193,47 +224,89 @@ mod tests {
         assert_eq!(choose_strategy(Axis::Descendant, &NodeTest::Leaf), StepStrategy::LeafRange);
         assert_eq!(choose_strategy(Axis::Overlapping, &named), StepStrategy::IndexedExtended);
         assert_eq!(choose_strategy(Axis::Child, &named), StepStrategy::AxisWalk);
+        assert_eq!(choose_strategy(Axis::Attribute, &named), StepStrategy::Attribute);
+        assert_eq!(
+            choose_strategy(Axis::Attribute, &NodeTest::AnyElement { hierarchies: None }),
+            StepStrategy::AxisWalk
+        );
         assert_eq!(
             choose_strategy(Axis::Descendant, &NodeTest::AnyNode { hierarchies: None }),
             StepStrategy::AxisWalk
         );
     }
 
+    /// Two hierarchies sharing the element name `x`, with attributes: `n`
+    /// on elements of both, `x` (an element name too) on one, and one on
+    /// the root, which the attribute axis never reaches.
+    fn shared_names() -> Goddag {
+        GoddagBuilder::new()
+            .hierarchy(
+                "h1",
+                r#"<r id="r"><x n="1" x="a">ab<x/>c</x><w n="2">d<x n="3">e</x></w>f</r>"#,
+            )
+            .hierarchy("h2", r#"<r id="r">a<x n="4">bcd<x/></x><x>ef</x></r>"#)
+            .build()
+            .unwrap()
+    }
+
     /// Every strategy, with the index and without, equals the naive union
-    /// of [`walk_step`] over single contexts, every element, a sparse
-    /// subset, every node, and no context.
+    /// of [`walk_step`] over single contexts (the root's included), every
+    /// element, a sparse subset, every node, and no context: on Figure 1,
+    /// and on a document whose hierarchies share element names and carry
+    /// attributes, under unqualified and hierarchy-qualified names.
     #[test]
     fn resolve_step_matches_naive_union_for_every_strategy() {
-        let g = figure1();
-        let idx = StructIndex::build(&g);
-        let all = g.all_nodes();
-        let mut ctx_sets: Vec<Vec<NodeId>> = all.iter().map(|&n| vec![n]).collect();
-        ctx_sets.push(all.iter().copied().filter(|n| n.is_element()).collect());
-        ctx_sets.push(all.iter().copied().step_by(4).collect());
-        ctx_sets.push(all.clone());
-        ctx_sets.push(Vec::new());
-        let tests = [
-            NodeTest::Name { name: "w".into(), hierarchies: None },
-            NodeTest::Name { name: "w".into(), hierarchies: Some(vec!["words".into()]) },
+        let name = |n: &str, h: Option<&str>| NodeTest::Name {
+            name: n.into(),
+            hierarchies: h.map(|h| vec![h.to_string()]),
+        };
+        let element_tests = [
+            name("w", None),
+            name("w", Some("words")),
+            name("x", None),
+            name("x", Some("h1")),
+            name("x", Some("h2")),
             NodeTest::AnyElement { hierarchies: None },
             NodeTest::AnyNode { hierarchies: Some(vec!["damage".into()]) },
             NodeTest::Text { hierarchies: None },
             NodeTest::Leaf,
         ];
-        for axis in [
-            Axis::Child,
-            Axis::Descendant,
-            Axis::DescendantOrSelf,
-            Axis::Ancestor,
-            Axis::XAncestor,
-            Axis::XDescendant,
-            Axis::XFollowing,
-            Axis::XPreceding,
-            Axis::PrecedingOverlapping,
-            Axis::FollowingOverlapping,
-            Axis::Overlapping,
-        ] {
-            for test in &tests {
+        // A present name, an absent one, a qualified one, and one an
+        // element shares.
+        let attribute_tests = [
+            name("n", None),
+            name("missing", None),
+            name("n", Some("h2")),
+            name("x", None),
+            name("id", None),
+            NodeTest::AnyElement { hierarchies: None },
+        ];
+        for g in [figure1(), shared_names()] {
+            let idx = StructIndex::build(&g);
+            let all = g.all_nodes();
+            let mut ctx_sets: Vec<Vec<NodeId>> = all.iter().map(|&n| vec![n]).collect();
+            ctx_sets.push(all.iter().copied().filter(|n| n.is_element()).collect());
+            ctx_sets.push(all.iter().copied().step_by(4).collect());
+            ctx_sets.push(all.clone());
+            ctx_sets.push(Vec::new());
+            let element_axes = [
+                Axis::Child,
+                Axis::Descendant,
+                Axis::DescendantOrSelf,
+                Axis::Ancestor,
+                Axis::XAncestor,
+                Axis::XDescendant,
+                Axis::XFollowing,
+                Axis::XPreceding,
+                Axis::PrecedingOverlapping,
+                Axis::FollowingOverlapping,
+                Axis::Overlapping,
+            ];
+            let steps = element_axes
+                .into_iter()
+                .flat_map(|axis| element_tests.iter().map(move |t| (axis, t)))
+                .chain(attribute_tests.iter().map(|t| (Axis::Attribute, t)));
+            for (axis, test) in steps {
                 let strategy = choose_strategy(axis, test);
                 for ctxs in &ctx_sets {
                     let mut naive: Vec<NodeId> =

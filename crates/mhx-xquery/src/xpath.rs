@@ -29,7 +29,7 @@
 
 use crate::ast::{ArithOp, Comp, QExpr, QPathStart, QStep};
 use crate::error::{Result, XQueryError, XQueryErrorKind};
-use crate::functions::{self, Function};
+use crate::functions::{Callee, Function};
 use crate::opt::{static_type, Ty};
 use crate::{CompiledXQuery, EvalOptions, Item};
 use mhx_goddag::{Axis, Goddag, StructIndex};
@@ -120,9 +120,9 @@ fn compare(op: Comp, l: QExpr, r: QExpr) -> QExpr {
     let (lt, rt) = (static_type(&l), static_type(&r));
     let ordering = !matches!(op, Comp::Eq | Comp::Ne);
     let side = |e: QExpr, t: Ty, other: Ty| match (t, other) {
-        (t, Ty::Bool) if maybe_nodes(t) => call("boolean", vec![e]),
+        (t, Ty::Bool) if maybe_nodes(t) => QExpr::call("boolean", vec![e]),
         (Ty::Bool, other) if ordering && matches!(other, Ty::Str | Ty::Num) => {
-            call("number", vec![e])
+            QExpr::call("number", vec![e])
         }
         _ => e,
     };
@@ -132,7 +132,7 @@ fn compare(op: Comp, l: QExpr, r: QExpr) -> QExpr {
 /// A call of XPath's function library, each argument converted as its
 /// registry entry says.
 fn lower_call(name: &str, args: &[Expr]) -> Result<QExpr> {
-    let (f, params) = match functions::lookup(name) {
+    let (f, params) = match Callee::of(name).entry() {
         Some(f @ Function { xpath: Some(params), .. }) => (f, *params),
         _ => return Err(compile_error(format!("unknown function {name}()"))),
     };
@@ -150,9 +150,12 @@ fn lower_call(name: &str, args: &[Expr]) -> Result<QExpr> {
         });
     }
     Ok(if name == "tokenize" {
-        call("string-join", vec![call(name, lowered), QExpr::Literal(" ".to_string())])
+        QExpr::call(
+            "string-join",
+            vec![QExpr::call(name, lowered), QExpr::Literal(" ".to_string())],
+        )
     } else {
-        call(name, lowered)
+        QExpr::call(name, lowered)
     })
 }
 
@@ -183,10 +186,6 @@ fn path(p: &PathExpr) -> Result<QExpr> {
         }
     };
     Ok(QExpr::Path { start, steps })
-}
-
-fn call(name: &str, args: Vec<QExpr>) -> QExpr {
-    QExpr::Call { name: name.to_string(), args }
 }
 
 /// `.` — the context node, as the XPath parser writes it (and the XQuery
@@ -229,7 +228,7 @@ fn to_string(e: QExpr) -> QExpr {
 /// already convert inside every XQuery numeric operation.
 fn to_number(e: QExpr) -> QExpr {
     if maybe_nodes(static_type(&e)) && !is_one_node(&e) {
-        call("number", vec![to_string(e)])
+        QExpr::call("number", vec![to_string(e)])
     } else {
         e
     }

@@ -152,7 +152,9 @@ pub(crate) fn route(
         }
         path => (404, wire::protocol_error_body("not_found", &format!("no route for `{path}`"))),
     };
-    let mut body = String::new();
+    // Sized once: the reply's text plus an eighth for its escapes.
+    let hint = reply.len_hint();
+    let mut body = String::with_capacity(hint + hint / 8);
     reply.write_into(&mut body);
     (status, body)
 }

@@ -137,7 +137,11 @@ proptest! {
     /// — `walk_step` from each context, sorted, deduped — for every axis ×
     /// node test, on a random subset, one random context, every element
     /// and no context. This is the contract the evaluator relies on for
-    /// whole context sets and for one context at a time.
+    /// whole context sets and for one context at a time. The name tests
+    /// come unqualified, which the name-keyed lookups answer by
+    /// themselves, and qualified by the name's own hierarchy and by
+    /// another (`e0` is only ever in `h0`), which they must still test per
+    /// node; `n` names every `e*` element's attribute.
     #[test]
     fn batch_step_equals_per_node_union(cfg in arb_config(), mask_lo in 0u32..u32::MAX, mask_hi in 0u32..u32::MAX, shift in 0usize..64) {
         let mask = (mask_hi as u64) << 32 | mask_lo as u64;
@@ -161,6 +165,10 @@ proptest! {
         let tests = [
             NodeTest::Name { name: "e0".into(), hierarchies: None },
             NodeTest::Name { name: "s0".into(), hierarchies: None },
+            NodeTest::Name { name: "e0".into(), hierarchies: Some(vec!["h0".into()]) },
+            NodeTest::Name { name: "e0".into(), hierarchies: Some(vec!["h1".into()]) },
+            NodeTest::Name { name: "n".into(), hierarchies: None },
+            NodeTest::Name { name: "n".into(), hierarchies: Some(vec!["h1".into()]) },
             NodeTest::AnyElement { hierarchies: None },
             NodeTest::AnyNode { hierarchies: None },
             NodeTest::Text { hierarchies: None },

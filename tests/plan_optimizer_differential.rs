@@ -681,3 +681,84 @@ fn chain_join_and_hoist_counters() {
         assert_eq!(xquery_trace(&g, src, true), xquery_trace(&g, src, false), "`{src}`");
     }
 }
+
+/// Pages and words carrying attributes: `n` on some elements of both
+/// hierarchies, and names an element and an attribute share (`p`, `x`).
+fn attributed() -> Goddag {
+    GoddagBuilder::new()
+        .hierarchy("pages", r#"<r><p n="1">aaa bb</p><p n="2" x="q">b ccc</p></r>"#)
+        .hierarchy("words", r#"<r><w n="1">aaa</w> <w>bbb</w> <w n="3" p="x">ccc</w></r>"#)
+        .build()
+        .unwrap()
+}
+
+/// `return` forms over a bound item — attribute steps present and absent,
+/// `@*`, `..`, `child::*`, calls, a positional variable, a nested FLWOR
+/// that shadows `$x`, quantifiers — with the optimizer on and off, against
+/// the naive interpreter run once per tuple on `(P)[i]` (`X` below, and
+/// `I` for `i`). Each tuple's answer ends in `§`, so an item landing in
+/// the wrong tuple shows.
+#[test]
+fn return_forms_over_a_bound_item_match_naive_per_tuple() {
+    let forms: &[(&str, &str)] = &[
+        ("string($x/@n)", "string(X/@n)"),
+        ("$x/@n", "X/@n"),
+        ("string($x/@missing)", "string(X/@missing)"),
+        ("$x/@*", "X/@*"),
+        ("$x/@p", "X/@p"),
+        ("$x/..", "X/.."),
+        ("$x/child::*", "X/child::*"),
+        (
+            "concat('[', string($x/@n), '|', string($x), ']')",
+            "concat('[', string(X/@n), '|', string(X), ']')",
+        ),
+        ("contains(string($x), 'c')", "contains(string(X), 'c')"),
+        ("concat($i, ':', name($x))", "concat(I, ':', name(X))"),
+        ("(for $x in $x/@n return string($x), string($x))", "concat(string(X/@n), string(X))"),
+        ("some $a in $x/@n satisfies $a = '1'", "X/@n = '1'"),
+        (
+            "every $c in $x/child::* satisfies contains(string($c), 'c')",
+            "not(X/child::*[not(contains(string(.), 'c'))])",
+        ),
+    ];
+    let paths = [
+        "/descendant::w",
+        "/descendant::p",
+        "/descendant::e0",
+        "/descendant::e1[xdescendant::e0]",
+        "/descendant::w[xancestor::p]",
+        "/descendant::node()",
+        "/descendant::nope",
+    ];
+    let cfg = GeneratorConfig {
+        seed: 7,
+        text_len: 160,
+        hierarchies: 2,
+        avg_element_len: 12,
+        boundary_jitter: 0.5,
+        nested: true,
+    };
+    for g in [attributed(), figure1::goddag(), generate(&cfg).build_goddag()] {
+        for path in paths {
+            let count = match evaluate_xpath_naive(&g, path).unwrap() {
+                Value::Nodes(ns) => ns.len(),
+                other => panic!("`{path}` should yield nodes, got {other:?}"),
+            };
+            for (ret, oracle) in forms {
+                let mut want = String::new();
+                for i in 1..=count {
+                    let src =
+                        oracle.replace('X', &format!("({path})[{i}]")).replace('I', &i.to_string());
+                    want.push_str(&naive(&g, &src).unwrap_or_else(|e| panic!("`{src}`: {e}")).1);
+                    want.push('§');
+                }
+                let q = format!("for $x at $i in {path} return ({ret}, '§')");
+                for optimize in [false, true] {
+                    let opts = EvalOptions { optimize, ..Default::default() };
+                    let got = run_query_with(&g, &q, &opts).unwrap();
+                    assert_eq!(got, want, "`{q}` optimize={optimize}");
+                }
+            }
+        }
+    }
+}
