@@ -15,12 +15,14 @@
 //!   PR's acceptance bar: scatter/gather must add capacity, not just
 //!   indirection.
 //! * `routed_vs_direct` — sequential single-client throughput through
-//!   the router vs straight to the shard holding the document. This
-//!   prices one routed hop (an extra TCP leg + envelope re-framing); it
-//!   gates well below 1.0 because the hop is pure overhead — the gate
+//!   the router vs straight to the shard holding the document, its passes
+//!   interleaved and each side's fastest kept ([`mhx_bench::time_pair`]).
+//!   This prices one routed hop (an extra TCP leg + envelope re-framing);
+//!   it gates well below 1.0 because the hop is pure overhead — the gate
 //!   only requires it to stay modest.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mhx_bench::time_pair;
 use mhx_corpus::{generate, GeneratedDoc, GeneratorConfig};
 use multihier_xquery::prelude::Catalog;
 use multihier_xquery::server::client::Client;
@@ -40,8 +42,10 @@ const REQUESTS: usize = 25;
 const THINK: Duration = Duration::from_millis(2);
 /// Documents in the corpus — split 4/4 in the sharded pass.
 const DOCS: usize = 8;
-/// Sequential requests for the routed-hop overhead measurement.
+/// Sequential requests per pass for the routed-hop overhead measurement.
 const SEQ_REQUESTS: usize = 150;
+/// Timed passes per side of the routed-hop measurement.
+const SEQ_PASSES: usize = 6;
 
 /// Moderate query, same shape as the serve bench's scaling workload.
 const SERVE_QUERY: &str = "for $x in /descendant::e1[overlapping::e0] let $s := string($x) \
@@ -139,20 +143,21 @@ fn swarm_secs(addr: &str, ids: &[String]) -> f64 {
     median_secs(&mut samples)
 }
 
-/// Median sequential wall time for `SEQ_REQUESTS` keep-alive requests.
-fn sequential_secs(addr: &str, id: &str) -> f64 {
-    let mut client = Client::connect(addr).expect("connect");
-    client.xquery(id, SERVE_QUERY).expect("warm");
-    let mut samples: Vec<f64> = (0..3)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..SEQ_REQUESTS {
-                black_box(client.xquery(id, SERVE_QUERY).expect("query").serialized.len());
-            }
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    median_secs(&mut samples)
+/// Sequential wall time for `SEQ_REQUESTS` keep-alive requests through
+/// `routed` and straight to `direct`: one pass each to warm up, then
+/// `SEQ_PASSES` per side with the sides alternating, each side's fastest
+/// pass kept.
+fn routed_and_direct_secs(routed: &str, direct: &str, id: &str) -> (f64, f64) {
+    let pass = |client: &mut Client| {
+        for _ in 0..SEQ_REQUESTS {
+            black_box(client.xquery(id, SERVE_QUERY).expect("query").serialized.len());
+        }
+    };
+    let mut via_router = Client::connect(routed).expect("connect");
+    let mut straight = Client::connect(direct).expect("connect");
+    let (routed_ns, direct_ns) =
+        time_pair(SEQ_PASSES, || pass(&mut via_router), || pass(&mut straight));
+    (routed_ns / 1e9, direct_ns / 1e9)
 }
 
 fn shard_benches(c: &mut Criterion) {
@@ -198,8 +203,7 @@ fn emit_snapshot(_c: &mut Criterion) {
 
     // --- routed-hop overhead (sequential, same cluster) ------------
     let direct_addr = pool.addr(pool.replica_set(&ids[0])[0]).to_string();
-    let routed_seq = sequential_secs(&router_addr, &ids[0]);
-    let direct_seq = sequential_secs(&direct_addr, &ids[0]);
+    let (routed_seq, direct_seq) = routed_and_direct_secs(&router_addr, &direct_addr, &ids[0]);
     let routed_vs_direct = direct_seq / routed_seq;
     router.shutdown();
     s0.shutdown();

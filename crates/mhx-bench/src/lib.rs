@@ -33,7 +33,7 @@
 //!
 //! [`time_pair`] is the timer of the ratio rows whose two sides run the
 //! same kind of work (`plan`, `bindings`, `serialize`, `analyze_string`,
-//! `probe`).
+//! `probe`, and `shard`'s `routed_vs_direct`).
 
 use std::time::Instant;
 

@@ -908,7 +908,8 @@ mod tests {
 
     /// On a thread with the 2 MiB stack a server's workers get, the
     /// deepest accepted document builds, indexes, goes through the
-    /// snapshot columns and back, exports, and drops; one level deeper is
+    /// snapshot columns and back, is indexed again, exports, and drops;
+    /// one level deeper is
     /// an error, not a stack overflow, for uploads and virtual hierarchies
     /// alike.
     #[test]
@@ -922,8 +923,8 @@ mod tests {
                 };
                 let g = GoddagBuilder::new().hierarchy("deep", nested(MAX_DEPTH)).build().unwrap();
                 let idx = crate::StructIndex::build(&g);
-                let (back, back_idx) =
-                    crate::columns::assemble(&crate::columns::dissect(&g, &idx)).unwrap();
+                let back = crate::columns::assemble(&crate::columns::dissect(&g)).unwrap();
+                let back_idx = crate::StructIndex::build(&back);
                 assert_eq!(back.hierarchy(HierarchyId(0)).element_count(), MAX_DEPTH);
                 let xml = crate::hierarchy_to_xml(&back, HierarchyId(0));
                 assert_eq!(xml, nested(MAX_DEPTH));

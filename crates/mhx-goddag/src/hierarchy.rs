@@ -33,7 +33,7 @@ pub(crate) enum Kid {
     Text(u32),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElemNode {
     pub name: String,
     pub attrs: Vec<(String, String)>,
@@ -48,7 +48,7 @@ pub struct ElemNode {
     pub subtree_last: u32,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TextNode {
     pub span: (u32, u32),
     pub(crate) parent: Parent,

@@ -14,8 +14,7 @@
 //!   `preceding-overlapping` / `overlapping` / `xdescendant`: one set of
 //!   every node, and one per element name, which a step whose node test
 //!   names an element reads instead. The per-name sets are cut from the
-//!   all-node set in one pass whenever an index is built or loaded; a
-//!   snapshot does not store them;
+//!   all-node set in one pass whenever an index is built;
 //! * **per-hierarchy containment chains** — element/text spans of one
 //!   hierarchy form a laminar (nesting) family, so the nodes containing a
 //!   given interval are one parent-chain walk from a binary-searched start,
@@ -67,122 +66,60 @@ use std::ops::ControlFlow;
 
 /// One non-empty node span. `start`/`end` are byte offsets into `S`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SpanEntry {
-    pub(crate) start: u32,
-    pub(crate) end: u32,
-    pub(crate) node: NodeId,
+struct SpanEntry {
+    start: u32,
+    end: u32,
+    node: NodeId,
 }
 
 /// One node in a hierarchy's laminar containment chain. `parent` indexes
 /// into the same array (`u32::MAX` for top-level nodes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ChainEntry {
-    pub(crate) start: u32,
-    pub(crate) end: u32,
-    pub(crate) node: NodeId,
-    pub(crate) parent: u32,
+struct ChainEntry {
+    start: u32,
+    end: u32,
+    node: NodeId,
+    parent: u32,
 }
 
-pub(crate) const NO_PARENT: u32 = u32::MAX;
+const NO_PARENT: u32 = u32::MAX;
 
 /// Non-empty spans in the two orders every window is cut from: by
 /// `(start, end)` and by `(end, start)`, ties in Definition-3 order. The
 /// index keeps one set of every node and one per element name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Spans {
-    pub(crate) by_start: Vec<SpanEntry>,
-    pub(crate) by_end: Vec<SpanEntry>,
+struct Spans {
+    by_start: Vec<SpanEntry>,
+    by_end: Vec<SpanEntry>,
 }
 
 /// The span set of a name no element carries.
 static NO_SPANS: Spans = Spans { by_start: Vec::new(), by_end: Vec::new() };
 
-/// Document statistics computed once at [`StructIndex::build`] time — the
-/// selectivity side-channel for the plan optimizer's cost model. Everything
-/// here falls out of structures the build pass already touches (name runs,
-/// the span array, the containment chains), so the marginal build cost is
-/// one extra counter per node.
-#[derive(Debug, Clone, Default)]
-pub struct IndexStats {
-    /// Named element entries (including the root).
-    pub(crate) element_count: u64,
-    /// Non-empty-span nodes (the `ordered` array length).
-    pub(crate) span_count: u64,
-    /// Document text length in bytes (the root span).
-    pub(crate) text_len: u64,
-    /// Average direct fan-out of the laminar containment chains.
-    pub(crate) avg_fanout: f64,
-    /// Per name: occurrence count and total span bytes.
-    pub(crate) names: HashMap<String, (u32, u64)>,
-}
-
-impl IndexStats {
-    /// Total named element entries (the name-map size).
-    pub fn element_count(&self) -> u64 {
-        self.element_count
-    }
-
-    /// Non-empty-span nodes — the length every span-array sweep is
-    /// proportional to.
-    pub fn span_count(&self) -> u64 {
-        self.span_count
-    }
-
-    /// Spans per text byte: how densely the hierarchies tile the document.
-    pub fn span_density(&self) -> f64 {
-        self.span_count as f64 / (self.text_len.max(1)) as f64
-    }
-
-    /// Average direct fan-out across the containment chains.
-    pub fn avg_fanout(&self) -> f64 {
-        self.avg_fanout
-    }
-
-    /// How many elements carry `name` (the name-run length). Zero for
-    /// unknown names — which makes a name-test step provably empty.
-    pub fn name_count(&self, name: &str) -> u64 {
-        self.names.get(name).map(|&(c, _)| c as u64).unwrap_or(0)
-    }
-
-    /// Fraction of named elements carrying `name` (0 for unknown names).
-    pub fn selectivity(&self, name: &str) -> f64 {
-        self.name_count(name) as f64 / (self.element_count.max(1)) as f64
-    }
-
-    /// Average span length (≈ subtree text size) of elements named `name`
-    /// — the cost driver for string-materializing predicates.
-    pub fn avg_span_len(&self, name: &str) -> f64 {
-        match self.names.get(name) {
-            Some(&(c, bytes)) if c > 0 => bytes as f64 / c as f64,
-            _ => 0.0,
-        }
-    }
-}
-
 /// Precomputed structural indexes for one [`Goddag`] snapshot.
 #[derive(Debug, Clone)]
 pub struct StructIndex {
-    pub(crate) version: u64,
-    pub(crate) doc_id: u64,
-    /// Element nodes (including the root) by name, Definition-3 order.
-    pub(crate) name_map: HashMap<String, Vec<NodeId>>,
+    version: u64,
+    doc_id: u64,
+    /// Element nodes (including the root) by name, Definition-3 order:
+    /// each run holds only elements of its name, which the name-keyed
+    /// lookups trust.
+    name_map: HashMap<String, Vec<NodeId>>,
     /// All non-empty-span nodes in Definition-3 order with precomputed
     /// spans — the low-selectivity axes (`xfollowing`/`xpreceding`) filter
     /// this directly, producing sorted output with no re-sort and no
     /// per-node span recomputation.
-    pub(crate) ordered: Vec<SpanEntry>,
+    ordered: Vec<SpanEntry>,
     /// The same entries by `(start, end)` and by `(end, start)`; ties keep
     /// Definition-3 order (stable sorts over `all_nodes()`).
-    pub(crate) spans: Spans,
+    spans: Spans,
     /// Per element name, its entries of `spans`, in the same two orders:
-    /// what an extended-axis step with a name test reads. Derived by
-    /// [`spans_by_name`], never stored.
-    pub(crate) named: HashMap<String, Spans>,
+    /// what an extended-axis step with a name test reads. Cut from `spans`
+    /// by [`spans_by_name`].
+    named: HashMap<String, Spans>,
     /// Laminar containment chain per hierarchy, in span preorder
     /// (start asc, end desc, node order asc).
-    pub(crate) chains: Vec<Vec<ChainEntry>>,
-    /// Selectivity statistics for the optimizer's cost model.
-    pub(crate) stats: IndexStats,
+    chains: Vec<Vec<ChainEntry>>,
 }
 
 impl StructIndex {
@@ -190,30 +127,23 @@ impl StructIndex {
     /// O(N log N) total.
     pub fn build(g: &Goddag) -> StructIndex {
         let all = g.all_nodes();
-        // Per name borrowed from `g`: its nodes and their total span bytes.
-        // The owned maps below then allocate per distinct name, not per
-        // element.
-        let mut by_name: HashMap<&str, (Vec<NodeId>, u64)> = HashMap::new();
+        // Runs keyed by names borrowed from `g`, so the owned map below
+        // allocates per distinct name, not per element.
+        let mut by_name: HashMap<&str, Vec<NodeId>> = HashMap::new();
         let mut ordered = Vec::with_capacity(all.len());
         for &n in &all {
-            let (s, e) = g.span(n);
             if n.is_element() {
                 if let Some(name) = g.name(n) {
-                    let slot = by_name.entry(name).or_default();
-                    slot.0.push(n);
-                    slot.1 += (e.saturating_sub(s)) as u64;
+                    by_name.entry(name).or_default().push(n);
                 }
             }
+            let (s, e) = g.span(n);
             if s < e {
                 ordered.push(SpanEntry { start: s, end: e, node: n });
             }
         }
-        let mut name_map = HashMap::with_capacity(by_name.len());
-        let mut names = HashMap::with_capacity(by_name.len());
-        for (name, (nodes, bytes)) in by_name {
-            names.insert(name.to_string(), (nodes.len() as u32, bytes));
-            name_map.insert(name.to_string(), nodes);
-        }
+        let name_map: HashMap<String, Vec<NodeId>> =
+            by_name.into_iter().map(|(name, nodes)| (name.to_string(), nodes)).collect();
         let mut by_start = ordered.clone();
         by_start.sort_by_key(|e| (e.start, e.end));
         let mut by_end = by_start.clone();
@@ -256,17 +186,6 @@ impl StructIndex {
             chains.push(chain);
         }
 
-        let child_links: usize =
-            chains.iter().map(|c| c.iter().filter(|e| e.parent != NO_PARENT).count()).sum();
-        let chain_len: usize = chains.iter().map(Vec::len).sum();
-        let stats = IndexStats {
-            element_count: name_map.values().map(|v| v.len() as u64).sum(),
-            span_count: ordered.len() as u64,
-            text_len: g.span(NodeId::Root).1 as u64,
-            avg_fanout: child_links as f64 / chain_len.max(1) as f64,
-            names,
-        };
-
         StructIndex {
             version: g.version(),
             doc_id: g.doc_id(),
@@ -275,14 +194,20 @@ impl StructIndex {
             spans,
             named,
             chains,
-            stats,
         }
     }
 
-    /// Document statistics computed at build time (name frequencies, span
-    /// densities, chain fan-out) — the optimizer's selectivity source.
-    pub fn stats(&self) -> &IndexStats {
-        &self.stats
+    /// How many elements carry `name`: its run's length, zero for a name
+    /// no element carries (which makes a name-test step provably empty).
+    /// The optimizer's cost model and `--explain` estimates read it.
+    pub fn name_count(&self, name: &str) -> u64 {
+        self.elements_named(name).len() as u64
+    }
+
+    /// How many elements there are, the root included: the runs' lengths
+    /// summed.
+    pub fn element_count(&self) -> u64 {
+        self.name_map.values().map(|run| run.len() as u64).sum()
     }
 
     /// The [`Goddag::version`] this index was built against.
@@ -590,8 +515,8 @@ impl StructIndex {
         let reach = reach(g, ctxs, false);
         // Outer pass: descendant intervals of the in-context `outer`
         // elements, coalesced per hierarchy as they stream by in preorder
-        // (`build` writes name runs in Definition-3 order, and
-        // `columns::assemble` refuses a snapshot whose runs are not).
+        // (`build`, which makes every name run, writes them in
+        // Definition-3 order).
         let mut outer_runs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); g.hierarchy_count()];
         for &m in outer_entries {
             let NodeId::Elem { h, i } = m else { continue };
@@ -686,10 +611,8 @@ fn ctx_span(g: &Goddag, n: NodeId) -> Option<Ctx> {
 
 /// Each name's elements among `all`, in `all`'s two orders: one pass over
 /// each of its arrays, which leaves every name's entries in the order they
-/// have there, so nothing is sorted. Called wherever an index is made
-/// ([`StructIndex::build`] and `columns::assemble`); the per-name sets are
-/// never stored.
-pub(crate) fn spans_by_name(
+/// have there, so nothing is sorted. [`StructIndex::build`] calls it once.
+fn spans_by_name(
     g: &Goddag,
     name_map: &HashMap<String, Vec<NodeId>>,
     all: &Spans,
@@ -1044,6 +967,14 @@ impl Rmq {
     }
 }
 
+/// Every array of an index, to compare two indexes entry for entry.
+#[cfg(test)]
+impl StructIndex {
+    pub(crate) fn arrays(&self) -> impl PartialEq + std::fmt::Debug + '_ {
+        (&self.name_map, &self.ordered, &self.spans, &self.named, &self.chains)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1382,23 +1313,17 @@ mod tests {
     }
 
     #[test]
-    fn stats_reflect_the_corpus() {
+    fn name_counts_reflect_the_corpus() {
         let g = figure1();
         let idx = StructIndex::build(&g);
-        let stats = idx.stats();
-        assert_eq!(stats.name_count("w"), 6);
-        assert_eq!(stats.name_count("line"), 2);
-        assert_eq!(stats.name_count("r"), 1);
-        assert_eq!(stats.name_count("nope"), 0);
-        assert!(stats.selectivity("w") > stats.selectivity("line"));
-        assert_eq!(stats.selectivity("nope"), 0.0);
-        // Lines are long, words are short.
-        assert!(stats.avg_span_len("line") > stats.avg_span_len("w"));
-        assert_eq!(stats.avg_span_len("nope"), 0.0);
-        assert!(stats.element_count() >= 15);
-        assert!(stats.span_count() > 0);
-        assert!(stats.span_density() > 0.0);
-        assert!(stats.avg_fanout() > 0.0);
+        assert_eq!(idx.name_count("w"), 6);
+        assert_eq!(idx.name_count("line"), 2);
+        assert_eq!(idx.name_count("r"), 1);
+        assert_eq!(idx.name_count("nope"), 0);
+        // The root, 2 lines, 3 vlines, 6 words, 3 restorations, 2 damages.
+        assert_eq!(idx.element_count(), 17);
+        let elements = g.all_nodes().into_iter().filter(|n| n.is_element()).count();
+        assert_eq!(idx.element_count(), elements as u64);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use error::{GoddagError, Result};
 pub use export::{all_hierarchies_to_xml, hierarchy_to_xml};
 pub use goddag::{Goddag, GoddagBuilder};
 pub use hierarchy::{ElemNode, FragmentSpec, Hierarchy, TextNode};
-pub use index::{IndexStats, StructIndex};
+pub use index::StructIndex;
 pub use node::{HierarchyId, NodeId, OrderKey};
 
 #[cfg(test)]

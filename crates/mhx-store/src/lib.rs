@@ -1,4 +1,4 @@
-//! Persistent document store: columnar `(Goddag + StructIndex)` snapshots.
+//! Persistent document store: columnar snapshots of a [`Goddag`].
 //!
 //! One snapshot file per document, containing the sections produced by
 //! [`mhx_goddag::columns::dissect`] inside a small self-describing frame:
@@ -6,7 +6,7 @@
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
 //! │ magic "MHXSNAP1"                                     8 bytes │
-//! │ format version (u32 LE, currently 2)                 4 bytes │
+//! │ format version (u32 LE, currently 3)                 4 bytes │
 //! │ document id (u32 length + UTF-8 bytes)                       │
 //! │ section count (u32 LE)                                       │
 //! │ section table: kind u32 · len u64 · FNV-1a-64 checksum u64   │
@@ -24,11 +24,13 @@
 //! failures surface as typed [`StoreError::Corrupt`] values, never
 //! panics.
 //!
-//! Format version 2 stores the index's span array once, with its two sort
-//! orders as positions into it, and its containment chains as node and
-//! parent only (see [`mhx_goddag::columns`]). There is one decoder: a
-//! version-1 file loads as [`CorruptKind::BadVersion`] until its document
-//! is uploaded again.
+//! Format version 3 stores the document alone — its text and its
+//! hierarchies (see [`mhx_goddag::columns`]) — and a load rebuilds the
+//! structural index with [`StructIndex::build`], the function an upload
+//! runs, which costs about what decoding a stored copy of the index did.
+//! There is one decoder: a version-1 or version-2 file (which stored the
+//! index too) loads as [`CorruptKind::BadVersion`] until its document is
+//! uploaded again.
 
 use mhx_goddag::columns::{assemble, dissect, Section};
 use mhx_goddag::{Goddag, StructIndex};
@@ -38,7 +40,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"MHXSNAP1";
-const FORMAT_VERSION: u32 = 2;
+const FORMAT_VERSION: u32 = 3;
 const SNAPSHOT_EXT: &str = "mhx";
 
 /// What exactly was wrong with a snapshot file.
@@ -169,9 +171,10 @@ impl DocStore {
     }
 
     /// Serialize and atomically persist one document. Returns the snapshot
-    /// size in bytes.
-    pub fn save(&self, id: &str, g: &Goddag, idx: &StructIndex) -> Result<u64, StoreError> {
-        let sections = dissect(g, idx);
+    /// size in bytes. The index is not stored (a load rebuilds it); the
+    /// parameter stays so that callers written against the pair compile.
+    pub fn save(&self, id: &str, g: &Goddag, _idx: &StructIndex) -> Result<u64, StoreError> {
+        let sections = dissect(g);
         let mut frame = Vec::new();
         frame.extend_from_slice(MAGIC);
         frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -199,8 +202,9 @@ impl DocStore {
         Ok(frame.len() as u64)
     }
 
-    /// Load a document's snapshot. `Ok(None)` when no snapshot exists;
-    /// framing or payload problems are typed [`StoreError::Corrupt`]s.
+    /// Load a document's snapshot and build its index. `Ok(None)` when no
+    /// snapshot exists; framing or payload problems are typed
+    /// [`StoreError::Corrupt`]s.
     pub fn load(&self, id: &str) -> Result<Option<(Goddag, StructIndex)>, StoreError> {
         let path = self.path_for(id);
         let mut raw = Vec::new();
@@ -218,7 +222,8 @@ impl DocStore {
                 format!("snapshot carries id {stored_id:?}, expected {id:?}"),
             ));
         }
-        let (g, idx) = assemble(&sections).map_err(|e| corrupt(CorruptKind::Section, e.detail))?;
+        let g = assemble(&sections).map_err(|e| corrupt(CorruptKind::Section, e.detail))?;
+        let idx = StructIndex::build(&g);
         Ok(Some((g, idx)))
     }
 
@@ -445,9 +450,9 @@ mod tests {
         fs::write(&path, &bad_magic).unwrap();
         assert_eq!(kind_of(store.load("d").unwrap_err()), CorruptKind::BadMagic);
 
-        // The version lives right after the magic. Version 1 stored the
-        // index's three span arrays in full; this build reads only 2.
-        for version in [1u32, 0xEE] {
+        // The version lives right after the magic. Versions 1 and 2 stored
+        // the index beside the document; this build reads only 3.
+        for version in [1u32, 2, 0xEE] {
             let mut bad_version = full.clone();
             bad_version[8..12].copy_from_slice(&version.to_le_bytes());
             fs::write(&path, &bad_version).unwrap();

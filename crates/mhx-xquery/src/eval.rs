@@ -868,7 +868,7 @@ impl<'g> Evaluator<'g> {
         self.ensure_index();
         let order = {
             let idx = self.index.get().expect("ensure_index populated the slot");
-            crate::opt::stats_order(&step.predicates, idx.stats())
+            crate::opt::stats_order(&step.predicates, idx)
         };
         let mut used_probe = false;
         for pi in order {

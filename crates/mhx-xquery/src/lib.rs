@@ -143,12 +143,12 @@ impl CompiledXQuery {
 
     /// Render the optimized plan against one document: chosen rewrites,
     /// per-step strategies and annotations, and estimated (from the
-    /// index's [`mhx_goddag::IndexStats`]) vs. **actual** cardinalities —
-    /// each path is evaluated step by step to measure them.
+    /// index's name counts) vs. **actual** cardinalities — each path is
+    /// evaluated step by step to measure them.
     pub fn explain(&self, g: &Goddag, idx: &StructIndex) -> String {
         let mut ev = Evaluator::with_index(g, idx, EvalOptions::default());
         let mut env = self.env();
-        opt::explain(&mut ev, &mut env, &self.optimized, &self.report, &self.src, idx.stats())
+        opt::explain(&mut ev, &mut env, &self.optimized, &self.report, &self.src, idx)
     }
 
     /// Run against a goddag (optionally sharing a pre-built index),

@@ -63,7 +63,7 @@ use crate::eval::{Env, Evaluator};
 use crate::functions::Reads;
 use crate::item::{Item, Sequence};
 use crate::plan::StepStrategy;
-use mhx_goddag::{Axis, IndexStats, NodeId};
+use mhx_goddag::{Axis, NodeId, StructIndex};
 use mhx_xpath::NodeTest;
 
 /// The optimizer's verdict on one predicate.
@@ -217,11 +217,11 @@ pub(crate) fn static_type(e: &QExpr) -> Ty {
 /// Relative cost of a predicate — dimensionless weights used only to order
 /// position-free predicates cheapest-first. Extended-axis subqueries
 /// dominate; attribute/self/name tests are near-free. With a document's
-/// `stats`, a named scan costs what the name actually occurs there, so a
-/// filter on a rare name runs before a filter on a ubiquitous one even
-/// though the fixed weights price them identically.
-fn cost(e: &QExpr, stats: Option<&IndexStats>) -> u64 {
-    let c = |x: &QExpr| cost(x, stats);
+/// index, a named scan costs what the name actually occurs there (its
+/// run's length), so a filter on a rare name runs before a filter on a
+/// ubiquitous one even though the fixed weights price them identically.
+fn cost(e: &QExpr, idx: Option<&StructIndex>) -> u64 {
+    let c = |x: &QExpr| cost(x, idx);
     match e {
         QExpr::Literal(_) | QExpr::Number(_) | QExpr::Var(_) | QExpr::ContextItem => 1,
         QExpr::Sequence(es) => 1 + es.iter().map(c).sum::<u64>(),
@@ -261,9 +261,9 @@ fn cost(e: &QExpr, stats: Option<&IndexStats>) -> u64 {
                         let fixed = step_cost(s.strategy, s.axis);
                         // Near-free local walks keep their fixed weight: their
                         // cost does not scale with the name's frequency.
-                        let step = match (&s.test, stats) {
-                            (NodeTest::Name { name, .. }, Some(stats)) if fixed > 8 => {
-                                2 + stats.name_count(name)
+                        let step = match (&s.test, idx) {
+                            (NodeTest::Name { name, .. }, Some(idx)) if fixed > 8 => {
+                                2 + idx.name_count(name)
                             }
                             _ => fixed,
                         };
@@ -546,17 +546,17 @@ pub fn is_context_independent(e: &QExpr) -> bool {
 }
 
 /// Evaluation order for an all-free predicate list, decided at
-/// **evaluation** time from the current document's [`IndexStats`]: a
-/// stable sort of the written indices, cheapest first. Compiled plans are
-/// document-independent and cached across documents, so the
-/// statistics-guided decision cannot be baked into the plan — the
-/// evaluator asks per document instead.
-pub fn stats_order(preds: &[QExpr], stats: &IndexStats) -> Vec<usize> {
+/// **evaluation** time from the current document's name counts
+/// ([`StructIndex::name_count`]): a stable sort of the written indices,
+/// cheapest first. Compiled plans are document-independent and cached
+/// across documents, so the statistics-guided decision cannot be baked
+/// into the plan — the evaluator asks per document instead.
+pub fn stats_order(preds: &[QExpr], idx: &StructIndex) -> Vec<usize> {
     if preds.len() < 2 {
         return (0..preds.len()).collect();
     }
     let mut order: Vec<usize> = (0..preds.len()).collect();
-    let costs: Vec<u64> = preds.iter().map(|p| cost(p, Some(stats))).collect();
+    let costs: Vec<u64> = preds.iter().map(|p| cost(p, Some(idx))).collect();
     order.sort_by_key(|&i| costs[i]);
     order
 }
@@ -630,18 +630,18 @@ pub fn qexpr_summary(e: &QExpr) -> String {
 
 /// Render the optimized plan: the rewrite summary, then every path in the
 /// optimized AST with per-step strategies, annotations, cardinality
-/// estimates from the document's [`IndexStats`], and **actual**
-/// cardinalities — each path is evaluated step by step on `ev` in the
-/// query's top-level environment to measure them. A path whose start
-/// cannot be evaluated there (it reads a FLWOR variable, say) reports
-/// `actual ?`.
+/// estimates from the document's name counts ([`StructIndex::name_count`],
+/// [`StructIndex::element_count`]), and **actual** cardinalities — each
+/// path is evaluated step by step on `ev` in the query's top-level
+/// environment to measure them. A path whose start cannot be evaluated
+/// there (it reads a FLWOR variable, say) reports `actual ?`.
 pub(crate) fn explain<'q>(
     ev: &mut Evaluator<'_>,
     env: &mut Env<'q>,
     optimized: &'q QExpr,
     report: &OptimizerReport,
     src: &str,
-    stats: &IndexStats,
+    idx: &StructIndex,
 ) -> String {
     let mut out = format!(
         "query: {}\nrewrites: {} fused, {} predicate runs reordered, {} batch-routed, \
@@ -687,8 +687,8 @@ pub(crate) fn explain<'q>(
                 ev.eval_step(&input, step, env, &mut next).ok().map(|()| next)
             });
             let estimate = match &step.test {
-                NodeTest::Name { name, .. } => format!("{}", stats.name_count(name)),
-                NodeTest::AnyElement { .. } => format!("{}", stats.element_count()),
+                NodeTest::Name { name, .. } => format!("{}", idx.name_count(name)),
+                NodeTest::AnyElement { .. } => format!("{}", idx.element_count()),
                 _ => "?".into(),
             };
             let chain = match &step.chain_outer {
@@ -914,20 +914,20 @@ mod tests {
         let (opt, _) = optimize_src("/descendant::r[xdescendant::w][xdescendant::rare]");
         let preds = &path_steps(&opt)[0].predicates;
         assert!(format!("{:?}", preds[0]).contains("\"w\""), "static order kept");
-        assert_eq!(stats_order(preds, idx.stats()), vec![1, 0]);
+        assert_eq!(stats_order(preds, &idx), vec![1, 0]);
         // A probe on a once-per-document name beats materializing every
         // candidate's string value, though the fixed table says otherwise.
         let (opt, _) = optimize_src("/descendant::r[contains(string(.), 'zz')][xdescendant::rare]");
         let preds2 = &path_steps(&opt)[0].predicates;
         assert!(matches!(&preds2[0], QExpr::Call { name, .. } if name == "contains"));
-        assert_eq!(stats_order(preds2, idx.stats()), vec![1, 0]);
+        assert_eq!(stats_order(preds2, &idx), vec![1, 0]);
         // When the frequencies flip, so does the verdict.
         let g2 = GoddagBuilder::new()
             .hierarchy("words", "<r><w>a</w>bcdefgh</r>")
             .hierarchy("marks", words.replace('w', "rare"))
             .build()
             .unwrap();
-        assert_eq!(stats_order(preds, StructIndex::build(&g2).stats()), vec![0, 1]);
+        assert_eq!(stats_order(preds, &StructIndex::build(&g2)), vec![0, 1]);
     }
 
     #[test]

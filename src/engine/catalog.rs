@@ -689,8 +689,9 @@ impl Catalog {
             body.g.add_document_hierarchy(name, &doc)?;
             if entry.snapshot_bytes.load(Ordering::Relaxed) > 0 {
                 if let Some(b) = self.store.get() {
-                    // Rebuild the index now — the snapshot stores both —
-                    // and leave it in the slot for the next query.
+                    // Rebuild the index now and leave it in the slot for
+                    // the next query. The snapshot holds the document
+                    // alone; a load rebuilds its own index.
                     let idx = Arc::new(StructIndex::build(&body.g));
                     let bytes = b
                         .store
